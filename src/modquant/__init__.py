@@ -43,7 +43,6 @@ from .tensor import (
     ModalityTag,
     TensorFormatError,
     load_tensor,
-    matmul,
     save_tensor,
     scatter_columns,
     split_columns,

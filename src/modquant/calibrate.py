@@ -4,8 +4,11 @@ Plain gradient descent with a cosine-decayed learning rate minimizes the
 mean squared error between the quantized forward pass and the unquantized
 reference output.  Gradients flow through rounding with the straight-through
 estimator (identity inside the clamp range, zero outside); quantization
-scales and zero-points are treated as stop-gradient.  Diagonal transforms
-learn in log-scale space so steps cannot cross zero.
+scales and zero-points are treated as stop-gradient.  ``analytic_gradient``
+is the only gradient; the test suite checks it against central differences
+of the forward pass with every quantizer frozen at its base-pass value and
+mask.  Diagonal transforms learn in log-scale space so steps cannot cross
+zero.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .layer import SplitLayer, forward_reference, forward_with_cache, with_updat
 from .mocd import MocdConfig, build_partition, jaccard
 from .tensor import ActivationBatch
 
-MAX_FD_PARAMS = 4096
 _LOG_LO = np.log(tr.DIAG_EPS)
 _LOG_HI = np.log(tr.DIAG_MAX)
 
@@ -31,21 +33,16 @@ class CalibConfig:
     # surface around the smoothing init is quite flat; unit step size with the
     # cosine decay moves them far enough to matter within 200 steps.
     learning_rate: float = 1.0
-    seed: int = 0
     learn_p_main: bool = True
     learn_p_text: bool = True
     learn_p_vision: bool = True
     learn_gates: bool = True
-    grad_mode: str = "analytic"  # or "fd"
-    fd_step: float = 1e-4
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.grad_mode not in ("analytic", "fd"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
 
 
 @dataclass
@@ -76,14 +73,7 @@ def _param_layout(layer: SplitLayer, cfg: CalibConfig):
         ("p_vision", cfg.learn_p_vision, layer.p_vision),
     ):
         if learn and t.dim > 0:
-            if not t.is_diagonal:
-                if cfg.grad_mode != "fd":
-                    raise ValueError(
-                        f"{name} is dense; dense transforms require grad_mode='fd'"
-                    )
-                segments.append((name, t.dim * t.dim))
-            else:
-                segments.append((name, t.dim))
+            segments.append((name, t.dim))
     if cfg.learn_gates and layer.use_cws:
         segments.append(("gate_s", layer.branch_smooth.rank))
     if cfg.learn_gates and layer.use_mac:
@@ -95,8 +85,7 @@ def _initial_params(layer: SplitLayer, segments) -> np.ndarray:
     parts = []
     for name, _size in segments:
         if name in ("p_main", "p_text", "p_vision"):
-            t = getattr(layer, name)
-            parts.append(t.log_scale if t.is_diagonal else t.dense.ravel())
+            parts.append(getattr(layer, name).log_scale)
         elif name == "gate_s":
             parts.append(layer.branch_smooth.gate)
         else:
@@ -111,13 +100,7 @@ def _apply_params(layer: SplitLayer, segments, theta: np.ndarray) -> SplitLayer:
         chunk = theta[offset : offset + size]
         offset += size
         if name in ("p_main", "p_text", "p_vision"):
-            t = getattr(layer, name)
-            if t.is_diagonal:
-                updates[name] = tr.diagonal_transform(
-                    np.exp(np.clip(chunk, _LOG_LO, _LOG_HI))
-                )
-            else:
-                updates[name] = tr.dense_transform(chunk.reshape(t.dim, t.dim))
+            updates[name] = tr.diagonal_transform(np.exp(np.clip(chunk, _LOG_LO, _LOG_HI)))
         elif name == "gate_s":
             updates["gate_smooth"] = chunk.copy()
         else:
@@ -177,12 +160,10 @@ def analytic_gradient(
             mac = cache["mac"]
             dl_de_q = (g[t_rows] @ mac["vc_q"].T) @ mac["uc_q"].T
             dl_de_pre = mac["mask_e"] * dl_de_q
-            dl_dxhat = dl_dxhat.copy()
             dl_dxhat[t_rows] -= dl_de_pre
 
         dl_dz = m["mask_x"] * dl_dxhat
         if dl_de_pre is not None:
-            dl_dz = dl_dz.copy()
             dl_dz[t_rows] += dl_de_pre
 
         dl_db_m = m["x_hat"].T @ g
@@ -222,24 +203,6 @@ def analytic_gradient(
     return loss, flat
 
 
-def fd_gradient(layer, batch, segments, y_ref, theta, h):
-    """Central-difference gradient of the calibration loss."""
-    if theta.size > MAX_FD_PARAMS:
-        raise ValueError(
-            f"finite differences limited to {MAX_FD_PARAMS} parameters"
-        )
-    loss, _, _ = _loss(_apply_params(layer, segments, theta), batch, y_ref)
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        for sign in (1.0, -1.0):
-            probe = theta.copy()
-            probe[i] += sign * h
-            l_probe, _, _ = _loss(_apply_params(layer, segments, probe), batch, y_ref)
-            grad[i] += sign * l_probe
-        grad[i] /= 2.0 * h
-    return loss, grad
-
-
 def calibrate(
     layer: SplitLayer, batch: ActivationBatch, cfg: CalibConfig
 ) -> tuple[SplitLayer, LossTrace]:
@@ -252,10 +215,7 @@ def calibrate(
     best_loss = np.inf
     for step in range(cfg.steps):
         current = _apply_params(layer, segments, theta)
-        if cfg.grad_mode == "analytic":
-            loss, grad = analytic_gradient(current, batch, segments, y_ref)
-        else:
-            loss, grad = fd_gradient(layer, batch, segments, y_ref, theta, cfg.fd_step)
+        loss, grad = analytic_gradient(current, batch, segments, y_ref)
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
         trace.losses.append(loss)

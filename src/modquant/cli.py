@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -82,10 +83,30 @@ class RunConfig:
     trials: int = 20
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Value check per RunConfig field annotation.
+_TYPE_CHECKS = {
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_int,
+    "float": lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """Merge the JSON config file and the flags, and check every value.
+
+    Types are checked per field; quantizer widths, selection ratios and
+    calibration settings are checked by building the configs they feed.
+    """
     values: dict = {}
     if path is not None:
         try:
@@ -93,14 +114,24 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        unknown = set(values) - _CONFIG_FIELDS
+        if not isinstance(values, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
+        unknown = set(values) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
+    for key, value in values.items():
+        kind = _CONFIG_FIELDS[key]
+        if not _TYPE_CHECKS[kind](value):
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    cfg = RunConfig(**values)
     try:
-        return RunConfig(**values)
-    except TypeError as exc:
+        _quant_specs(cfg)
+        _mocd_config(cfg)
+        _calib_config(cfg)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def _quant_specs(cfg: RunConfig) -> tuple[QuantSpec, QuantSpec]:
@@ -116,8 +147,11 @@ def _mocd_config(cfg: RunConfig) -> MocdConfig:
         ratio_vision=cfg.ratio_vision,
         ratio_text=cfg.ratio_text,
         clusters_k=cfg.clusters,
-        seed=cfg.seed,
     )
+
+
+def _calib_config(cfg: RunConfig) -> CalibConfig:
+    return CalibConfig(steps=cfg.steps, learning_rate=cfg.learning_rate)
 
 
 def _load_batch(path: str | None) -> ActivationBatch:
@@ -217,10 +251,7 @@ def _build_and_calibrate(cfg: RunConfig, batch, w, partition):
         use_cws=cfg.cws, use_mac=cfg.mac,
         rank_ratio_cws=cfg.rank_cws, rank_ratio_mac=cfg.rank_mac,
     )
-    ccfg = CalibConfig(
-        steps=cfg.steps, learning_rate=cfg.learning_rate, seed=cfg.seed
-    )
-    return calibrate(layer, batch, ccfg)
+    return calibrate(layer, batch, _calib_config(cfg))
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:

@@ -2,9 +2,10 @@
 
 The forward pass splits activations and weights into main / text-outlier /
 vision-outlier paths, runs each through its own transform and fake
-quantizer, optionally applies the two gated low-rank corrections (weight
-smoothing on the main weight, activation compensation on text-token rows),
-and sums the three paths.  With identity quantizers everything cancels
+quantizer (one ``quantize_ste`` call per tensor, which yields the value and
+its straight-through mask), optionally applies the two gated low-rank
+corrections (weight smoothing on the main weight, activation compensation on
+text-token rows), and sums the three paths.  With identity quantizers everything cancels
 algebraically and the output equals X @ W, which is the load-bearing
 correctness oracle for the wiring.
 """
@@ -19,21 +20,8 @@ import numpy as np
 
 from . import lowrank, transform as tr
 from .mocd import ChannelPartition, trivial_partition
-from .quantizer import (
-    Granularity,
-    QuantSpec,
-    clamp_mask,
-    compute_params,
-    fake_quantize,
-)
-from .tensor import (
-    ActivationBatch,
-    as_matrix,
-    load_tensor,
-    matmul,
-    save_tensor,
-    split_columns,
-)
+from .quantizer import Granularity, QuantSpec, quantize_ste
+from .tensor import ActivationBatch, as_matrix, load_tensor, save_tensor, split_columns
 
 AUX_BITS_FLOOR = 4
 
@@ -61,6 +49,9 @@ class SplitLayer:
     aux_bits_floor: int = AUX_BITS_FLOOR
 
     def __post_init__(self):
+        # The one check of the weights: the forward pass trusts them.
+        for name in ("w_main", "w_text", "w_vision"):
+            object.__setattr__(self, name, as_matrix(getattr(self, name)))
         p = self.partition
         d_out = self.w_main.shape[1]
         if self.w_main.shape[0] != len(p.c_main):
@@ -76,6 +67,8 @@ class SplitLayer:
         ):
             if t.dim != width:
                 raise ValueError("transform dim does not match path width")
+            if not t.is_diagonal:
+                raise ValueError("split-layer transforms must be diagonal")
         if self.use_cws and self.branch_smooth is None:
             raise ValueError("CWS enabled but smoothing branch absent")
         if self.use_mac and self.branch_comp is None:
@@ -97,22 +90,16 @@ class SplitLayer:
         return w
 
 
-def _quantized(m: np.ndarray, spec: QuantSpec):
-    """Quantize with fresh params; returns (value, straight-through mask)."""
-    params = compute_params(m, spec)
-    return fake_quantize(m, params, spec), clamp_mask(m, params, spec)
-
-
 def _outlier_path(x_p, w_p, p_t, act_spec, weight_spec, cache, prefix):
     z = tr.apply_right(x_p, p_t)
-    a, mask_a = _quantized(z, act_spec)
+    a, mask_a = quantize_ste(z, act_spec)
     b_pre = tr.apply_inv_left(w_p, p_t)
-    b, mask_b = _quantized(b_pre, weight_spec)
+    b, mask_b = quantize_ste(b_pre, weight_spec)
     cache[prefix] = {
         "x": x_p, "z": z, "a": a, "mask_a": mask_a,
         "b_pre": b_pre, "b": b, "mask_b": mask_b,
     }
-    return matmul(a, b) if x_p.shape[1] else np.zeros((x_p.shape[0], w_p.shape[1]))
+    return a @ b
 
 
 def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
@@ -133,7 +120,7 @@ def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
     y_v = _outlier_path(x_v, layer.w_vision, layer.p_vision, act_aux, w_aux, cache, "v")
 
     z = tr.apply_right(x_m, layer.p_main)
-    x_hat, mask_x = _quantized(z, layer.act_spec)
+    x_hat, mask_x = quantize_ste(z, layer.act_spec)
     w_prime = tr.apply_inv_left(layer.w_main, layer.p_main)
     cache["m"] = {"x": x_m, "z": z, "x_hat": x_hat, "mask_x": mask_x,
                   "w_prime": w_prime}
@@ -142,27 +129,26 @@ def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
         br = layer.branch_smooth
         v_eff = br.effective_v()
         r_pre = w_prime - br.u_star @ v_eff
-        b_m, mask_r = _quantized(r_pre, layer.weight_spec)
-        u_q, mask_u = _quantized(br.u_star, w_aux)
-        v_q, mask_v = _quantized(v_eff, w_aux)
-        y_m = matmul(x_hat, b_m) + matmul(matmul(x_hat, u_q), v_q)
+        b_m, mask_r = quantize_ste(r_pre, layer.weight_spec)
+        u_q, mask_u = quantize_ste(br.u_star, w_aux)
+        v_q, mask_v = quantize_ste(v_eff, w_aux)
+        y_m = x_hat @ b_m + (x_hat @ u_q) @ v_q
         cache["cws"] = {"r_pre": r_pre, "b_m": b_m, "mask_r": mask_r,
                         "u_q": u_q, "mask_u": mask_u,
                         "v_q": v_q, "mask_v": mask_v, "v_eff": v_eff}
     else:
-        b_m, mask_r = _quantized(w_prime, layer.weight_spec)
-        y_m = matmul(x_hat, b_m)
+        b_m, mask_r = quantize_ste(w_prime, layer.weight_spec)
+        y_m = x_hat @ b_m
         cache["main_w"] = {"b_m": b_m, "mask_r": mask_r}
 
     if layer.use_mac and t_rows.size:
         br = layer.branch_comp
         e_pre = (z - x_hat)[t_rows]
-        e_q, mask_e = _quantized(e_pre, act_aux)
-        uc_q, mask_uc = _quantized(br.u_star, w_aux)
+        e_q, mask_e = quantize_ste(e_pre, act_aux)
+        uc_q, mask_uc = quantize_ste(br.u_star, w_aux)
         vc_eff = br.effective_v()
-        vc_q, mask_vc = _quantized(vc_eff, w_aux)
-        comp = matmul(matmul(e_q, uc_q), vc_q)
-        y_m = y_m.copy()
+        vc_q, mask_vc = quantize_ste(vc_eff, w_aux)
+        comp = (e_q @ uc_q) @ vc_q
         y_m[t_rows] += comp
         cache["mac"] = {"e_pre": e_pre, "e_q": e_q, "mask_e": mask_e,
                         "uc_q": uc_q, "mask_uc": mask_uc,
@@ -179,7 +165,7 @@ def forward(layer: SplitLayer, batch: ActivationBatch) -> np.ndarray:
 
 def forward_reference(w: np.ndarray, batch: ActivationBatch) -> np.ndarray:
     """Unquantized reference output X @ W."""
-    return matmul(batch.data, as_matrix(w))
+    return batch.data @ as_matrix(w)
 
 
 def build_layer(
@@ -208,7 +194,7 @@ def build_layer(
 
     def _init(width, x_path):
         calib = x_path if smoothing_init else None
-        return tr.init_transform(width, "diagonal", calib)
+        return tr.init_transform(width, calib)
 
     p_main = _init(len(partition.c_main), x_m)
     p_text = _init(len(partition.c_text), x_t)
@@ -244,23 +230,16 @@ def _spec_from_dict(d: dict) -> QuantSpec:
 
 
 def _save_transform(t: tr.Transform, out_dir: str, name: str, manifest: dict):
-    if t.is_diagonal:
-        fname = f"{name}_scale.spqt"
-        save_tensor(os.path.join(out_dir, fname), t.scale.reshape(1, -1))
-        manifest[name] = {"kind": "diagonal", "file": fname}
-    else:
-        fname = f"{name}_dense.spqt"
-        save_tensor(os.path.join(out_dir, fname), t.dense)
-        manifest[name] = {"kind": "dense", "file": fname}
+    fname = f"{name}_scale.spqt"
+    save_tensor(os.path.join(out_dir, fname), t.scale.reshape(1, -1))
+    manifest[name] = {"kind": "diagonal", "file": fname}
 
 
-def _load_transform(entry: dict, in_dir: str, dim: int) -> tr.Transform:
+def _load_transform(entry: dict, in_dir: str) -> tr.Transform:
+    if entry["kind"] != "diagonal":
+        raise ValueError(f"unsupported transform kind {entry['kind']!r}")
     data = load_tensor(os.path.join(in_dir, entry["file"]))
-    if entry["kind"] == "diagonal":
-        if dim == 0:
-            return tr.identity_transform(0)
-        return tr.diagonal_transform(np.asarray(data).reshape(-1))
-    return tr.dense_transform(data)
+    return tr.diagonal_transform(np.asarray(data).reshape(-1))
 
 
 def _save_branch(br: lowrank.LowRankBranch, out_dir: str, name: str, manifest: dict):
@@ -321,9 +300,16 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
 def load_layer(manifest_path: str) -> SplitLayer:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "modquant-layer":
+    if not isinstance(manifest, dict) or manifest.get("format") != "modquant-layer":
         raise ValueError("not a layer manifest")
     in_dir = os.path.dirname(os.path.abspath(manifest_path))
+    try:
+        return _layer_from_manifest(manifest, in_dir)
+    except KeyError as exc:
+        raise ValueError(f"layer manifest lacks key {exc}") from exc
+
+
+def _layer_from_manifest(manifest: dict, in_dir: str) -> SplitLayer:
     part = manifest["partition"]
     partition = ChannelPartition(
         np.asarray(part["c_main"], dtype=np.int64),
@@ -340,9 +326,9 @@ def load_layer(manifest_path: str) -> SplitLayer:
         w_main=load_tensor(os.path.join(in_dir, manifest["w_main"])),
         w_text=load_tensor(os.path.join(in_dir, manifest["w_text"])),
         w_vision=load_tensor(os.path.join(in_dir, manifest["w_vision"])),
-        p_main=_load_transform(manifest["p_main"], in_dir, len(partition.c_main)),
-        p_text=_load_transform(manifest["p_text"], in_dir, len(partition.c_text)),
-        p_vision=_load_transform(manifest["p_vision"], in_dir, len(partition.c_vision)),
+        p_main=_load_transform(manifest["p_main"], in_dir),
+        p_text=_load_transform(manifest["p_text"], in_dir),
+        p_vision=_load_transform(manifest["p_vision"], in_dir),
         act_spec=_spec_from_dict(manifest["act_spec"]),
         weight_spec=_spec_from_dict(manifest["weight_spec"]),
         use_cws=manifest["use_cws"],

@@ -52,7 +52,6 @@ class MocdConfig:
     ratio_text: float = 0.02
     clusters_k: int = 3
     kmeans_max_iter: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("ratio_vision", "ratio_text"):

@@ -6,6 +6,11 @@ half-away-from-zero so independent implementations agree bit-exactly.
 
 ``bits=None`` is the identity-quantizer sentinel used by exact-cancellation
 tests: fake_quantize then returns its input untouched.
+
+The public functions validate their input.  ``quantize_ste`` is the split
+layer's single quantizer call: it takes a matrix the caller already holds as
+finite 2-D float64, derives fresh parameters, rounds once, and returns the
+quantized value with its straight-through mask.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .tensor import as_matrix
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class Granularity(enum.Enum):
@@ -105,32 +112,37 @@ def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
     """Derive per-group scale/zero-point from the data range.
 
     Degenerate groups (constant, including all-zero) get parameters that
-    reconstruct the constant exactly.
+    reconstruct the constant exactly.  Scales are floored at the smallest
+    positive normal, so subnormal groups never underflow to a zero scale.
     """
-    m = as_matrix(m)
+    return _params(as_matrix(m), spec)
+
+
+def _params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
     g = spec.granularity
-    if spec.is_identity:
-        n = _group_count(m.shape, g)
-        return QuantParams(np.ones(n), np.zeros(n, dtype=np.int64))
-    if m.size == 0:
+    if spec.is_identity or m.size == 0:
         n = _group_count(m.shape, g)
         return QuantParams(np.ones(n), np.zeros(n, dtype=np.int64))
     q_min, q_max = spec.q_min, spec.q_max
     if spec.symmetric:
         absmax = _reduce(np.abs(m), g, np.max)
-        scales = np.where(absmax > 0, absmax / q_max, 1.0)
+        scales = np.where(absmax > 0, np.maximum(absmax / q_max, _TINY), 1.0)
         zps = np.zeros_like(scales, dtype=np.int64)
         return QuantParams(scales, zps)
     lo = _reduce(m, g, np.min)
     hi = _reduce(m, g, np.max)
-    span = hi - lo
     # Constant groups: widen the range to include zero so the constant maps
     # onto an exact grid point; all-zero groups fall back to S=1, z=0.
-    const = span == 0
+    const = lo == hi
     lo = np.where(const, np.minimum(lo, 0.0), lo)
     hi = np.where(const, np.maximum(hi, 0.0), hi)
-    span = hi - lo
-    scales = np.where(span > 0, span / (q_max - q_min), 1.0)
+    levels = q_max - q_min
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    # hi - lo overflows only for finite ranges wider than the largest float;
+    # only there is the step computed as hi/levels - lo/levels.
+    step = np.where(np.isinf(span), hi / levels - lo / levels, span / levels)
+    scales = np.where(span > 0, np.maximum(step, _TINY), 1.0)
     zps = np.clip(round_half_away(-lo / scales), q_min, q_max).astype(np.int64)
     return QuantParams(scales, zps)
 
@@ -143,28 +155,35 @@ def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
         )
 
 
+def _round_clamp(m: np.ndarray, params: QuantParams, spec: QuantSpec):
+    """Q(m) and the straight-through mask, from one rounding of m/S."""
+    s = _broadcast(params.scales, spec.granularity)
+    z = _broadcast(params.zero_points.astype(np.float64), spec.granularity)
+    q = round_half_away(m / s) + z
+    mask = (q >= spec.q_min) & (q <= spec.q_max)
+    return (np.clip(q, spec.q_min, spec.q_max) - z) * s, mask
+
+
 def fake_quantize(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.ndarray:
     """Quantize-dequantize per group; identity specs return the input copy."""
     m = as_matrix(m)
     if spec.is_identity:
         return m.copy()
     _check_groups(m, params, spec)
-    s = _broadcast(params.scales, spec.granularity)
-    z = _broadcast(params.zero_points.astype(np.float64), spec.granularity)
-    q = np.clip(round_half_away(m / s) + z, spec.q_min, spec.q_max)
-    return (q - z) * s
+    return _round_clamp(m, params, spec)[0]
 
 
-def clamp_mask(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.ndarray:
-    """Elementwise straight-through mask: 1 where round(x/S)+z stays in range."""
-    m = as_matrix(m)
+def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Fake-quantize with fresh params; returns (value, straight-through mask).
+
+    The mask is 1.0 where round(x/S)+z stays inside [q_min, q_max] and 0.0
+    where it is clamped.  ``m`` must already be a finite 2-D float64 matrix;
+    it is not checked again.
+    """
     if spec.is_identity:
-        return np.ones_like(m)
-    _check_groups(m, params, spec)
-    s = _broadcast(params.scales, spec.granularity)
-    z = _broadcast(params.zero_points.astype(np.float64), spec.granularity)
-    q = round_half_away(m / s) + z
-    return ((q >= spec.q_min) & (q <= spec.q_max)).astype(np.float64)
+        return m.copy(), np.ones_like(m)
+    value, mask = _round_clamp(m, _params(m, spec), spec)
+    return value, mask.astype(np.float64)
 
 
 def quantize(m: np.ndarray, spec: QuantSpec) -> np.ndarray:

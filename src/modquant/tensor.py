@@ -87,10 +87,11 @@ def split_columns(x: np.ndarray, partition) -> tuple[np.ndarray, np.ndarray, np.
         raise ValueError(
             f"partition covers {partition.dim} channels, matrix has {x.shape[1]}"
         )
-    return (
-        x[:, partition.c_main],
-        x[:, partition.c_text],
-        x[:, partition.c_vision],
+    # Column gathers come back Fortran-ordered; downstream products expect
+    # C order (BLAS picks another kernel, and rounding, for the other).
+    return tuple(
+        np.ascontiguousarray(x[:, cols])
+        for cols in (partition.c_main, partition.c_text, partition.c_vision)
     )
 
 
@@ -104,15 +105,6 @@ def scatter_columns(
     out[:, partition.c_text] = x_text
     out[:, partition.c_vision] = x_vision
     return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def save_tensor(path, obj) -> None:

@@ -3,8 +3,9 @@
 A transform P rewrites a linear layer as Y = (X P)(P^-1 W) without changing
 its output; applying it before quantization redistributes outliers between
 activations and weights.  Two families are supported: per-channel diagonal
-scaling (stored as log-scales so learning cannot cross zero) and small dense
-invertible matrices.
+scaling (stored as log-scales so learning cannot cross zero), which is what
+the split layer learns, and small dense invertible matrices, which only the
+functions of this module apply.
 """
 
 from __future__ import annotations
@@ -72,15 +73,9 @@ def identity_transform(dim: int) -> Transform:
     return diagonal_transform(np.ones(dim)) if dim > 0 else Transform(0, np.zeros(0))
 
 
-def init_transform(
-    dim: int, kind: str = "diagonal", x_calib: np.ndarray | None = None
-) -> Transform:
-    """Identity init, or activation-magnitude smoothing init when calibration
-    data is given: d_i = max(eps, max_rows |X[:, i]|) ** alpha."""
-    if kind == "dense":
-        return dense_transform(np.eye(dim))
-    if kind != "diagonal":
-        raise ValueError(f"unknown transform kind {kind!r}")
+def init_transform(dim: int, x_calib: np.ndarray | None = None) -> Transform:
+    """Diagonal identity init, or activation-magnitude smoothing init when
+    calibration data is given: d_i = max(eps, max_rows |X[:, i]|) ** alpha."""
     if dim == 0:
         return Transform(0, np.zeros(0))
     if x_calib is None or x_calib.size == 0:
@@ -92,24 +87,22 @@ def init_transform(
 
 
 def apply_right(x: np.ndarray, t: Transform) -> np.ndarray:
-    """X -> X P (diagonal: column-wise scaling)."""
-    x = as_matrix(x)
-    if x.shape[1] != t.dim:
-        raise ValueError(f"matrix has {x.shape[1]} cols, transform dim {t.dim}")
-    if t.dim == 0:
-        return x.copy()
+    """X -> X P (diagonal: column-wise scaling).  Checks shapes only: ``x``
+    must already be a finite matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != t.dim:
+        raise ValueError(f"matrix shape {x.shape} does not fit transform dim {t.dim}")
     if t.is_diagonal:
         return x * t.scale[np.newaxis, :]
     return x @ t.dense
 
 
 def apply_inv_left(w: np.ndarray, t: Transform) -> np.ndarray:
-    """W -> P^-1 W (diagonal: row-wise scaling by 1/d)."""
-    w = as_matrix(w)
-    if w.shape[0] != t.dim:
-        raise ValueError(f"matrix has {w.shape[0]} rows, transform dim {t.dim}")
-    if t.dim == 0:
-        return w.copy()
+    """W -> P^-1 W (diagonal: row-wise scaling by 1/d).  Checks shapes only:
+    ``w`` must already be a finite matrix."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != t.dim:
+        raise ValueError(f"matrix shape {w.shape} does not fit transform dim {t.dim}")
     if t.is_diagonal:
         return w / t.scale[:, np.newaxis]
     return t.dense_inv @ w

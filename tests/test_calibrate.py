@@ -3,20 +3,24 @@
 import numpy as np
 import pytest
 
+import modquant.layer as layer_module
 from modquant.calibrate import (
     CalibConfig,
+    _apply_params,
+    _initial_params,
+    _loss,
+    _param_layout,
     _stratified_subset,
     analytic_gradient,
     calibrate,
-    fd_gradient,
     outlier_set,
     stability_report,
 )
-from modquant.calibrate import _param_layout, _initial_params
 from modquant.layer import build_layer, forward_reference
 from modquant.mocd import MocdConfig, build_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
+from modquant.tensor import ActivationBatch
 
 ACT4 = QuantSpec(4, False, Granularity.PER_TOKEN)
 W4 = QuantSpec(4, True, Granularity.PER_CHANNEL)
@@ -45,8 +49,6 @@ class TestConfig:
             CalibConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             CalibConfig(steps=0)
-        with pytest.raises(ValueError):
-            CalibConfig(grad_mode="adam")
 
 
 class TestCalibrate:
@@ -80,12 +82,6 @@ class TestCalibrate:
         final = float(np.mean((forward(out, batch) - y_ref) ** 2))
         assert final == pytest.approx(trace.best_loss, rel=1e-12)
 
-    def test_fd_mode_runs_and_is_monotone_at_best(self):
-        batch, layer = _setup(4, cws=False, mac=False)
-        cfg = CalibConfig(steps=5, grad_mode="fd", learning_rate=0.05)
-        _, trace = calibrate(layer, batch, cfg)
-        assert trace.best_loss <= trace.losses[0]
-
     def test_improves_on_synthetic_data(self):
         imps = []
         for seed in range(6):
@@ -109,7 +105,7 @@ class TestCalibrate:
 class TestGradients:
     def test_identity_mode_gradient_is_zero(self):
         # With identity quantizers the transforms cancel exactly, so every
-        # parameter direction is flat; both gradient modes must agree on zero.
+        # parameter direction is flat and the gradient is zero.
         batch, layer = _setup(5, act=IDENTITY_ACT, w_spec=IDENTITY_W)
         cfg = CalibConfig()
         segments = _param_layout(layer, cfg)
@@ -118,14 +114,70 @@ class TestGradients:
         assert loss <= 1e-12
         np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-8)
 
-    def test_fd_gradient_zero_in_identity_mode(self):
-        batch, layer = _setup(6, act=IDENTITY_ACT, w_spec=IDENTITY_W)
-        cfg = CalibConfig(grad_mode="fd")
-        segments = _param_layout(layer, cfg)
-        theta = _initial_params(layer, segments)
+    @pytest.mark.parametrize("text_rows", [True, False])
+    @pytest.mark.parametrize("cws,mac", [(False, False), (True, False),
+                                         (False, True), (True, True)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_frozen_surrogate(self, monkeypatch, seed, cws, mac, text_rows):
+        # With scales and zero-points held at their base-pass values, the
+        # straight-through estimator is the exact derivative of the surrogate
+        # m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  Central
+        # differences of the loss through that surrogate are the oracle.
+        batch = generate(SynthConfig(seed=seed))
+        w = generate_weight(64, 64, seed=seed + 900)
+        part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
+        if not text_rows:
+            rows = batch.vision_rows
+            batch = ActivationBatch(batch.data[rows], batch.tags[rows])
+        layer = build_layer(
+            w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=cws, use_mac=mac
+        )
+        segments = _param_layout(layer, CalibConfig())
+        assert [n for n, _ in segments] == ["p_main", "p_text", "p_vision"] + (
+            ["gate_s"] if cws else []) + (["gate_c"] if mac else [])
+        theta0 = _initial_params(layer, segments)
+        theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
         y_ref = forward_reference(layer.full_weight(), batch)
-        _, grad = fd_gradient(layer, batch, segments, y_ref, theta, 1e-5)
-        np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-6)
+
+        real = layer_module.quantize_ste
+        records = []
+
+        def recording(m, spec):
+            value, mask = real(m, spec)
+            records.append((m.copy(), value, mask))
+            return value, mask
+
+        monkeypatch.setattr(layer_module, "quantize_ste", recording)
+        _, grad = analytic_gradient(
+            _apply_params(layer, segments, theta0), batch, segments, y_ref
+        )
+        replay = []
+
+        def frozen(m, spec):
+            m0, q0, mask0 = records[len(replay)]
+            replay.append(None)
+            return q0 + mask0 * (m - m0), mask0
+
+        monkeypatch.setattr(layer_module, "quantize_ste", frozen)
+
+        def surrogate_loss(theta):
+            replay.clear()
+            loss = _loss(_apply_params(layer, segments, theta), batch, y_ref)[0]
+            assert len(replay) == len(records)
+            return loss
+
+        h = 1e-6
+        fd = np.empty_like(theta0)
+        for i in range(theta0.size):
+            step = np.zeros_like(theta0)
+            step[i] = h
+            fd[i] = surrogate_loss(theta0 + step) - surrogate_loss(theta0 - step)
+        fd /= 2 * h
+        offset = 0
+        for name, size in segments:
+            a, f = grad[offset : offset + size], fd[offset : offset + size]
+            offset += size
+            assert np.max(np.abs(f - a)) <= 1e-5 * np.max(np.abs(a)), name
 
     def test_analytic_descent_direction(self):
         # A small step along the negative gradient should not increase the
@@ -138,8 +190,6 @@ class TestGradients:
             theta = _initial_params(layer, segments)
             y_ref = forward_reference(layer.full_weight(), batch)
             loss0, grad = analytic_gradient(layer, batch, segments, y_ref)
-            from modquant.calibrate import _apply_params, _loss
-
             step = 1e-3 / max(np.linalg.norm(grad), 1e-12)
             loss1, _, _ = _loss(
                 _apply_params(layer, segments, theta - step * grad), batch, y_ref

@@ -238,3 +238,42 @@ class TestConfigHandling:
 
     def test_bad_flag_value_is_usage_error(self):
         assert run("gen", "--seed", "not-an-int") == EXIT_USAGE
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("command,config,drop_key,expected,prefix", [
+        ("calibrate", {"steps": "ten"}, None, EXIT_USAGE, "config error:"),
+        ("stability", {"trials": "x"}, None, EXIT_USAGE, "config error:"),
+        ("calibrate", {"abits": 1}, None, EXIT_USAGE, "config error:"),
+        ("select", {"ratio_vision": 0.6}, None, EXIT_USAGE, "config error:"),
+        ("select", {"clusters": 0}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"mac": 1}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"vision_outliers": [3.5]}, None, EXIT_USAGE, "config error:"),
+        ("eval", {}, "use_mac", EXIT_DATA, "data error:"),
+    ], ids=["steps-str", "trials-str", "abits-1", "ratio-0.6", "clusters-0",
+            "mac-int", "outliers-float", "manifest-key"])
+    def test_exit_code_without_traceback(
+        self, generated, tmp_path, capsys, command, config, drop_key, expected, prefix
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        layer_dir = tmp_path / "c" / "layer"
+        if drop_key is not None:
+            assert run(
+                "calibrate", "--activations", generated["activations"],
+                "--weights", generated["weights"], "--steps", "1",
+                "--out", str(tmp_path / "c"),
+            ) == EXIT_OK
+            manifest = json.loads((layer_dir / "manifest.json").read_text())
+            del manifest[drop_key]
+            (layer_dir / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = run(
+            command, "--config", str(cfg),
+            "--activations", generated["activations"],
+            "--weights", generated["weights"],
+            "--layer-dir", str(layer_dir), "--out", str(tmp_path / "o"),
+        )
+        err = capsys.readouterr().err
+        assert rc == expected
+        assert err.startswith(prefix) and "Traceback" not in err

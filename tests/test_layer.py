@@ -1,6 +1,7 @@
 """Split-layer forward pass: cancellation oracles, locality, serialization."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from modquant.layer import (
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
+from modquant.transform import dense_transform
 
 IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
 IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
@@ -122,6 +124,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="compensation branch"):
             dataclasses.replace(layer, branch_comp=None)
 
+    def test_rejects_non_finite_weight(self):
+        batch, w, part = _instance(0)
+        layer = build_layer(w, batch, part)
+        bad = layer.w_main.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            dataclasses.replace(layer, w_main=bad)
+
+    def test_rejects_dense_transform(self):
+        batch, w, part = _instance(0)
+        layer = build_layer(w, batch, part)
+        dense = dense_transform(np.eye(len(part.c_main)))
+        with pytest.raises(ValueError, match="diagonal"):
+            dataclasses.replace(layer, p_main=dense)
+
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)
         with pytest.raises(ValueError):
@@ -159,6 +176,18 @@ class TestSerialization:
         back = load_layer(manifest)
         np.testing.assert_array_equal(back.full_weight(), w)
         np.testing.assert_array_equal(forward(back, batch), forward(layer, batch))
+
+    @pytest.mark.parametrize("key", ["use_mac", "partition", "p_text", "w_main"])
+    def test_missing_manifest_key_is_value_error(self, tmp_path, key):
+        batch, w, part = _instance(4)
+        path = save_layer(build_layer(w, batch, part), str(tmp_path / "layer"))
+        with open(path) as fh:
+            manifest = json.load(fh)
+        del manifest[key]
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ValueError, match=key):
+            load_layer(path)
 
     def test_rejects_foreign_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"

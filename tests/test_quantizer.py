@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,17 +10,18 @@ from modquant.quantizer import (
     Granularity,
     QuantParams,
     QuantSpec,
-    clamp_mask,
     compute_params,
     fake_quantize,
     quant_error,
     quantize,
+    quantize_ste,
     round_half_away,
 )
 
 SYM8 = QuantSpec(8, True, Granularity.PER_TENSOR)
 ASYM2 = QuantSpec(2, False, Granularity.PER_TENSOR)
 SYM2 = QuantSpec(2, True, Granularity.PER_TENSOR)
+ASYM8 = QuantSpec(8, False, Granularity.PER_TENSOR)
 
 
 class TestSpec:
@@ -131,11 +132,15 @@ class TestFakeQuantize:
         err = np.linalg.norm(m - quantize(m, spec)) / np.linalg.norm(m)
         assert err < 1e-3
 
-    @given(arrays(np.float64, (4, 4), elements=st.floats(-100.0, 100.0)))
+    @given(arrays(np.float64, (4, 4), elements=st.floats(-100.0, 100.0)), st.just(SYM8))
+    # A subnormal group: absmax / q_max underflows unless the scale is floored.
+    @example(np.full((2, 2), 5e-324), SYM8)
+    # A finite range wider than the largest float: hi - lo overflows to inf.
+    @example(np.array([[-1e308, 1e308]]), ASYM8)
     @settings(max_examples=100, deadline=None)
-    def test_in_range_error_bound(self, m):
-        params = compute_params(m, SYM8)
-        err = np.abs(m - fake_quantize(m, params, SYM8))
+    def test_in_range_error_bound(self, m, spec):
+        params = compute_params(m, spec)
+        err = np.abs(m - fake_quantize(m, params, spec))
         assert np.all(err <= params.scales[0] / 2 + 1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -150,15 +155,30 @@ class TestFakeQuantize:
 
 
 class TestClampMask:
+    """The straight-through mask that quantize_ste returns with its value."""
+
     def test_in_and_out_of_range(self):
-        params = QuantParams(np.array([1.0]), np.array([0]))
-        mask = clamp_mask(np.array([[-5.0, -0.4, 0.6, 5.0]]), params, SYM2)
-        assert mask.tolist() == [[0.0, 1.0, 1.0, 0.0]]
+        # S = 1 and z = round(0.5) = 1, so 2.5 rounds to 3 + 1 = 4 > q_max.
+        value, mask = quantize_ste(np.array([[-0.5, 0.0, 1.0, 2.5]]), ASYM2)
+        assert mask.tolist() == [[1.0, 1.0, 1.0, 0.0]]
+        assert value.tolist() == [[-1.0, 0.0, 1.0, 2.0]]
 
     def test_identity_spec_all_ones(self):
         spec = QuantSpec(None, True, Granularity.PER_TENSOR)
-        mask = clamp_mask(np.ones((2, 3)), compute_params(np.ones((2, 3)), spec), spec)
+        value, mask = quantize_ste(np.ones((2, 3)), spec)
         assert mask.tolist() == [[1.0] * 3] * 2
+        assert value.tolist() == [[1.0] * 3] * 2
+
+    @pytest.mark.parametrize("spec", [
+        SYM8, ASYM2,
+        QuantSpec(4, False, Granularity.PER_TOKEN),
+        QuantSpec(3, True, Granularity.PER_CHANNEL),
+    ])
+    def test_value_matches_quantize(self, spec):
+        m = np.random.default_rng(8).standard_normal((6, 5)) * [1, 10, 0.1, 100, 1]
+        value, mask = quantize_ste(m, spec)
+        np.testing.assert_array_equal(value, quantize(m, spec))
+        assert set(np.unique(mask)) <= {0.0, 1.0}
 
 
 class TestQuantError:

@@ -13,7 +13,6 @@ from modquant.tensor import (
     TensorFormatError,
     as_matrix,
     load_tensor,
-    matmul,
     save_tensor,
     scatter_columns,
     split_columns,
@@ -86,6 +85,13 @@ class TestSplitScatter:
         np.testing.assert_array_equal(m, x)
         assert t.shape == (2, 0) and v.shape == (2, 0)
 
+    def test_blocks_are_c_contiguous(self):
+        # A column gather is Fortran-ordered; products of the blocks must see
+        # the same memory order whatever the partition.
+        part = ChannelPartition([0, 2, 3], [1], [4], 5)
+        for block in split_columns(np.arange(20.0).reshape(4, 5), part):
+            assert block.flags.c_contiguous
+
     def test_dim_mismatch(self):
         part = ChannelPartition([0, 1], [], [], 2)
         with pytest.raises(ValueError, match="partition covers"):
@@ -103,23 +109,6 @@ class TestSplitScatter:
         m, t, v = split_columns(x, part)
         back = scatter_columns(m, t, v, part)
         np.testing.assert_array_equal(back, x)
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[3.0], [4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_product(self):
-        assert matmul([[1.0, 2.0]], [[3.0], [4.0]]).tolist() == [[11.0]]
-
-    def test_zero_annihilates(self):
-        out = matmul(np.ones((2, 3)), np.zeros((3, 4)))
-        assert not out.any()
-
-    def test_dimension_check(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestDumpFormat:

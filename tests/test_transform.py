@@ -110,14 +110,6 @@ class TestInit:
         assert t.scale[0] == pytest.approx(np.sqrt(DIAG_EPS))
         assert t.scale[0] > 0
 
-    def test_dense_init_is_identity(self):
-        t = init_transform(3, kind="dense")
-        np.testing.assert_array_equal(t.dense, np.eye(3))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            init_transform(3, kind="orthogonal")
-
 
 class TestReconLoss:
     def test_zero_on_equal(self):
