@@ -90,13 +90,20 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite_float(v) -> bool:
+    # JSON integers are exact and unbounded; only those a float can hold pass.
+    if _is_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
+
+
 # Value check per RunConfig field annotation.
 _TYPE_CHECKS = {
     "str | None": lambda v: v is None or isinstance(v, str),
     "str": lambda v: isinstance(v, str),
     "bool": lambda v: isinstance(v, bool),
     "int": _is_int,
-    "float": lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+    "float": _is_finite_float,
     "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
 

@@ -249,9 +249,10 @@ class TestErrorExits:
         ("select", {"clusters": 0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"mac": 1}, None, EXIT_USAGE, "config error:"),
         ("gen", {"vision_outliers": [3.5]}, None, EXIT_USAGE, "config error:"),
+        ("calibrate", {"learning_rate": 10**400}, None, EXIT_USAGE, "config error:"),
         ("eval", {}, "use_mac", EXIT_DATA, "data error:"),
     ], ids=["steps-str", "trials-str", "abits-1", "ratio-0.6", "clusters-0",
-            "mac-int", "outliers-float", "manifest-key"])
+            "mac-int", "outliers-float", "lr-huge-int", "manifest-key"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, drop_key, expected, prefix
     ):

@@ -163,6 +163,14 @@ class TestClampMask:
         assert mask.tolist() == [[1.0, 1.0, 1.0, 0.0]]
         assert value.tolist() == [[-1.0, 0.0, 1.0, 2.0]]
 
+    def test_below_q_min(self):
+        # An all-negative group: z = round(45) is clipped to q_max = 15, so
+        # every element rounds below q_min = 0 and is clamped to -15 * S.
+        spec = QuantSpec(4, False, Granularity.PER_TOKEN)
+        value, mask = quantize_ste(np.array([[-120.0, -80.0]]), spec)
+        assert mask.tolist() == [[0.0, 0.0]]
+        assert value.tolist() == [[-40.0, -40.0]]
+
     def test_identity_spec_all_ones(self):
         spec = QuantSpec(None, True, Granularity.PER_TENSOR)
         value, mask = quantize_ste(np.ones((2, 3)), spec)
