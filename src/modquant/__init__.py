@@ -44,7 +44,6 @@ from .tensor import (
     TensorFormatError,
     load_tensor,
     save_tensor,
-    scatter_columns,
     split_columns,
 )
 from .transform import (
@@ -55,7 +54,6 @@ from .transform import (
     diagonal_transform,
     identity_transform,
     init_transform,
-    recon_loss,
 )
 
 __version__ = "0.1.0"

@@ -7,23 +7,28 @@ estimator (identity inside the clamp range, zero outside); quantization
 scales and zero-points are treated as stop-gradient.  ``analytic_gradient``
 is the only gradient; the test suite checks it against central differences
 of the forward pass with every quantizer frozen at its base-pass value and
-mask.  Diagonal transforms learn in log-scale space so steps cannot cross
-zero.
+mask.
+
+The learned parameters are read from the layer itself: the logarithms of
+the three path scales, so a step cannot cross zero, then the gates of the
+branches that are on.  The returned layer holds exactly the scales that the
+best step multiplied by, so a saved and reloaded layer reproduces its loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import transform as tr
-from .layer import SplitLayer, forward_reference, forward_with_cache, with_updated_params
+from .layer import SplitLayer, forward_reference, forward_with_cache
 from .mocd import MocdConfig, build_partition, jaccard
 from .tensor import ActivationBatch
 
 _LOG_LO = np.log(tr.DIAG_EPS)
 _LOG_HI = np.log(tr.DIAG_MAX)
+_PATHS = ("p_main", "p_text", "p_vision")
 
 
 @dataclass(frozen=True)
@@ -33,10 +38,6 @@ class CalibConfig:
     # surface around the smoothing init is quite flat; unit step size with the
     # cosine decay moves them far enough to matter within 200 steps.
     learning_rate: float = 1.0
-    learn_p_main: bool = True
-    learn_p_text: bool = True
-    learn_p_vision: bool = True
-    learn_gates: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -64,48 +65,34 @@ class NonFiniteLossError(RuntimeError):
         self.step = step
 
 
-def _param_layout(layer: SplitLayer, cfg: CalibConfig):
-    """(name, size) segments of the flat learnable-parameter vector."""
-    segments = []
-    for name, learn, t in (
-        ("p_main", cfg.learn_p_main, layer.p_main),
-        ("p_text", cfg.learn_p_text, layer.p_text),
-        ("p_vision", cfg.learn_p_vision, layer.p_vision),
-    ):
-        if learn and t.dim > 0:
-            segments.append((name, t.dim))
-    if cfg.learn_gates and layer.use_cws:
-        segments.append(("gate_s", layer.branch_smooth.rank))
-    if cfg.learn_gates and layer.use_mac:
-        segments.append(("gate_c", layer.branch_comp.rank))
-    return segments
+def _params(layer: SplitLayer) -> np.ndarray:
+    """The learned parameters as one vector: the log-scales of p_main, p_text
+    and p_vision (an empty path gives an empty segment), then the CWS gate
+    if CWS is on, then the MAC gate if MAC is on."""
+    parts = [np.log(getattr(layer, name).scale) for name in _PATHS]
+    if layer.use_cws:
+        parts.append(layer.branch_smooth.gate)
+    if layer.use_mac:
+        parts.append(layer.branch_comp.gate)
+    return np.concatenate(parts)
 
 
-def _initial_params(layer: SplitLayer, segments) -> np.ndarray:
-    parts = []
-    for name, _size in segments:
-        if name in ("p_main", "p_text", "p_vision"):
-            parts.append(getattr(layer, name).log_scale)
-        elif name == "gate_s":
-            parts.append(layer.branch_smooth.gate)
-        else:
-            parts.append(layer.branch_comp.gate)
-    return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def _apply_params(layer: SplitLayer, segments, theta: np.ndarray) -> SplitLayer:
-    updates: dict = {}
+def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
+    """A copy of ``layer`` whose learned parameters are ``theta``."""
+    changes: dict = {}
     offset = 0
-    for name, size in segments:
-        chunk = theta[offset : offset + size]
+    for name in _PATHS:
+        size = getattr(layer, name).dim
+        # Clipped to the bounds that diagonal_transform checks.
+        log_d = np.clip(theta[offset : offset + size], _LOG_LO, _LOG_HI)
+        changes[name] = tr.Transform(size, scale=np.exp(log_d))
         offset += size
-        if name in ("p_main", "p_text", "p_vision"):
-            updates[name] = tr.diagonal_transform(np.exp(np.clip(chunk, _LOG_LO, _LOG_HI)))
-        elif name == "gate_s":
-            updates["gate_smooth"] = chunk.copy()
-        else:
-            updates["gate_comp"] = chunk.copy()
-    return with_updated_params(layer, **updates)
+    for name, on in (("branch_smooth", layer.use_cws), ("branch_comp", layer.use_mac)):
+        if on:
+            br = getattr(layer, name)
+            changes[name] = br.with_gate(theta[offset : offset + br.rank].copy())
+            offset += br.rank
+    return replace(layer, **changes)
 
 
 def _loss(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarray):
@@ -126,108 +113,85 @@ def _outlier_path_grad(path, transform, g):
     return grad
 
 
-def analytic_gradient(
-    layer: SplitLayer, batch: ActivationBatch, segments, y_ref: np.ndarray
-):
-    """Loss and straight-through gradient for the current parameters."""
+def analytic_gradient(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarray):
+    """Loss and straight-through gradient with respect to ``_params(layer)``."""
     loss, y, cache = _loss(layer, batch, y_ref)
     g = (2.0 / y.size) * (y - y_ref)
-    grads: dict[str, np.ndarray] = {}
-
-    if any(n == "p_text" for n, _ in segments):
-        grads["p_text"] = _outlier_path_grad(cache["t"], layer.p_text, g)
-    if any(n == "p_vision" for n, _ in segments):
-        grads["p_vision"] = _outlier_path_grad(cache["v"], layer.p_vision, g)
-
     m = cache["m"]
     t_rows = cache["text_rows"]
-    need_main = any(n == "p_main" for n, _ in segments)
-    need_gs = any(n == "gate_s" for n, _ in segments)
-    need_gc = any(n == "gate_c" for n, _ in segments)
 
-    if need_main or need_gs or need_gc:
-        if layer.use_cws:
-            cws = cache["cws"]
-            b_m, mask_r, r_pre = cws["b_m"], cws["mask_r"], cws["r_pre"]
-            dl_dxhat = g @ b_m.T + (g @ cws["v_q"].T) @ cws["u_q"].T
+    if layer.use_cws:
+        cws = cache["cws"]
+        b_m, mask_r = cws["b_m"], cws["mask_r"]
+        dl_dxhat = g @ b_m.T + (g @ cws["v_q"].T) @ cws["u_q"].T
+    else:
+        mw = cache["main_w"]
+        b_m, mask_r = mw["b_m"], mw["mask_r"]
+        dl_dxhat = g @ b_m.T
+
+    dl_de_pre = None
+    if layer.use_mac and "mac" in cache:
+        mac = cache["mac"]
+        dl_de_q = (g[t_rows] @ mac["vc_q"].T) @ mac["uc_q"].T
+        dl_de_pre = mac["mask_e"] * dl_de_q
+        dl_dxhat[t_rows] -= dl_de_pre
+
+    dl_dz = m["mask_x"] * dl_dxhat
+    if dl_de_pre is not None:
+        dl_dz[t_rows] += dl_de_pre
+
+    dl_db_m = m["x_hat"].T @ g
+    dl_dr_pre = mask_r * dl_db_m
+
+    grad_main = np.sum(dl_dz * m["x"], axis=0) * layer.p_main.scale
+    grad_main -= np.sum(dl_dr_pre * m["w_prime"], axis=1)
+    grads = [
+        grad_main,
+        _outlier_path_grad(cache["t"], layer.p_text, g),
+        _outlier_path_grad(cache["v"], layer.p_vision, g),
+    ]
+
+    if layer.use_cws:
+        br = layer.branch_smooth
+        dl_dv_q = (m["x_hat"] @ cws["u_q"]).T @ g
+        dl_dv_eff = cws["mask_v"] * dl_dv_q
+        grad_gs = np.sum(dl_dv_eff * br.v_base, axis=1)
+        # The branch product is also subtracted inside the main residual.
+        grad_gs -= np.einsum("jk,jo,ko->k", br.u_star, dl_dr_pre, br.v_base)
+        grads.append(grad_gs)
+
+    if layer.use_mac:
+        br = layer.branch_comp
+        if "mac" in cache:
+            dl_dvc_q = (mac["e_q"] @ mac["uc_q"]).T @ g[t_rows]
+            dl_dvc_eff = mac["mask_vc"] * dl_dvc_q
+            grads.append(np.sum(dl_dvc_eff * br.v_base, axis=1))
         else:
-            mw = cache["main_w"]
-            b_m, mask_r, r_pre = mw["b_m"], mw["mask_r"], m["w_prime"]
-            dl_dxhat = g @ b_m.T
+            grads.append(np.zeros(br.rank))
 
-        dl_de_pre = None
-        if layer.use_mac and "mac" in cache:
-            mac = cache["mac"]
-            dl_de_q = (g[t_rows] @ mac["vc_q"].T) @ mac["uc_q"].T
-            dl_de_pre = mac["mask_e"] * dl_de_q
-            dl_dxhat[t_rows] -= dl_de_pre
-
-        dl_dz = m["mask_x"] * dl_dxhat
-        if dl_de_pre is not None:
-            dl_dz[t_rows] += dl_de_pre
-
-        dl_db_m = m["x_hat"].T @ g
-        dl_dr_pre = mask_r * dl_db_m
-
-        if need_main:
-            d = layer.p_main.scale
-            grad = np.sum(dl_dz * m["x"], axis=0) * d
-            grad -= np.sum(dl_dr_pre * m["w_prime"], axis=1)
-            grads["p_main"] = grad
-
-        if need_gs:
-            cws = cache["cws"]
-            br = layer.branch_smooth
-            dl_dv_q = (m["x_hat"] @ cws["u_q"]).T @ g
-            dl_dv_eff = cws["mask_v"] * dl_dv_q
-            grad_gs = np.sum(dl_dv_eff * br.v_base, axis=1)
-            # The branch product is also subtracted inside the main residual.
-            grad_gs -= np.einsum("jk,jo,ko->k", br.u_star, dl_dr_pre, br.v_base)
-            grads["gate_s"] = grad_gs
-
-        if need_gc:
-            br = layer.branch_comp
-            if "mac" in cache:
-                mac = cache["mac"]
-                dl_dvc_q = (mac["e_q"] @ mac["uc_q"]).T @ g[t_rows]
-                dl_dvc_eff = mac["mask_vc"] * dl_dvc_q
-                grads["gate_c"] = np.sum(dl_dvc_eff * br.v_base, axis=1)
-            else:
-                grads["gate_c"] = np.zeros(br.rank)
-
-    flat = (
-        np.concatenate([grads[name] for name, _ in segments])
-        if segments
-        else np.zeros(0)
-    )
-    return loss, flat
+    return loss, np.concatenate(grads)
 
 
 def calibrate(
     layer: SplitLayer, batch: ActivationBatch, cfg: CalibConfig
 ) -> tuple[SplitLayer, LossTrace]:
     """Minimize the reconstruction loss; returns the best-loss snapshot."""
-    segments = _param_layout(layer, cfg)
     y_ref = forward_reference(layer.full_weight(), batch)
-    theta = _initial_params(layer, segments)
+    theta = _params(layer)
     trace = LossTrace()
-    best_theta = theta.copy()
+    best_theta = theta
     best_loss = np.inf
     for step in range(cfg.steps):
-        current = _apply_params(layer, segments, theta)
-        loss, grad = analytic_gradient(current, batch, segments, y_ref)
+        loss, grad = analytic_gradient(_with_params(layer, theta), batch, y_ref)
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
         trace.losses.append(loss)
         if loss < best_loss:
             best_loss = loss
-            best_theta = theta.copy()
-        if theta.size == 0:
-            continue
+            best_theta = theta
         lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
         theta = theta - lr * grad
-    final = _apply_params(layer, segments, best_theta)
-    return final, trace
+    return _with_params(layer, best_theta), trace
 
 
 def _stratified_subset(rng, batch: ActivationBatch, size: int) -> np.ndarray:

@@ -112,7 +112,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge the JSON config file and the flags, and check every value.
 
     Types are checked per field; quantizer widths, selection ratios and
-    calibration settings are checked by building the configs they feed.
+    calibration settings are checked by building the configs they feed, and
+    the remaining counts and ratios here.
     """
     values: dict = {}
     if path is not None:
@@ -132,6 +133,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not _TYPE_CHECKS[kind](value):
             raise ConfigError(f"{key} must be {kind}, got {value!r}")
     cfg = RunConfig(**values)
+    for key, ok, domain in (
+        ("seed", cfg.seed >= 0, "non-negative"),
+        ("trials", cfg.trials >= 1, "positive"),
+        ("reference_size", cfg.reference_size >= 1, "positive"),
+        ("subset_sizes", min(cfg.subset_sizes, default=1) >= 1, "positive"),
+        ("rank_cws", 0.0 <= cfg.rank_cws <= 1.0, "in [0, 1]"),
+        ("rank_mac", 0.0 <= cfg.rank_mac <= 1.0, "in [0, 1]"),
+    ):
+        if not ok:
+            raise ConfigError(f"{key} must be {domain}, got {getattr(cfg, key)!r}")
     try:
         _quant_specs(cfg)
         _mocd_config(cfg)

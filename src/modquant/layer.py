@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .mocd import ChannelPartition, trivial_partition
 from .quantizer import Granularity, QuantSpec, quantize_ste
 from .tensor import ActivationBatch, as_matrix, load_tensor, save_tensor, split_columns
 
+# Fewest bits of the outlier paths' and the low-rank branches' quantizers.
 AUX_BITS_FLOOR = 4
 
 DEFAULT_ACT_SPEC = QuantSpec(bits=8, symmetric=False, granularity=Granularity.PER_TOKEN)
@@ -46,7 +47,6 @@ class SplitLayer:
     branch_comp: lowrank.LowRankBranch | None = None
     use_cws: bool = False
     use_mac: bool = False
-    aux_bits_floor: int = AUX_BITS_FLOOR
 
     def __post_init__(self):
         # The one check of the weights: the forward pass trusts them.
@@ -112,8 +112,8 @@ def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
         raise ValueError("batch width does not match partition dim")
     x_m, x_t, x_v = split_columns(batch.data, layer.partition)
     t_rows = batch.text_rows
-    act_aux = layer.act_spec.with_floor(layer.aux_bits_floor)
-    w_aux = layer.weight_spec.with_floor(layer.aux_bits_floor)
+    act_aux = layer.act_spec.with_floor(AUX_BITS_FLOOR)
+    w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
     cache: dict = {"text_rows": t_rows}
 
     y_t = _outlier_path(x_t, layer.w_text, layer.p_text, act_aux, w_aux, cache, "t")
@@ -178,7 +178,6 @@ def build_layer(
     use_mac: bool = False,
     rank_ratio_cws: float = 0.02,
     rank_ratio_mac: float = 0.03,
-    smoothing_init: bool = True,
 ) -> SplitLayer:
     """Assemble a layer: split weights, init transforms from the calibration
     activations, and anchor the optional low-rank branches."""
@@ -192,13 +191,9 @@ def build_layer(
     w_t = w[partition.c_text]
     w_v = w[partition.c_vision]
 
-    def _init(width, x_path):
-        calib = x_path if smoothing_init else None
-        return tr.init_transform(width, calib)
-
-    p_main = _init(len(partition.c_main), x_m)
-    p_text = _init(len(partition.c_text), x_t)
-    p_vision = _init(len(partition.c_vision), x_v)
+    p_main = tr.init_transform(len(partition.c_main), x_m)
+    p_text = tr.init_transform(len(partition.c_text), x_t)
+    p_vision = tr.init_transform(len(partition.c_vision), x_v)
 
     d_out = w.shape[1]
     branch_smooth = branch_comp = None
@@ -276,7 +271,6 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
         "weight_spec": _spec_to_dict(layer.weight_spec),
         "use_cws": layer.use_cws,
         "use_mac": layer.use_mac,
-        "aux_bits_floor": layer.aux_bits_floor,
     }
     for name, w in (("w_main", layer.w_main), ("w_text", layer.w_text),
                     ("w_vision", layer.w_vision)):
@@ -333,29 +327,6 @@ def _layer_from_manifest(manifest: dict, in_dir: str) -> SplitLayer:
         weight_spec=_spec_from_dict(manifest["weight_spec"]),
         use_cws=manifest["use_cws"],
         use_mac=manifest["use_mac"],
-        aux_bits_floor=manifest["aux_bits_floor"],
         **kwargs,
     )
 
-
-def with_updated_params(
-    layer: SplitLayer,
-    p_main: tr.Transform | None = None,
-    p_text: tr.Transform | None = None,
-    p_vision: tr.Transform | None = None,
-    gate_smooth: np.ndarray | None = None,
-    gate_comp: np.ndarray | None = None,
-) -> SplitLayer:
-    """Return a copy with selected learnable parameters replaced."""
-    changes: dict = {}
-    if p_main is not None:
-        changes["p_main"] = p_main
-    if p_text is not None:
-        changes["p_text"] = p_text
-    if p_vision is not None:
-        changes["p_vision"] = p_vision
-    if gate_smooth is not None:
-        changes["branch_smooth"] = layer.branch_smooth.with_gate(gate_smooth)
-    if gate_comp is not None:
-        changes["branch_comp"] = layer.branch_comp.with_gate(gate_comp)
-    return replace(layer, **changes)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .tensor import ActivationBatch
 
+KMEANS_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class ChannelPartition:
@@ -51,7 +53,6 @@ class MocdConfig:
     ratio_vision: float = 0.02
     ratio_text: float = 0.02
     clusters_k: int = 3
-    kmeans_max_iter: int = 50
 
     def __post_init__(self):
         for name in ("ratio_vision", "ratio_text"):
@@ -110,7 +111,7 @@ def percentile_rank(
     return ranks / cand.size
 
 
-def _kmeans_1d(values: np.ndarray, k: int, max_iter: int) -> float:
+def _kmeans_1d(values: np.ndarray, k: int) -> float:
     """Lloyd's algorithm on 1-D data with quantile-based init.
 
     Returns the within-cluster variance (mean squared deviation from the
@@ -123,7 +124,7 @@ def _kmeans_1d(values: np.ndarray, k: int, max_iter: int) -> float:
     quantiles = (2 * np.arange(1, k + 1) - 1) / (2 * k)
     centers = np.quantile(values, quantiles)
     assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_centers = centers.copy()
         for j in range(k):
             members = values[assign == j]
@@ -137,7 +138,7 @@ def _kmeans_1d(values: np.ndarray, k: int, max_iter: int) -> float:
     return float(np.mean((values - centers[assign]) ** 2))
 
 
-def text_score(ranks: np.ndarray, k: int, max_iter: int = 50) -> np.ndarray:
+def text_score(ranks: np.ndarray, k: int) -> np.ndarray:
     """Rank-instability score per candidate channel: within-cluster variance
     of the channel's rank sequence after 1-D k-means into k groups."""
     if k < 1:
@@ -145,7 +146,7 @@ def text_score(ranks: np.ndarray, k: int, max_iter: int = 50) -> np.ndarray:
     if k > ranks.shape[0]:
         raise ValueError("cluster count exceeds number of text tokens")
     return np.array(
-        [_kmeans_1d(ranks[:, c], k, max_iter) for c in range(ranks.shape[1])]
+        [_kmeans_1d(ranks[:, c], k) for c in range(ranks.shape[1])]
     )
 
 
@@ -170,7 +171,7 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
         if batch.text_rows.size == 0:
             raise ValueError("nonzero text ratio but no text tokens")
         ranks = percentile_rank(batch, remaining)
-        scores = text_score(ranks, min(cfg.clusters_k, ranks.shape[0]), cfg.kmeans_max_iter)
+        scores = text_score(ranks, min(cfg.clusters_k, ranks.shape[0]))
         c_text = remaining[select_topk(scores, k_t)]
     else:
         c_text = np.empty(0, dtype=np.int64)

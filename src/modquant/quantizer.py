@@ -81,7 +81,14 @@ class QuantParams:
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round to the nearest integer, halves away from zero, exactly for every
+    finite float.  ``rint`` rounds halves to even; ``x - rint(x)`` is exact,
+    so every half is found, and x + 0.5 away from zero is exact there too."""
+    r = np.rint(x)
+    half = np.abs(x - r) == 0.5
+    if half.any():
+        r[half] = x[half] + np.copysign(0.5, x[half])
+    return r
 
 
 def _group_count(shape: tuple[int, int], granularity: Granularity) -> int:

@@ -1,8 +1,8 @@
 """Dense matrix helpers, activation batches, and the binary tensor-dump format.
 
 Matrices are plain 2-D float64 numpy arrays throughout the library.  The
-helpers here validate shapes and finiteness, split/scatter columns by a
-channel partition, and read/write the "SPQT" dump format used to move
+helpers here validate shapes and finiteness, split columns by a channel
+partition, and read/write the "SPQT" dump format used to move
 calibration data between commands.
 """
 
@@ -93,18 +93,6 @@ def split_columns(x: np.ndarray, partition) -> tuple[np.ndarray, np.ndarray, np.
         np.ascontiguousarray(x[:, cols])
         for cols in (partition.c_main, partition.c_text, partition.c_vision)
     )
-
-
-def scatter_columns(
-    x_main: np.ndarray, x_text: np.ndarray, x_vision: np.ndarray, partition
-) -> np.ndarray:
-    """Inverse of :func:`split_columns`: place column groups back in position."""
-    rows = x_main.shape[0]
-    out = np.empty((rows, partition.dim), dtype=np.float64)
-    out[:, partition.c_main] = x_main
-    out[:, partition.c_text] = x_text
-    out[:, partition.c_vision] = x_vision
-    return out
 
 
 def save_tensor(path, obj) -> None:

@@ -1,11 +1,12 @@
-"""Invertible per-path transformations and the reconstruction-loss objective.
+"""Invertible per-path transformations.
 
 A transform P rewrites a linear layer as Y = (X P)(P^-1 W) without changing
 its output; applying it before quantization redistributes outliers between
 activations and weights.  Two families are supported: per-channel diagonal
-scaling (stored as log-scales so learning cannot cross zero), which is what
-the split layer learns, and small dense invertible matrices, which only the
-functions of this module apply.
+scaling, which is what the split layer uses, and small dense invertible
+matrices, which only the functions of this module apply.  A diagonal
+transform stores the positive scales that it multiplies by; calibration
+learns their logarithms, so a step cannot cross zero.
 """
 
 from __future__ import annotations
@@ -24,32 +25,28 @@ SMOOTHING_ALPHA = 0.5
 
 @dataclass(frozen=True)
 class Transform:
-    """Either a diagonal scaling (log_scale set) or a dense invertible matrix."""
+    """Either a diagonal scaling (scale set) or a dense invertible matrix."""
 
     dim: int
-    log_scale: np.ndarray | None = None
+    scale: np.ndarray | None = None
     dense: np.ndarray | None = None
     dense_inv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def is_diagonal(self) -> bool:
-        return self.log_scale is not None
-
-    @property
-    def scale(self) -> np.ndarray:
-        return np.exp(self.log_scale)
+        return self.scale is not None
 
 
 def diagonal_transform(scale: np.ndarray) -> Transform:
-    scale = np.asarray(scale, dtype=np.float64)
+    scale = np.array(scale, dtype=np.float64)
     if scale.ndim != 1:
         raise ValueError("diagonal scale must be 1-D")
     mag = np.abs(scale)
     if np.any(mag < DIAG_EPS) or np.any(mag > DIAG_MAX):
         raise ValueError(f"diagonal magnitudes must lie in [{DIAG_EPS}, {DIAG_MAX}]")
     if np.any(scale <= 0):
-        raise ValueError("diagonal scales must be positive (log parameterization)")
-    return Transform(dim=scale.shape[0], log_scale=np.log(scale))
+        raise ValueError("diagonal scales must be positive")
+    return Transform(dim=scale.shape[0], scale=scale)
 
 
 def dense_transform(p: np.ndarray) -> Transform:
@@ -70,14 +67,12 @@ def dense_transform(p: np.ndarray) -> Transform:
 
 
 def identity_transform(dim: int) -> Transform:
-    return diagonal_transform(np.ones(dim)) if dim > 0 else Transform(0, np.zeros(0))
+    return diagonal_transform(np.ones(dim))
 
 
 def init_transform(dim: int, x_calib: np.ndarray | None = None) -> Transform:
     """Diagonal identity init, or activation-magnitude smoothing init when
     calibration data is given: d_i = max(eps, max_rows |X[:, i]|) ** alpha."""
-    if dim == 0:
-        return Transform(0, np.zeros(0))
     if x_calib is None or x_calib.size == 0:
         return diagonal_transform(np.ones(dim))
     x_calib = as_matrix(x_calib, cols=dim)
@@ -107,11 +102,3 @@ def apply_inv_left(w: np.ndarray, t: Transform) -> np.ndarray:
         return w / t.scale[:, np.newaxis]
     return t.dense_inv @ w
 
-
-def recon_loss(y_hat: np.ndarray, y_ref: np.ndarray) -> float:
-    """Mean squared error over all elements."""
-    y_hat = as_matrix(y_hat)
-    y_ref = as_matrix(y_ref)
-    if y_hat.shape != y_ref.shape:
-        raise ValueError(f"shape mismatch: {y_hat.shape} vs {y_ref.shape}")
-    return float(np.mean((y_hat - y_ref) ** 2))

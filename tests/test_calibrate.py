@@ -6,11 +6,10 @@ import pytest
 import modquant.layer as layer_module
 from modquant.calibrate import (
     CalibConfig,
-    _apply_params,
-    _initial_params,
     _loss,
-    _param_layout,
+    _params,
     _stratified_subset,
+    _with_params,
     analytic_gradient,
     calibrate,
     outlier_set,
@@ -63,16 +62,6 @@ class TestCalibrate:
         _, trace = calibrate(layer, batch, CalibConfig(steps=10))
         assert all(l <= 1e-12 for l in trace.losses)
 
-    def test_no_learnable_params_is_constant(self):
-        batch, layer = _setup(2, cws=False, mac=False)
-        cfg = CalibConfig(
-            steps=8, learn_p_main=False, learn_p_text=False,
-            learn_p_vision=False, learn_gates=False,
-        )
-        out, trace = calibrate(layer, batch, cfg)
-        assert len(set(trace.losses)) == 1
-        np.testing.assert_array_equal(out.p_main.scale, layer.p_main.scale)
-
     def test_returned_layer_attains_best_loss(self):
         batch, layer = _setup(3)
         out, trace = calibrate(layer, batch, CalibConfig(steps=40))
@@ -107,10 +96,9 @@ class TestGradients:
         # With identity quantizers the transforms cancel exactly, so every
         # parameter direction is flat and the gradient is zero.
         batch, layer = _setup(5, act=IDENTITY_ACT, w_spec=IDENTITY_W)
-        cfg = CalibConfig()
-        segments = _param_layout(layer, cfg)
         y_ref = forward_reference(layer.full_weight(), batch)
-        loss, grad = analytic_gradient(layer, batch, segments, y_ref)
+        loss, grad = analytic_gradient(layer, batch, y_ref)
+        assert grad.size == _params(layer).size
         assert loss <= 1e-12
         np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-8)
 
@@ -132,10 +120,14 @@ class TestGradients:
         layer = build_layer(
             w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=cws, use_mac=mac
         )
-        segments = _param_layout(layer, CalibConfig())
-        assert [n for n, _ in segments] == ["p_main", "p_text", "p_vision"] + (
-            ["gate_s"] if cws else []) + (["gate_c"] if mac else [])
-        theta0 = _initial_params(layer, segments)
+        segments = [("p_main", layer.p_main.dim), ("p_text", layer.p_text.dim),
+                    ("p_vision", layer.p_vision.dim)]
+        if cws:
+            segments.append(("gate_s", layer.branch_smooth.rank))
+        if mac:
+            segments.append(("gate_c", layer.branch_comp.rank))
+        theta0 = _params(layer)
+        assert theta0.size == sum(size for _, size in segments)
         theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
         y_ref = forward_reference(layer.full_weight(), batch)
 
@@ -148,9 +140,7 @@ class TestGradients:
             return value, mask
 
         monkeypatch.setattr(layer_module, "quantize_ste", recording)
-        _, grad = analytic_gradient(
-            _apply_params(layer, segments, theta0), batch, segments, y_ref
-        )
+        _, grad = analytic_gradient(_with_params(layer, theta0), batch, y_ref)
         replay = []
 
         def frozen(m, spec):
@@ -162,7 +152,7 @@ class TestGradients:
 
         def surrogate_loss(theta):
             replay.clear()
-            loss = _loss(_apply_params(layer, segments, theta), batch, y_ref)[0]
+            loss = _loss(_with_params(layer, theta), batch, y_ref)[0]
             assert len(replay) == len(records)
             return loss
 
@@ -185,15 +175,11 @@ class TestGradients:
         wins = 0
         for seed in range(8):
             batch, layer = _setup(seed + 20)
-            cfg = CalibConfig()
-            segments = _param_layout(layer, cfg)
-            theta = _initial_params(layer, segments)
+            theta = _params(layer)
             y_ref = forward_reference(layer.full_weight(), batch)
-            loss0, grad = analytic_gradient(layer, batch, segments, y_ref)
+            loss0, grad = analytic_gradient(layer, batch, y_ref)
             step = 1e-3 / max(np.linalg.norm(grad), 1e-12)
-            loss1, _, _ = _loss(
-                _apply_params(layer, segments, theta - step * grad), batch, y_ref
-            )
+            loss1, _, _ = _loss(_with_params(layer, theta - step * grad), batch, y_ref)
             wins += loss1 <= loss0 + 1e-12
         assert wins >= 6
 

@@ -154,6 +154,29 @@ class TestCalibrateEval:
         mse = float(dict(line.split(",") for line in report[2:])["mse_overall"])
         assert mse <= 1e-12
 
+    def test_identity_eval_reproduces_best_loss(self, tmp_path):
+        # The loaded layer multiplies by the very scales of the best step, so
+        # eval's MSE is the trace minimum bit for bit, even at ~1e-30.
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run("gen", "--seed", "14", "--out", str(data)) == EXIT_OK
+        rc = run(
+            "calibrate",
+            "--activations", str(data / "activations.spqt"),
+            "--weights", str(data / "weights.spqt"),
+            "--ratio-vision", "0.03125", "--ratio-text", "0.03125",
+            "--wbits", "0", "--abits", "0", "--out", str(out),
+        )
+        assert rc == EXIT_OK
+        rc = run(
+            "eval", "--activations", str(data / "activations.spqt"),
+            "--layer-dir", str(out / "layer"), "--out", str(out),
+        )
+        assert rc == EXIT_OK
+        trace = (out / "loss_trace.csv").read_text().splitlines()[2:]
+        best = min(float(line.split(",")[1]) for line in trace)
+        report = (out / "report.csv").read_text().splitlines()[2:]
+        assert float(dict(line.split(",") for line in report)["mse_overall"]) == best
+
     def test_missing_weights_is_data_error(self, generated, tmp_path):
         rc = run(
             "calibrate",
@@ -250,9 +273,18 @@ class TestErrorExits:
         ("gen", {"mac": 1}, None, EXIT_USAGE, "config error:"),
         ("gen", {"vision_outliers": [3.5]}, None, EXIT_USAGE, "config error:"),
         ("calibrate", {"learning_rate": 10**400}, None, EXIT_USAGE, "config error:"),
+        ("stability", {"trials": 0}, None, EXIT_USAGE, "config error:"),
+        ("stability", {"trials": -1}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"seed": -1}, None, EXIT_USAGE, "config error:"),
+        ("calibrate", {"rank_cws": -1.0}, None, EXIT_USAGE, "config error:"),
+        ("calibrate", {"rank_mac": 5.0}, None, EXIT_USAGE, "config error:"),
+        ("stability", {"subset_sizes": [0]}, None, EXIT_USAGE, "config error:"),
+        ("stability", {"reference_size": 0}, None, EXIT_USAGE, "config error:"),
         ("eval", {}, "use_mac", EXIT_DATA, "data error:"),
     ], ids=["steps-str", "trials-str", "abits-1", "ratio-0.6", "clusters-0",
-            "mac-int", "outliers-float", "lr-huge-int", "manifest-key"])
+            "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
+            "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
+            "manifest-key"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, drop_key, expected, prefix
     ):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from modquant.calibrate import CalibConfig, calibrate
 from modquant.layer import (
     SplitLayer,
     build_layer,
@@ -13,7 +14,6 @@ from modquant.layer import (
     forward_reference,
     load_layer,
     save_layer,
-    with_updated_params,
 )
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
@@ -177,6 +177,32 @@ class TestSerialization:
         np.testing.assert_array_equal(back.full_weight(), w)
         np.testing.assert_array_equal(forward(back, batch), forward(layer, batch))
 
+    def test_calibrated_layer_round_trips_bit_for_bit(self, tmp_path):
+        batch = generate(SynthConfig(seed=0))
+        w = generate_weight(64, 64, seed=0)
+        part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
+        layer = build_layer(
+            w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True, use_mac=True
+        )
+        layer, _ = calibrate(layer, batch, CalibConfig(steps=50))
+        back = load_layer(save_layer(layer, str(tmp_path / "layer")))
+        np.testing.assert_array_equal(back.p_main.scale, layer.p_main.scale)
+        np.testing.assert_array_equal(forward(back, batch), forward(layer, batch))
+
+    def test_loads_manifest_with_aux_bits_floor(self, tmp_path):
+        # Layer directories written before the floor became a constant carry
+        # an "aux_bits_floor" key; the loader ignores it.
+        batch, w, part = _instance(4)
+        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4)
+        path = save_layer(layer, str(tmp_path / "layer"))
+        with open(path) as fh:
+            manifest = json.load(fh)
+        assert "aux_bits_floor" not in manifest
+        manifest["aux_bits_floor"] = 4
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        np.testing.assert_array_equal(forward(load_layer(path), batch), forward(layer, batch))
+
     @pytest.mark.parametrize("key", ["use_mac", "partition", "p_text", "w_main"])
     def test_missing_manifest_key_is_value_error(self, tmp_path, key):
         batch, w, part = _instance(4)
@@ -203,12 +229,7 @@ class TestParameterUpdates:
             w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True
         )
         rank = layer.branch_smooth.rank
-        updated = with_updated_params(layer, gate_smooth=np.full(rank, 0.5))
-        assert np.any(forward(updated, batch) != forward(layer, batch))
-
-    def test_noop_update_returns_equivalent_layer(self):
-        batch, w, part = _instance(5)
-        layer = build_layer(w, batch, part)
-        np.testing.assert_array_equal(
-            forward(with_updated_params(layer), batch), forward(layer, batch)
+        updated = dataclasses.replace(
+            layer, branch_smooth=layer.branch_smooth.with_gate(np.full(rank, 0.5))
         )
+        assert np.any(forward(updated, batch) != forward(layer, batch))

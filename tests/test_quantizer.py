@@ -1,5 +1,8 @@
 """Uniform affine fake quantization: parameter derivation and round trips."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +59,17 @@ class TestRounding:
         np.testing.assert_array_equal(
             round_half_away(x), [1.0, -1.0, 2.0, -2.0, 3.0, 0.0, -0.0]
         )
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    # Just below a half: adding 0.5 in floating point rounds up to 1.
+    @example(0.49999999999999994)
+    @example(-0.49999999999999994)
+    # An odd integer above 2**52: adding 0.5 rounds to the even neighbour.
+    @example(2.0**52 + 1)
+    @example(-(2.0**52 + 1))
+    def test_exact_for_every_finite_float(self, x):
+        exact = math.copysign(math.floor(abs(Fraction(x)) + Fraction(1, 2)), x)
+        assert round_half_away(np.array([x]))[0] == exact
 
 
 class TestComputeParams:

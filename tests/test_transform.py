@@ -13,7 +13,6 @@ from modquant.transform import (
     diagonal_transform,
     identity_transform,
     init_transform,
-    recon_loss,
 )
 
 
@@ -110,19 +109,3 @@ class TestInit:
         assert t.scale[0] == pytest.approx(np.sqrt(DIAG_EPS))
         assert t.scale[0] > 0
 
-
-class TestReconLoss:
-    def test_zero_on_equal(self):
-        y = np.ones((3, 3))
-        assert recon_loss(y, y) == 0.0
-
-    def test_constant_offset(self):
-        y = np.zeros((4, 4))
-        assert recon_loss(y + 1.0, y) == 1.0
-
-    def test_hand_value(self):
-        assert recon_loss([[0.0, 2.0]], [[1.0, 0.0]]) == 2.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            recon_loss(np.zeros((2, 2)), np.zeros((2, 3)))
