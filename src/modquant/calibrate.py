@@ -13,6 +13,9 @@ The learned parameters are read from the layer itself: the logarithms of
 the three path scales, so a step cannot cross zero, then the gates of the
 branches that are on.  The returned layer holds exactly the scales that the
 best step multiplied by, so a saved and reloaded layer reproduces its loss.
+The gradient reads the layer's ``ForwardPass`` records, and every path's
+log-scale gradient is the one ``_log_scale_grad``; an empty path's segment
+is zero.
 """
 
 from __future__ import annotations
@@ -96,79 +99,58 @@ def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
 
 
 def _loss(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarray):
-    y, cache = forward_with_cache(layer, batch)
+    y, fp = forward_with_cache(layer, batch)
     loss = float(np.mean((y - y_ref) ** 2))
-    return loss, y, cache
+    return loss, y, fp
 
 
-def _outlier_path_grad(path, transform, g):
-    """Gradient of the loss w.r.t. a diagonal outlier-path log-scale."""
-    d = transform.scale
-    dl_da = g @ path["b"].T
-    dl_dz = path["mask_a"] * dl_da
-    grad = np.sum(dl_dz * path["x"], axis=0) * d
-    dl_db = path["a"].T @ g
-    dl_db_pre = path["mask_b"] * dl_db
-    grad -= np.sum(dl_db_pre * path["b_pre"], axis=1)
-    return grad
+def _log_scale_grad(path, scale, dl_dz, dl_db):
+    """Gradient w.r.t. a path's log-scales, from the masked gradients at its
+    two quantizer inputs: z = x d moves with d, w_s = W / d against it."""
+    return np.sum(dl_dz * path.x, axis=0) * scale - np.sum(dl_db * path.w_s, axis=1)
+
+
+def _gate_grad(bp, br, x_in, g):
+    """Gradient w.r.t. a branch gate through its quantized factor
+    v_q = Q(gate * v_base), for a branch output (x_in @ u_q) @ v_q."""
+    dl_dv = bp.mask_v * ((x_in @ bp.u_q).T @ g)
+    return np.sum(dl_dv * br.v_base, axis=1)
 
 
 def analytic_gradient(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarray):
     """Loss and straight-through gradient with respect to ``_params(layer)``."""
-    loss, y, cache = _loss(layer, batch, y_ref)
+    loss, y, fp = _loss(layer, batch, y_ref)
     g = (2.0 / y.size) * (y - y_ref)
-    m = cache["m"]
-    t_rows = cache["text_rows"]
+    t_rows = batch.text_rows
+    main, cws, mac = fp.main, fp.cws, fp.mac
 
-    if layer.use_cws:
-        cws = cache["cws"]
-        b_m, mask_r = cws["b_m"], cws["mask_r"]
-        dl_dxhat = g @ b_m.T + (g @ cws["v_q"].T) @ cws["u_q"].T
-    else:
-        mw = cache["main_w"]
-        b_m, mask_r = mw["b_m"], mw["mask_r"]
-        dl_dxhat = g @ b_m.T
+    dl_da = g @ main.b.T
+    if cws is not None:
+        dl_da += (g @ cws.v_q.T) @ cws.u_q.T
+    if mac is not None:
+        # The MAC input is (z - a) on text rows: its gradient reaches z
+        # unmasked and leaves a.
+        dl_de = mac.mask_e * ((g[t_rows] @ mac.v_q.T) @ mac.u_q.T)
+        dl_da[t_rows] -= dl_de
+    dl_dz = main.mask_a * dl_da
+    if mac is not None:
+        dl_dz[t_rows] += dl_de
+    dl_db = main.mask_b * (main.a.T @ g)
+    grads = [_log_scale_grad(main, layer.p_main.scale, dl_dz, dl_db)]
 
-    dl_de_pre = None
-    if layer.use_mac and "mac" in cache:
-        mac = cache["mac"]
-        dl_de_q = (g[t_rows] @ mac["vc_q"].T) @ mac["uc_q"].T
-        dl_de_pre = mac["mask_e"] * dl_de_q
-        dl_dxhat[t_rows] -= dl_de_pre
-
-    dl_dz = m["mask_x"] * dl_dxhat
-    if dl_de_pre is not None:
-        dl_dz[t_rows] += dl_de_pre
-
-    dl_db_m = m["x_hat"].T @ g
-    dl_dr_pre = mask_r * dl_db_m
-
-    grad_main = np.sum(dl_dz * m["x"], axis=0) * layer.p_main.scale
-    grad_main -= np.sum(dl_dr_pre * m["w_prime"], axis=1)
-    grads = [
-        grad_main,
-        _outlier_path_grad(cache["t"], layer.p_text, g),
-        _outlier_path_grad(cache["v"], layer.p_vision, g),
-    ]
+    for path, t in ((fp.text, layer.p_text), (fp.vision, layer.p_vision)):
+        grads.append(np.zeros(t.dim) if path is None else _log_scale_grad(
+            path, t.scale, path.mask_a * (g @ path.b.T), path.mask_b * (path.a.T @ g)))
 
     if layer.use_cws:
         br = layer.branch_smooth
-        dl_dv_q = (m["x_hat"] @ cws["u_q"]).T @ g
-        dl_dv_eff = cws["mask_v"] * dl_dv_q
-        grad_gs = np.sum(dl_dv_eff * br.v_base, axis=1)
-        # The branch product is also subtracted inside the main residual.
-        grad_gs -= np.einsum("jk,jo,ko->k", br.u_star, dl_dr_pre, br.v_base)
-        grads.append(grad_gs)
-
+        # The branch product is also subtracted inside the main weight.
+        grads.append(_gate_grad(cws, br, main.a, g)
+                     - np.einsum("jk,jo,ko->k", br.u_star, dl_db, br.v_base))
     if layer.use_mac:
         br = layer.branch_comp
-        if "mac" in cache:
-            dl_dvc_q = (mac["e_q"] @ mac["uc_q"]).T @ g[t_rows]
-            dl_dvc_eff = mac["mask_vc"] * dl_dvc_q
-            grads.append(np.sum(dl_dvc_eff * br.v_base, axis=1))
-        else:
-            grads.append(np.zeros(br.rank))
-
+        grads.append(np.zeros(br.rank) if mac is None
+                     else _gate_grad(mac, br, mac.e_q, g[t_rows]))
     return loss, np.concatenate(grads)
 
 

@@ -246,15 +246,13 @@ def cmd_select(cfg: RunConfig) -> int:
             fh, indent=2, sort_keys=True,
         )
         fh.write("\n")
-    t_rows, v_rows = batch.text_rows, batch.vision_rows
-    rows = []
-    for c in range(partition.dim):
-        t_max = float(np.max(np.abs(batch.data[t_rows, c]))) if t_rows.size else 0.0
-        v_max = float(np.max(np.abs(batch.data[v_rows, c]))) if v_rows.size else 0.0
-        rows.append((c, t_max, v_max))
+    # initial=0.0 gives an absent modality 0.0 in every channel.
+    t_max, v_max = (np.max(np.abs(batch.data[rows]), axis=0, initial=0.0)
+                    for rows in (batch.text_rows, batch.vision_rows))
     _write_csv(
         os.path.join(cfg.out, "channel_stats.csv"),
-        ["channel", "text_max_abs", "vision_max_abs"], rows, cfg.seed,
+        ["channel", "text_max_abs", "vision_max_abs"],
+        zip(range(partition.dim), t_max.tolist(), v_max.tolist()), cfg.seed,
     )
     print(f"partition: {len(partition.c_main)} main / "
           f"{len(partition.c_text)} text / {len(partition.c_vision)} vision")

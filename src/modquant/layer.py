@@ -1,13 +1,16 @@
 """The channel-split quantized linear layer.
 
 The forward pass splits activations and weights into main / text-outlier /
-vision-outlier paths, runs each through its own transform and fake
-quantizer (one ``quantize_ste`` call per tensor, which yields the value and
-its straight-through mask), optionally applies the two gated low-rank
+vision-outlier paths and runs each through one path function: transform
+the activation and quantize it, inverse-transform the weight and quantize
+that (one ``quantize_ste`` call per tensor, which yields the value and its
+straight-through mask).  It optionally applies the two gated low-rank
 corrections (weight smoothing on the main weight, activation compensation on
-text-token rows), and sums the three paths.  With identity quantizers everything cancels
-algebraically and the output equals X @ W, which is the load-bearing
-correctness oracle for the wiring.
+text-token rows) and sums the paths.  It records each path and branch in a
+frozen ``ForwardPass`` for the calibration gradient; an outlier path with no
+channels and a branch that is off are ``None`` and cost nothing.  With
+identity quantizers everything cancels algebraically and the output equals
+X @ W, which is the load-bearing correctness oracle for the wiring.
 """
 
 from __future__ import annotations
@@ -90,23 +93,63 @@ class SplitLayer:
         return w
 
 
-def _outlier_path(x_p, w_p, p_t, act_spec, weight_spec, cache, prefix):
-    z = tr.apply_right(x_p, p_t)
+@dataclass(frozen=True)
+class PathPass:
+    """One path's intermediates: x, z = x P, a = Q(z), w_s = P^-1 W and
+    b = Q(w_s), less the CWS product on the main path; one mask per Q."""
+
+    x: np.ndarray
+    z: np.ndarray
+    a: np.ndarray
+    mask_a: np.ndarray
+    w_s: np.ndarray
+    b: np.ndarray
+    mask_b: np.ndarray
+
+
+@dataclass(frozen=True)
+class BranchPass:
+    """A low-rank branch's quantized factors and the mask of its gated
+    factor; for MAC also the quantized text-row activation error."""
+
+    u_q: np.ndarray
+    v_q: np.ndarray
+    mask_v: np.ndarray
+    e_q: np.ndarray | None = None
+    mask_e: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class ForwardPass:
+    """The records the gradient reads; an empty path or absent branch is None."""
+
+    main: PathPass
+    text: PathPass | None
+    vision: PathPass | None
+    cws: BranchPass | None
+    mac: BranchPass | None
+
+
+def _path(x, w, t, act_spec, weight_spec, shift=None) -> PathPass:
+    z = tr.apply_right(x, t)
     a, mask_a = quantize_ste(z, act_spec)
-    b_pre = tr.apply_inv_left(w_p, p_t)
-    b, mask_b = quantize_ste(b_pre, weight_spec)
-    cache[prefix] = {
-        "x": x_p, "z": z, "a": a, "mask_a": mask_a,
-        "b_pre": b_pre, "b": b, "mask_b": mask_b,
-    }
-    return a @ b
+    w_s = tr.apply_inv_left(w, t)
+    b, mask_b = quantize_ste(w_s if shift is None else w_s - shift, weight_spec)
+    return PathPass(x, z, a, mask_a, w_s, b, mask_b)
+
+
+def _branch(br: lowrank.LowRankBranch, spec: QuantSpec, e_q=None, mask_e=None):
+    u_q, _ = quantize_ste(br.u_star, spec)
+    v_q, mask_v = quantize_ste(br.effective_v(), spec)
+    return BranchPass(u_q, v_q, mask_v, e_q, mask_e)
 
 
 def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
-    """Alg.-style forward returning the output and cached intermediates.
+    """Forward pass returning the output and its ``ForwardPass`` record.
 
-    The cache holds every pre-quantization tensor and straight-through mask
-    needed for the analytic calibration gradient.
+    Each path transforms and quantizes its activation and weight through
+    ``_path``; the main path's weight is quantized less the CWS product.
+    A path with no channels and a branch that is off do no work.
     """
     if batch.data.shape[1] != layer.partition.dim:
         raise ValueError("batch width does not match partition dim")
@@ -114,53 +157,34 @@ def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
     t_rows = batch.text_rows
     act_aux = layer.act_spec.with_floor(AUX_BITS_FLOOR)
     w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
-    cache: dict = {"text_rows": t_rows}
 
-    y_t = _outlier_path(x_t, layer.w_text, layer.p_text, act_aux, w_aux, cache, "t")
-    y_v = _outlier_path(x_v, layer.w_vision, layer.p_vision, act_aux, w_aux, cache, "v")
+    cws = _branch(layer.branch_smooth, w_aux) if layer.use_cws else None
+    shift = layer.branch_smooth.product() if layer.use_cws else None
+    main = _path(x_m, layer.w_main, layer.p_main, layer.act_spec, layer.weight_spec,
+                 shift)
+    y = main.a @ main.b
+    if cws is not None:
+        y += (main.a @ cws.u_q) @ cws.v_q
 
-    z = tr.apply_right(x_m, layer.p_main)
-    x_hat, mask_x = quantize_ste(z, layer.act_spec)
-    w_prime = tr.apply_inv_left(layer.w_main, layer.p_main)
-    cache["m"] = {"x": x_m, "z": z, "x_hat": x_hat, "mask_x": mask_x,
-                  "w_prime": w_prime}
-
-    if layer.use_cws:
-        br = layer.branch_smooth
-        v_eff = br.effective_v()
-        r_pre = w_prime - br.u_star @ v_eff
-        b_m, mask_r = quantize_ste(r_pre, layer.weight_spec)
-        u_q, mask_u = quantize_ste(br.u_star, w_aux)
-        v_q, mask_v = quantize_ste(v_eff, w_aux)
-        y_m = x_hat @ b_m + (x_hat @ u_q) @ v_q
-        cache["cws"] = {"r_pre": r_pre, "b_m": b_m, "mask_r": mask_r,
-                        "u_q": u_q, "mask_u": mask_u,
-                        "v_q": v_q, "mask_v": mask_v, "v_eff": v_eff}
-    else:
-        b_m, mask_r = quantize_ste(w_prime, layer.weight_spec)
-        y_m = x_hat @ b_m
-        cache["main_w"] = {"b_m": b_m, "mask_r": mask_r}
-
+    mac = None
     if layer.use_mac and t_rows.size:
-        br = layer.branch_comp
-        e_pre = (z - x_hat)[t_rows]
-        e_q, mask_e = quantize_ste(e_pre, act_aux)
-        uc_q, mask_uc = quantize_ste(br.u_star, w_aux)
-        vc_eff = br.effective_v()
-        vc_q, mask_vc = quantize_ste(vc_eff, w_aux)
-        comp = (e_q @ uc_q) @ vc_q
-        y_m[t_rows] += comp
-        cache["mac"] = {"e_pre": e_pre, "e_q": e_q, "mask_e": mask_e,
-                        "uc_q": uc_q, "mask_uc": mask_uc,
-                        "vc_q": vc_q, "mask_vc": mask_vc, "vc_eff": vc_eff}
+        e_q, mask_e = quantize_ste((main.z - main.a)[t_rows], act_aux)
+        mac = _branch(layer.branch_comp, w_aux, e_q=e_q, mask_e=mask_e)
+        y[t_rows] += (e_q @ mac.u_q) @ mac.v_q
 
-    y = y_m + y_t + y_v
-    return y, cache
+    text = vision = None
+    if layer.p_text.dim:
+        text = _path(x_t, layer.w_text, layer.p_text, act_aux, w_aux)
+    if layer.p_vision.dim:
+        vision = _path(x_v, layer.w_vision, layer.p_vision, act_aux, w_aux)
+    for path in (text, vision):
+        if path is not None:
+            y += path.a @ path.b
+    return y, ForwardPass(main, text, vision, cws, mac)
 
 
 def forward(layer: SplitLayer, batch: ActivationBatch) -> np.ndarray:
-    y, _ = forward_with_cache(layer, batch)
-    return y
+    return forward_with_cache(layer, batch)[0]
 
 
 def forward_reference(w: np.ndarray, batch: ActivationBatch) -> np.ndarray:

@@ -118,31 +118,27 @@ def _broadcast(v: np.ndarray, granularity: Granularity) -> np.ndarray:
 def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
     """Derive per-group scale/zero-point from the data range.
 
-    Degenerate groups (constant, including all-zero) get parameters that
-    reconstruct the constant exactly.  Scales are floored at the smallest
+    An asymmetric group's range is widened to include zero, so zero and
+    constants map onto grid points and one-signed groups never saturate;
+    all-zero groups get S = 1, z = 0.  Scales are floored at the smallest
     positive normal, so subnormal groups never underflow to a zero scale.
     """
-    return _params(as_matrix(m), spec)
+    return QuantParams(*_params(as_matrix(m), spec))
 
 
-def _params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
+def _params(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (scales, zero_points) of ``compute_params``, unchecked."""
     g = spec.granularity
     if spec.is_identity or m.size == 0:
         n = _group_count(m.shape, g)
-        return QuantParams(np.ones(n), np.zeros(n, dtype=np.int64))
+        return np.ones(n), np.zeros(n, dtype=np.int64)
     q_min, q_max = spec.q_min, spec.q_max
     if spec.symmetric:
         absmax = _reduce(np.abs(m), g, np.max)
         scales = np.where(absmax > 0, np.maximum(absmax / q_max, _TINY), 1.0)
-        zps = np.zeros_like(scales, dtype=np.int64)
-        return QuantParams(scales, zps)
-    lo = _reduce(m, g, np.min)
-    hi = _reduce(m, g, np.max)
-    # Constant groups: widen the range to include zero so the constant maps
-    # onto an exact grid point; all-zero groups fall back to S=1, z=0.
-    const = lo == hi
-    lo = np.where(const, np.minimum(lo, 0.0), lo)
-    hi = np.where(const, np.maximum(hi, 0.0), hi)
+        return scales, np.zeros_like(scales, dtype=np.int64)
+    lo = np.minimum(_reduce(m, g, np.min), 0.0)
+    hi = np.maximum(_reduce(m, g, np.max), 0.0)
     levels = q_max - q_min
     with np.errstate(over="ignore"):
         span = hi - lo
@@ -151,7 +147,7 @@ def _params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
     step = np.where(np.isinf(span), hi / levels - lo / levels, span / levels)
     scales = np.where(span > 0, np.maximum(step, _TINY), 1.0)
     zps = np.clip(round_half_away(-lo / scales), q_min, q_max).astype(np.int64)
-    return QuantParams(scales, zps)
+    return scales, zps
 
 
 def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
@@ -162,10 +158,10 @@ def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
         )
 
 
-def _round_clamp(m: np.ndarray, params: QuantParams, spec: QuantSpec):
+def _round_clamp(m: np.ndarray, scales: np.ndarray, zps: np.ndarray, spec: QuantSpec):
     """Q(m) and the straight-through mask, from one rounding of m/S."""
-    s = _broadcast(params.scales, spec.granularity)
-    z = _broadcast(params.zero_points.astype(np.float64), spec.granularity)
+    s = _broadcast(scales, spec.granularity)
+    z = _broadcast(zps.astype(np.float64), spec.granularity)
     q = round_half_away(m / s) + z
     mask = (q >= spec.q_min) & (q <= spec.q_max)
     return (np.clip(q, spec.q_min, spec.q_max) - z) * s, mask
@@ -177,7 +173,7 @@ def fake_quantize(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.nda
     if spec.is_identity:
         return m.copy()
     _check_groups(m, params, spec)
-    return _round_clamp(m, params, spec)[0]
+    return _round_clamp(m, params.scales, params.zero_points, spec)[0]
 
 
 def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +185,7 @@ def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray
     """
     if spec.is_identity:
         return m.copy(), np.ones_like(m)
-    value, mask = _round_clamp(m, _params(m, spec), spec)
+    value, mask = _round_clamp(m, *_params(m, spec), spec)
     return value, mask.astype(np.float64)
 
 

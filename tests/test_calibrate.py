@@ -16,7 +16,7 @@ from modquant.calibrate import (
     stability_report,
 )
 from modquant.layer import build_layer, forward_reference
-from modquant.mocd import MocdConfig, build_partition
+from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
@@ -105,15 +105,23 @@ class TestGradients:
     @pytest.mark.parametrize("text_rows", [True, False])
     @pytest.mark.parametrize("cws,mac", [(False, False), (True, False),
                                          (False, True), (True, True)])
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_matches_frozen_surrogate(self, monkeypatch, seed, cws, mac, text_rows):
+    @pytest.mark.parametrize("seed,split", [
+        pytest.param(0, True, id="0"),
+        pytest.param(3, True, id="3"),
+        pytest.param(0, False, id="0-trivial"),
+    ])
+    def test_matches_frozen_surrogate(self, monkeypatch, seed, split, cws, mac,
+                                      text_rows):
         # With scales and zero-points held at their base-pass values, the
         # straight-through estimator is the exact derivative of the surrogate
         # m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  Central
         # differences of the loss through that surrogate are the oracle.
+        # The trivial partition has empty outlier paths, whose segments are
+        # empty and are skipped.
         batch = generate(SynthConfig(seed=seed))
         w = generate_weight(64, 64, seed=seed + 900)
-        part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
+        part = (build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
+                if split else trivial_partition(64))
         if not text_rows:
             rows = batch.vision_rows
             batch = ActivationBatch(batch.data[rows], batch.tags[rows])
@@ -167,6 +175,8 @@ class TestGradients:
         for name, size in segments:
             a, f = grad[offset : offset + size], fd[offset : offset + size]
             offset += size
+            if size == 0:
+                continue
             assert np.max(np.abs(f - a)) <= 1e-5 * np.max(np.abs(a)), name
 
     def test_analytic_descent_direction(self):

@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import modquant.layer as layer_module
 from modquant.calibrate import CalibConfig, calibrate
 from modquant.layer import (
     SplitLayer,
     build_layer,
     forward,
     forward_reference,
+    forward_with_cache,
     load_layer,
     save_layer,
 )
@@ -109,6 +111,27 @@ class TestMacLocality:
         off = dataclasses.replace(layer, use_mac=False)
         t = batch.text_rows
         assert np.any(forward(layer, batch)[t] != forward(off, batch)[t])
+
+
+class TestForwardPass:
+    def test_empty_paths_do_no_work(self, monkeypatch):
+        # On a trivial partition without branches only the main path's
+        # activation and weight are quantized.
+        batch, w, part = _instance(0, nontrivial=False)
+        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4)
+        real = layer_module.quantize_ste
+        shapes = []
+
+        def counting(m, spec):
+            shapes.append(m.shape)
+            return real(m, spec)
+
+        monkeypatch.setattr(layer_module, "quantize_ste", counting)
+        y, fp = forward_with_cache(layer, batch)
+        assert shapes == [(24, 16), (16, 12)]
+        assert fp.text is None and fp.vision is None
+        assert fp.cws is None and fp.mac is None
+        np.testing.assert_array_equal(y, fp.main.a @ fp.main.b)
 
 
 class TestValidation:

@@ -13,6 +13,7 @@ from modquant.quantizer import (
     Granularity,
     QuantParams,
     QuantSpec,
+    _round_clamp,
     compute_params,
     fake_quantize,
     quant_error,
@@ -178,12 +179,18 @@ class TestClampMask:
         assert value.tolist() == [[-1.0, 0.0, 1.0, 2.0]]
 
     def test_below_q_min(self):
-        # An all-negative group: z = round(45) is clipped to q_max = 15, so
-        # every element rounds below q_min = 0 and is clamped to -15 * S.
+        # An asymmetric range always includes zero, so a group whose values
+        # share one sign keeps z inside [q_min, q_max] and never saturates.
         spec = QuantSpec(4, False, Granularity.PER_TOKEN)
-        value, mask = quantize_ste(np.array([[-120.0, -80.0]]), spec)
-        assert mask.tolist() == [[0.0, 0.0]]
-        assert value.tolist() == [[-40.0, -40.0]]
+        for m in (np.array([[-120.0, -80.0]]), np.array([[80.0, 120.0]])):
+            value, mask = quantize_ste(m, spec)
+            assert mask.tolist() == [[1.0, 1.0]]
+            assert np.all(np.abs(value - m) <= compute_params(m, spec).scales[0] / 2)
+        # Only parameters that do not fit the data round below q_min = 0.
+        value, mask = _round_clamp(np.array([[-3.0, 2.0]]), np.ones(1),
+                                   np.zeros(1, dtype=np.int64), spec)
+        assert mask.tolist() == [[False, True]]
+        assert value.tolist() == [[0.0, 2.0]]
 
     def test_identity_spec_all_ones(self):
         spec = QuantSpec(None, True, Granularity.PER_TENSOR)

@@ -1,0 +1,124 @@
+"""Digest every CLI output of the benchmark workloads, for byte-identity checks.
+
+Usage: python3 tools/output_digest.py SRC_DIR OUT.json
+
+SRC_DIR is a source tree that holds the ``modquant`` package (``src`` of a
+checkout). For each workload in ``perfbench/workloads.py`` at gen seeds 0, 3
+and 14, the script runs, one subprocess per command and with BLAS pinned to
+one thread:
+
+- ``gen``, ``select``, ``calibrate``, ``eval --ablation`` and ``stability``;
+- ``calibrate`` and ``eval`` with ``--wbits 0 --abits 0``;
+- ``calibrate --no-mocd``.
+
+It writes one JSON object, one entry per line, that maps
+``<workload>/seed<N>/<command>/<file>`` to the sha256 of each output file and
+``<workload>/seed<N>/<command>.exit`` to each exit code. Two source trees
+write the same bytes exactly when ``diff`` finds their files equal:
+
+    python3 tools/output_digest.py OLD/src old.json
+    python3 tools/output_digest.py src new.json
+    diff old.json new.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GEN_SEEDS = (0, 3, 14)
+
+
+def _workloads() -> dict:
+    path = os.path.join(REPO, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_digest_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def _commands(run: str) -> list[tuple[str, list[str]]]:
+    """(output directory name, CLI arguments) of each command, in order."""
+    acts = ["--activations", os.path.join(run, "gen", "activations.spqt")]
+    weights = ["--weights", os.path.join(run, "gen", "weights.spqt")]
+    identity = ["--wbits", "0", "--abits", "0"]
+
+    def out(name):
+        return ["--out", os.path.join(run, name)]
+
+    def layer(name):
+        return ["--layer-dir", os.path.join(run, name, "layer")]
+
+    return [
+        ("gen", ["gen"] + out("gen")),
+        ("select", ["select"] + acts + out("select")),
+        ("calibrate", ["calibrate"] + acts + weights + out("calibrate")),
+        ("eval", ["eval", "--ablation"] + acts + weights + layer("calibrate")
+         + out("eval")),
+        ("stability", ["stability"] + acts + out("stability")),
+        ("identity-calibrate", ["calibrate"] + identity + acts + weights
+         + out("identity-calibrate")),
+        ("identity-eval", ["eval"] + identity + acts + layer("identity-calibrate")
+         + out("identity-eval")),
+        ("no-mocd-calibrate", ["calibrate", "--no-mocd"] + acts + weights
+         + out("no-mocd-calibrate")),
+    ]
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def digest(src_dir: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir),
+               OPENBLAS_NUM_THREADS="1")
+    result = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name, workload in sorted(_workloads().items()):
+            config = os.path.join(work, f"{name}.json")
+            with open(config, "w") as fh:
+                json.dump(workload.cli_config(), fh)
+            for seed in GEN_SEEDS:
+                key = f"{name}/seed{seed}"
+                run = os.path.join(work, key)
+                for out_name, args in _commands(run):
+                    argv = [sys.executable, "-m", "modquant.cli", *args,
+                            "--config", config, "--seed", str(seed)]
+                    proc = subprocess.run(argv, env=env, capture_output=True)
+                    result[f"{key}/{out_name}.exit"] = proc.returncode
+                    out_dir = os.path.join(run, out_name)
+                    for root, _, files in os.walk(out_dir):
+                        for f in files:
+                            path = os.path.join(root, f)
+                            rel = os.path.relpath(path, run).replace(os.sep, "/")
+                            result[f"{key}/{rel}"] = _sha256(path)
+                print(f"{key}: {sum(k.startswith(key + '/') for k in result)} entries",
+                      file=sys.stderr)
+    return result
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 1
+    src_dir, out_path = argv
+    if not os.path.isdir(os.path.join(src_dir, "modquant")):
+        print(f"no modquant package under {src_dir}", file=sys.stderr)
+        return 1
+    result = digest(src_dir)
+    with open(out_path, "w") as fh:
+        json.dump(result, fh, indent=0, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
