@@ -39,8 +39,10 @@ for c in top5:
 
 # ---------------------------------------------------------------------------
 # Text score: within-cluster variance of each channel's percentile ranks.
-# Stable channels keep a consistent rank; the planted ones flip between a
-# high-magnitude component and near-zero, so their ranks scatter.
+# percentile_rank returns integer counts (rank = count / C), and text_score
+# runs exact k-means on them.  Stable channels keep a consistent rank; the
+# planted ones flip between a high-magnitude component and near-zero, so
+# their ranks scatter.
 # ---------------------------------------------------------------------------
 candidates = np.setdiff1d(np.arange(64), [3, 9])
 ranks = percentile_rank(batch, candidates)

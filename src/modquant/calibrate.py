@@ -11,8 +11,11 @@ mask.
 
 The learned parameters are read from the layer itself: the logarithms of
 the three path scales, so a step cannot cross zero, then the gates of the
-branches that are on.  The returned layer holds exactly the scales that the
-best step multiplied by, so a saved and reloaded layer reproduces its loss.
+branches that are on.  The learning rate is sized for the log-scales, so
+each step clips the gates to [0, 2]; unbounded, a gate can overshoot
+through zero and the loss diverge.  The returned layer holds exactly the
+scales that the best step multiplied by, so a saved and reloaded layer
+reproduces its loss.
 The gradient reads the layer's ``ForwardPass`` records, and every path's
 log-scale gradient is the one ``_log_scale_grad``; an empty path's segment
 is zero.
@@ -32,6 +35,7 @@ from .tensor import ActivationBatch
 _LOG_LO = np.log(tr.DIAG_EPS)
 _LOG_HI = np.log(tr.DIAG_MAX)
 _PATHS = ("p_main", "p_text", "p_vision")
+_GATE_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,8 @@ def calibrate(
     """Minimize the reconstruction loss; returns the best-loss snapshot."""
     y_ref = forward_reference(layer.full_weight(), batch)
     theta = _params(layer)
+    # Everything after the three log-scale segments is a branch gate.
+    gates = slice(sum(getattr(layer, name).dim for name in _PATHS), None)
     trace = LossTrace()
     best_theta = theta
     best_loss = np.inf
@@ -173,6 +179,7 @@ def calibrate(
             best_theta = theta
         lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
         theta = theta - lr * grad
+        theta[gates] = np.clip(theta[gates], 0.0, _GATE_MAX)
     return _with_params(layer, best_theta), trace
 
 

@@ -2,9 +2,9 @@
 
 Vision-specific outlier channels are picked by maximum absolute activation.
 Text-specific ones are picked among the remaining channels by rank
-instability: each channel's within-token percentile ranks are clustered
-(1-D k-means) and scored by within-cluster variance.  The leftover channels
-form the modality-compatible main set.
+instability: each channel's within-token rank counts are clustered by exact
+1-D k-means on integers, all channels at once, and scored by within-cluster
+variance.  The leftover channels form the modality-compatible main set.
 """
 
 from __future__ import annotations
@@ -92,10 +92,12 @@ def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
 def percentile_rank(
     batch: ActivationBatch, candidate_channels: np.ndarray
 ) -> np.ndarray:
-    """Within-token percentile rank of |activation| over the candidate set.
+    """Within-token rank counts of |activation| over the candidate set.
 
-    Returns a (num text tokens) x (num candidates) matrix with entries in
-    (0, 1]; ties count via <=, so a constant row ranks 1 everywhere.
+    Returns a (num text tokens) x (num candidates) int64 matrix: each entry
+    counts the candidates in its token whose |activation| is <= its own, so
+    it lies in 1..C for C candidates (C throughout a constant row), and the
+    percentile rank is count / C.
     """
     cand = np.asarray(candidate_channels, dtype=np.int64)
     if cand.size == 0:
@@ -104,50 +106,88 @@ def percentile_rank(
     if rows.size == 0:
         raise ValueError("no text tokens present")
     a = np.abs(batch.data[np.ix_(rows, cand)])
-    ranks = np.empty_like(a)
-    for i in range(a.shape[0]):
-        srt = np.sort(a[i])
-        ranks[i] = np.searchsorted(srt, a[i], side="right")
-    return ranks / cand.size
+    order = np.argsort(a, axis=1)
+    srt = np.take_along_axis(a, order, axis=1)
+    # A count is one past the sorted position of the last entry equal to it.
+    run_end = np.diff(srt, axis=1, append=np.inf) != 0
+    ends = np.where(run_end, np.arange(1, cand.size + 1), cand.size)
+    ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    counts = np.empty_like(ends)
+    np.put_along_axis(counts, order, ends, axis=1)
+    return counts
 
 
-def _kmeans_1d(values: np.ndarray, k: int) -> float:
-    """Lloyd's algorithm on 1-D data with quantile-based init.
+def _nearest(levels: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Per row, the index of the center num/den nearest each level, ties to the
+    lower index.  Over den_i den_j the centers i, j are a_i, a_j, and j is strictly
+    nearer to v when sign(a_j - a_i) (2 v den_i den_j - a_i - a_j) > 0 (in int64)."""
+    best = np.zeros((num.shape[0], levels.size), dtype=np.min_scalar_type(num.shape[1]))
+    for j in range(1, num.shape[1]):
+        closer = np.zeros(best.shape, dtype=bool)
+        for i in range(j):
+            a_i, a_j = num[:, [i]] * den[:, [j]], num[:, [j]] * den[:, [i]]
+            sign, two_d = np.sign(a_j - a_i), 2 * den[:, [i]] * den[:, [j]]
+            closer |= (best == i) & (sign * two_d * levels > sign * (a_i + a_j))
+        best[closer] = j
+    return best
 
-    Returns the within-cluster variance (mean squared deviation from the
-    assigned center).  Effective k drops to the number of distinct values.
-    """
-    distinct = np.unique(values)
-    k = min(k, distinct.size)
-    if k == 1:
-        return float(np.var(values))
-    quantiles = (2 * np.arange(1, k + 1) - 1) / (2 * k)
-    centers = np.quantile(values, quantiles)
-    assign = np.argmin(np.abs(values[:, None] - centers[None, :]), axis=1)
+
+def _lloyd_sse(hist: np.ndarray, tokens: int, k: int) -> np.ndarray:
+    """Within-cluster sum of squares after k-means, per row of a histogram
+    of the levels 1..L, all rows at once.  Centers are exact fractions
+    num/den; np.quantile's linear interpolation between sorted positions i
+    and i + 1 at fraction r / 2k is (2k v_i + r (v_(i+1) - v_i)) / 2k."""
+    def cluster_sums(assign, *weights):
+        onehot = assign[:, None, :] == np.arange(k)[:, None]
+        return [np.einsum("nkl,nl->nk", onehot, w) for w in weights]
+
+    levels = np.arange(1, hist.shape[1] + 1)
+    i, r = np.divmod((2 * np.arange(1, k + 1) - 1) * (tokens - 1), 2 * k)
+    cum = np.cumsum(hist, axis=1)[:, :, None]
+    v_lo = 1 + np.count_nonzero(cum <= i, axis=1)
+    v_hi = 1 + np.count_nonzero(cum <= i + 1, axis=1)  # r = 0 where i + 1 = tokens
+    num, den = 2 * k * v_lo + r * (v_hi - v_lo), np.full((hist.shape[0], k), 2 * k)
+    assign = _nearest(levels, num, den)
+    active, hist_x = np.arange(hist.shape[0]), hist * levels
     for _ in range(KMEANS_MAX_ITER):
-        new_centers = centers.copy()
-        for j in range(k):
-            members = values[assign == j]
-            if members.size:
-                new_centers[j] = members.mean()
-        new_assign = np.argmin(np.abs(values[:, None] - new_centers[None, :]), axis=1)
-        centers = new_centers
-        if np.array_equal(new_assign, assign):
+        w, s = cluster_sums(assign[active], hist[active], hist_x[active])
+        num[active] = np.where(w > 0, s, num[active])
+        den[active] = np.where(w > 0, w, den[active])
+        new = _nearest(levels, num[active], den[active])
+        moved = np.any(new != assign[active], axis=1)
+        assign[active] = new
+        active = active[moved]
+        if active.size == 0:
             break
-        assign = new_assign
-    return float(np.mean((values - centers[assign]) ** 2))
+    # Per cluster, sum h (x - c)^2 = (Q W - S^2 + (S den - num W)^2 / den^2) / W; the
+    # second term, the center's offset from the mean, is 0 unless the cap stopped it.
+    w, s, q = cluster_sums(assign, hist, hist_x, hist_x * levels)
+    sse = (q * w - s * s) + (s * den - num * w).astype(np.float64) ** 2 / den**2
+    return np.sum(np.divide(sse, w, out=np.zeros_like(sse), where=w > 0), axis=1)
 
 
 def text_score(ranks: np.ndarray, k: int) -> np.ndarray:
-    """Rank-instability score per candidate channel: within-cluster variance
-    of the channel's rank sequence after 1-D k-means into k groups."""
+    """Rank-instability score per candidate channel: the within-cluster
+    variance, in rank units (count / C), of its column of ``percentile_rank``
+    counts (1..C for C columns) after 1-D k-means into k groups, or fewer if
+    the column has fewer distinct values.  k-means is exact Lloyd's algorithm:
+    np.quantile's centers, each value to its nearest center with ties to the
+    lower index, an empty cluster keeps its center, KMEANS_MAX_ITER updates.
+    """
+    tokens, cols = ranks.shape
     if k < 1:
         raise ValueError("cluster count must be positive")
-    if k > ranks.shape[0]:
+    if k > tokens:
         raise ValueError("cluster count exceeds number of text tokens")
-    return np.array(
-        [_kmeans_1d(ranks[:, c], k) for c in range(ranks.shape[1])]
-    )
+    if ranks.dtype.kind not in "iu" or ranks.min() < 1 or ranks.max() > cols:
+        raise ValueError(f"ranks must be integer counts in 1..{cols}")
+    flat = (ranks + np.arange(-1, cols * cols - 1, cols)).ravel()
+    hist = np.bincount(flat, minlength=cols * cols).reshape(cols, cols)
+    k_col = np.minimum(k, np.count_nonzero(hist, axis=1))
+    sse = np.empty(cols)
+    for kk in np.unique(k_col):
+        sse[k_col == kk] = _lloyd_sse(hist[k_col == kk], tokens, int(kk))
+    return sse / (tokens * cols * cols)
 
 
 def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition:

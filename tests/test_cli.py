@@ -209,6 +209,21 @@ class TestCalibrateEval:
         mse = {name: float(v) for name, v in (r.split(",") for r in rows)}
         assert mse["baseline"] > mse["mocd"]
 
+    @pytest.mark.parametrize("seed", range(15))
+    def test_unsplit_calibration_converges(self, tmp_path, seed):
+        # CLI default sizes (the loop-small config; its ratio is unused here),
+        # W4A4 with CWS and MAC and no channel split: with unbounded branch
+        # gates, 9 of these 15 seeds diverge and exit 3.
+        data = tmp_path / "data"
+        assert run("gen", "--seed", str(seed), "--out", str(data)) == EXIT_OK
+        rc = run(
+            "calibrate", "--no-mocd",
+            "--activations", str(data / "activations.spqt"),
+            "--weights", str(data / "weights.spqt"),
+            "--out", str(tmp_path / "c"),
+        )
+        assert rc == EXIT_OK
+
 
 class TestStability:
     def test_report_and_determinism(self, generated, tmp_path):

@@ -1,10 +1,14 @@
 """Outlier channel selection: scores, clustering, and partitions."""
 
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modquant import mocd
 from modquant.mocd import (
     ChannelPartition,
     MocdConfig,
@@ -18,6 +22,11 @@ from modquant.mocd import (
 )
 from modquant.synth import SynthConfig, generate
 from modquant.tensor import ActivationBatch
+
+
+# Few distinct magnitudes, so rows are full of ties; signed zeros and
+# opposite signs share a magnitude.
+_TIE_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 5e-324]
 
 
 def _batch(text, vision):
@@ -108,12 +117,14 @@ class TestPercentileRank:
     def test_hand_values(self):
         b = _batch([[0.1, 0.3, 0.2]], [[0.0, 0.0, 0.0]])
         ranks = percentile_rank(b, np.array([0, 1, 2]))
-        np.testing.assert_allclose(ranks, [[1 / 3, 1.0, 2 / 3]])
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, [[1, 3, 2]])
 
     def test_constant_row_ranks_one(self):
+        # Rank one is a count of C: every candidate is <= every other.
         b = _batch([[0.5, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
         ranks = percentile_rank(b, np.array([0, 1, 2]))
-        np.testing.assert_array_equal(ranks, np.ones((1, 3)))
+        np.testing.assert_array_equal(ranks, np.full((1, 3), 3))
 
     def test_strict_max_has_rank_one(self):
         rng = np.random.default_rng(8)
@@ -121,42 +132,118 @@ class TestPercentileRank:
         data[:, 2] = 100.0
         b = ActivationBatch(np.concatenate([data, data]), [0] * 5 + [1] * 5)
         ranks = percentile_rank(b, np.arange(6))
-        np.testing.assert_array_equal(ranks[:, 2], np.ones(5))
+        np.testing.assert_array_equal(ranks[:, 2], np.full(5, 6))
 
     def test_empty_candidates(self):
         b = _batch([[1.0]], [[1.0]])
         with pytest.raises(ValueError, match="empty"):
             percentile_rank(b, np.empty(0, dtype=np.int64))
 
+    @given(
+        st.integers(1, 8).flatmap(lambda d: st.tuples(
+            st.lists(st.lists(st.sampled_from(_TIE_VALUES), min_size=d, max_size=d)
+                     | st.sampled_from(_TIE_VALUES).map(lambda v: [v] * d),
+                     min_size=1, max_size=12),
+            st.sets(st.integers(0, d - 1), min_size=1),
+        ))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_search_per_row(self, rows_and_cand):
+        rows, cand = rows_and_cand
+        b = ActivationBatch(np.array(rows), [0] * len(rows))
+        cand = np.array(sorted(cand))
+        expect = [np.searchsorted(np.sort(r), r, side="right")
+                  for r in np.abs(np.array(rows)[:, cand])]
+        np.testing.assert_array_equal(percentile_rank(b, cand), expect)
+
+
+def _exact_text_score(col, cols, k):
+    """Lloyd's algorithm on one column in exact fractions, one value at a
+    time: np.quantile's linear-method centers, argmin assignment (ties to
+    the lower index), empty clusters keep their center, stop when the
+    assignment repeats or after KMEANS_MAX_ITER updates."""
+    tokens, ordered = len(col), sorted(col)
+    k = min(k, len(set(col)))
+    centers = []
+    for r in range(1, k + 1):
+        pos = Fraction((2 * r - 1) * (tokens - 1), 2 * k)
+        i = pos.numerator // pos.denominator
+        lo, hi = ordered[i], ordered[min(i + 1, tokens - 1)]
+        centers.append(lo + (pos - i) * (hi - lo))
+
+    def nearest(cs):
+        return [min(range(k), key=lambda j: (abs(x - cs[j]), j)) for x in col]
+
+    assign = nearest(centers)
+    for _ in range(mocd.KMEANS_MAX_ITER):
+        members = [[x for x, a in zip(col, assign) if a == j] for j in range(k)]
+        centers = [Fraction(sum(m), len(m)) if m else c for m, c in zip(members, centers)]
+        new = nearest(centers)
+        if new == assign:
+            break
+        assign = new
+    sse = sum((x - centers[a]) ** 2 for x, a in zip(col, assign))
+    return sse / (tokens * cols * cols)
+
 
 class TestTextScore:
     def test_constant_sequence_scores_zero(self):
-        ranks = np.full((6, 2), 0.5)
+        ranks = np.full((6, 2), 2)
         np.testing.assert_array_equal(text_score(ranks, 3), [0.0, 0.0])
 
     def test_two_level_sequence_with_two_clusters(self):
-        ranks = np.array([[0.0], [0.0], [1.0], [1.0]])
+        ranks = np.array([[1, 2], [1, 2], [2, 1], [2, 1]])
         assert text_score(ranks, 2)[0] == 0.0
 
     def test_single_cluster_is_population_variance(self):
-        col = np.array([0.1, 0.5, 0.9, 0.3])
-        got = text_score(col.reshape(-1, 1), 1)[0]
-        assert got == pytest.approx(np.var(col))
+        ranks = np.array([[1, 2, 3, 4], [3, 1, 4, 2], [4, 3, 2, 1], [2, 4, 1, 3]])
+        got = text_score(ranks, 1)
+        np.testing.assert_allclose(got, np.var(ranks / 4, axis=0), rtol=1e-15)
 
     def test_cluster_count_exceeds_tokens(self):
         with pytest.raises(ValueError):
-            text_score(np.zeros((2, 1)), 3)
+            text_score(np.ones((2, 1), dtype=np.int64), 3)
+
+    @pytest.mark.parametrize("ranks", [
+        np.full((3, 2), 0.5), np.zeros((3, 2), np.int64), np.full((3, 2), 3),
+    ], ids=["float", "zero", "above-columns"])
+    def test_rejects_non_counts(self, ranks):
+        with pytest.raises(ValueError, match="integer counts"):
+            text_score(ranks, 1)
 
     def test_unstable_channel_scores_higher(self):
         # Instability here means ranks spread across many levels, which no
         # small set of cluster centers can absorb; a tightly concentrated
         # rank sequence clusters to near-zero variance.
         rng = np.random.default_rng(9)
-        stable = np.full(40, 0.5) + rng.normal(0, 0.01, 40)
-        unstable = rng.uniform(0.0, 1.0, 40)
-        ranks = np.stack([stable, unstable], axis=1)
+        ranks = np.ones((40, 20), dtype=np.int64)
+        ranks[:, 0] = 10 + rng.integers(0, 2, 40)
+        ranks[:, 1] = rng.integers(1, 21, 40)
         scores = text_score(ranks, 3)
         assert scores[1] > scores[0]
+
+    @given(
+        st.integers(1, 6).flatmap(lambda c: st.lists(
+            st.lists(st.integers(1, c), min_size=c, max_size=c), min_size=3, max_size=24)),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, mocd.KMEANS_MAX_ITER]),
+    )
+    @example(ranks=[[1, 2, 1], [1, 2, 3], [1, 2, 2], [3, 1, 3], [3, 3, 3]], k=2,
+             max_iter=mocd.KMEANS_MAX_ITER)
+    @example(ranks=[[x] * 6 for x in (1, 6, 5, 3, 4, 6, 5, 5, 2, 4, 5, 4, 3, 6, 2, 1, 5, 5)],
+             k=2, max_iter=mocd.KMEANS_MAX_ITER)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_lloyd(self, ranks, k, max_iter):
+        # In the first example, column 1 is [2, 2, 2, 1, 3]: both quantile
+        # centers are exactly 2, so it is one cluster and scores 2/45.  In the
+        # second, Lloyd meets the centers 8/3 and 16/3, and level 4 lies
+        # exactly between them; rounded centers send it to the upper one.
+        ranks = np.array(ranks, dtype=np.int64)
+        with mock.patch.object(mocd, "KMEANS_MAX_ITER", max_iter):
+            got = text_score(ranks, k)
+            for col, score in zip(ranks.T.tolist(), got):
+                exact = _exact_text_score(col, ranks.shape[1], k)
+                assert abs(Fraction(score) - exact) <= Fraction(1, 10**15) * exact
 
 
 class TestBuildPartition:
