@@ -2,11 +2,12 @@
 
 Every command is a deterministic function of its input files, flags, and
 seed; re-running with identical inputs produces byte-identical outputs.
-Configuration can come from a JSON file (--config, unknown keys rejected)
-with command-line flags taking precedence.
+Each ``RunConfig`` field can come from a JSON file (--config, unknown keys
+rejected) or from its flag, which wins: ``--field-with-dashes``, or
+``--no-field`` for a bool; a list flag takes space-separated ints.
 
-Exit codes: 0 success, 1 usage/config error, 2 data/format error,
-3 numerical failure.
+Exit codes: 0 success, 1 usage/config error, 2 data/format error (including
+OS and memory errors), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .layer import (
 )
 from .mocd import MocdConfig, build_partition, trivial_partition
 from .quantizer import Granularity, QuantSpec, compute_params, quant_error
-from .tensor import ActivationBatch, TensorFormatError, load_tensor, save_tensor
+from .tensor import (
+    ActivationBatch, TensorFormatError, load_matrix, load_tensor, save_tensor,
+)
 from .transform import apply_inv_left
 
 EXIT_OK = 0
@@ -97,15 +100,23 @@ def _is_finite_float(v) -> bool:
     return isinstance(v, float) and math.isfinite(v)
 
 
-# Value check per RunConfig field annotation.
-_TYPE_CHECKS = {
-    "str | None": lambda v: v is None or isinstance(v, str),
-    "str": lambda v: isinstance(v, str),
-    "bool": lambda v: isinstance(v, bool),
-    "int": _is_int,
-    "float": _is_finite_float,
-    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+# Per RunConfig field annotation: the check of a value, and the argparse
+# keywords of the field's flag.
+_KINDS = {
+    "str | None": (lambda v: v is None or isinstance(v, str), {"type": str}),
+    "str": (lambda v: isinstance(v, str), {"type": str}),
+    "bool": (lambda v: isinstance(v, bool), {"action": "store_false"}),
+    "int": (_is_int, {"type": int}),
+    "float": (_is_finite_float, {"type": float}),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                  {"type": int, "nargs": "*"}),
 }
+
+
+def _flag(field: str) -> str:
+    """The flag of a RunConfig field: --field-with-dashes, --no-field for a bool."""
+    prefix = "--no-" if _CONFIG_FIELDS[field] == "bool" else "--"
+    return prefix + field.replace("_", "-")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -130,7 +141,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key, value in values.items():
         kind = _CONFIG_FIELDS[key]
-        if not _TYPE_CHECKS[kind](value):
+        if not _KINDS[kind][0](value):
             raise ConfigError(f"{key} must be {kind}, got {value!r}")
     cfg = RunConfig(**values)
     for key, ok, domain in (
@@ -184,15 +195,14 @@ def _load_batch(path: str | None) -> ActivationBatch:
 def _load_weight(path: str | None) -> np.ndarray:
     if path is None:
         raise ConfigError("weight dump path not set")
-    w = load_tensor(path)
-    if isinstance(w, ActivationBatch):
-        raise TensorFormatError(f"{path} contains a batch, expected a matrix")
-    return w
+    return load_matrix(path)
 
 
-def _write_csv(path: str, header: list[str], rows, seed: int) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# seed={seed}\n")
+def _write_csv(cfg: RunConfig, name: str, header: list[str], rows) -> None:
+    """Write ``name`` under ``cfg.out``, creating it, after a ``# seed=`` line."""
+    os.makedirs(cfg.out, exist_ok=True)
+    with open(os.path.join(cfg.out, name), "w", newline="\n") as fh:
+        fh.write(f"# seed={cfg.seed}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -233,7 +243,14 @@ def _partition_for(cfg: RunConfig, batch: ActivationBatch):
 def cmd_select(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
     partition = _partition_for(cfg, batch)
-    os.makedirs(cfg.out, exist_ok=True)
+    # initial=0.0 gives an absent modality 0.0 in every channel.
+    t_max, v_max = (np.max(np.abs(batch.data[rows]), axis=0, initial=0.0)
+                    for rows in (batch.text_rows, batch.vision_rows))
+    _write_csv(
+        cfg, "channel_stats.csv", ["channel", "text_max_abs", "vision_max_abs"],
+        zip(range(partition.dim), t_max.tolist(), v_max.tolist()),
+    )
+    # _write_csv has created cfg.out.
     with open(os.path.join(cfg.out, "partition.json"), "w") as fh:
         json.dump(
             {
@@ -246,14 +263,6 @@ def cmd_select(cfg: RunConfig) -> int:
             fh, indent=2, sort_keys=True,
         )
         fh.write("\n")
-    # initial=0.0 gives an absent modality 0.0 in every channel.
-    t_max, v_max = (np.max(np.abs(batch.data[rows]), axis=0, initial=0.0)
-                    for rows in (batch.text_rows, batch.vision_rows))
-    _write_csv(
-        os.path.join(cfg.out, "channel_stats.csv"),
-        ["channel", "text_max_abs", "vision_max_abs"],
-        zip(range(partition.dim), t_max.tolist(), v_max.tolist()), cfg.seed,
-    )
     print(f"partition: {len(partition.c_main)} main / "
           f"{len(partition.c_text)} text / {len(partition.c_vision)} vision")
     return EXIT_OK
@@ -277,13 +286,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     layer, trace = _build_and_calibrate(cfg, batch, w, partition)
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     save_layer(layer, layer_dir)
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out, "loss_trace.csv"),
-        ["step", "loss"],
-        list(enumerate(trace.losses)),
-        cfg.seed,
-    )
+    _write_csv(cfg, "loss_trace.csv", ["step", "loss"], enumerate(trace.losses))
     print(f"best loss {trace.best_loss:.6e} at step {trace.best_step}; "
           f"layer saved to {layer_dir}")
     return EXIT_OK
@@ -302,18 +305,12 @@ def _mse_rows(layer, batch):
 
 def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     batch = _load_batch(cfg.activations)
-    os.makedirs(cfg.out, exist_ok=True)
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
-    manifest = os.path.join(layer_dir, "manifest.json")
-    if not os.path.exists(manifest):
-        raise FileNotFoundError(f"layer manifest not found: {manifest}")
-    layer = load_layer(manifest)
+    layer = load_layer(os.path.join(layer_dir, "manifest.json"))
     overall, mse_t, mse_v = _mse_rows(layer, batch)
     _write_csv(
-        os.path.join(cfg.out, "report.csv"),
-        ["metric", "value"],
+        cfg, "report.csv", ["metric", "value"],
         [("mse_overall", overall), ("mse_text", mse_t), ("mse_vision", mse_v)],
-        cfg.seed,
     )
 
     # Per-channel weight quantization error of the transformed main weight,
@@ -326,14 +323,13 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     decile_rows = [
         (i + 1, float(b.mean()) if b.size else 0.0) for i, b in enumerate(bins)
     ]
-    _write_csv(
-        os.path.join(cfg.out, "weight_error_deciles.csv"),
-        ["decile", "mean_mae"], decile_rows, cfg.seed,
-    )
+    _write_csv(cfg, "weight_error_deciles.csv", ["decile", "mean_mae"], decile_rows)
     print(f"mse overall {overall:.6e} (text {mse_t:.6e}, vision {mse_v:.6e})")
 
     if ablation:
         w = _load_weight(cfg.weights)
+        partitions = {False: trivial_partition(batch.data.shape[1]),
+                      True: build_partition(batch, _mocd_config(cfg))}
         rows = []
         grid = [
             ("baseline", False, False, False),
@@ -342,12 +338,10 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
             ("mocd+cws+mac", True, True, True),
         ]
         for name, use_mocd, use_cws, use_mac in grid:
-            sub = dataclasses.replace(cfg, mocd=use_mocd, cws=use_cws, mac=use_mac)
-            partition = _partition_for(sub, batch)
-            lay, _ = _build_and_calibrate(sub, batch, w, partition)
+            sub = dataclasses.replace(cfg, cws=use_cws, mac=use_mac)
+            lay, _ = _build_and_calibrate(sub, batch, w, partitions[use_mocd])
             rows.append((name, _mse_rows(lay, batch)[0]))
-        _write_csv(os.path.join(cfg.out, "ablation.csv"),
-                   ["config", "mse"], rows, cfg.seed)
+        _write_csv(cfg, "ablation.csv", ["config", "mse"], rows)
     return EXIT_OK
 
 
@@ -358,87 +352,56 @@ def cmd_stability(cfg: RunConfig) -> int:
         min(cfg.reference_size, batch.data.shape[0]),
         cfg.trials, seed=cfg.seed,
     )
-    os.makedirs(cfg.out, exist_ok=True)
     _write_csv(
-        os.path.join(cfg.out, "stability.csv"),
-        ["subset_size", "mean_jaccard", "std"],
+        cfg, "stability.csv", ["subset_size", "mean_jaccard", "std"],
         [(r["subset_size"], r["mean_jaccard"], r["std_jaccard"]) for r in report],
-        cfg.seed,
     )
     for r in report:
         print(f"size {r['subset_size']}: mean jaccard {r['mean_jaccard']:.3f}")
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+_COMMANDS = {
+    "gen": cmd_gen,
+    "select": cmd_select,
+    "calibrate": cmd_calibrate,
+    "eval": cmd_eval,
+    "stability": cmd_stability,
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="modquant")
+def _build_parser() -> argparse.ArgumentParser:
+    # Every command shares one set of flags: --config and one per field.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config")
+    for field, kind in _CONFIG_FIELDS.items():
+        common.add_argument(_flag(field), dest=field, default=None, **_KINDS[kind][1])
+    parser = argparse.ArgumentParser(prog="modquant")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gen", "select", "calibrate", "eval", "stability"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--activations", type=str, default=None)
-        p.add_argument("--weights", type=str, default=None)
-        p.add_argument("--layer-dir", dest="layer_dir", type=str, default=None)
-        p.add_argument("--wbits", type=int, default=None)
-        p.add_argument("--abits", type=int, default=None)
-        p.add_argument("--no-mocd", dest="mocd", action="store_false", default=None)
-        p.add_argument("--no-cws", dest="cws", action="store_false", default=None)
-        p.add_argument("--no-mac", dest="mac", action="store_false", default=None)
-        p.add_argument("--ratio-vision", dest="ratio_vision", type=float, default=None)
-        p.add_argument("--ratio-text", dest="ratio_text", type=float, default=None)
-        p.add_argument("--clusters", type=int, default=None)
-        p.add_argument("--rank-cws", dest="rank_cws", type=float, default=None)
-        p.add_argument("--rank-mac", dest="rank_mac", type=float, default=None)
-        p.add_argument("--steps", type=int, default=None)
+    for name in _COMMANDS:
+        p = sub.add_parser(name, parents=[common])
         if name == "eval":
-            p.add_argument("--ablation", action="store_true", default=False)
+            p.add_argument("--ablation", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    overrides = {
-        k: v for k, v in vars(args).items()
-        if k in _CONFIG_FIELDS
-    }
+        args = vars(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
+    command, config = args.pop("command"), args.pop("config")
+    overrides = {field: args.pop(field) for field in _CONFIG_FIELDS}
+    # What is left in args are the command's own flags (eval's --ablation).
     try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "select":
-            return cmd_select(cfg)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, ablation=args.ablation)
-        if args.command == "stability":
-            return cmd_stability(cfg)
-        print(f"unknown command {args.command}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[command](load_config(config, overrides), **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonFiniteLossError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (TensorFormatError, FileNotFoundError, ValueError) as exc:
+    except (TensorFormatError, OSError, MemoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import lowrank, transform as tr
 from .mocd import ChannelPartition, trivial_partition
 from .quantizer import Granularity, QuantSpec, quantize_ste
-from .tensor import ActivationBatch, as_matrix, load_tensor, save_tensor, split_columns
+from .tensor import ActivationBatch, as_matrix, load_matrix, save_tensor, split_columns
 
 # Fewest bits of the outlier paths' and the low-rank branches' quantizers.
 AUX_BITS_FLOOR = 4
@@ -77,8 +77,14 @@ class SplitLayer:
         if self.use_mac and self.branch_comp is None:
             raise ValueError("MAC enabled but compensation branch absent")
         for br in (self.branch_smooth, self.branch_comp):
-            if br is not None and br.rank > min(len(p.c_main), d_out):
+            if br is None:
+                continue
+            if br.rank > min(len(p.c_main), d_out):
                 raise ValueError("branch rank exceeds min(path width, d_out)")
+            # A wrong shape could broadcast in the forward pass, not fail.
+            if (br.u_star.shape[0] != len(p.c_main) or br.gate.shape != (br.rank,)
+                    or br.v_base.shape != (br.rank, d_out)):
+                raise ValueError("branch factor shapes do not match the main path")
 
     @property
     def d_out(self) -> int:
@@ -244,21 +250,10 @@ def _spec_to_dict(spec: QuantSpec) -> dict:
             "granularity": spec.granularity.value}
 
 
-def _spec_from_dict(d: dict) -> QuantSpec:
-    return QuantSpec(d["bits"], d["symmetric"], Granularity(d["granularity"]))
-
-
 def _save_transform(t: tr.Transform, out_dir: str, name: str, manifest: dict):
     fname = f"{name}_scale.spqt"
     save_tensor(os.path.join(out_dir, fname), t.scale.reshape(1, -1))
     manifest[name] = {"kind": "diagonal", "file": fname}
-
-
-def _load_transform(entry: dict, in_dir: str) -> tr.Transform:
-    if entry["kind"] != "diagonal":
-        raise ValueError(f"unsupported transform kind {entry['kind']!r}")
-    data = load_tensor(os.path.join(in_dir, entry["file"]))
-    return tr.diagonal_transform(np.asarray(data).reshape(-1))
 
 
 def _save_branch(br: lowrank.LowRankBranch, out_dir: str, name: str, manifest: dict):
@@ -269,13 +264,6 @@ def _save_branch(br: lowrank.LowRankBranch, out_dir: str, name: str, manifest: d
         save_tensor(os.path.join(out_dir, fname), value)
         files[part] = fname
     manifest[name] = files
-
-
-def _load_branch(entry: dict, in_dir: str) -> lowrank.LowRankBranch:
-    u = load_tensor(os.path.join(in_dir, entry["u_star"]))
-    v = load_tensor(os.path.join(in_dir, entry["v_base"]))
-    gate = np.asarray(load_tensor(os.path.join(in_dir, entry["gate"]))).reshape(-1)
-    return lowrank.LowRankBranch(u, v, gate)
 
 
 def save_layer(layer: SplitLayer, out_dir: str) -> str:
@@ -315,42 +303,120 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
     return path
 
 
+_PATHS = ("c_main", "c_text", "c_vision")
+_BRANCHES = ("branch_smooth", "branch_comp")
+_BRANCH_FILES = ("u_star", "v_base", "gate")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_partition(v) -> bool:
+    # Indices stay in int64 range, so numpy converts them without overflow.
+    return isinstance(v, dict) and all(
+        isinstance(v.get(k), list) and all(_is_int(c) and 0 <= c < 2**63 for c in v[k])
+        for k in _PATHS)
+
+
+def _is_spec(v) -> bool:
+    return (isinstance(v, dict) and "bits" in v
+            and (v["bits"] is None or _is_int(v["bits"]))
+            and isinstance(v.get("symmetric"), bool)
+            and v.get("granularity") in [g.value for g in Granularity])
+
+
+def _is_file(v) -> bool:
+    # A plain basename, so that it names a file inside the layer directory.
+    return isinstance(v, str) and os.path.basename(v) == v and v not in ("", ".", "..")
+
+
+def _is_transform(v) -> bool:
+    return isinstance(v, dict) and v.get("kind") == "diagonal" and _is_file(v.get("file"))
+
+
+def _is_branch(v) -> bool:
+    return isinstance(v, dict) and all(_is_file(v.get(k)) for k in _BRANCH_FILES)
+
+
+_SPEC = (_is_spec, "a dict of int-or-null bits, bool symmetric and a granularity")
+_FILE = (_is_file, "a file name inside the layer directory")
+_TRANSFORM = (_is_transform, 'a dict {"kind": "diagonal", "file": <file name>}')
+_BRANCH = (_is_branch, "a dict of u_star, v_base and gate file names")
+_BOOL = (lambda v: isinstance(v, bool), "a bool")
+
+# The check of each key save_layer writes; only the branches are optional.
+_MANIFEST_KEYS = {
+    "version": (lambda v: _is_int(v) and v == 1, "1"),
+    "dim": (_is_int, "an int"),
+    "d_out": (_is_int, "an int"),
+    "partition": (_is_partition, "a dict of three channel index lists"),
+    "act_spec": _SPEC,
+    "weight_spec": _SPEC,
+    "use_cws": _BOOL,
+    "use_mac": _BOOL,
+    "w_main": _FILE,
+    "w_text": _FILE,
+    "w_vision": _FILE,
+    "p_main": _TRANSFORM,
+    "p_text": _TRANSFORM,
+    "p_vision": _TRANSFORM,
+    "branch_smooth": _BRANCH,
+    "branch_comp": _BRANCH,
+}
+
+
 def load_layer(manifest_path: str) -> SplitLayer:
+    """Load a layer written by ``save_layer``.
+
+    Every manifest key is checked before any tensor is opened, and file
+    names must be plain basenames, so only files inside the layer directory
+    are read. A manifest that fails a check raises ``ValueError``.
+    """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("format") != "modquant-layer":
         raise ValueError("not a layer manifest")
+    for key, (ok, what) in _MANIFEST_KEYS.items():
+        if key not in manifest:
+            if key in _BRANCHES:
+                continue
+            raise ValueError(f"layer manifest lacks key {key!r}")
+        if not ok(manifest[key]):
+            raise ValueError(f"layer manifest {key} must be {what}, "
+                             f"got {manifest[key]!r}")
     in_dir = os.path.dirname(os.path.abspath(manifest_path))
-    try:
-        return _layer_from_manifest(manifest, in_dir)
-    except KeyError as exc:
-        raise ValueError(f"layer manifest lacks key {exc}") from exc
 
+    def tensor(name: str) -> np.ndarray:
+        return load_matrix(os.path.join(in_dir, name))
 
-def _layer_from_manifest(manifest: dict, in_dir: str) -> SplitLayer:
-    part = manifest["partition"]
-    partition = ChannelPartition(
-        np.asarray(part["c_main"], dtype=np.int64),
-        np.asarray(part["c_text"], dtype=np.int64),
-        np.asarray(part["c_vision"], dtype=np.int64),
-        manifest["dim"],
-    )
-    kwargs = {}
-    for name in ("branch_smooth", "branch_comp"):
-        if name in manifest:
-            kwargs[name] = _load_branch(manifest[name], in_dir)
-    return SplitLayer(
-        partition=partition,
-        w_main=load_tensor(os.path.join(in_dir, manifest["w_main"])),
-        w_text=load_tensor(os.path.join(in_dir, manifest["w_text"])),
-        w_vision=load_tensor(os.path.join(in_dir, manifest["w_vision"])),
-        p_main=_load_transform(manifest["p_main"], in_dir),
-        p_text=_load_transform(manifest["p_text"], in_dir),
-        p_vision=_load_transform(manifest["p_vision"], in_dir),
-        act_spec=_spec_from_dict(manifest["act_spec"]),
-        weight_spec=_spec_from_dict(manifest["weight_spec"]),
+    def spec(d: dict) -> QuantSpec:
+        return QuantSpec(d["bits"], d["symmetric"], Granularity(d["granularity"]))
+
+    def transform(name: str) -> tr.Transform:
+        return tr.diagonal_transform(tensor(manifest[name]["file"]).reshape(-1))
+
+    def branch(name: str) -> lowrank.LowRankBranch:
+        u, v, gate = (tensor(manifest[name][k]) for k in _BRANCH_FILES)
+        return lowrank.LowRankBranch(u, v, gate.reshape(-1))
+
+    branches = {name: branch(name) for name in _BRANCHES if name in manifest}
+    layer = SplitLayer(
+        partition=ChannelPartition(*(manifest["partition"][k] for k in _PATHS),
+                                   manifest["dim"]),
+        w_main=tensor(manifest["w_main"]),
+        w_text=tensor(manifest["w_text"]),
+        w_vision=tensor(manifest["w_vision"]),
+        p_main=transform("p_main"),
+        p_text=transform("p_text"),
+        p_vision=transform("p_vision"),
+        act_spec=spec(manifest["act_spec"]),
+        weight_spec=spec(manifest["weight_spec"]),
         use_cws=manifest["use_cws"],
         use_mac=manifest["use_mac"],
-        **kwargs,
+        **branches,
     )
-
+    if layer.d_out != manifest["d_out"]:
+        raise ValueError(f"layer manifest d_out {manifest['d_out']} does not match "
+                         f"w_main's {layer.d_out} columns")
+    return layer

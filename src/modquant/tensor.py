@@ -148,3 +148,11 @@ def load_tensor(path):
     if not np.all(tags <= 1):
         raise TensorFormatError("invalid modality tag")
     return ActivationBatch(values, tags)
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a matrix written by :func:`save_tensor`; a batch is a format error."""
+    m = load_tensor(path)
+    if isinstance(m, ActivationBatch):
+        raise TensorFormatError(f"{path} contains a batch, expected a matrix")
+    return m

@@ -1,10 +1,16 @@
 """End-to-end command-line pipeline: exit codes and determinism."""
 
+import contextlib
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modquant import cli, synth
 from modquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from modquant.tensor import ActivationBatch, load_tensor
 
@@ -325,3 +331,261 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert rc == expected
         assert err.startswith(prefix) and "Traceback" not in err
+
+
+# Small sizes and counts for the tests that run many commands: no command
+# under this config allocates more than a few MB.
+SMALL = {
+    "tokens_text": 8, "tokens_vision": 8, "dim": 16, "d_out": 8,
+    "vision_outliers": [1], "text_outliers": [5],
+    "steps": 4, "trials": 2, "subset_sizes": [4, 8], "reference_size": 8,
+}
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A small generated batch and weight, and a layer calibrated on them."""
+    root = tmp_path_factory.mktemp("small")
+    config = root / "small.json"
+    config.write_text(json.dumps(SMALL))
+    data = root / "data"
+    assert run("gen", "--config", str(config), "--out", str(data)) == EXIT_OK
+    paths = {
+        "config": str(config),
+        "activations": str(data / "activations.spqt"),
+        "weights": str(data / "weights.spqt"),
+        "layer_dir": str(root / "layer"),
+    }
+    assert run("calibrate", "--config", str(config), "--activations", paths["activations"],
+               "--weights", paths["weights"], "--layer-dir", paths["layer_dir"],
+               "--out", str(root / "cal")) == EXIT_OK
+    return paths
+
+
+def run_captured(argv):
+    """Run main in this process; return the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestLayerFile:
+    """eval's layer directory: every manifest key is checked before use."""
+
+    @pytest.fixture()
+    def layer(self, small, tmp_path):
+        layer_dir = tmp_path / "layer"
+        shutil.copytree(small["layer_dir"], layer_dir)
+        return layer_dir
+
+    def eval_with(self, small, layer_dir, tmp_path, key_path=(), value=None):
+        manifest_path = layer_dir / "manifest.json"
+        if key_path:
+            manifest = json.loads(manifest_path.read_text())
+            *parents, last = key_path
+            entry = manifest
+            for k in parents:
+                entry = entry[k]
+            entry[last] = value
+            manifest_path.write_text(json.dumps(manifest))
+        return run_captured(["eval", "--activations", small["activations"],
+                             "--layer-dir", str(layer_dir), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("key_path,value", [
+        (("partition",), []),
+        (("act_spec", "bits"), "4"),
+        (("p_main",), "x"),
+        (("w_main",), 5),
+        (("use_cws",), "yes"),
+        (("d_out",), -1),
+        (("version",), 2),
+        (("w_main",), "../w_main.spqt"),
+    ], ids=["partition-list", "bits-str", "transform-str", "file-int", "flag-str",
+            "d_out-neg", "version-2", "file-parent"])
+    def test_bad_key_is_data_error(self, small, layer, tmp_path, key_path, value):
+        # A readable w_main.spqt next to the layer directory: only the name
+        # check keeps "../w_main.spqt" from loading it.
+        shutil.copy(layer / "w_main.spqt", tmp_path / "w_main.spqt")
+        rc, err = self.eval_with(small, layer, tmp_path, key_path, value)
+        assert rc == EXIT_DATA
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_file_outside_the_layer_directory_is_not_read(self, small, layer, tmp_path):
+        outside = tmp_path / "elsewhere" / "w_main.spqt"
+        outside.parent.mkdir()
+        shutil.copy(layer / "w_main.spqt", outside)
+        rc, err = self.eval_with(small, layer, tmp_path, ("w_main",), str(outside))
+        assert rc == EXIT_DATA and err.startswith("data error:")
+
+    def test_unchanged_layer_loads(self, small, layer, tmp_path):
+        assert self.eval_with(small, layer, tmp_path) == (EXIT_OK, "")
+
+    @pytest.fixture(scope="class")
+    def fuzz_layer(self, small, tmp_path_factory):
+        layer_dir = tmp_path_factory.mktemp("fuzz") / "layer"
+        shutil.copytree(small["layer_dir"], layer_dir)
+        return layer_dir
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_key_never_ends_in_a_traceback(self, small, fuzz_layer, data):
+        shutil.copy(f"{small['layer_dir']}/manifest.json", fuzz_layer)
+        manifest = json.loads((fuzz_layer / "manifest.json").read_text())
+        key_paths = [(k,) for k in manifest] + [
+            (k, sub) for k, v in manifest.items() if isinstance(v, dict) for sub in v]
+        key_path = data.draw(st.sampled_from(sorted(key_paths)))
+        value = data.draw(st.sampled_from(
+            [None, True, 5, -1, "x", "4", [], {}, "../w_main.spqt"]))
+        rc, err = self.eval_with(small, fuzz_layer, fuzz_layer.parent, key_path, value)
+        assert rc in (EXIT_OK, EXIT_DATA) and "Traceback" not in err
+
+
+class TestOsErrors:
+    """A path the OS refuses, or too little memory, is a data error (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "{file}/sub"],
+        ["stability", "--activations", "{acts}", "--out", "{file}/x"],
+        ["select", "--activations", "{dir}"],
+        ["select", "--activations", "{acts}", "--out", "{file}"],
+        ["calibrate", "--activations", "{acts}", "--weights", "{weights}",
+         "--layer-dir", "{file}"],
+        ["eval", "--activations", "{acts}", "--layer-dir", "{file}"],
+    ], ids=["gen-out-under-file", "stability-out-under-file", "select-dir-input",
+            "select-out-is-file", "calibrate-layer-dir-is-file", "eval-layer-dir-is-file"])
+    def test_os_error_is_data_error(self, small, tmp_path, argv):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("not a directory\n")
+        names = {"file": plain, "dir": tmp_path, "acts": small["activations"],
+                 "weights": small["weights"]}
+        argv = [a.format(**names) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
+        rc, err = run_captured([argv[0], "--config", small["config"], *argv[1:]])
+        assert rc == EXIT_DATA
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_memory_error_is_data_error(self, tmp_path, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("cannot allocate the batch")
+
+        monkeypatch.setattr(synth, "generate", no_memory)
+        rc, err = run_captured(["gen", "--out", str(tmp_path)])
+        assert rc == EXIT_DATA
+        assert err == "data error: cannot allocate the batch\n"
+
+
+class TestFlags:
+    # (argv after the command, RunConfig field, value); the first 16 are the
+    # flags the CLI had before flags were derived from RunConfig.
+    FIELD_FLAGS = [
+        (["--seed", "5"], "seed", 5),
+        (["--out", "d"], "out", "d"),
+        (["--activations", "a.spqt"], "activations", "a.spqt"),
+        (["--weights", "w.spqt"], "weights", "w.spqt"),
+        (["--layer-dir", "L"], "layer_dir", "L"),
+        (["--wbits", "3"], "wbits", 3),
+        (["--abits", "8"], "abits", 8),
+        (["--no-mocd"], "mocd", False),
+        (["--no-cws"], "cws", False),
+        (["--no-mac"], "mac", False),
+        (["--ratio-vision", "0.25"], "ratio_vision", 0.25),
+        (["--ratio-text", "0.125"], "ratio_text", 0.125),
+        (["--clusters", "4"], "clusters", 4),
+        (["--rank-cws", "0.5"], "rank_cws", 0.5),
+        (["--rank-mac", "0.75"], "rank_mac", 0.75),
+        (["--steps", "7"], "steps", 7),
+        (["--learning-rate", "0.5"], "learning_rate", 0.5),
+        (["--tokens-text", "8"], "tokens_text", 8),
+        (["--tokens-vision", "9"], "tokens_vision", 9),
+        (["--dim", "16"], "dim", 16),
+        (["--d-out", "12"], "d_out", 12),
+        (["--vision-outliers", "1", "2"], "vision_outliers", [1, 2]),
+        (["--text-outliers"], "text_outliers", []),
+        (["--vision-scale", "50"], "vision_scale", 50.0),
+        (["--text-instability", "0.5"], "text_instability", 0.5),
+        (["--subset-sizes", "4", "8"], "subset_sizes", [4, 8]),
+        (["--reference-size", "16"], "reference_size", 16),
+        (["--trials", "3"], "trials", 3),
+    ]
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = []
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(
+                cli._COMMANDS, name, lambda cfg, **kw: calls.append((cfg, kw)) or EXIT_OK)
+        return calls
+
+    def test_every_field_has_one_flag(self):
+        assert sorted(field for _, field, _ in self.FIELD_FLAGS) == sorted(cli._CONFIG_FIELDS)
+
+    @pytest.mark.parametrize("argv,field,value", FIELD_FLAGS, ids=[a[0] for a, _, _ in FIELD_FLAGS])
+    def test_field_flag_sets_its_field(self, calls, argv, field, value):
+        assert main(["select", *argv]) == EXIT_OK
+        (cfg, kw), = calls
+        assert getattr(cfg, field) == value and type(getattr(cfg, field)) is type(value)
+        assert kw == {}
+
+    def test_config_flag_reads_the_file(self, calls, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 6}))
+        assert main(["gen", "--config", str(path)]) == EXIT_OK
+        assert calls[0][0].seed == 6
+
+    def test_ablation_is_an_eval_flag(self, calls):
+        assert main(["eval", "--ablation"]) == EXIT_OK
+        assert calls == [(cli.RunConfig(), {"ablation": True})]
+        assert main(["select", "--ablation"]) == EXIT_USAGE
+
+
+class TestAblation:
+    def test_builds_each_partition_once(self, small, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_partition
+        monkeypatch.setattr(cli, "build_partition",
+                            lambda *a, **kw: built.append(1) or real(*a, **kw))
+        rc, _ = run_captured([
+            "eval", "--ablation", "--config", small["config"],
+            "--activations", small["activations"], "--weights", small["weights"],
+            "--layer-dir", small["layer_dir"], "--out", str(tmp_path)])
+        assert rc == EXIT_OK and len(built) == 1
+
+
+# Values for the argv fuzz, and the fields fixed to paths under a temporary
+# directory.
+FUZZ_VALUES = ["0", "1", "2", "-1", "0.5", "nan", "inf", "1e400", "x", ""]
+PATH_FIELDS = ("activations", "weights", "layer_dir", "out")
+
+
+@st.composite
+def argvs(draw, paths):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command, "--config", paths["config"]]
+    for field in PATH_FIELDS:
+        argv += [cli._flag(field), paths[field]]
+    fields = [f for f in cli._CONFIG_FIELDS if f not in PATH_FIELDS]
+    for field in draw(st.lists(st.sampled_from(fields), unique=True, max_size=4)):
+        argv.append(cli._flag(field))
+        kind = cli._CONFIG_FIELDS[field]
+        count = 0 if kind == "bool" else draw(st.integers(0, 2)) if kind == "list[int]" else 1
+        argv += draw(st.lists(st.sampled_from(FUZZ_VALUES), min_size=count, max_size=count))
+    if command == "eval" and draw(st.booleans()):
+        argv.append("--ablation")
+    return argv
+
+
+class TestArgvFuzz:
+    @pytest.fixture(scope="class")
+    def paths(self, small, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        layer_dir = root / "layer"
+        shutil.copytree(small["layer_dir"], layer_dir)
+        return {**small, "layer_dir": str(layer_dir), "out": str(root / "out")}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_without_traceback(self, paths, data):
+        rc, err = run_captured(data.draw(argvs(paths)))
+        assert rc in (0, 1, 2, 3) and "Traceback" not in err

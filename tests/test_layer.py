@@ -20,6 +20,7 @@ from modquant.layer import (
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
+from modquant.tensor import load_tensor, save_tensor
 from modquant.transform import dense_transform
 
 IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
@@ -236,6 +237,19 @@ class TestSerialization:
         with open(path, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ValueError, match=key):
+            load_layer(path)
+
+    @pytest.mark.parametrize("fname", ["branch_smooth_gate.spqt", "branch_comp_v_base.spqt"])
+    def test_branch_factor_of_wrong_shape_is_value_error(self, tmp_path, fname):
+        # One column would broadcast against the rank in the forward pass.
+        batch, w, part = _instance(4)
+        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True,
+                            use_mac=True, rank_ratio_cws=0.5, rank_ratio_mac=0.5)
+        assert layer.branch_smooth.rank > 1 and layer.branch_comp.rank > 1
+        path = save_layer(layer, str(tmp_path / "layer"))
+        factor = str(tmp_path / "layer" / fname)
+        save_tensor(factor, load_tensor(factor)[:, :1])
+        with pytest.raises(ValueError, match="branch factor shapes"):
             load_layer(path)
 
     def test_rejects_foreign_manifest(self, tmp_path):
