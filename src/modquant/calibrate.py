@@ -1,4 +1,4 @@
-"""Reconstruction-loss calibration of transforms and branch gates.
+"""Reconstruction-loss calibration of smoothing scales and branch gates.
 
 Plain gradient descent with a cosine-decayed learning rate minimizes the
 mean squared error between the quantized forward pass and the unquantized
@@ -10,15 +10,15 @@ of the forward pass with every quantizer frozen at its base-pass value and
 mask.
 
 The learned parameters are read from the layer itself: the logarithms of
-the three path scales, so a step cannot cross zero, then the gates of the
-branches that are on.  The learning rate is sized for the log-scales, so
-each step clips the gates to [0, 2]; unbounded, a gate can overshoot
+its per-channel scales, so a step cannot cross zero, then the gates of the
+branches that are present.  The learning rate is sized for the log-scales,
+so each step clips the gates to [0, 2]; unbounded, a gate can overshoot
 through zero and the loss diverge.  The returned layer holds exactly the
 scales that the best step multiplied by, so a saved and reloaded layer
 reproduces its loss.
 The gradient reads the layer's ``ForwardPass`` records, and every path's
-log-scale gradient is the one ``_log_scale_grad``; an empty path's segment
-is zero.
+log-scale gradient is the one ``_log_scale_grad``, written into the entries
+of its channels.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .tensor import ActivationBatch
 
 _LOG_LO = np.log(tr.DIAG_EPS)
 _LOG_HI = np.log(tr.DIAG_MAX)
-_PATHS = ("p_main", "p_text", "p_vision")
 _GATE_MAX = 2.0
 
 
@@ -73,30 +72,20 @@ class NonFiniteLossError(RuntimeError):
 
 
 def _params(layer: SplitLayer) -> np.ndarray:
-    """The learned parameters as one vector: the log-scales of p_main, p_text
-    and p_vision (an empty path gives an empty segment), then the CWS gate
-    if CWS is on, then the MAC gate if MAC is on."""
-    parts = [np.log(getattr(layer, name).scale) for name in _PATHS]
-    if layer.use_cws:
-        parts.append(layer.branch_smooth.gate)
-    if layer.use_mac:
-        parts.append(layer.branch_comp.gate)
-    return np.concatenate(parts)
+    """The learned parameters as one vector: the log-scales in channel order,
+    then the CWS gate if that branch is present, then the MAC gate."""
+    gates = [br.gate for br in (layer.branch_smooth, layer.branch_comp) if br is not None]
+    return np.concatenate([np.log(layer.scale), *gates])
 
 
 def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
     """A copy of ``layer`` whose learned parameters are ``theta``."""
-    changes: dict = {}
-    offset = 0
-    for name in _PATHS:
-        size = getattr(layer, name).dim
-        # Clipped to the bounds that diagonal_transform checks.
-        log_d = np.clip(theta[offset : offset + size], _LOG_LO, _LOG_HI)
-        changes[name] = tr.Transform(size, scale=np.exp(log_d))
-        offset += size
-    for name, on in (("branch_smooth", layer.use_cws), ("branch_comp", layer.use_mac)):
-        if on:
-            br = getattr(layer, name)
+    offset = layer.partition.dim
+    # Clipped to the bounds that diagonal_transform checks.
+    changes: dict = {"scale": np.exp(np.clip(theta[:offset], _LOG_LO, _LOG_HI))}
+    for name in ("branch_smooth", "branch_comp"):
+        br = getattr(layer, name)
+        if br is not None:
             changes[name] = br.with_gate(theta[offset : offset + br.rank].copy())
             offset += br.rank
     return replace(layer, **changes)
@@ -126,6 +115,7 @@ def analytic_gradient(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarr
     loss, y, fp = _loss(layer, batch, y_ref)
     g = (2.0 / y.size) * (y - y_ref)
     t_rows = batch.text_rows
+    p, s = layer.partition, layer.scale
     main, cws, mac = fp.main, fp.cws, fp.mac
 
     dl_da = g @ main.b.T
@@ -140,19 +130,21 @@ def analytic_gradient(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarr
     if mac is not None:
         dl_dz[t_rows] += dl_de
     dl_db = main.mask_b * (main.a.T @ g)
-    grads = [_log_scale_grad(main, layer.p_main.scale, dl_dz, dl_db)]
+    d_grad = np.zeros(p.dim)
+    d_grad[p.c_main] = _log_scale_grad(main, s[p.c_main], dl_dz, dl_db)
+    for path, cols in ((fp.text, p.c_text), (fp.vision, p.c_vision)):
+        if path is not None:
+            d_grad[cols] = _log_scale_grad(
+                path, s[cols], path.mask_a * (g @ path.b.T), path.mask_b * (path.a.T @ g))
+    grads = [d_grad]
 
-    for path, t in ((fp.text, layer.p_text), (fp.vision, layer.p_vision)):
-        grads.append(np.zeros(t.dim) if path is None else _log_scale_grad(
-            path, t.scale, path.mask_a * (g @ path.b.T), path.mask_b * (path.a.T @ g)))
-
-    if layer.use_cws:
-        br = layer.branch_smooth
+    br = layer.branch_smooth
+    if br is not None:
         # The branch product is also subtracted inside the main weight.
         grads.append(_gate_grad(cws, br, main.a, g)
                      - np.einsum("jk,jo,ko->k", br.u_star, dl_db, br.v_base))
-    if layer.use_mac:
-        br = layer.branch_comp
+    br = layer.branch_comp
+    if br is not None:
         grads.append(np.zeros(br.rank) if mac is None
                      else _gate_grad(mac, br, mac.e_q, g[t_rows]))
     return loss, np.concatenate(grads)
@@ -164,8 +156,8 @@ def calibrate(
     """Minimize the reconstruction loss; returns the best-loss snapshot."""
     y_ref = forward_reference(layer.full_weight(), batch)
     theta = _params(layer)
-    # Everything after the three log-scale segments is a branch gate.
-    gates = slice(sum(getattr(layer, name).dim for name in _PATHS), None)
+    # Everything after the per-channel log-scales is a branch gate.
+    gates = slice(layer.partition.dim, None)
     trace = LossTrace()
     best_theta = theta
     best_loss = np.inf

@@ -40,7 +40,6 @@ from .quantizer import Granularity, QuantSpec, compute_params, quant_error
 from .tensor import (
     ActivationBatch, TensorFormatError, load_matrix, load_tensor, save_tensor,
 )
-from .transform import apply_inv_left
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,8 +122,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge the JSON config file and the flags, and check every value.
 
     Types are checked per field; quantizer widths, selection ratios and
-    calibration settings are checked by building the configs they feed, and
-    the remaining counts and ratios here.
+    calibration settings are checked by building the configs they feed (the
+    generator's by ``gen``), and the remaining counts, sizes and ratios here.
     """
     values: dict = {}
     if path is not None:
@@ -151,6 +150,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         ("subset_sizes", min(cfg.subset_sizes, default=1) >= 1, "positive"),
         ("rank_cws", 0.0 <= cfg.rank_cws <= 1.0, "in [0, 1]"),
         ("rank_mac", 0.0 <= cfg.rank_mac <= 1.0, "in [0, 1]"),
+        ("dim", cfg.dim >= 1, "positive"),
+        ("d_out", cfg.d_out >= 1, "positive"),
+        ("tokens_text", cfg.tokens_text >= 0, "non-negative"),
+        ("tokens_vision", cfg.tokens_vision >= 0, "non-negative"),
     ):
         if not ok:
             raise ConfigError(f"{key} must be {domain}, got {getattr(cfg, key)!r}")
@@ -215,17 +218,20 @@ def _fmt(v) -> str:
 
 
 def cmd_gen(cfg: RunConfig) -> int:
+    try:  # the planted channels, instability and token count are config values
+        scfg = synth.SynthConfig(
+            tokens_text=cfg.tokens_text,
+            tokens_vision=cfg.tokens_vision,
+            dim=cfg.dim,
+            vision_outlier_channels=tuple(cfg.vision_outliers),
+            text_outlier_channels=tuple(cfg.text_outliers),
+            vision_outlier_scale=cfg.vision_scale,
+            text_instability=cfg.text_instability,
+            seed=cfg.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     os.makedirs(cfg.out, exist_ok=True)
-    scfg = synth.SynthConfig(
-        tokens_text=cfg.tokens_text,
-        tokens_vision=cfg.tokens_vision,
-        dim=cfg.dim,
-        vision_outlier_channels=tuple(cfg.vision_outliers),
-        text_outlier_channels=tuple(cfg.text_outliers),
-        vision_outlier_scale=cfg.vision_scale,
-        text_instability=cfg.text_instability,
-        seed=cfg.seed,
-    )
     batch = synth.generate(scfg)
     save_tensor(os.path.join(cfg.out, "activations.spqt"), batch)
     w = synth.generate_weight(cfg.dim, cfg.d_out, seed=cfg.seed)
@@ -313,9 +319,9 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
         [("mse_overall", overall), ("mse_text", mse_t), ("mse_vision", mse_v)],
     )
 
-    # Per-channel weight quantization error of the transformed main weight,
+    # Per-channel weight quantization error of the scaled main weight,
     # sorted ascending by MAE and averaged within 10 equal bins.
-    w_prime = apply_inv_left(layer.w_main, layer.p_main)
+    w_prime = layer.w_main / layer.scale[layer.partition.c_main, None]
     params = compute_params(w_prime, layer.weight_spec)
     mae = np.mean(np.abs(quant_error(w_prime, params, layer.weight_spec)), axis=1)
     order = np.sort(mae)

@@ -1,16 +1,16 @@
 """The channel-split quantized linear layer.
 
 The forward pass splits activations and weights into main / text-outlier /
-vision-outlier paths and runs each through one path function: transform
-the activation and quantize it, inverse-transform the weight and quantize
-that (one ``quantize_ste`` call per tensor, which yields the value and its
-straight-through mask).  It optionally applies the two gated low-rank
-corrections (weight smoothing on the main weight, activation compensation on
-text-token rows) and sums the paths.  It records each path and branch in a
-frozen ``ForwardPass`` for the calibration gradient; an outlier path with no
-channels and a branch that is off are ``None`` and cost nothing.  With
-identity quantizers everything cancels algebraically and the output equals
-X @ W, which is the load-bearing correctness oracle for the wiring.
+vision-outlier paths and runs each through one path function: multiply the
+activation's columns by the per-channel smoothing scale s and quantize,
+divide the weight's rows by s and quantize (one ``quantize_ste`` call per
+tensor, which yields the value and its straight-through mask).  It applies
+the gated low-rank corrections that are present (weight smoothing on the
+main weight, activation compensation on text-token rows) and sums the paths.
+It records each path and branch in a frozen ``ForwardPass`` for the
+calibration gradient; an outlier path with no channels and an absent branch
+are ``None`` and cost nothing.  With identity quantizers everything cancels
+and the output equals X @ W, the load-bearing correctness oracle.
 """
 
 from __future__ import annotations
@@ -37,24 +37,20 @@ DEFAULT_WEIGHT_SPEC = QuantSpec(
 
 @dataclass(frozen=True)
 class SplitLayer:
+    """``scale`` holds SmoothQuant's migration scale s, one per input channel.
+    The weights are checked where they enter, so this checks shapes only."""
+
     partition: ChannelPartition
     w_main: np.ndarray
     w_text: np.ndarray
     w_vision: np.ndarray
-    p_main: tr.Transform
-    p_text: tr.Transform
-    p_vision: tr.Transform
+    scale: np.ndarray
     act_spec: QuantSpec
     weight_spec: QuantSpec
     branch_smooth: lowrank.LowRankBranch | None = None
     branch_comp: lowrank.LowRankBranch | None = None
-    use_cws: bool = False
-    use_mac: bool = False
 
     def __post_init__(self):
-        # The one check of the weights: the forward pass trusts them.
-        for name in ("w_main", "w_text", "w_vision"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name)))
         p = self.partition
         d_out = self.w_main.shape[1]
         if self.w_main.shape[0] != len(p.c_main):
@@ -63,19 +59,8 @@ class SplitLayer:
             raise ValueError("w_text shape mismatch")
         if self.w_vision.shape != (len(p.c_vision), d_out):
             raise ValueError("w_vision shape mismatch")
-        for t, width in (
-            (self.p_main, len(p.c_main)),
-            (self.p_text, len(p.c_text)),
-            (self.p_vision, len(p.c_vision)),
-        ):
-            if t.dim != width:
-                raise ValueError("transform dim does not match path width")
-            if not t.is_diagonal:
-                raise ValueError("split-layer transforms must be diagonal")
-        if self.use_cws and self.branch_smooth is None:
-            raise ValueError("CWS enabled but smoothing branch absent")
-        if self.use_mac and self.branch_comp is None:
-            raise ValueError("MAC enabled but compensation branch absent")
+        if self.scale.shape != (p.dim,):
+            raise ValueError("scale must hold one entry per channel")
         for br in (self.branch_smooth, self.branch_comp):
             if br is None:
                 continue
@@ -101,8 +86,8 @@ class SplitLayer:
 
 @dataclass(frozen=True)
 class PathPass:
-    """One path's intermediates: x, z = x P, a = Q(z), w_s = P^-1 W and
-    b = Q(w_s), less the CWS product on the main path; one mask per Q."""
+    """One path's intermediates: x, z = x * d, a = Q(z), w_s = W / d[:, None]
+    and b = Q(w_s), less the CWS product on the main path; one mask per Q."""
 
     x: np.ndarray
     z: np.ndarray
@@ -136,10 +121,10 @@ class ForwardPass:
     mac: BranchPass | None
 
 
-def _path(x, w, t, act_spec, weight_spec, shift=None) -> PathPass:
-    z = tr.apply_right(x, t)
+def _path(x, w, d, act_spec, weight_spec, shift=None) -> PathPass:
+    z = x * d
     a, mask_a = quantize_ste(z, act_spec)
-    w_s = tr.apply_inv_left(w, t)
+    w_s = w / d[:, None]
     b, mask_b = quantize_ste(w_s if shift is None else w_s - shift, weight_spec)
     return PathPass(x, z, a, mask_a, w_s, b, mask_b)
 
@@ -153,36 +138,38 @@ def _branch(br: lowrank.LowRankBranch, spec: QuantSpec, e_q=None, mask_e=None):
 def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
     """Forward pass returning the output and its ``ForwardPass`` record.
 
-    Each path transforms and quantizes its activation and weight through
+    Each path scales and quantizes its activation and weight through
     ``_path``; the main path's weight is quantized less the CWS product.
-    A path with no channels and a branch that is off do no work.
+    A path with no channels and an absent branch do no work.
     """
-    if batch.data.shape[1] != layer.partition.dim:
+    p, s = layer.partition, layer.scale
+    if batch.data.shape[1] != p.dim:
         raise ValueError("batch width does not match partition dim")
-    x_m, x_t, x_v = split_columns(batch.data, layer.partition)
+    x_m, x_t, x_v = split_columns(batch.data, p)
     t_rows = batch.text_rows
     act_aux = layer.act_spec.with_floor(AUX_BITS_FLOOR)
     w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
 
-    cws = _branch(layer.branch_smooth, w_aux) if layer.use_cws else None
-    shift = layer.branch_smooth.product() if layer.use_cws else None
-    main = _path(x_m, layer.w_main, layer.p_main, layer.act_spec, layer.weight_spec,
+    br = layer.branch_smooth
+    cws = None if br is None else _branch(br, w_aux)
+    shift = None if br is None else br.product()
+    main = _path(x_m, layer.w_main, s[p.c_main], layer.act_spec, layer.weight_spec,
                  shift)
     y = main.a @ main.b
     if cws is not None:
         y += (main.a @ cws.u_q) @ cws.v_q
 
     mac = None
-    if layer.use_mac and t_rows.size:
+    if layer.branch_comp is not None and t_rows.size:
         e_q, mask_e = quantize_ste((main.z - main.a)[t_rows], act_aux)
         mac = _branch(layer.branch_comp, w_aux, e_q=e_q, mask_e=mask_e)
         y[t_rows] += (e_q @ mac.u_q) @ mac.v_q
 
     text = vision = None
-    if layer.p_text.dim:
-        text = _path(x_t, layer.w_text, layer.p_text, act_aux, w_aux)
-    if layer.p_vision.dim:
-        vision = _path(x_v, layer.w_vision, layer.p_vision, act_aux, w_aux)
+    if p.c_text.size:
+        text = _path(x_t, layer.w_text, s[p.c_text], act_aux, w_aux)
+    if p.c_vision.size:
+        vision = _path(x_v, layer.w_vision, s[p.c_vision], act_aux, w_aux)
     for path in (text, vision):
         if path is not None:
             y += path.a @ path.b
@@ -209,37 +196,30 @@ def build_layer(
     rank_ratio_cws: float = 0.02,
     rank_ratio_mac: float = 0.03,
 ) -> SplitLayer:
-    """Assemble a layer: split weights, init transforms from the calibration
-    activations, and anchor the optional low-rank branches."""
+    """Assemble a layer: check and split the weight, init the scales from
+    the calibration activations, and anchor the optional low-rank branches."""
     w = as_matrix(w)
     if partition is None:
         partition = trivial_partition(w.shape[0])
     if w.shape[0] != partition.dim:
         raise ValueError("weight rows must match partition dim")
-    x_m, x_t, x_v = split_columns(batch.data, partition)
     w_m = w[partition.c_main]
-    w_t = w[partition.c_text]
-    w_v = w[partition.c_vision]
-
-    p_main = tr.init_transform(len(partition.c_main), x_m)
-    p_text = tr.init_transform(len(partition.c_text), x_t)
-    p_vision = tr.init_transform(len(partition.c_vision), x_v)
+    # The init is per column, so each path gets the values of its channels.
+    scale = tr.init_transform(partition.dim, batch.data).scale
 
     d_out = w.shape[1]
     branch_smooth = branch_comp = None
     if use_cws:
         r = lowrank.default_rank(rank_ratio_cws, len(partition.c_main), d_out)
-        branch_smooth = lowrank.build_branch(w_m, p_main, r)
+        branch_smooth = lowrank.build_branch(w_m, scale[partition.c_main], r)
     if use_mac:
         r = lowrank.default_rank(rank_ratio_mac, len(partition.c_main), d_out)
-        branch_comp = lowrank.build_branch(w_m, p_main, r)
+        branch_comp = lowrank.build_branch(w_m, scale[partition.c_main], r)
     return SplitLayer(
         partition=partition,
-        w_main=w_m, w_text=w_t, w_vision=w_v,
-        p_main=p_main, p_text=p_text, p_vision=p_vision,
-        act_spec=act_spec, weight_spec=weight_spec,
+        w_main=w_m, w_text=w[partition.c_text], w_vision=w[partition.c_vision],
+        scale=scale, act_spec=act_spec, weight_spec=weight_spec,
         branch_smooth=branch_smooth, branch_comp=branch_comp,
-        use_cws=use_cws, use_mac=use_mac,
     )
 
 
@@ -248,12 +228,6 @@ def build_layer(
 def _spec_to_dict(spec: QuantSpec) -> dict:
     return {"bits": spec.bits, "symmetric": spec.symmetric,
             "granularity": spec.granularity.value}
-
-
-def _save_transform(t: tr.Transform, out_dir: str, name: str, manifest: dict):
-    fname = f"{name}_scale.spqt"
-    save_tensor(os.path.join(out_dir, fname), t.scale.reshape(1, -1))
-    manifest[name] = {"kind": "diagonal", "file": fname}
 
 
 def _save_branch(br: lowrank.LowRankBranch, out_dir: str, name: str, manifest: dict):
@@ -281,17 +255,20 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
         },
         "act_spec": _spec_to_dict(layer.act_spec),
         "weight_spec": _spec_to_dict(layer.weight_spec),
-        "use_cws": layer.use_cws,
-        "use_mac": layer.use_mac,
+        "use_cws": layer.branch_smooth is not None,
+        "use_mac": layer.branch_comp is not None,
     }
     for name, w in (("w_main", layer.w_main), ("w_text", layer.w_text),
                     ("w_vision", layer.w_vision)):
         fname = f"{name}.spqt"
         save_tensor(os.path.join(out_dir, fname), w)
         manifest[name] = fname
-    _save_transform(layer.p_main, out_dir, "p_main", manifest)
-    _save_transform(layer.p_text, out_dir, "p_text", manifest)
-    _save_transform(layer.p_vision, out_dir, "p_vision", manifest)
+    # The file format keeps each path's scales as a diagonal transform.
+    for name, path in zip(_SCALES, _PATHS):
+        fname = f"{name}_scale.spqt"
+        cols = getattr(layer.partition, path)
+        save_tensor(os.path.join(out_dir, fname), layer.scale[cols].reshape(1, -1))
+        manifest[name] = {"kind": "diagonal", "file": fname}
     if layer.branch_smooth is not None:
         _save_branch(layer.branch_smooth, out_dir, "branch_smooth", manifest)
     if layer.branch_comp is not None:
@@ -304,7 +281,9 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
 
 
 _PATHS = ("c_main", "c_text", "c_vision")
-_BRANCHES = ("branch_smooth", "branch_comp")
+_SCALES = ("p_main", "p_text", "p_vision")
+# Each branch and the manifest flag that says it is present.
+_BRANCHES = {"branch_smooth": "use_cws", "branch_comp": "use_mac"}
 _BRANCH_FILES = ("u_star", "v_base", "gate")
 
 
@@ -371,7 +350,9 @@ def load_layer(manifest_path: str) -> SplitLayer:
 
     Every manifest key is checked before any tensor is opened, and file
     names must be plain basenames, so only files inside the layer directory
-    are read. A manifest that fails a check raises ``ValueError``.
+    are read.  A branch is loaded when its flag is true.  Each path's scale
+    file must hold one in-range scale per channel of the path.  A manifest
+    that fails a check raises ``ValueError``.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)
@@ -393,28 +374,31 @@ def load_layer(manifest_path: str) -> SplitLayer:
     def spec(d: dict) -> QuantSpec:
         return QuantSpec(d["bits"], d["symmetric"], Granularity(d["granularity"]))
 
-    def transform(name: str) -> tr.Transform:
-        return tr.diagonal_transform(tensor(manifest[name]["file"]).reshape(-1))
-
     def branch(name: str) -> lowrank.LowRankBranch:
+        if name not in manifest:
+            raise ValueError(f"layer manifest {_BRANCHES[name]} is true "
+                             f"but it lacks key {name!r}")
         u, v, gate = (tensor(manifest[name][k]) for k in _BRANCH_FILES)
         return lowrank.LowRankBranch(u, v, gate.reshape(-1))
 
-    branches = {name: branch(name) for name in _BRANCHES if name in manifest}
+    partition = ChannelPartition(*(manifest["partition"][k] for k in _PATHS),
+                                 manifest["dim"])
+    scale = np.empty(partition.dim)
+    for name, path in zip(_SCALES, _PATHS):
+        cols = getattr(partition, path)
+        values = tr.diagonal_transform(tensor(manifest[name]["file"]).reshape(-1)).scale
+        if values.shape != cols.shape:
+            raise ValueError(f"{name} holds {values.size} scales for {cols.size} channels")
+        scale[cols] = values
     layer = SplitLayer(
-        partition=ChannelPartition(*(manifest["partition"][k] for k in _PATHS),
-                                   manifest["dim"]),
+        partition=partition,
         w_main=tensor(manifest["w_main"]),
         w_text=tensor(manifest["w_text"]),
         w_vision=tensor(manifest["w_vision"]),
-        p_main=transform("p_main"),
-        p_text=transform("p_text"),
-        p_vision=transform("p_vision"),
+        scale=scale,
         act_spec=spec(manifest["act_spec"]),
         weight_spec=spec(manifest["weight_spec"]),
-        use_cws=manifest["use_cws"],
-        use_mac=manifest["use_mac"],
-        **branches,
+        **{name: branch(name) for name, flag in _BRANCHES.items() if manifest[flag]},
     )
     if layer.d_out != manifest["d_out"]:
         raise ValueError(f"layer manifest d_out {manifest['d_out']} does not match "

@@ -2,8 +2,8 @@
 
 Both auxiliary branches (weight smoothing and activation compensation) are
 anchored to the dominant singular subspace of the main-path weight: the left
-factor is transformed by the path's inverse transform, and learnability is
-confined to a diagonal gate reweighting the singular directions.
+factor's rows are divided by the path's smoothing scales, and learnability
+is confined to a diagonal gate reweighting the singular directions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import transform as tr
 from .tensor import as_matrix
 
 
@@ -68,19 +67,18 @@ class LowRankBranch:
         return replace(self, gate=gate)
 
 
-def build_branch(w_m: np.ndarray, p_m: tr.Transform, r: int) -> LowRankBranch:
-    """Anchor a branch to the rank-r SVD of the untransformed weight.
+def build_branch(w_m: np.ndarray, scale: np.ndarray, r: int) -> LowRankBranch:
+    """Anchor a branch to the rank-r SVD of the unscaled weight.
 
+    ``scale`` holds the main path's smoothing scales, one per row of w_m.
     With the gate at its all-ones init, the branch product equals the
-    inverse-transformed rank-r approximation of w_m.
+    rank-r approximation of w_m with row i divided by scale[i].
     """
     w_m = as_matrix(w_m)
-    if p_m.dim != w_m.shape[0]:
-        raise ValueError(
-            f"transform dim {p_m.dim} does not match weight rows {w_m.shape[0]}"
-        )
+    if scale.shape != (w_m.shape[0],):
+        raise ValueError(f"{scale.size} scales do not match weight rows {w_m.shape[0]}")
     factors = truncated_svd(w_m, r)
-    u_star = tr.apply_inv_left(factors.u, p_m)
+    u_star = factors.u / scale[:, None]
     v_base = factors.sigma[:, None] * factors.vt
     return LowRankBranch(u_star, v_base, np.ones(r))
 

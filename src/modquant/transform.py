@@ -1,12 +1,12 @@
-"""Invertible per-path transformations.
+"""Invertible transformations.
 
 A transform P rewrites a linear layer as Y = (X P)(P^-1 W) without changing
 its output; applying it before quantization redistributes outliers between
 activations and weights.  Two families are supported: per-channel diagonal
-scaling, which is what the split layer uses, and small dense invertible
-matrices, which only the functions of this module apply.  A diagonal
-transform stores the positive scales that it multiplies by; calibration
-learns their logarithms, so a step cannot cross zero.
+scaling and small dense invertible matrices.  The split layer holds its
+diagonal as one plain scale vector; it takes the smoothing init and the
+range check of loaded scales from here, and the ``apply_*`` functions serve
+the computational-invariance check.
 """
 
 from __future__ import annotations

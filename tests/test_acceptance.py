@@ -168,7 +168,7 @@ def test_criterion_5_mac_locality(capsys):
             w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
             use_cws=True, use_mac=True,
         )
-        off = dataclasses.replace(layer, use_mac=False)
+        off = dataclasses.replace(layer, branch_comp=None)
         v = batch.vision_rows
         ok &= bool(np.array_equal(forward(layer, batch)[v], forward(off, batch)[v]))
         if not ok:
@@ -187,9 +187,7 @@ def test_criterion_6_svd_and_branch(capsys):
     ok &= all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     ok &= errs[-1] <= 1e-8 * np.linalg.norm(w)
     # gate gradient vs central differences on the smooth branch objective
-    from modquant.transform import identity_transform
-
-    br = build_branch(w, identity_transform(12), 3).with_gate(
+    br = build_branch(w, np.ones(12), 3).with_gate(
         rng.uniform(0.5, 1.5, 3)
     )
     target = rng.standard_normal((12, 9))

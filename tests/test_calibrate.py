@@ -116,8 +116,8 @@ class TestGradients:
         # straight-through estimator is the exact derivative of the surrogate
         # m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  Central
         # differences of the loss through that surrogate are the oracle.
-        # The trivial partition has empty outlier paths, whose segments are
-        # empty and are skipped.
+        # Each path's log-scales are checked on their own channels; the
+        # trivial partition's empty outlier paths are skipped.
         batch = generate(SynthConfig(seed=seed))
         w = generate_weight(64, 64, seed=seed + 900)
         part = (build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
@@ -128,14 +128,14 @@ class TestGradients:
         layer = build_layer(
             w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=cws, use_mac=mac
         )
-        segments = [("p_main", layer.p_main.dim), ("p_text", layer.p_text.dim),
-                    ("p_vision", layer.p_vision.dim)]
-        if cws:
-            segments.append(("gate_s", layer.branch_smooth.rank))
-        if mac:
-            segments.append(("gate_c", layer.branch_comp.rank))
+        segments = [(name, getattr(part, name)) for name in ("c_main", "c_text", "c_vision")]
+        size = part.dim
+        for name, br in (("gate_s", layer.branch_smooth), ("gate_c", layer.branch_comp)):
+            if br is not None:
+                segments.append((name, size + np.arange(br.rank)))
+                size += br.rank
         theta0 = _params(layer)
-        assert theta0.size == sum(size for _, size in segments)
+        assert theta0.size == size
         theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
         y_ref = forward_reference(layer.full_weight(), batch)
 
@@ -171,11 +171,9 @@ class TestGradients:
             step[i] = h
             fd[i] = surrogate_loss(theta0 + step) - surrogate_loss(theta0 - step)
         fd /= 2 * h
-        offset = 0
-        for name, size in segments:
-            a, f = grad[offset : offset + size], fd[offset : offset + size]
-            offset += size
-            if size == 0:
+        for name, index in segments:
+            a, f = grad[index], fd[index]
+            if index.size == 0:
                 continue
             assert np.max(np.abs(f - a)) <= 1e-5 * np.max(np.abs(a)), name
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from modquant import cli, synth
 from modquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from modquant.tensor import ActivationBatch, load_tensor
+from modquant.tensor import MAGIC, ActivationBatch, load_tensor, save_tensor
 
 
 def run(*argv):
@@ -46,10 +47,11 @@ class TestGen:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_invalid_planted_index_fails(self, tmp_path):
+        # A planted channel outside dim is a config value out of range.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"vision_outliers": [999]}))
         rc = run("gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert rc == EXIT_DATA
+        assert rc == EXIT_USAGE
 
 
 class TestSelect:
@@ -302,10 +304,16 @@ class TestErrorExits:
         ("stability", {"subset_sizes": [0]}, None, EXIT_USAGE, "config error:"),
         ("stability", {"reference_size": 0}, None, EXIT_USAGE, "config error:"),
         ("eval", {}, "use_mac", EXIT_DATA, "data error:"),
+        ("gen", {"d_out": 0}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"dim": 0}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"tokens_text": -1}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"text_instability": 2.0}, None, EXIT_USAGE, "config error:"),
+        ("gen", {"vision_outliers": [999]}, None, EXIT_USAGE, "config error:"),
     ], ids=["steps-str", "trials-str", "abits-1", "ratio-0.6", "clusters-0",
             "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
-            "manifest-key"])
+            "manifest-key", "d-out-0", "dim-0", "tokens-text-neg", "instability-2",
+            "outlier-999"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, drop_key, expected, prefix
     ):
@@ -396,13 +404,14 @@ class TestLayerFile:
         (("partition",), []),
         (("act_spec", "bits"), "4"),
         (("p_main",), "x"),
+        (("p_main", "kind"), "dense"),
         (("w_main",), 5),
         (("use_cws",), "yes"),
         (("d_out",), -1),
         (("version",), 2),
         (("w_main",), "../w_main.spqt"),
-    ], ids=["partition-list", "bits-str", "transform-str", "file-int", "flag-str",
-            "d_out-neg", "version-2", "file-parent"])
+    ], ids=["partition-list", "bits-str", "transform-str", "transform-dense", "file-int",
+            "flag-str", "d_out-neg", "version-2", "file-parent"])
     def test_bad_key_is_data_error(self, small, layer, tmp_path, key_path, value):
         # A readable w_main.spqt next to the layer directory: only the name
         # check keeps "../w_main.spqt" from loading it.
@@ -420,6 +429,31 @@ class TestLayerFile:
 
     def test_unchanged_layer_loads(self, small, layer, tmp_path):
         assert self.eval_with(small, layer, tmp_path) == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("flag,branch", [("use_cws", "branch_smooth"),
+                                             ("use_mac", "branch_comp")], ids=["cws", "mac"])
+    def test_flag_without_its_branch_is_data_error(self, small, layer, tmp_path, flag, branch):
+        manifest = json.loads((layer / "manifest.json").read_text())
+        assert manifest[flag] is True
+        del manifest[branch]
+        (layer / "manifest.json").write_text(json.dumps(manifest))
+        rc, err = self.eval_with(small, layer, tmp_path)
+        assert rc == EXIT_DATA and err.startswith("data error:") and branch in err
+
+    def test_scale_file_longer_than_its_path_is_data_error(self, small, layer, tmp_path):
+        path = str(layer / "p_text_scale.spqt")
+        save_tensor(path, np.append(load_tensor(path), 1.0).reshape(1, -1))
+        rc, err = self.eval_with(small, layer, tmp_path)
+        assert rc == EXIT_DATA and err.startswith("data error:") and "p_text" in err
+
+    @pytest.mark.parametrize("value", [0.0, 1e7])
+    def test_scale_out_of_range_is_data_error(self, small, layer, tmp_path, value):
+        path = str(layer / "p_main_scale.spqt")
+        scale = load_tensor(path)
+        scale[0, 0] = value
+        save_tensor(path, scale)
+        rc, err = self.eval_with(small, layer, tmp_path)
+        assert rc == EXIT_DATA and err.startswith("data error:")
 
     @pytest.fixture(scope="class")
     def fuzz_layer(self, small, tmp_path_factory):
@@ -439,6 +473,45 @@ class TestLayerFile:
             [None, True, 5, -1, "x", "4", [], {}, "../w_main.spqt"]))
         rc, err = self.eval_with(small, fuzz_layer, fuzz_layer.parent, key_path, value)
         assert rc in (EXIT_OK, EXIT_DATA) and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_changed_tensor_file_never_ends_in_a_traceback(self, small, fuzz_layer, data):
+        shutil.copy(f"{small['layer_dir']}/manifest.json", fuzz_layer)
+        name = data.draw(st.sampled_from(sorted(
+            p.name for p in fuzz_layer.iterdir() if p.suffix == ".spqt")))
+        original = (fuzz_layer / name).read_bytes()
+        try:
+            (fuzz_layer / name).write_bytes(data.draw(spqt_contents(original)))
+            rc, err = self.eval_with(small, fuzz_layer, fuzz_layer.parent)
+        finally:
+            (fuzz_layer / name).write_bytes(original)
+        assert rc in (EXIT_OK, EXIT_DATA) and "Traceback" not in err
+
+
+SPQT_HEADER = 4 + struct.calcsize("<IBQQ")  # magic, version, kind, rows, cols
+
+
+@st.composite
+def spqt_contents(draw, original: bytes) -> bytes:
+    """Random bytes, a truncation, a header whose kind or sizes do not fit the
+    payload or the layer (sizes whose product overflows 64 bits, no rows or
+    columns, transposed), or the same header with every value replaced."""
+    how = draw(st.sampled_from(["random", "truncated", "header", "values"]))
+    if how == "random":
+        return draw(st.binary(max_size=64))
+    if how == "truncated":
+        return original[:draw(st.integers(0, len(original) - 1))]
+    _, kind, rows, cols = struct.unpack_from("<IBQQ", original, 4)
+    if how == "header":
+        kind = draw(st.sampled_from([kind, 1, 2]))
+        rows, cols = draw(st.sampled_from([
+            (rows, cols + 1), (rows + 1, cols), (cols, rows), (rows, 0), (0, cols),
+            (2**32, 2**32), (2**63, 4), (2**64 - 1, 2**64 - 1)]))
+        payload = original[SPQT_HEADER:][:rows * cols * 8]
+        return MAGIC + struct.pack("<IBQQ", 1, kind, rows, cols) + payload
+    value = draw(st.sampled_from([0.0, -1.0, 1e-7, 1e7, 1e308, -1e308, 5e-324]))
+    return original[:SPQT_HEADER] + struct.pack(f"<{rows * cols}d", *[value] * (rows * cols))
 
 
 class TestOsErrors:
@@ -556,6 +629,9 @@ class TestAblation:
 # Values for the argv fuzz, and the fields fixed to paths under a temporary
 # directory.
 FUZZ_VALUES = ["0", "1", "2", "-1", "0.5", "nan", "inf", "1e400", "x", ""]
+# Config-file values: every JSON type, and the ints around each field's bound.
+CONFIG_VALUES = [None, False, True, *range(-1, 17), 0.5, 1.5, 1e308, "", "x",
+                 [], [-1], [1.5], {}]
 PATH_FIELDS = ("activations", "weights", "layer_dir", "out")
 
 
@@ -588,4 +664,18 @@ class TestArgvFuzz:
     @given(data=st.data())
     def test_exit_code_without_traceback(self, paths, data):
         rc, err = run_captured(data.draw(argvs(paths)))
+        assert rc in (0, 1, 2, 3) and "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_config_value_without_traceback(self, paths, data, tmp_path_factory):
+        # One key of the SMALL config set to a value of any JSON type.
+        key = data.draw(st.sampled_from(sorted(set(cli._CONFIG_FIELDS) - set(PATH_FIELDS))))
+        value = data.draw(st.sampled_from(CONFIG_VALUES))
+        config = tmp_path_factory.mktemp("config") / "config.json"
+        config.write_text(json.dumps({**SMALL, key: value}))
+        argv = [data.draw(st.sampled_from(sorted(cli._COMMANDS))), "--config", str(config)]
+        for field in PATH_FIELDS:
+            argv += [cli._flag(field), paths[field]]
+        rc, err = run_captured(argv)
         assert rc in (0, 1, 2, 3) and "Traceback" not in err

@@ -12,7 +12,6 @@ from modquant.lowrank import (
     gate_gradient,
     truncated_svd,
 )
-from modquant.transform import diagonal_transform, identity_transform
 
 
 class TestTruncatedSvd:
@@ -64,7 +63,7 @@ class TestTruncatedSvd:
 class TestBranch:
     def test_identity_transform_unit_gate(self):
         w = np.random.default_rng(2).standard_normal((6, 9))
-        br = build_branch(w, identity_transform(6), 3)
+        br = build_branch(w, np.ones(6), 3)
         f = truncated_svd(w, 3)
         np.testing.assert_allclose(
             br.product(), f.u @ np.diag(f.sigma) @ f.vt, atol=1e-8
@@ -72,25 +71,26 @@ class TestBranch:
 
     def test_full_rank_unit_gate_recovers_weight(self):
         w = np.random.default_rng(3).standard_normal((5, 5))
-        br = build_branch(w, identity_transform(5), 5)
+        br = build_branch(w, np.ones(5), 5)
         np.testing.assert_allclose(br.product(), w, atol=1e-8)
 
     def test_zero_gate_disables_branch(self):
         w = np.random.default_rng(4).standard_normal((4, 4))
-        br = build_branch(w, identity_transform(4), 2).with_gate(np.zeros(2))
+        br = build_branch(w, np.ones(4), 2).with_gate(np.zeros(2))
         assert not br.product().any()
 
     def test_transform_folds_into_u(self):
-        # u_star carries P^-1 so that P applied upstream cancels exactly.
+        # u_star carries 1 / scale so that the scale applied upstream cancels
+        # exactly.
         w = np.random.default_rng(5).standard_normal((4, 6))
         scale = np.array([2.0, 0.5, 3.0, 1.0])
-        br = build_branch(w, diagonal_transform(scale), 2)
-        plain = build_branch(w, identity_transform(4), 2)
+        br = build_branch(w, scale, 2)
+        plain = build_branch(w, np.ones(4), 2)
         np.testing.assert_allclose(br.u_star * scale[:, None], plain.u_star)
 
     def test_gate_validation(self):
         w = np.eye(3)
-        br = build_branch(w, identity_transform(3), 2)
+        br = build_branch(w, np.ones(3), 2)
         with pytest.raises(ValueError):
             br.with_gate(np.ones(3))
         with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ class TestBranch:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            build_branch(np.ones((4, 4)), identity_transform(3), 1)
+            build_branch(np.ones((4, 4)), np.ones(3), 1)
 
 
 class TestDefaultRank:
@@ -116,7 +116,7 @@ class TestGateGradient:
     def test_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((6, 8))
-        br = build_branch(w, identity_transform(6), 3).with_gate(
+        br = build_branch(w, np.ones(6), 3).with_gate(
             rng.uniform(0.5, 1.5, 3)
         )
         target = rng.standard_normal((6, 8))
@@ -136,5 +136,5 @@ class TestGateGradient:
 
     def test_zero_at_exact_fit(self):
         w = np.random.default_rng(6).standard_normal((5, 5))
-        br = build_branch(w, identity_transform(5), 5)
+        br = build_branch(w, np.ones(5), 5)
         np.testing.assert_allclose(gate_gradient(br, w), np.zeros(5), atol=1e-10)
