@@ -18,7 +18,8 @@ scales that the best step multiplied by, so a saved and reloaded layer
 reproduces its loss.
 The gradient reads the layer's ``ForwardPass`` records, and every path's
 log-scale gradient is the one ``_log_scale_grad``, written into the entries
-of its channels.
+of its channels.  A step changes only scales and gates, so ``calibrate``
+builds one ``layer.prepare`` record per call and every step reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import transform as tr
-from .layer import SplitLayer, forward_reference, forward_with_cache
+from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
 from .mocd import MocdConfig, build_partition, jaccard
 from .tensor import ActivationBatch
 
@@ -91,8 +92,8 @@ def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
     return replace(layer, **changes)
 
 
-def _loss(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarray):
-    y, fp = forward_with_cache(layer, batch)
+def _loss(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
+    y, fp = forward_with_cache(layer, prep)
     loss = float(np.mean((y - y_ref) ** 2))
     return loss, y, fp
 
@@ -110,11 +111,11 @@ def _gate_grad(bp, br, x_in, g):
     return np.sum(dl_dv * br.v_base, axis=1)
 
 
-def analytic_gradient(layer: SplitLayer, batch: ActivationBatch, y_ref: np.ndarray):
+def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     """Loss and straight-through gradient with respect to ``_params(layer)``."""
-    loss, y, fp = _loss(layer, batch, y_ref)
+    loss, y, fp = _loss(layer, prep, y_ref)
     g = (2.0 / y.size) * (y - y_ref)
-    t_rows = batch.text_rows
+    t_rows = prep.text_rows
     p, s = layer.partition, layer.scale
     main, cws, mac = fp.main, fp.cws, fp.mac
 
@@ -155,6 +156,7 @@ def calibrate(
 ) -> tuple[SplitLayer, LossTrace]:
     """Minimize the reconstruction loss; returns the best-loss snapshot."""
     y_ref = forward_reference(layer.full_weight(), batch)
+    prep = prepare(layer, batch)
     theta = _params(layer)
     # Everything after the per-channel log-scales is a branch gate.
     gates = slice(layer.partition.dim, None)
@@ -162,7 +164,7 @@ def calibrate(
     best_theta = theta
     best_loss = np.inf
     for step in range(cfg.steps):
-        loss, grad = analytic_gradient(_with_params(layer, theta), batch, y_ref)
+        loss, grad = analytic_gradient(_with_params(layer, theta), prep, y_ref)
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
         trace.losses.append(loss)

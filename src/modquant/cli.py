@@ -229,10 +229,13 @@ def cmd_gen(cfg: RunConfig) -> int:
             text_instability=cfg.text_instability,
             seed=cfg.seed,
         )
+        with np.errstate(over="raise"):
+            batch = synth.generate(scfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except FloatingPointError as exc:  # vision_scale is the one unbounded input
+        raise ConfigError(f"vision_scale {cfg.vision_scale!r} overflows float64") from exc
     os.makedirs(cfg.out, exist_ok=True)
-    batch = synth.generate(scfg)
     save_tensor(os.path.join(cfg.out, "activations.spqt"), batch)
     w = synth.generate_weight(cfg.dim, cfg.d_out, seed=cfg.seed)
     save_tensor(os.path.join(cfg.out, "weights.spqt"), w)
@@ -274,22 +277,21 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_and_calibrate(cfg: RunConfig, batch, w, partition):
+def _build(cfg: RunConfig, batch, w, partition):
     act_spec, weight_spec = _quant_specs(cfg)
-    layer = build_layer(
+    return build_layer(
         w, batch, partition,
         act_spec=act_spec, weight_spec=weight_spec,
         use_cws=cfg.cws, use_mac=cfg.mac,
         rank_ratio_cws=cfg.rank_cws, rank_ratio_mac=cfg.rank_mac,
     )
-    return calibrate(layer, batch, _calib_config(cfg))
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
     w = _load_weight(cfg.weights)
     partition = _partition_for(cfg, batch)
-    layer, trace = _build_and_calibrate(cfg, batch, w, partition)
+    layer, trace = calibrate(_build(cfg, batch, w, partition), batch, _calib_config(cfg))
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     save_layer(layer, layer_dir)
     _write_csv(cfg, "loss_trace.csv", ["step", "loss"], enumerate(trace.losses))
@@ -314,6 +316,8 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     layer = load_layer(os.path.join(layer_dir, "manifest.json"))
     overall, mse_t, mse_v = _mse_rows(layer, batch)
+    if not math.isfinite(overall):
+        raise FloatingPointError(f"non-finite mse_overall {overall!r}")
     _write_csv(
         cfg, "report.csv", ["metric", "value"],
         [("mse_overall", overall), ("mse_text", mse_t), ("mse_vision", mse_v)],
@@ -334,19 +338,18 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
 
     if ablation:
         w = _load_weight(cfg.weights)
-        partitions = {False: trivial_partition(batch.data.shape[1]),
-                      True: build_partition(batch, _mocd_config(cfg))}
-        rows = []
-        grid = [
-            ("baseline", False, False, False),
-            ("mocd", True, False, False),
-            ("mocd+cws", True, True, False),
-            ("mocd+cws+mac", True, True, True),
-        ]
-        for name, use_mocd, use_cws, use_mac in grid:
-            sub = dataclasses.replace(cfg, cws=use_cws, mac=use_mac)
-            lay, _ = _build_and_calibrate(sub, batch, w, partitions[use_mocd])
-            rows.append((name, _mse_rows(lay, batch)[0]))
+        base = _build(dataclasses.replace(cfg, cws=False, mac=False), batch, w,
+                      trivial_partition(batch.data.shape[1]))
+        full = _build(dataclasses.replace(cfg, cws=True, mac=True), batch, w,
+                      build_partition(batch, _mocd_config(cfg)))
+        # Dropping a branch gives the layer built without it, and a best loss
+        # is the calibrated layer's MSE (the same forward pass and y_ref).
+        grid = [("baseline", base),
+                ("mocd", dataclasses.replace(full, branch_smooth=None, branch_comp=None)),
+                ("mocd+cws", dataclasses.replace(full, branch_comp=None)),
+                ("mocd+cws+mac", full)]
+        calib = _calib_config(cfg)
+        rows = [(name, calibrate(lay, batch, calib)[1].best_loss) for name, lay in grid]
         _write_csv(cfg, "ablation.csv", ["config", "mse"], rows)
     return EXIT_OK
 
@@ -404,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteLossError as exc:
+    except (NonFiniteLossError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TensorFormatError, OSError, MemoryError, ValueError) as exc:

@@ -9,8 +9,9 @@ the gated low-rank corrections that are present (weight smoothing on the
 main weight, activation compensation on text-token rows) and sums the paths.
 It records each path and branch in a frozen ``ForwardPass`` for the
 calibration gradient; an outlier path with no channels and an absent branch
-are ``None`` and cost nothing.  With identity quantizers everything cancels
-and the output equals X @ W, the load-bearing correctness oracle.
+are ``None`` and cost nothing.  What no scale or gate changes comes from one
+``prepare`` record.  With identity quantizers everything cancels and the
+output equals X @ W, the load-bearing correctness oracle.
 """
 
 from __future__ import annotations
@@ -129,32 +130,47 @@ def _path(x, w, d, act_spec, weight_spec, shift=None) -> PathPass:
     return PathPass(x, z, a, mask_a, w_s, b, mask_b)
 
 
-def _branch(br: lowrank.LowRankBranch, spec: QuantSpec, e_q=None, mask_e=None):
-    u_q, _ = quantize_ste(br.u_star, spec)
-    v_q, mask_v = quantize_ste(br.effective_v(), spec)
-    return BranchPass(u_q, v_q, mask_v, e_q, mask_e)
+@dataclass(frozen=True)
+class Prepared:
+    """What no scale or gate changes: the batch's C-contiguous column blocks
+    and text rows, and each branch's u_q = Q(u_star) (None when absent)."""
+
+    x_main: np.ndarray
+    x_text: np.ndarray
+    x_vision: np.ndarray
+    text_rows: np.ndarray
+    u_cws: np.ndarray | None
+    u_mac: np.ndarray | None
 
 
-def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
+def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
+    """The layer's ``Prepared`` record; ``split_columns`` checks the batch width."""
+    w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
+    u_q = (None if br is None else quantize_ste(br.u_star, w_aux)[0]
+           for br in (layer.branch_smooth, layer.branch_comp))
+    return Prepared(*split_columns(batch.data, layer.partition), batch.text_rows, *u_q)
+
+
+def forward_with_cache(layer: SplitLayer, prep: Prepared):
     """Forward pass returning the output and its ``ForwardPass`` record.
 
-    Each path scales and quantizes its activation and weight through
-    ``_path``; the main path's weight is quantized less the CWS product.
-    A path with no channels and an absent branch do no work.
+    ``prep`` is ``prepare`` of this layer or of one with other scales and
+    gates.  Each path scales and quantizes its activation and weight through
+    ``_path``; the main path's weight is quantized less the CWS product, and
+    a branch quantizes only gate * v_base.  Empty paths do no work.
     """
     p, s = layer.partition, layer.scale
-    if batch.data.shape[1] != p.dim:
-        raise ValueError("batch width does not match partition dim")
-    x_m, x_t, x_v = split_columns(batch.data, p)
-    t_rows = batch.text_rows
+    t_rows = prep.text_rows
     act_aux = layer.act_spec.with_floor(AUX_BITS_FLOOR)
     w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
 
     br = layer.branch_smooth
-    cws = None if br is None else _branch(br, w_aux)
-    shift = None if br is None else br.product()
-    main = _path(x_m, layer.w_main, s[p.c_main], layer.act_spec, layer.weight_spec,
-                 shift)
+    cws = shift = None
+    if br is not None:
+        cws = BranchPass(prep.u_cws, *quantize_ste(br.effective_v(), w_aux))
+        shift = br.product()
+    main = _path(prep.x_main, layer.w_main, s[p.c_main], layer.act_spec,
+                 layer.weight_spec, shift)
     y = main.a @ main.b
     if cws is not None:
         y += (main.a @ cws.u_q) @ cws.v_q
@@ -162,14 +178,15 @@ def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
     mac = None
     if layer.branch_comp is not None and t_rows.size:
         e_q, mask_e = quantize_ste((main.z - main.a)[t_rows], act_aux)
-        mac = _branch(layer.branch_comp, w_aux, e_q=e_q, mask_e=mask_e)
+        v_q, mask_v = quantize_ste(layer.branch_comp.effective_v(), w_aux)
+        mac = BranchPass(prep.u_mac, v_q, mask_v, e_q, mask_e)
         y[t_rows] += (e_q @ mac.u_q) @ mac.v_q
 
     text = vision = None
     if p.c_text.size:
-        text = _path(x_t, layer.w_text, s[p.c_text], act_aux, w_aux)
+        text = _path(prep.x_text, layer.w_text, s[p.c_text], act_aux, w_aux)
     if p.c_vision.size:
-        vision = _path(x_v, layer.w_vision, s[p.c_vision], act_aux, w_aux)
+        vision = _path(prep.x_vision, layer.w_vision, s[p.c_vision], act_aux, w_aux)
     for path in (text, vision):
         if path is not None:
             y += path.a @ path.b
@@ -177,7 +194,7 @@ def forward_with_cache(layer: SplitLayer, batch: ActivationBatch):
 
 
 def forward(layer: SplitLayer, batch: ActivationBatch) -> np.ndarray:
-    return forward_with_cache(layer, batch)[0]
+    return forward_with_cache(layer, prepare(layer, batch))[0]
 
 
 def forward_reference(w: np.ndarray, batch: ActivationBatch) -> np.ndarray:
@@ -208,18 +225,19 @@ def build_layer(
     scale = tr.init_transform(partition.dim, batch.data).scale
 
     d_out = w.shape[1]
-    branch_smooth = branch_comp = None
-    if use_cws:
-        r = lowrank.default_rank(rank_ratio_cws, len(partition.c_main), d_out)
-        branch_smooth = lowrank.build_branch(w_m, scale[partition.c_main], r)
-    if use_mac:
-        r = lowrank.default_rank(rank_ratio_mac, len(partition.c_main), d_out)
-        branch_comp = lowrank.build_branch(w_m, scale[partition.c_main], r)
+    ranks = {name: lowrank.default_rank(ratio, len(partition.c_main), d_out)
+             for name, ratio, on in (("branch_smooth", rank_ratio_cws, use_cws),
+                                     ("branch_comp", rank_ratio_mac, use_mac)) if on}
+    branches = {}
+    if ranks:
+        # One SVD serves both branches: each takes its leading r triplets.
+        factors = lowrank.truncated_svd(w_m, max(ranks.values()))
+        branches = {name: lowrank.build_branch(factors, scale[partition.c_main], r)
+                    for name, r in ranks.items()}
     return SplitLayer(
         partition=partition,
         w_main=w_m, w_text=w[partition.c_text], w_vision=w[partition.c_vision],
-        scale=scale, act_spec=act_spec, weight_spec=weight_spec,
-        branch_smooth=branch_smooth, branch_comp=branch_comp,
+        scale=scale, act_spec=act_spec, weight_spec=weight_spec, **branches,
     )
 
 

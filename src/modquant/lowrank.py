@@ -3,7 +3,9 @@
 Both auxiliary branches (weight smoothing and activation compensation) are
 anchored to the dominant singular subspace of the main-path weight: the left
 factor's rows are divided by the path's smoothing scales, and learnability
-is confined to a diagonal gate reweighting the singular directions.
+is confined to a diagonal gate reweighting the singular directions.  One
+SVD at the larger rank serves both branches: the sign convention is per
+column, so each branch's leading r triplets equal those of a rank-r SVD.
 """
 
 from __future__ import annotations
@@ -67,19 +69,19 @@ class LowRankBranch:
         return replace(self, gate=gate)
 
 
-def build_branch(w_m: np.ndarray, scale: np.ndarray, r: int) -> LowRankBranch:
-    """Anchor a branch to the rank-r SVD of the unscaled weight.
+def build_branch(factors: SvdFactors, scale: np.ndarray, r: int) -> LowRankBranch:
+    """Anchor a branch to the leading r triplets of ``truncated_svd(w_m, R)``.
 
     ``scale`` holds the main path's smoothing scales, one per row of w_m.
-    With the gate at its all-ones init, the branch product equals the
-    rank-r approximation of w_m with row i divided by scale[i].
+    With the gate at its all-ones init, the branch product equals the rank-r
+    approximation of w_m with row i divided by scale[i].
     """
-    w_m = as_matrix(w_m)
-    if scale.shape != (w_m.shape[0],):
-        raise ValueError(f"{scale.size} scales do not match weight rows {w_m.shape[0]}")
-    factors = truncated_svd(w_m, r)
-    u_star = factors.u / scale[:, None]
-    v_base = factors.sigma[:, None] * factors.vt
+    if scale.shape != (factors.u.shape[0],):
+        raise ValueError(f"{scale.size} scales for {factors.u.shape[0]} weight rows")
+    if not 1 <= r <= factors.sigma.size:
+        raise ValueError(f"rank {r} out of range for {factors.sigma.size} factors")
+    u_star = factors.u[:, :r] / scale[:, None]
+    v_base = factors.sigma[:r, None] * factors.vt[:r]
     return LowRankBranch(u_star, v_base, np.ones(r))
 
 

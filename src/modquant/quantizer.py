@@ -10,7 +10,8 @@ tests: fake_quantize then returns its input untouched.
 The public functions validate their input.  ``quantize_ste`` is the split
 layer's single quantizer call: it takes a matrix the caller already holds as
 finite 2-D float64, derives fresh parameters, rounds once, and returns the
-quantized value with its straight-through mask.
+quantized value with its boolean straight-through mask (multiplying by it
+casts True/False to 1.0/0.0, the same bits as a float mask).
 """
 
 from __future__ import annotations
@@ -179,14 +180,13 @@ def fake_quantize(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.nda
 def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
     """Fake-quantize with fresh params; returns (value, straight-through mask).
 
-    The mask is 1.0 where round(x/S)+z stays inside [q_min, q_max] and 0.0
-    where it is clamped.  ``m`` must already be a finite 2-D float64 matrix;
-    it is not checked again.
+    The boolean mask is True where round(x/S)+z stays inside [q_min, q_max]
+    and False where it is clamped; an identity spec clamps nothing.  ``m``
+    must already be a finite 2-D float64 matrix; it is not checked again.
     """
     if spec.is_identity:
-        return m.copy(), np.ones_like(m)
-    value, mask = _round_clamp(m, *_params(m, spec), spec)
-    return value, mask.astype(np.float64)
+        return m.copy(), np.ones(m.shape, dtype=bool)
+    return _round_clamp(m, *_params(m, spec), spec)
 
 
 def quantize(m: np.ndarray, spec: QuantSpec) -> np.ndarray:

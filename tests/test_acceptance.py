@@ -187,7 +187,7 @@ def test_criterion_6_svd_and_branch(capsys):
     ok &= all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     ok &= errs[-1] <= 1e-8 * np.linalg.norm(w)
     # gate gradient vs central differences on the smooth branch objective
-    br = build_branch(w, np.ones(12), 3).with_gate(
+    br = build_branch(truncated_svd(w, 3), np.ones(12), 3).with_gate(
         rng.uniform(0.5, 1.5, 3)
     )
     target = rng.standard_normal((12, 9))

@@ -15,7 +15,7 @@ from modquant.calibrate import (
     outlier_set,
     stability_report,
 )
-from modquant.layer import build_layer, forward_reference
+from modquant.layer import build_layer, forward_reference, prepare
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
@@ -97,7 +97,7 @@ class TestGradients:
         # parameter direction is flat and the gradient is zero.
         batch, layer = _setup(5, act=IDENTITY_ACT, w_spec=IDENTITY_W)
         y_ref = forward_reference(layer.full_weight(), batch)
-        loss, grad = analytic_gradient(layer, batch, y_ref)
+        loss, grad = analytic_gradient(layer, prepare(layer, batch), y_ref)
         assert grad.size == _params(layer).size
         assert loss <= 1e-12
         np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-8)
@@ -138,6 +138,7 @@ class TestGradients:
         assert theta0.size == size
         theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
         y_ref = forward_reference(layer.full_weight(), batch)
+        prep = prepare(layer, batch)
 
         real = layer_module.quantize_ste
         records = []
@@ -148,7 +149,7 @@ class TestGradients:
             return value, mask
 
         monkeypatch.setattr(layer_module, "quantize_ste", recording)
-        _, grad = analytic_gradient(_with_params(layer, theta0), batch, y_ref)
+        _, grad = analytic_gradient(_with_params(layer, theta0), prep, y_ref)
         replay = []
 
         def frozen(m, spec):
@@ -160,7 +161,7 @@ class TestGradients:
 
         def surrogate_loss(theta):
             replay.clear()
-            loss = _loss(_with_params(layer, theta), batch, y_ref)[0]
+            loss = _loss(_with_params(layer, theta), prep, y_ref)[0]
             assert len(replay) == len(records)
             return loss
 
@@ -177,6 +178,25 @@ class TestGradients:
                 continue
             assert np.max(np.abs(f - a)) <= 1e-5 * np.max(np.abs(a)), name
 
+    def test_steps_do_not_quantize_the_fixed_factors(self, monkeypatch):
+        # With CWS and MAC on a split partition a step quantizes 9 tensors:
+        # two per path, each branch's gated factor and the MAC input.  Each
+        # branch's u_star is quantized once per calibrate call, before step 0.
+        batch, layer = _setup(0)
+        assert layer.partition.c_text.size and layer.partition.c_vision.size
+        real = layer_module.quantize_ste
+        inputs = []
+
+        def recording(m, spec):
+            inputs.append(m)
+            return real(m, spec)
+
+        monkeypatch.setattr(layer_module, "quantize_ste", recording)
+        calibrate(layer, batch, CalibConfig(steps=3))
+        fixed = (layer.branch_smooth.u_star, layer.branch_comp.u_star)
+        assert [i for i, m in enumerate(inputs) if any(m is u for u in fixed)] == [0, 1]
+        assert len(inputs) == 2 + 3 * 9
+
     def test_analytic_descent_direction(self):
         # A small step along the negative gradient should not increase the
         # loss (checked in expectation over several seeds).
@@ -185,9 +205,10 @@ class TestGradients:
             batch, layer = _setup(seed + 20)
             theta = _params(layer)
             y_ref = forward_reference(layer.full_weight(), batch)
-            loss0, grad = analytic_gradient(layer, batch, y_ref)
+            prep = prepare(layer, batch)
+            loss0, grad = analytic_gradient(layer, prep, y_ref)
             step = 1e-3 / max(np.linalg.norm(grad), 1e-12)
-            loss1, _, _ = _loss(_with_params(layer, theta - step * grad), batch, y_ref)
+            loss1, _, _ = _loss(_with_params(layer, theta - step * grad), prep, y_ref)
             wins += loss1 <= loss0 + 1e-12
         assert wins >= 6
 

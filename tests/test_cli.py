@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modquant import cli, synth
-from modquant.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from modquant.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from modquant.tensor import MAGIC, ActivationBatch, load_tensor, save_tensor
 
 
@@ -52,6 +52,15 @@ class TestGen:
         cfg.write_text(json.dumps({"vision_outliers": [999]}))
         rc = run("gen", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == EXIT_USAGE
+
+
+    @pytest.mark.parametrize("value,expected", [(1e308, EXIT_USAGE), (1e200, EXIT_OK)])
+    def test_overflowing_vision_scale_is_config_error(self, tmp_path, value, expected):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"vision_scale": value}))
+        rc, err = run_captured(["gen", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == expected and "Traceback" not in err
+        assert err.startswith("config error:") if rc else err == ""
 
 
 class TestSelect:
@@ -455,6 +464,15 @@ class TestLayerFile:
         rc, err = self.eval_with(small, layer, tmp_path)
         assert rc == EXIT_DATA and err.startswith("data error:")
 
+    def test_overflowing_weights_are_a_numerical_failure(self, small, layer, tmp_path):
+        path = str(layer / "w_main.spqt")
+        save_tensor(path, np.full_like(load_tensor(path), 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc, err = self.eval_with(small, layer, tmp_path)
+        assert rc == EXIT_NUMERICAL
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.csv").exists()
+
     @pytest.fixture(scope="class")
     def fuzz_layer(self, small, tmp_path_factory):
         layer_dir = tmp_path_factory.mktemp("fuzz") / "layer"
@@ -486,7 +504,8 @@ class TestLayerFile:
             rc, err = self.eval_with(small, fuzz_layer, fuzz_layer.parent)
         finally:
             (fuzz_layer / name).write_bytes(original)
-        assert rc in (EXIT_OK, EXIT_DATA) and "Traceback" not in err
+        # A finite value that overflows the forward pass is a numerical failure.
+        assert rc in (EXIT_OK, EXIT_DATA, EXIT_NUMERICAL) and "Traceback" not in err
 
 
 SPQT_HEADER = 4 + struct.calcsize("<IBQQ")  # magic, version, kind, rows, cols
@@ -624,6 +643,40 @@ class TestAblation:
             "--activations", small["activations"], "--weights", small["weights"],
             "--layer-dir", small["layer_dir"], "--out", str(tmp_path)])
         assert rc == EXIT_OK and len(built) == 1
+
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_rows_equal_separately_built_layers(self, tmp_path, seed):
+        # Each row is the eval MSE of a layer built and calibrated for that
+        # row alone, the way the rows were computed before they were taken
+        # from the calibrations' best losses.
+        config = tmp_path / "small.json"
+        config.write_text(json.dumps({**SMALL, "seed": seed}))
+        flags = ["--config", str(config), "--activations", str(tmp_path / "activations.spqt"),
+                 "--weights", str(tmp_path / "weights.spqt"),
+                 "--layer-dir", str(tmp_path / "layer"), "--out", str(tmp_path)]
+        for command in (["gen"], ["calibrate"], ["eval", "--ablation"]):
+            assert run_captured([*command, *flags]) == (EXIT_OK, "")
+        lines = (tmp_path / "ablation.csv").read_text().splitlines()[2:]
+        rows = dict(line.split(",") for line in lines)
+
+        cfg = cli.load_config(str(config), {})
+        batch = load_tensor(str(tmp_path / "activations.spqt"))
+        w = load_tensor(str(tmp_path / "weights.spqt"))
+        act, weight = cli._quant_specs(cfg)
+        expected = {}
+        for name, mocd, cws, mac in [("baseline", False, False, False),
+                                     ("mocd", True, False, False),
+                                     ("mocd+cws", True, True, False),
+                                     ("mocd+cws+mac", True, True, True)]:
+            part = (cli.build_partition(batch, cli._mocd_config(cfg)) if mocd
+                    else cli.trivial_partition(batch.data.shape[1]))
+            layer = cli.build_layer(w, batch, part, act_spec=act, weight_spec=weight,
+                                    use_cws=cws, use_mac=mac,
+                                    rank_ratio_cws=cfg.rank_cws, rank_ratio_mac=cfg.rank_mac)
+            layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))
+            expected[name] = repr(cli._mse_rows(layer, batch)[0])
+        assert rows == expected
 
 
 # Values for the argv fuzz, and the fields fixed to paths under a temporary

@@ -15,6 +15,7 @@ from modquant.layer import (
     forward_reference,
     forward_with_cache,
     load_layer,
+    prepare,
     save_layer,
 )
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
@@ -127,11 +128,29 @@ class TestForwardPass:
             return real(m, spec)
 
         monkeypatch.setattr(layer_module, "quantize_ste", counting)
-        y, fp = forward_with_cache(layer, batch)
+        y, fp = forward_with_cache(layer, prepare(layer, batch))
         assert shapes == [(24, 16), (16, 12)]
         assert fp.text is None and fp.vision is None
         assert fp.cws is None and fp.mac is None
         np.testing.assert_array_equal(y, fp.main.a @ fp.main.b)
+
+
+class TestBuild:
+    def test_one_svd_serves_both_branches(self, monkeypatch):
+        batch, w, part = _instance(2, dim=32, d_out=24)
+        real = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        kw = dict(act_spec=ACT4, weight_spec=W4, rank_ratio_cws=0.1, rank_ratio_mac=0.2)
+        both = build_layer(w, batch, part, use_cws=True, use_mac=True, **kw)
+        assert len(calls) == 1
+        cws = build_layer(w, batch, part, use_cws=True, **kw).branch_smooth
+        mac = build_layer(w, batch, part, use_mac=True, **kw).branch_comp
+        assert (cws.rank, mac.rank) == (2, 5)
+        for shared, own in ((both.branch_smooth, cws), (both.branch_comp, mac)):
+            for name in ("u_star", "v_base", "gate"):
+                np.testing.assert_array_equal(getattr(shared, name), getattr(own, name))
 
 
 class TestValidation:
@@ -156,7 +175,7 @@ class TestValidation:
                 text_outlier_channels=(5,), seed=0,
             )
         )
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ValueError, match="partition covers 16 channels, matrix has 8"):
             forward(layer, short)
 
 

@@ -63,7 +63,7 @@ class TestTruncatedSvd:
 class TestBranch:
     def test_identity_transform_unit_gate(self):
         w = np.random.default_rng(2).standard_normal((6, 9))
-        br = build_branch(w, np.ones(6), 3)
+        br = build_branch(truncated_svd(w, 3), np.ones(6), 3)
         f = truncated_svd(w, 3)
         np.testing.assert_allclose(
             br.product(), f.u @ np.diag(f.sigma) @ f.vt, atol=1e-8
@@ -71,12 +71,12 @@ class TestBranch:
 
     def test_full_rank_unit_gate_recovers_weight(self):
         w = np.random.default_rng(3).standard_normal((5, 5))
-        br = build_branch(w, np.ones(5), 5)
+        br = build_branch(truncated_svd(w, 5), np.ones(5), 5)
         np.testing.assert_allclose(br.product(), w, atol=1e-8)
 
     def test_zero_gate_disables_branch(self):
         w = np.random.default_rng(4).standard_normal((4, 4))
-        br = build_branch(w, np.ones(4), 2).with_gate(np.zeros(2))
+        br = build_branch(truncated_svd(w, 2), np.ones(4), 2).with_gate(np.zeros(2))
         assert not br.product().any()
 
     def test_transform_folds_into_u(self):
@@ -84,13 +84,13 @@ class TestBranch:
         # exactly.
         w = np.random.default_rng(5).standard_normal((4, 6))
         scale = np.array([2.0, 0.5, 3.0, 1.0])
-        br = build_branch(w, scale, 2)
-        plain = build_branch(w, np.ones(4), 2)
+        br = build_branch(truncated_svd(w, 2), scale, 2)
+        plain = build_branch(truncated_svd(w, 2), np.ones(4), 2)
         np.testing.assert_allclose(br.u_star * scale[:, None], plain.u_star)
 
     def test_gate_validation(self):
         w = np.eye(3)
-        br = build_branch(w, np.ones(3), 2)
+        br = build_branch(truncated_svd(w, 2), np.ones(3), 2)
         with pytest.raises(ValueError):
             br.with_gate(np.ones(3))
         with pytest.raises(ValueError):
@@ -98,7 +98,27 @@ class TestBranch:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            build_branch(np.ones((4, 4)), np.ones(3), 1)
+            build_branch(truncated_svd(np.ones((4, 4)), 1), np.ones(3), 1)
+
+    def test_rank_beyond_the_factors(self):
+        w = np.random.default_rng(4).standard_normal((4, 4))
+        for r in (0, 3):
+            with pytest.raises(ValueError, match="rank"):
+                build_branch(truncated_svd(w, 2), np.ones(4), r)
+
+    def test_leading_factors_equal_a_smaller_svd(self):
+        # The sign convention works per column, so the leading r triplets of
+        # one rank-R SVD give the branch of an SVD truncated at r, bit for bit.
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((9, 7))
+        scale = rng.uniform(0.5, 2.0, 9)
+        factors = truncated_svd(w, 6)
+        for r in range(1, 7):
+            shared = build_branch(factors, scale, r)
+            own = build_branch(truncated_svd(w, r), scale, r)
+            for a, b in ((shared.u_star, own.u_star), (shared.v_base, own.v_base)):
+                np.testing.assert_array_equal(a, b)
+                assert a.flags.c_contiguous
 
 
 class TestDefaultRank:
@@ -116,7 +136,7 @@ class TestGateGradient:
     def test_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((6, 8))
-        br = build_branch(w, np.ones(6), 3).with_gate(
+        br = build_branch(truncated_svd(w, 3), np.ones(6), 3).with_gate(
             rng.uniform(0.5, 1.5, 3)
         )
         target = rng.standard_normal((6, 8))
@@ -136,5 +156,5 @@ class TestGateGradient:
 
     def test_zero_at_exact_fit(self):
         w = np.random.default_rng(6).standard_normal((5, 5))
-        br = build_branch(w, np.ones(5), 5)
+        br = build_branch(truncated_svd(w, 5), np.ones(5), 5)
         np.testing.assert_allclose(gate_gradient(br, w), np.zeros(5), atol=1e-10)
