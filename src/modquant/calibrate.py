@@ -18,8 +18,11 @@ scales that the best step multiplied by, so a saved and reloaded layer
 reproduces its loss.
 The gradient reads the layer's ``ForwardPass`` records, and every path's
 log-scale gradient is the one ``_log_scale_grad``, written into the entries
-of its channels.  A step changes only scales and gates, so ``calibrate``
-builds one ``layer.prepare`` record per call and every step reads it.
+of its channels.  The gradient buffers are scaled in place, and
+``_log_scale_grad`` overwrites its two gradient arguments.  A step changes
+only scales and gates, so ``calibrate`` builds one ``layer.prepare`` record
+per call and every step reads it.  The last step only evaluates the loss:
+the update it would make is never evaluated, so it takes no gradient.
 """
 
 from __future__ import annotations
@@ -93,15 +96,19 @@ def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
 
 
 def _loss(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
-    y, fp = forward_with_cache(layer, prep)
-    loss = float(np.mean((y - y_ref) ** 2))
-    return loss, y, fp
+    """The loss, the residual y - y_ref and the ``ForwardPass`` record."""
+    r, fp = forward_with_cache(layer, prep)
+    r -= y_ref
+    return float(np.mean(r ** 2)), r, fp
 
 
 def _log_scale_grad(path, scale, dl_dz, dl_db):
     """Gradient w.r.t. a path's log-scales, from the masked gradients at its
-    two quantizer inputs: z = x d moves with d, w_s = W / d against it."""
-    return np.sum(dl_dz * path.x, axis=0) * scale - np.sum(dl_db * path.w_s, axis=1)
+    two quantizer inputs: z = x d moves with d, w_s = W / d against it.
+    Overwrites both."""
+    dl_dz *= path.x
+    dl_db *= path.w_s
+    return np.sum(dl_dz, axis=0) * scale - np.sum(dl_db, axis=1)
 
 
 def _gate_grad(bp, br, x_in, g):
@@ -113,64 +120,75 @@ def _gate_grad(bp, br, x_in, g):
 
 def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     """Loss and straight-through gradient with respect to ``_params(layer)``."""
-    loss, y, fp = _loss(layer, prep, y_ref)
-    g = (2.0 / y.size) * (y - y_ref)
+    loss, g, fp = _loss(layer, prep, y_ref)
+    g *= 2.0 / g.size
     t_rows = prep.text_rows
     p, s = layer.partition, layer.scale
     main, cws, mac = fp.main, fp.cws, fp.mac
 
-    dl_da = g @ main.b.T
+    dl_dz = g @ main.b.T
     if cws is not None:
-        dl_da += (g @ cws.v_q.T) @ cws.u_q.T
+        dl_dz += (g @ cws.v_q.T) @ cws.u_q.T
     if mac is not None:
         # The MAC input is (z - a) on text rows: its gradient reaches z
         # unmasked and leaves a.
         dl_de = mac.mask_e * ((g[t_rows] @ mac.v_q.T) @ mac.u_q.T)
-        dl_da[t_rows] -= dl_de
-    dl_dz = main.mask_a * dl_da
+        dl_dz[t_rows] -= dl_de
+    dl_dz *= main.mask_a
     if mac is not None:
         dl_dz[t_rows] += dl_de
-    dl_db = main.mask_b * (main.a.T @ g)
-    d_grad = np.zeros(p.dim)
-    d_grad[p.c_main] = _log_scale_grad(main, s[p.c_main], dl_dz, dl_db)
-    for path, cols in ((fp.text, p.c_text), (fp.vision, p.c_vision)):
-        if path is not None:
-            d_grad[cols] = _log_scale_grad(
-                path, s[cols], path.mask_a * (g @ path.b.T), path.mask_b * (path.a.T @ g))
-    grads = [d_grad]
-
+    dl_db = main.a.T @ g
+    dl_db *= main.mask_b
+    grads = []
     br = layer.branch_smooth
     if br is not None:
-        # The branch product is also subtracted inside the main weight.
+        # The branch product is also subtracted inside the main weight; read
+        # dl_db before _log_scale_grad overwrites it.
         grads.append(_gate_grad(cws, br, main.a, g)
                      - np.einsum("jk,jo,ko->k", br.u_star, dl_db, br.v_base))
     br = layer.branch_comp
     if br is not None:
         grads.append(np.zeros(br.rank) if mac is None
                      else _gate_grad(mac, br, mac.e_q, g[t_rows]))
-    return loss, np.concatenate(grads)
+    d_grad = np.zeros(p.dim)
+    d_grad[p.c_main] = _log_scale_grad(main, s[p.c_main], dl_dz, dl_db)
+    for path, cols in ((fp.text, p.c_text), (fp.vision, p.c_vision)):
+        if path is not None:
+            dl_dz, dl_db = g @ path.b.T, path.a.T @ g
+            dl_dz *= path.mask_a
+            dl_db *= path.mask_b
+            d_grad[cols] = _log_scale_grad(path, s[cols], dl_dz, dl_db)
+    return loss, np.concatenate([d_grad, *grads])
 
 
 def calibrate(
-    layer: SplitLayer, batch: ActivationBatch, cfg: CalibConfig
+    layer: SplitLayer, batch: ActivationBatch, cfg: CalibConfig, *,
+    y_ref: np.ndarray | None = None,
 ) -> tuple[SplitLayer, LossTrace]:
-    """Minimize the reconstruction loss; returns the best-loss snapshot."""
-    y_ref = forward_reference(layer.full_weight(), batch)
+    """Minimize the reconstruction loss; returns the best-loss snapshot.
+    ``y_ref``, when given, is the reference output X @ W of the batch."""
+    if y_ref is None:
+        y_ref = forward_reference(layer.full_weight(), batch)
     prep = prepare(layer, batch)
     theta = _params(layer)
     # Everything after the per-channel log-scales is a branch gate.
     gates = slice(layer.partition.dim, None)
     trace = LossTrace()
-    best_theta = theta
-    best_loss = np.inf
+    best_theta, best_loss = theta, np.inf
+    last = cfg.steps - 1
     for step in range(cfg.steps):
-        loss, grad = analytic_gradient(_with_params(layer, theta), prep, y_ref)
+        current = _with_params(layer, theta)
+        # The update made at the last step would never be evaluated.
+        loss, grad = ((_loss(current, prep, y_ref)[0], None) if step == last
+                      else analytic_gradient(current, prep, y_ref))
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
         trace.losses.append(loss)
         if loss < best_loss:
             best_loss = loss
             best_theta = theta
+        if grad is None:
+            break
         lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
         theta = theta - lr * grad
         theta[gates] = np.clip(theta[gates], 0.0, _GATE_MAX)

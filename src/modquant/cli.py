@@ -348,8 +348,9 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
                 ("mocd", dataclasses.replace(full, branch_smooth=None, branch_comp=None)),
                 ("mocd+cws", dataclasses.replace(full, branch_comp=None)),
                 ("mocd+cws+mac", full)]
-        calib = _calib_config(cfg)
-        rows = [(name, calibrate(lay, batch, calib)[1].best_loss) for name, lay in grid]
+        calib, y_ref = _calib_config(cfg), forward_reference(w, batch)
+        rows = [(name, calibrate(lay, batch, calib, y_ref=y_ref)[1].best_loss)
+                for name, lay in grid]
         _write_csv(cfg, "ablation.csv", ["config", "mse"], rows)
     return EXIT_OK
 
@@ -403,7 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {field: args.pop(field) for field in _CONFIG_FIELDS}
     # What is left in args are the command's own flags (eval's --ablation).
     try:
-        return _COMMANDS[command](load_config(config, overrides), **args)
+        # A non-finite result is reported once, below, not also as warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[command](load_config(config, overrides), **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -85,10 +85,18 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to the nearest integer, halves away from zero, exactly for every
     finite float.  ``rint`` rounds halves to even; ``x - rint(x)`` is exact,
     so every half is found, and x + 0.5 away from zero is exact there too."""
+    return _round_half_away(x.copy(), lambda half: x[half])
+
+
+def _round_half_away(x: np.ndarray, x_at) -> np.ndarray:
+    """``round_half_away`` overwriting x; ``x_at(half)`` gives x at the halves."""
     r = np.rint(x)
-    half = np.abs(x - r) == 0.5
+    x -= r
+    np.abs(x, out=x)
+    half = x == 0.5
     if half.any():
-        r[half] = x[half] + np.copysign(0.5, x[half])
+        xh = x_at(half)
+        r[half] = xh + np.copysign(0.5, xh)
     return r
 
 
@@ -128,27 +136,30 @@ def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
 
 
 def _params(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (scales, zero_points) of ``compute_params``, unchecked."""
+    """Raw (scales, zero_points) of ``compute_params``, unchecked; the
+    zero-points are integer-valued floats."""
     g = spec.granularity
     if spec.is_identity or m.size == 0:
         n = _group_count(m.shape, g)
-        return np.ones(n), np.zeros(n, dtype=np.int64)
+        return np.ones(n), np.zeros(n)
     q_min, q_max = spec.q_min, spec.q_max
     if spec.symmetric:
         absmax = _reduce(np.abs(m), g, np.max)
         scales = np.where(absmax > 0, np.maximum(absmax / q_max, _TINY), 1.0)
-        return scales, np.zeros_like(scales, dtype=np.int64)
+        return scales, np.zeros_like(scales)
     lo = np.minimum(_reduce(m, g, np.min), 0.0)
     hi = np.maximum(_reduce(m, g, np.max), 0.0)
     levels = q_max - q_min
     with np.errstate(over="ignore"):
         span = hi - lo
+    step = span / levels
     # hi - lo overflows only for finite ranges wider than the largest float;
     # only there is the step computed as hi/levels - lo/levels.
-    step = np.where(np.isinf(span), hi / levels - lo / levels, span / levels)
+    inf = np.isinf(span)
+    if inf.any():
+        step[inf] = hi[inf] / levels - lo[inf] / levels
     scales = np.where(span > 0, np.maximum(step, _TINY), 1.0)
-    zps = np.clip(round_half_away(-lo / scales), q_min, q_max).astype(np.int64)
-    return scales, zps
+    return scales, np.clip(round_half_away(-lo / scales), q_min, q_max)
 
 
 def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
@@ -160,12 +171,19 @@ def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
 
 
 def _round_clamp(m: np.ndarray, scales: np.ndarray, zps: np.ndarray, spec: QuantSpec):
-    """Q(m) and the straight-through mask, from one rounding of m/S."""
+    """Q(m) and the straight-through mask, from one rounding of m/S, in two
+    full-size float buffers; m/S is redone only at the rare exact halves."""
     s = _broadcast(scales, spec.granularity)
-    z = _broadcast(zps.astype(np.float64), spec.granularity)
-    q = round_half_away(m / s) + z
-    mask = (q >= spec.q_min) & (q <= spec.q_max)
-    return (np.clip(q, spec.q_min, spec.q_max) - z) * s, mask
+    z = _broadcast(np.asarray(zps, dtype=np.float64), spec.granularity)
+    buf = m / s
+    q = _round_half_away(buf, lambda half: m[half] / np.broadcast_to(s, m.shape)[half])
+    q += z
+    np.maximum(q, spec.q_min, out=buf)
+    np.minimum(buf, spec.q_max, out=buf)
+    mask = buf == q
+    buf -= z
+    buf *= s
+    return buf, mask
 
 
 def fake_quantize(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.ndarray:

@@ -278,6 +278,12 @@ def test_criterion_10_selection_stability(capsys):
 
 
 def test_criterion_11_cli_determinism(capsys, tmp_path):
+    """Each command run twice on the same inputs writes the same bytes.
+
+    The domain is the same inputs, the same numpy/BLAS build and the same
+    BLAS thread count: another thread count can change the last bits of a
+    product or an SVD, and so of the outputs.
+    """
     ok = True
 
     def twice(argv, outputs):

@@ -1,5 +1,7 @@
 """Calibration loop, gradients, and the selection-stability report."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
+
+calibrate_module = importlib.import_module("modquant.calibrate")
 
 ACT4 = QuantSpec(4, False, Granularity.PER_TOKEN)
 W4 = QuantSpec(4, True, Granularity.PER_CHANNEL)
@@ -89,6 +93,47 @@ class TestCalibrate:
         # win on a subset and no regression anywhere (best-snapshot return).
         assert sum(i >= 0.05 for i in imps) >= 2
         assert all(i >= -1e-12 for i in imps)
+
+
+def _calibrate_with_every_gradient(layer, batch, cfg):
+    """The calibration loop that takes a gradient at every step, the last
+    one included: (returned layer, losses)."""
+    y_ref = forward_reference(layer.full_weight(), batch)
+    prep = prepare(layer, batch)
+    theta = best_theta = _params(layer)
+    gates = slice(layer.partition.dim, None)
+    losses, best_loss = [], np.inf
+    for step in range(cfg.steps):
+        loss, grad = analytic_gradient(_with_params(layer, theta), prep, y_ref)
+        losses.append(loss)
+        if loss < best_loss:
+            best_loss, best_theta = loss, theta
+        lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
+        theta = theta - lr * grad
+        theta[gates] = np.clip(theta[gates], 0.0, 2.0)
+    return _with_params(layer, best_theta), losses
+
+
+class TestLastStep:
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_last_step_takes_no_gradient(self, monkeypatch, steps):
+        batch, layer = _setup(7)
+        cfg = CalibConfig(steps=steps)
+        want_layer, want_losses = _calibrate_with_every_gradient(layer, batch, cfg)
+        calls = []
+        real = calibrate_module.analytic_gradient
+        monkeypatch.setattr(calibrate_module, "analytic_gradient",
+                            lambda *a: calls.append(1) or real(*a))
+        out, trace = calibrate(layer, batch, cfg)
+        assert len(calls) == steps - 1 and len(trace.losses) == steps
+        assert trace.losses == want_losses
+        np.testing.assert_array_equal(_params(out), _params(want_layer))
+        np.testing.assert_array_equal(out.scale, want_layer.scale)
+        # A reference output passed in gives the same calibration.
+        y_ref = forward_reference(layer.full_weight(), batch)
+        again, again_trace = calibrate(layer, batch, cfg, y_ref=y_ref)
+        assert again_trace.losses == want_losses
+        np.testing.assert_array_equal(_params(again), _params(want_layer))
 
 
 class TestGradients:

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modquant
 from modquant import cli, synth
 from modquant.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from modquant.tensor import MAGIC, ActivationBatch, load_tensor, save_tensor
@@ -385,6 +389,44 @@ def run_captured(argv):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         rc = main(argv)
     return rc, err.getvalue()
+
+
+class TestNumericalFailureMessage:
+    """A numerical failure prints one line: no numpy warnings before it."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, tmp_path_factory):
+        # CLI default sizes: a layer whose main weight is all 1e308, and
+        # activations scaled by 1e300.
+        root = tmp_path_factory.mktemp("overflow")
+        acts, weights = str(root / "activations.spqt"), str(root / "weights.spqt")
+        layer_dir = root / "layer"
+        assert run("gen", "--out", str(root)) == EXIT_OK
+        assert run("calibrate", "--activations", acts, "--weights", weights,
+                   "--steps", "2", "--layer-dir", str(layer_dir),
+                   "--out", str(root)) == EXIT_OK
+        w_main = str(layer_dir / "w_main.spqt")
+        save_tensor(w_main, np.full_like(load_tensor(w_main), 1e308))
+        batch = load_tensor(acts)
+        save_tensor(str(root / "big.spqt"), ActivationBatch(batch.data * 1e300, batch.tags))
+        return root
+
+    @pytest.mark.parametrize("command", ["eval", "calibrate"])
+    def test_stderr_is_one_line(self, overflowing, tmp_path, command):
+        root = overflowing
+        argv = (["eval", "--activations", str(root / "activations.spqt"),
+                 "--layer-dir", str(root / "layer")] if command == "eval" else
+                ["calibrate", "--activations", str(root / "big.spqt"),
+                 "--weights", str(root / "weights.spqt")])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(modquant.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="always",
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "modquant.cli", *argv,
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_NUMERICAL
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
 
 
 class TestLayerFile:

@@ -210,6 +210,81 @@ class TestClampMask:
         assert mask.dtype == bool and mask.shape == m.shape
 
 
+def _textbook_round(x: np.ndarray) -> np.ndarray:
+    """Round half away from zero, element by element in exact rationals."""
+    return np.array([math.copysign(math.floor(abs(Fraction(v)) + Fraction(1, 2)), v)
+                     for v in x.ravel()]).reshape(x.shape)
+
+
+def _textbook(m, scales, zero_points, spec):
+    """(clip(round(m/S) + z) - z) * S and the mask (q >= q_min) & (q <= q_max)."""
+    axis = (-1, 1) if spec.granularity is Granularity.PER_TOKEN else (1, -1)
+    s = scales.reshape(axis)
+    z = zero_points.astype(np.float64).reshape(axis)
+    q = _textbook_round(m / s) + z
+    value = (np.clip(q, spec.q_min, spec.q_max) - z) * s
+    return value, (q >= spec.q_min) & (q <= spec.q_max)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A spec and a matrix: random floats, or groups on the grid of a
+    power-of-two scale S, with their ends at the clamp edges and the other
+    entries at exact k + 0.5 multiples of S."""
+    granularity = draw(st.sampled_from([Granularity.PER_TOKEN, Granularity.PER_CHANNEL]))
+    spec = QuantSpec(draw(st.integers(2, 8)), draw(st.booleans()), granularity)
+    groups, size = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        m = draw(arrays(np.float64, (groups, size), elements=st.floats(-1e6, 1e6)))
+    else:
+        rows = []
+        for _ in range(groups):
+            s = 2.0 ** draw(st.integers(-6, 6))
+            if spec.symmetric:
+                # The absmax q_max * S gives the scale S exactly.
+                lo, hi = -spec.q_max, spec.q_max
+                ends = [draw(st.sampled_from([lo, hi]))]
+            else:
+                # Ends -a S and (levels - a) S give S and the zero-point a exactly.
+                a = draw(st.integers(0, spec.q_max))
+                lo, hi = -a, spec.q_max - a
+                ends = [lo, hi]
+            grid = st.sampled_from([lo, hi, *(k + 0.5 for k in range(lo, hi))])
+            rest = draw(st.lists(grid, min_size=size - len(ends), max_size=size - len(ends)))
+            rows.append([k * s for k in draw(st.permutations(ends + rest))])
+        m = np.array(rows)
+    if granularity is Granularity.PER_CHANNEL:
+        m = np.ascontiguousarray(m.T)
+    return spec, m
+
+
+class TestTextbookOracle:
+    """quantize_ste against the textbook formula, bit for bit (signed zeros
+    included), on the parameters compute_params derives."""
+
+    @given(_oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_quantize_ste_is_bit_exact(self, case):
+        spec, m = case
+        params = compute_params(m, spec)
+        value, mask = quantize_ste(m, spec)
+        want_value, want_mask = _textbook(m, params.scales, params.zero_points, spec)
+        np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
+        np.testing.assert_array_equal(mask, want_mask)
+
+    @given(_oracle_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_clamped_values_are_bit_exact(self, case):
+        # Half the fitted scale pushes the group's ends past the clamp edges.
+        spec, m = case
+        params = compute_params(m, spec)
+        scales = params.scales / 2
+        value, mask = _round_clamp(m, scales, params.zero_points, spec)
+        want_value, want_mask = _textbook(m, scales, params.zero_points, spec)
+        np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
+        np.testing.assert_array_equal(mask, want_mask)
+
+
 class TestQuantError:
     def test_grid_point_error_is_zero(self):
         params = QuantParams(np.array([0.5]), np.array([0]))
