@@ -85,17 +85,19 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to the nearest integer, halves away from zero, exactly for every
     finite float.  ``rint`` rounds halves to even; ``x - rint(x)`` is exact,
     so every half is found, and x + 0.5 away from zero is exact there too."""
-    return _round_half_away(x.copy(), lambda half: x[half])
+    return _round_div(np.asarray(x, dtype=np.float64), 1.0)
 
 
-def _round_half_away(x: np.ndarray, x_at) -> np.ndarray:
-    """``round_half_away`` overwriting x; ``x_at(half)`` gives x at the halves."""
+def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
+    """``round_half_away(m / s)``, with m / s written into ``out`` and then
+    overwritten; m / s is redone only at the rare exact halves."""
+    x = np.divide(m, s, out=out)
     r = np.rint(x)
     x -= r
     np.abs(x, out=x)
     half = x == 0.5
     if half.any():
-        xh = x_at(half)
+        xh = m[half] / np.broadcast_to(s, m.shape)[half]
         r[half] = xh + np.copysign(0.5, xh)
     return r
 
@@ -136,8 +138,7 @@ def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
 
 
 def _params(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (scales, zero_points) of ``compute_params``, unchecked; the
-    zero-points are integer-valued floats."""
+    """Raw (scales, integer-valued float zero-points) of ``compute_params``."""
     g = spec.granularity
     if spec.is_identity or m.size == 0:
         n = _group_count(m.shape, g)
@@ -159,7 +160,7 @@ def _params(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
     if inf.any():
         step[inf] = hi[inf] / levels - lo[inf] / levels
     scales = np.where(span > 0, np.maximum(step, _TINY), 1.0)
-    return scales, np.clip(round_half_away(-lo / scales), q_min, q_max)
+    return scales, np.clip(_round_div(-lo, scales), q_min, q_max)
 
 
 def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
@@ -171,12 +172,11 @@ def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
 
 
 def _round_clamp(m: np.ndarray, scales: np.ndarray, zps: np.ndarray, spec: QuantSpec):
-    """Q(m) and the straight-through mask, from one rounding of m/S, in two
-    full-size float buffers; m/S is redone only at the rare exact halves."""
+    """Q(m) and the straight-through mask from one rounding of m/S, in two buffers."""
     s = _broadcast(scales, spec.granularity)
     z = _broadcast(np.asarray(zps, dtype=np.float64), spec.granularity)
-    buf = m / s
-    q = _round_half_away(buf, lambda half: m[half] / np.broadcast_to(s, m.shape)[half])
+    buf = np.empty(m.shape)
+    q = _round_div(m, s, out=buf)
     q += z
     np.maximum(q, spec.q_min, out=buf)
     np.minimum(buf, spec.q_max, out=buf)

@@ -110,7 +110,7 @@ def _calibrate_with_every_gradient(layer, batch, cfg):
             best_loss, best_theta = loss, theta
         lr = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
         theta = theta - lr * grad
-        theta[gates] = np.clip(theta[gates], 0.0, 2.0)
+        theta[gates] = np.clip(theta[gates], 0.0, calibrate_module._GATE_MAX)
     return _with_params(layer, best_theta), losses
 
 

@@ -60,6 +60,9 @@ class TestRounding:
         np.testing.assert_array_equal(
             round_half_away(x), [1.0, -1.0, 2.0, -2.0, 3.0, 0.0, -0.0]
         )
+        r = round_half_away(np.array([[-3, 0, 7]]))
+        assert r.dtype == np.float64
+        np.testing.assert_array_equal(r, [[-3.0, 0.0, 7.0]])
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     # Just below a half: adding 0.5 in floating point rounds up to 1.

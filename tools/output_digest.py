@@ -1,11 +1,11 @@
 """Digest every CLI output of the benchmark workloads, for byte-identity checks.
 
-Usage: python3 tools/output_digest.py [--threads N] SRC_DIR OUT.json
+Usage: python3 tools/output_digest.py SRC_DIR OUT.json
 
 SRC_DIR is a source tree that holds the ``modquant`` package (``src`` of a
 checkout). For each workload in ``perfbench/workloads.py`` at gen seeds 0, 3
 and 14, the script runs, one subprocess per command and with BLAS pinned to
-N threads (default 1):
+one thread:
 
 - ``gen``, ``select``, ``calibrate``, ``eval --ablation`` and ``stability``;
 - ``calibrate`` and ``eval`` with ``--wbits 0 --abits 0``;
@@ -21,14 +21,13 @@ write the same bytes exactly when ``diff`` finds their files equal:
     diff old.json new.json
 
 Outputs are byte-identical for the same inputs, the same numpy/BLAS build and
-the same BLAS thread count. A different count can change the last bits of a
-product or an SVD, so ``--threads 2`` against the default shows how far
-outputs drift with the thread count.
+the same BLAS thread count, so every command runs with OpenBLAS, OpenMP and
+MKL pinned to one thread. Another count can change the last bits of a large
+product or SVD: at two threads 18 of 540 entries differ, all on calib-wide.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import importlib.util
 import json
@@ -39,7 +38,6 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GEN_SEEDS = (0, 3, 14)
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _workloads() -> dict:
@@ -84,9 +82,9 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digest(src_dir: str, threads: int = 1) -> dict:
+def digest(src_dir: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir),
-               **{var: str(threads) for var in BLAS_THREAD_VARS})
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     result = {}
     with tempfile.TemporaryDirectory() as work:
         for name, workload in sorted(_workloads().items()):
@@ -113,20 +111,15 @@ def digest(src_dir: str, threads: int = 1) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="output_digest.py", description=__doc__.split("\n\n")[0])
-    parser.add_argument("src_dir", metavar="SRC_DIR")
-    parser.add_argument("out_path", metavar="OUT.json")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="BLAS threads of every command (default 1)")
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be positive, got {args.threads}")
-    if not os.path.isdir(os.path.join(args.src_dir, "modquant")):
-        print(f"no modquant package under {args.src_dir}", file=sys.stderr)
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
-    result = digest(args.src_dir, args.threads)
-    with open(args.out_path, "w") as fh:
+    src_dir, out_path = argv
+    if not os.path.isdir(os.path.join(src_dir, "modquant")):
+        print(f"no modquant package under {src_dir}", file=sys.stderr)
+        return 1
+    result = digest(src_dir)
+    with open(out_path, "w") as fh:
         json.dump(result, fh, indent=0, sort_keys=True)
         fh.write("\n")
     return 0
