@@ -46,14 +46,5 @@ from .tensor import (
     save_tensor,
     split_columns,
 )
-from .transform import (
-    Transform,
-    apply_inv_left,
-    apply_right,
-    dense_transform,
-    diagonal_transform,
-    identity_transform,
-    init_transform,
-)
 
 __version__ = "0.1.0"

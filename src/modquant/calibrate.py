@@ -85,7 +85,7 @@ def _params(layer: SplitLayer) -> np.ndarray:
 def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
     """A copy of ``layer`` whose learned parameters are ``theta``."""
     offset = layer.partition.dim
-    # Clipped to the bounds that diagonal_transform checks.
+    # Clipped to the bounds that load_layer checks (transform.checked_scale).
     changes: dict = {"scale": np.exp(np.clip(theta[:offset], _LOG_LO, _LOG_HI))}
     for name in ("branch_smooth", "branch_comp"):
         br = getattr(layer, name)

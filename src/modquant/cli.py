@@ -300,10 +300,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _mse_rows(layer, batch):
-    y = forward(layer, batch)
-    y_ref = forward_reference(layer.full_weight(), batch)
-    err = (y - y_ref) ** 2
+def _mse_rows(layer, batch, y_ref):
+    err = (forward(layer, batch) - y_ref) ** 2
     overall = float(err.mean())
     t_rows, v_rows = batch.text_rows, batch.vision_rows
     mse_t = float(err[t_rows].mean()) if t_rows.size else float("nan")
@@ -315,7 +313,8 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     batch = _load_batch(cfg.activations)
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     layer = load_layer(os.path.join(layer_dir, "manifest.json"))
-    overall, mse_t, mse_v = _mse_rows(layer, batch)
+    y_ref = forward_reference(layer.full_weight(), batch)
+    overall, mse_t, mse_v = _mse_rows(layer, batch, y_ref)
     if not math.isfinite(overall):
         raise FloatingPointError(f"non-finite mse_overall {overall!r}")
     _write_csv(
@@ -348,7 +347,10 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
                 ("mocd", dataclasses.replace(full, branch_smooth=None, branch_comp=None)),
                 ("mocd+cws", dataclasses.replace(full, branch_comp=None)),
                 ("mocd+cws+mac", full)]
-        calib, y_ref = _calib_config(cfg), forward_reference(w, batch)
+        # The layer is most often this weight's calibration: reuse its X @ W.
+        if not np.array_equal(w, layer.full_weight()):
+            y_ref = forward_reference(w, batch)
+        calib = _calib_config(cfg)
         rows = [(name, calibrate(lay, batch, calib, y_ref=y_ref)[1].best_loss)
                 for name, lay in grid]
         _write_csv(cfg, "ablation.csv", ["config", "mse"], rows)

@@ -222,7 +222,7 @@ def build_layer(
         raise ValueError("weight rows must match partition dim")
     w_m = w[partition.c_main]
     # The init is per column, so each path gets the values of its channels.
-    scale = tr.init_transform(partition.dim, batch.data).scale
+    scale = tr.smoothing_scale(batch.data)
 
     d_out = w.shape[1]
     ranks = {name: lowrank.default_rank(ratio, len(partition.c_main), d_out)
@@ -404,7 +404,7 @@ def load_layer(manifest_path: str) -> SplitLayer:
     scale = np.empty(partition.dim)
     for name, path in zip(_SCALES, _PATHS):
         cols = getattr(partition, path)
-        values = tr.diagonal_transform(tensor(manifest[name]["file"]).reshape(-1)).scale
+        values = tr.checked_scale(tensor(manifest[name]["file"]).reshape(-1))
         if values.shape != cols.shape:
             raise ValueError(f"{name} holds {values.size} scales for {cols.size} channels")
         scale[cols] = values

@@ -92,12 +92,3 @@ def default_rank(ratio: float, path_width: int, d_out: int) -> int:
         return 0
     return max(1, int(np.floor(ratio * full + 0.5)))
 
-
-def gate_gradient(
-    branch: LowRankBranch, target: np.ndarray
-) -> np.ndarray:
-    """Analytic gradient of ||u_star diag(g) v_base - target||_F^2 w.r.t. g."""
-    target = as_matrix(target)
-    resid = branch.product() - target
-    # d/dg_k = 2 * u_star[:,k]^T resid v_base[k,:]^T
-    return 2.0 * np.einsum("jk,jo,ko->k", branch.u_star, resid, branch.v_base)

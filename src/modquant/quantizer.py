@@ -81,16 +81,11 @@ class QuantParams:
             raise ValueError("scales must be positive")
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to the nearest integer, halves away from zero, exactly for every
-    finite float.  ``rint`` rounds halves to even; ``x - rint(x)`` is exact,
-    so every half is found, and x + 0.5 away from zero is exact there too."""
-    return _round_div(np.asarray(x, dtype=np.float64), 1.0)
-
-
 def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
-    """``round_half_away(m / s)``, with m / s written into ``out`` and then
-    overwritten; m / s is redone only at the rare exact halves."""
+    """m / s rounded to the nearest integer, halves away from zero, exactly
+    for every finite quotient: x - rint(x) is exact, so every half is found,
+    and x + 0.5 away from zero is exact there too.  m / s is written into
+    ``out`` and overwritten; it is redone only at the rare exact halves."""
     x = np.divide(m, s, out=out)
     r = np.rint(x)
     x -= r

@@ -9,10 +9,10 @@ import dataclasses
 import numpy as np
 
 import modquant as mq
-from modquant.calibrate import CalibConfig, calibrate, stability_report
+from modquant.calibrate import CalibConfig, _params, calibrate, stability_report
 from modquant.cli import EXIT_OK, main
-from modquant.layer import build_layer, forward, forward_reference
-from modquant.lowrank import build_branch, gate_gradient, truncated_svd
+from modquant.layer import _path, build_layer, forward, forward_reference, prepare
+from modquant.lowrank import truncated_svd
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import (
     Granularity,
@@ -22,12 +22,7 @@ from modquant.quantizer import (
     quantize,
 )
 from modquant.synth import SynthConfig, generate, generate_weight
-from modquant.transform import (
-    apply_inv_left,
-    apply_right,
-    dense_transform,
-    diagonal_transform,
-)
+from surrogate import gradient_and_oracle
 
 ACT_SPEC = {
     b: QuantSpec(b, False, Granularity.PER_TOKEN) for b in (3, 4, 16)
@@ -115,21 +110,19 @@ def test_criterion_2_quantizer_contracts(capsys):
 
 
 def test_criterion_3_computational_invariance(capsys):
+    # The layer's own path function with identity quantizers: (x s)(W / s).
     rng = np.random.default_rng(2)
     worst = 0.0
     for trial in range(30):
         dim = int(rng.integers(2, 65))
         x = rng.standard_normal((8, dim))
         w = rng.standard_normal((dim, 6))
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        dense = dense_transform(q * rng.uniform(0.5, 2.0, dim))
-        diag = diagonal_transform(rng.uniform(0.1, 10.0, dim))
+        path = _path(x, w, rng.uniform(0.1, 10.0, dim), IDENTITY_ACT, IDENTITY_W)
         ref = x @ w
-        for t in (dense, diag):
-            y = apply_right(x, t) @ apply_inv_left(w, t)
-            worst = max(
-                worst, np.linalg.norm(y - ref) / max(np.linalg.norm(ref), 1e-300)
-            )
+        worst = max(
+            worst,
+            np.linalg.norm(path.a @ path.b - ref) / max(np.linalg.norm(ref), 1e-300),
+        )
     _report(capsys, 3, "computational invariance", worst <= 1e-8,
             f"worst rel err {worst:.2e}")
 
@@ -176,7 +169,7 @@ def test_criterion_5_mac_locality(capsys):
     _report(capsys, 5, "MAC locality", ok)
 
 
-def test_criterion_6_svd_and_branch(capsys):
+def test_criterion_6_svd_and_branch(capsys, monkeypatch):
     rng = np.random.default_rng(6)
     ok = True
     w = rng.standard_normal((12, 9))
@@ -186,22 +179,17 @@ def test_criterion_6_svd_and_branch(capsys):
         errs.append(np.linalg.norm(w - f.u @ np.diag(f.sigma) @ f.vt))
     ok &= all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     ok &= errs[-1] <= 1e-8 * np.linalg.norm(w)
-    # gate gradient vs central differences on the smooth branch objective
-    br = build_branch(truncated_svd(w, 3), np.ones(12), 3).with_gate(
-        rng.uniform(0.5, 1.5, 3)
-    )
-    target = rng.standard_normal((12, 9))
-    grad = gate_gradient(br, target)
-    h, fd = 1e-6, np.zeros(3)
-    for i in range(3):
-        up, dn = br.gate.copy(), br.gate.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (
-            np.sum((br.with_gate(up).product() - target) ** 2)
-            - np.sum((br.with_gate(dn).product() - target) ** 2)
-        ) / (2 * h)
-    rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-300)
+    # The gate segments of the calibration gradient vs central differences
+    # of the loss through the frozen-quantizer surrogate.
+    batch, w, part = _small_instance(6)
+    layer = build_layer(w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
+                        use_cws=True, use_mac=True)
+    theta0 = _params(layer)
+    theta0[part.dim:] = rng.uniform(0.5, 1.5, theta0.size - part.dim)
+    grad, fd = gradient_and_oracle(monkeypatch, layer, prepare(layer, batch),
+                                   forward_reference(w, batch), theta0)
+    gates = slice(part.dim, None)
+    rel = np.linalg.norm(grad[gates] - fd[gates]) / max(np.linalg.norm(fd[gates]), 1e-300)
     ok &= rel <= 1e-5
     _report(capsys, 6, "SVD / branch", ok, f"gate grad rel err {rel:.2e}")
 

@@ -22,6 +22,7 @@ from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
+from surrogate import gradient_and_oracle
 
 calibrate_module = importlib.import_module("modquant.calibrate")
 
@@ -157,12 +158,10 @@ class TestGradients:
     ])
     def test_matches_frozen_surrogate(self, monkeypatch, seed, split, cws, mac,
                                       text_rows):
-        # With scales and zero-points held at their base-pass values, the
-        # straight-through estimator is the exact derivative of the surrogate
-        # m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  Central
-        # differences of the loss through that surrogate are the oracle.
-        # Each path's log-scales are checked on their own channels; the
-        # trivial partition's empty outlier paths are skipped.
+        # Central differences through the frozen-quantizer surrogate are the
+        # oracle (see surrogate.py).  Each path's log-scales are checked on
+        # their own channels; the trivial partition's empty outlier paths are
+        # skipped.
         batch = generate(SynthConfig(seed=seed))
         w = generate_weight(64, 64, seed=seed + 900)
         part = (build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
@@ -183,40 +182,8 @@ class TestGradients:
         assert theta0.size == size
         theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
         y_ref = forward_reference(layer.full_weight(), batch)
-        prep = prepare(layer, batch)
-
-        real = layer_module.quantize_ste
-        records = []
-
-        def recording(m, spec):
-            value, mask = real(m, spec)
-            records.append((m.copy(), value, mask))
-            return value, mask
-
-        monkeypatch.setattr(layer_module, "quantize_ste", recording)
-        _, grad = analytic_gradient(_with_params(layer, theta0), prep, y_ref)
-        replay = []
-
-        def frozen(m, spec):
-            m0, q0, mask0 = records[len(replay)]
-            replay.append(None)
-            return q0 + mask0 * (m - m0), mask0
-
-        monkeypatch.setattr(layer_module, "quantize_ste", frozen)
-
-        def surrogate_loss(theta):
-            replay.clear()
-            loss = _loss(_with_params(layer, theta), prep, y_ref)[0]
-            assert len(replay) == len(records)
-            return loss
-
-        h = 1e-6
-        fd = np.empty_like(theta0)
-        for i in range(theta0.size):
-            step = np.zeros_like(theta0)
-            step[i] = h
-            fd[i] = surrogate_loss(theta0 + step) - surrogate_loss(theta0 - step)
-        fd /= 2 * h
+        grad, fd = gradient_and_oracle(monkeypatch, layer, prepare(layer, batch),
+                                       y_ref, theta0)
         for name, index in segments:
             a, f = grad[index], fd[index]
             if index.size == 0:

@@ -18,6 +18,7 @@ import modquant
 from modquant import cli, synth
 from modquant.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from modquant.tensor import MAGIC, ActivationBatch, load_tensor, save_tensor
+from modquant.transform import DIAG_EPS, DIAG_MAX
 
 
 def run(*argv):
@@ -497,7 +498,8 @@ class TestLayerFile:
         rc, err = self.eval_with(small, layer, tmp_path)
         assert rc == EXIT_DATA and err.startswith("data error:") and "p_text" in err
 
-    @pytest.mark.parametrize("value", [0.0, 1e7])
+    @pytest.mark.parametrize("value", [0.0, 1e7, -1.0, np.nextafter(DIAG_EPS, 0),
+                                       np.nextafter(DIAG_MAX, np.inf)])
     def test_scale_out_of_range_is_data_error(self, small, layer, tmp_path, value):
         path = str(layer / "p_main_scale.spqt")
         scale = load_tensor(path)
@@ -717,7 +719,8 @@ class TestAblation:
                                     use_cws=cws, use_mac=mac,
                                     rank_ratio_cws=cfg.rank_cws, rank_ratio_mac=cfg.rank_mac)
             layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))
-            expected[name] = repr(cli._mse_rows(layer, batch)[0])
+            y_ref = cli.forward_reference(layer.full_weight(), batch)
+            expected[name] = repr(cli._mse_rows(layer, batch, y_ref)[0])
         assert rows == expected
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import modquant.layer as layer_module
-from modquant.calibrate import CalibConfig, calibrate
+from modquant.calibrate import _LOG_HI, _LOG_LO, CalibConfig, _params, _with_params, calibrate
 from modquant.layer import (
     SplitLayer,
     build_layer,
@@ -207,6 +207,19 @@ class TestSerialization:
             w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True, use_mac=True
         )
         layer, _ = calibrate(layer, batch, CalibConfig(steps=50))
+        back = load_layer(save_layer(layer, str(tmp_path / "layer")))
+        np.testing.assert_array_equal(back.scale, layer.scale)
+        np.testing.assert_array_equal(forward(back, batch), forward(layer, batch))
+
+    def test_clipped_scales_round_trip_bit_for_bit(self, tmp_path):
+        # Calibration clips its log-scales to [log DIAG_EPS, log DIAG_MAX],
+        # and exp of either clip bound must pass load_layer's range check.
+        batch, w, part = _instance(4)
+        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4)
+        theta = _params(layer)
+        theta[0::2], theta[1::2] = _LOG_LO - 1.0, _LOG_HI + 1.0
+        layer = _with_params(layer, theta)
+        assert set(layer.scale) == {np.exp(_LOG_LO), np.exp(_LOG_HI)}
         back = load_layer(save_layer(layer, str(tmp_path / "layer")))
         np.testing.assert_array_equal(back.scale, layer.scale)
         np.testing.assert_array_equal(forward(back, batch), forward(layer, batch))
