@@ -33,7 +33,7 @@ import numpy as np
 
 from . import transform as tr
 from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
-from .mocd import MocdConfig, build_partition, jaccard
+from .mocd import MocdConfig, _partition, jaccard, percentile_rank
 from .tensor import ActivationBatch
 
 _LOG_LO = np.log(tr.DIAG_EPS)
@@ -231,20 +231,29 @@ def stability_report(
     seed: int = 0,
 ) -> list[dict]:
     """Mean/std Jaccard similarity of outlier selections from random token
-    subsets against the reference-size selection."""
+    subsets against the reference-size selection.  Ranks are row-local: a
+    subset with the reference's candidates reads its rows of the batch's."""
     total = batch.data.shape[0]
     if reference_size > total:
         raise ValueError("reference size exceeds token count")
-    ref_rng = np.random.default_rng(seed)
-    ref_rows = _stratified_subset(ref_rng, batch, reference_size)
-    ref_sel = outlier_set(build_partition(_subset_batch(batch, ref_rows), cfg))
+    whole = []  # the reference's candidates, then the whole batch's counts over them
+
+    def selection(rows):
+        def rank(sub, cand):
+            if not whole:
+                whole.extend([cand, percentile_rank(batch, cand)])
+            if not np.array_equal(cand, whole[0]):
+                return percentile_rank(sub, cand)
+            return whole[1][np.searchsorted(batch.text_rows, rows[sub.text_rows])]
+        return outlier_set(_partition(_subset_batch(batch, rows), cfg, rank))
+
+    ref_sel = selection(_stratified_subset(np.random.default_rng(seed), batch, reference_size))
     report = []
     for size in subset_sizes:
         sims = []
         for trial in range(trials):
             rng = np.random.default_rng(seed * 1_000_003 + trial + 1)
-            rows = _stratified_subset(rng, batch, size)
-            sel = outlier_set(build_partition(_subset_batch(batch, rows), cfg))
+            sel = selection(_stratified_subset(rng, batch, size))
             sims.append(jaccard(sel, ref_sel))
         sims = np.asarray(sims)
         report.append(

@@ -35,7 +35,7 @@ from .layer import (
     load_layer,
     save_layer,
 )
-from .mocd import MocdConfig, build_partition, trivial_partition
+from .mocd import DEFAULT_RATIO, MocdConfig, build_partition, trivial_partition
 from .quantizer import Granularity, QuantSpec, compute_params, quant_error
 from .tensor import (
     ActivationBatch, TensorFormatError, load_matrix, load_tensor, save_tensor,
@@ -63,8 +63,8 @@ class RunConfig:
     mocd: bool = True
     cws: bool = True
     mac: bool = True
-    ratio_vision: float = 0.02
-    ratio_text: float = 0.02
+    ratio_vision: float = DEFAULT_RATIO
+    ratio_text: float = DEFAULT_RATIO
     clusters: int = 3
     rank_cws: float = 0.02
     rank_mac: float = 0.03

@@ -4,7 +4,9 @@ Vision-specific outlier channels are picked by maximum absolute activation.
 Text-specific ones are picked among the remaining channels by rank
 instability: each channel's within-token rank counts are clustered by exact
 1-D k-means on integers, all channels at once, and scored by within-cluster
-variance.  The leftover channels form the modality-compatible main set.
+variance; in 1-D each cluster is an interval of levels (Ckmeans.1d.dp), so a
+Lloyd step costs O(k^2) per channel, whatever the number of levels.  The
+leftover channels form the modality-compatible main set.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .tensor import ActivationBatch
 
 KMEANS_MAX_ITER = 50
+DEFAULT_RATIO = 2 / 64  # the two channels per modality synth plants at dim 64
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,8 @@ def trivial_partition(dim: int) -> ChannelPartition:
 
 @dataclass(frozen=True)
 class MocdConfig:
-    ratio_vision: float = 0.02
-    ratio_text: float = 0.02
+    ratio_vision: float = DEFAULT_RATIO
+    ratio_text: float = DEFAULT_RATIO
     clusters_k: int = 3
 
     def __post_init__(self):
@@ -117,51 +120,54 @@ def percentile_rank(
     return counts
 
 
-def _nearest(levels: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Per row, the index of the center num/den nearest each level, ties to the
-    lower index.  Over den_i den_j the centers i, j are a_i, a_j, and j is strictly
-    nearer to v when sign(a_j - a_i) (2 v den_i den_j - a_i - a_j) > 0 (in int64)."""
-    best = np.zeros((num.shape[0], levels.size), dtype=np.min_scalar_type(num.shape[1]))
-    for j in range(1, num.shape[1]):
-        closer = np.zeros(best.shape, dtype=bool)
-        for i in range(j):
-            a_i, a_j = num[:, [i]] * den[:, [j]], num[:, [j]] * den[:, [i]]
-            sign, two_d = np.sign(a_j - a_i), 2 * den[:, [i]] * den[:, [j]]
-            closer |= (best == i) & (sign * two_d * levels > sign * (a_i + a_j))
-        best[closer] = j
-    return best
+def _intervals(num: np.ndarray, den: np.ndarray, levels: int):
+    """Per row, the levels [lo, hi] (1, 0 if none) nearest each center
+    num_j/den_j, ties to the lower index.  Over den_i den_j the centers are
+    a_i, a_j; j takes v where sign(a_j - a_i) (2 v den_i den_j - a_i - a_j) is
+    >= 1 for all i < j and >= 0 for all i > j, each a bound below or above."""
+    a = num[:, :, None] * den[:, None, :]
+    side, mid2 = np.sign(a - a.swapaxes(1, 2)), a + a.swapaxes(1, 2)
+    two_d, tie = 2 * den[:, :, None] * den[:, None, :], np.tri(num.shape[1], k=-1, dtype=int)
+    lo = np.where(side > 0, -((-mid2 - tie) // two_d), 1).max(axis=2)
+    hi = np.where(side < 0, (mid2 - tie) // two_d, np.where(side < tie, 0, levels)).min(axis=2)
+    return np.where(lo > hi, 1, lo), np.where(lo > hi, 0, hi)
 
 
 def _lloyd_sse(hist: np.ndarray, tokens: int, k: int) -> np.ndarray:
     """Within-cluster sum of squares after k-means, per row of a histogram
     of the levels 1..L, all rows at once.  Centers are exact fractions
     num/den; np.quantile's linear interpolation between sorted positions i
-    and i + 1 at fraction r / 2k is (2k v_i + r (v_(i+1) - v_i)) / 2k."""
-    def cluster_sums(assign, *weights):
-        onehot = assign[:, None, :] == np.arange(k)[:, None]
-        return [np.einsum("nkl,nl->nk", onehot, w) for w in weights]
-
-    levels = np.arange(1, hist.shape[1] + 1)
+    and i + 1 at fraction r / 2k is (2k v_i + r (v_(i+1) - v_i)) / 2k.
+    Clusters cut all levels 1..L, zero counts too, into intervals (a change at
+    any level is a move) summed by prefix sums.  An empty cluster keeps its
+    center, so centers can leave index order: a tie goes to the lower index,
+    not value, and equal centers give the whole cell to the lowest index.
+    With den <= max(tokens, 2k), int64 products stay <= 2 L max(tokens, 2k)^2."""
+    n, levels = hist.shape
+    rows, v = np.arange(n)[:, None], np.arange(1, levels + 1)
+    pre = np.zeros((3, n, levels + 1), dtype=np.int64)  # prefix sums of hist v^0, v^1, v^2
+    for p in range(3):
+        np.cumsum(hist * v**p, axis=1, out=pre[p, :, 1:])
+    # Sorted value i is the number of prefix counts <= i; row m's add m (tokens + 1).
     i, r = np.divmod((2 * np.arange(1, k + 1) - 1) * (tokens - 1), 2 * k)
-    cum = np.cumsum(hist, axis=1)[:, :, None]
-    v_lo = 1 + np.count_nonzero(cum <= i, axis=1)
-    v_hi = 1 + np.count_nonzero(cum <= i + 1, axis=1)  # r = 0 where i + 1 = tokens
-    num, den = 2 * k * v_lo + r * (v_hi - v_lo), np.full((hist.shape[0], k), 2 * k)
-    assign = _nearest(levels, num, den)
-    active, hist_x = np.arange(hist.shape[0]), hist * levels
+    at = np.searchsorted((pre[0] + rows * (tokens + 1)).ravel(),
+                         np.concatenate([i, i + 1]) + rows * (tokens + 1), side="right")
+    v_lo, v_hi = np.split(at - rows * (levels + 1), 2, axis=1)  # r = 0 where i + 1 = tokens
+    num, den = 2 * k * v_lo + r * (v_hi - v_lo), np.full((n, k), 2 * k)
+    (lo, hi), active = _intervals(num, den, levels), np.arange(n)
     for _ in range(KMEANS_MAX_ITER):
-        w, s = cluster_sums(assign[active], hist[active], hist_x[active])
+        w, s = pre[:2, active[:, None], hi[active]] - pre[:2, active[:, None], lo[active] - 1]
         num[active] = np.where(w > 0, s, num[active])
         den[active] = np.where(w > 0, w, den[active])
-        new = _nearest(levels, num[active], den[active])
-        moved = np.any(new != assign[active], axis=1)
-        assign[active] = new
+        new_lo, new_hi = _intervals(num[active], den[active], levels)
+        moved = np.any((new_lo != lo[active]) | (new_hi != hi[active]), axis=1)
+        lo[active], hi[active] = new_lo, new_hi
         active = active[moved]
         if active.size == 0:
             break
     # Per cluster, sum h (x - c)^2 = (Q W - S^2 + (S den - num W)^2 / den^2) / W; the
     # second term, the center's offset from the mean, is 0 unless the cap stopped it.
-    w, s, q = cluster_sums(assign, hist, hist_x, hist_x * levels)
+    w, s, q = pre[:, rows, hi] - pre[:, rows, lo - 1]
     sse = (q * w - s * s) + (s * den - num * w).astype(np.float64) ** 2 / den**2
     return np.sum(np.divide(sse, w, out=np.zeros_like(sse), where=w > 0), axis=1)
 
@@ -196,6 +202,11 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
     Vision channels come first (top-K over all channels), text channels are
     drawn from the remainder, and everything else is the main set.
     """
+    return _partition(batch, cfg, percentile_rank)
+
+
+def _partition(batch: ActivationBatch, cfg: MocdConfig, rank) -> ChannelPartition:
+    """``build_partition`` with the text rank counts from ``rank(batch, remaining)``."""
     dim = batch.data.shape[1]
     k_v = cfg.k_vision(dim)
     k_t = cfg.k_text(dim)
@@ -210,7 +221,7 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
     if k_t > 0:
         if batch.text_rows.size == 0:
             raise ValueError("nonzero text ratio but no text tokens")
-        ranks = percentile_rank(batch, remaining)
+        ranks = rank(batch, remaining)
         scores = text_score(ranks, min(cfg.clusters_k, ranks.shape[0]))
         c_text = remaining[select_topk(scores, k_t)]
     else:

@@ -1,6 +1,7 @@
 """Calibration loop, gradients, and the selection-stability report."""
 
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from modquant.calibrate import (
     _loss,
     _params,
     _stratified_subset,
+    _subset_batch,
     _with_params,
     analytic_gradient,
     calibrate,
@@ -18,7 +20,7 @@ from modquant.calibrate import (
     stability_report,
 )
 from modquant.layer import build_layer, forward_reference, prepare
-from modquant.mocd import MocdConfig, build_partition, trivial_partition
+from modquant.mocd import MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
@@ -265,6 +267,50 @@ class TestStability:
         cfg = MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64)
         rep = stability_report(batch, cfg, [32, 64], 128, trials=20, seed=0)
         assert all(row["mean_jaccard"] >= 0.8 for row in rep)
+
+    @staticmethod
+    def _plain_report(batch, cfg, sizes, reference_size, trials, seed):
+        """stability_report from one build_partition per subset; returns the
+        report and every selection, the reference's first."""
+        def selection(rng, size):
+            rows = _stratified_subset(rng, batch, size)
+            return outlier_set(build_partition(_subset_batch(batch, rows), cfg))
+
+        picks = [selection(np.random.default_rng(seed), reference_size)]
+        report = []
+        for size in sizes:
+            sims = []
+            for trial in range(trials):
+                picks.append(selection(np.random.default_rng(seed * 1_000_003 + trial + 1), size))
+                sims.append(jaccard(picks[-1], picks[0]))
+            report.append({"subset_size": size, "mean_jaccard": float(np.mean(sims)),
+                           "std_jaccard": float(np.std(sims))})
+        return report, picks
+
+    @pytest.mark.parametrize("planted", [True, False],
+                             ids=["shared-candidates", "vision-pick-differs"])
+    def test_rank_reuse_matches_plain_report(self, planted):
+        # The planted batch's vision pick never moves, so the whole batch is
+        # ranked once and every subset reads its rows; on plain noise small
+        # subsets pick other vision channels and rank their own rows.
+        if planted:
+            batch, ratio = generate(SynthConfig(seed=2)), 2 / 64
+        else:
+            rng = np.random.default_rng(7)
+            tags = rng.permutation([0] * 64 + [1] * 32)  # text rows not first
+            batch = ActivationBatch(rng.standard_normal((96, 16)), tags)
+            ratio = 2 / 16
+        args = (batch, MocdConfig(ratio_vision=ratio, ratio_text=ratio), [8, 24, 48], 80, 6, 3)
+        picks = []
+        with mock.patch.object(calibrate_module, "jaccard",
+                               side_effect=lambda a, b: picks.append(a) or jaccard(a, b)), \
+             mock.patch.object(calibrate_module, "percentile_rank",
+                               wraps=percentile_rank) as rank:
+            report = stability_report(*args)
+        expect, expect_picks = self._plain_report(*args)
+        assert report == expect
+        assert [p.tolist() for p in picks] == [p.tolist() for p in expect_picks[1:]]
+        assert (rank.call_count == 1) == planted
 
     def test_outlier_set_merges_and_sorts(self):
         batch = generate(SynthConfig(seed=0))

@@ -223,21 +223,35 @@ class TestTextScore:
         assert scores[1] > scores[0]
 
     @given(
-        st.integers(1, 6).flatmap(lambda c: st.lists(
-            st.lists(st.integers(1, c), min_size=c, max_size=c), min_size=3, max_size=24)),
-        st.integers(1, 3),
+        st.integers(1, 10).flatmap(lambda c: st.lists(
+            st.lists(st.integers(1, c), min_size=c, max_size=c), min_size=5, max_size=24)),
+        st.integers(1, 5),
         st.sampled_from([1, 2, mocd.KMEANS_MAX_ITER]),
     )
     @example(ranks=[[1, 2, 1], [1, 2, 3], [1, 2, 2], [3, 1, 3], [3, 3, 3]], k=2,
              max_iter=mocd.KMEANS_MAX_ITER)
     @example(ranks=[[x] * 6 for x in (1, 6, 5, 3, 4, 6, 5, 5, 2, 4, 5, 4, 3, 6, 2, 1, 5, 5)],
              k=2, max_iter=mocd.KMEANS_MAX_ITER)
+    @example(ranks=[[x] * 3 for x in (1, 1, 1, 2, 3)], k=5, max_iter=mocd.KMEANS_MAX_ITER)
+    @example(ranks=[[x] * 4 for x in (1, 2, 2, 2, 2, 4, 2)], k=3,
+             max_iter=mocd.KMEANS_MAX_ITER)
+    @example(ranks=[[x] * 10 for x in (3, 3, 4, 3, 2, 10, 6, 2, 2, 3, 3)], k=4,
+             max_iter=mocd.KMEANS_MAX_ITER)
+    @example(ranks=[[x] * 2 for x in (1, 1, 1, 1, 2)], k=3, max_iter=1)
     @settings(max_examples=300, deadline=None)
     def test_matches_exact_lloyd(self, ranks, k, max_iter):
         # In the first example, column 1 is [2, 2, 2, 1, 3]: both quantile
         # centers are exactly 2, so it is one cluster and scores 2/45.  In the
         # second, Lloyd meets the centers 8/3 and 16/3, and level 4 lies
         # exactly between them; rounded centers send it to the upper one.
+        # Third: [1, 1, 1, 2, 3] has three levels and starts at the centers
+        # 1, 1, 7/3, so cluster 0 takes cluster 1's whole cell.  Fourth: all
+        # three centers start at 2; after one update cluster 0 is at 15/7 and
+        # the empty clusters keep 2, below it, and Lloyd ends at 4, 1, 2.
+        # Fifth: the centers reach 2, 5, 3, 10, and level 4 lies exactly
+        # between 5 (index 1) and 3 (index 2): it goes to index 1, the upper.
+        # Sixth: two levels, centers 1, 1 then 6/5, 1, and the cap stops the
+        # column while its assignment still moves, so a center is off its mean.
         ranks = np.array(ranks, dtype=np.int64)
         with mock.patch.object(mocd, "KMEANS_MAX_ITER", max_iter):
             got = text_score(ranks, k)
