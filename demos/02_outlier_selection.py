@@ -53,9 +53,9 @@ for i in top5:
     print(f"  channel {candidates[i]:2d}: {s_t[i]:.5f}")
 
 # ---------------------------------------------------------------------------
-# Full partition at the default ratios, 2/64 (K = 2 of 64 channels each).
+# Full partition at ratios 2/64 (K = 2 of 64 channels each).
 # ---------------------------------------------------------------------------
-mocd = MocdConfig()
+mocd = MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64)
 part = build_partition(batch, mocd)
 print("\nselected vision channels:", part.c_vision.tolist())
 print("selected text channels:  ", part.c_text.tolist())

@@ -231,33 +231,32 @@ def stability_report(
     seed: int = 0,
 ) -> list[dict]:
     """Mean/std Jaccard similarity of outlier selections from random token
-    subsets against the reference-size selection.  Ranks are row-local: a
-    subset with the reference's candidates reads its rows of the batch's."""
-    total = batch.data.shape[0]
-    if reference_size > total:
+    subsets against the reference-size selection.  Ranks are row-local, so
+    the union of all subsets' rows is ranked once over the reference's
+    candidates, and a subset with those candidates reads its rows of it."""
+    if reference_size > batch.data.shape[0]:
         raise ValueError("reference size exceeds token count")
-    whole = []  # the reference's candidates, then the whole batch's counts over them
+    ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
+    row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
+                 for t in range(1, trials + 1)] for size in subset_sizes]
+    union = np.unique(np.concatenate([ref_rows, *(r for rs in row_sets for r in rs)]))
+    union_batch = batch if union.size == batch.data.shape[0] else _subset_batch(batch, union)
+    union_text = union[union_batch.text_rows]
+    ranked = []  # the reference's candidates, then the union's counts over them
 
     def selection(rows):
         def rank(sub, cand):
-            if not whole:
-                whole.extend([cand, percentile_rank(batch, cand)])
-            if not np.array_equal(cand, whole[0]):
+            if not ranked:
+                ranked.extend([cand, percentile_rank(union_batch, cand)])
+            if not np.array_equal(cand, ranked[0]):
                 return percentile_rank(sub, cand)
-            return whole[1][np.searchsorted(batch.text_rows, rows[sub.text_rows])]
+            return ranked[1][np.searchsorted(union_text, rows[sub.text_rows])]
         return outlier_set(_partition(_subset_batch(batch, rows), cfg, rank))
 
-    ref_sel = selection(_stratified_subset(np.random.default_rng(seed), batch, reference_size))
+    ref_sel = selection(ref_rows)
     report = []
-    for size in subset_sizes:
-        sims = []
-        for trial in range(trials):
-            rng = np.random.default_rng(seed * 1_000_003 + trial + 1)
-            sel = selection(_stratified_subset(rng, batch, size))
-            sims.append(jaccard(sel, ref_sel))
-        sims = np.asarray(sims)
-        report.append(
-            {"subset_size": size, "mean_jaccard": float(sims.mean()),
-             "std_jaccard": float(sims.std())}
-        )
+    for size, rows_per_trial in zip(subset_sizes, row_sets):
+        sims = np.asarray([jaccard(selection(rows), ref_sel) for rows in rows_per_trial])
+        report.append({"subset_size": size, "mean_jaccard": float(sims.mean()),
+                       "std_jaccard": float(sims.std())})
     return report

@@ -6,7 +6,8 @@ instability: each channel's within-token rank counts are clustered by exact
 1-D k-means on integers, all channels at once, and scored by within-cluster
 variance; in 1-D each cluster is an interval of levels (Ckmeans.1d.dp), so a
 Lloyd step costs O(k^2) per channel, whatever the number of levels.  The
-leftover channels form the modality-compatible main set.
+leftover channels form the modality-compatible main set.  Ranks are
+row-local, so the stability report ranks its subsets' rows once (``_partition``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .tensor import ActivationBatch
 
 KMEANS_MAX_ITER = 50
-DEFAULT_RATIO = 2 / 64  # the two channels per modality synth plants at dim 64
+DEFAULT_RATIO = 0.02  # selection ratio per modality, shared by MocdConfig and the CLI
 
 
 @dataclass(frozen=True)

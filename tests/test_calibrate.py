@@ -287,14 +287,16 @@ class TestStability:
                            "std_jaccard": float(np.std(sims))})
         return report, picks
 
-    @pytest.mark.parametrize("planted", [True, False],
-                             ids=["shared-candidates", "vision-pick-differs"])
-    def test_rank_reuse_matches_plain_report(self, planted):
-        # The planted batch's vision pick never moves, so the whole batch is
-        # ranked once and every subset reads its rows; on plain noise small
-        # subsets pick other vision channels and rank their own rows.
-        if planted:
-            batch, ratio = generate(SynthConfig(seed=2)), 2 / 64
+    @pytest.mark.parametrize("tokens", [64, 512, 0],
+                             ids=["shared-candidates", "union-below-batch", "vision-pick-differs"])
+    def test_rank_reuse_matches_plain_report(self, tokens):
+        # A planted batch's vision pick never moves, so the union of the
+        # subsets' rows is ranked once and every subset reads its rows; at 512
+        # tokens per modality the union is a strict part of the batch.  On
+        # plain noise small subsets pick other vision channels and rank their own.
+        if tokens:
+            batch = generate(SynthConfig(tokens_text=tokens, tokens_vision=tokens, seed=2))
+            ratio = 2 / 64
         else:
             rng = np.random.default_rng(7)
             tags = rng.permutation([0] * 64 + [1] * 32)  # text rows not first
@@ -310,7 +312,9 @@ class TestStability:
         expect, expect_picks = self._plain_report(*args)
         assert report == expect
         assert [p.tolist() for p in picks] == [p.tolist() for p in expect_picks[1:]]
-        assert (rank.call_count == 1) == planted
+        assert (rank.call_count == 1) == (tokens > 0)
+        union_rows = rank.call_args_list[0].args[0].data.shape[0]
+        assert (union_rows < batch.data.shape[0]) == (tokens == 512)
 
     def test_outlier_set_merges_and_sorts(self):
         batch = generate(SynthConfig(seed=0))

@@ -84,15 +84,6 @@ class TestSelect:
         assert stats[0] == "# seed=0"
         assert len(stats) == 2 + 64
 
-    def test_default_ratios_recover_both_planted_sets(self, generated, tmp_path):
-        # gen plants two channels per modality at dim 64; the default ratio
-        # 2/64 selects exactly two, so the x100 vision channel 3 leaves main.
-        out = tmp_path / "sel"
-        assert run("select", "--activations", generated["activations"],
-                   "--out", str(out)) == EXIT_OK
-        part = json.loads((out / "partition.json").read_text())
-        assert (part["c_vision"], part["c_text"]) == ([3, 9], [17, 42])
-
     def test_zero_ratios_give_trivial_partition(self, generated, tmp_path):
         out = tmp_path / "sel0"
         rc = run(

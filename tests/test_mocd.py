@@ -224,7 +224,7 @@ class TestTextScore:
 
     @given(
         st.integers(1, 10).flatmap(lambda c: st.lists(
-            st.lists(st.integers(1, c), min_size=c, max_size=c), min_size=5, max_size=24)),
+            st.lists(st.integers(1, c), min_size=c, max_size=c), min_size=3, max_size=24)),
         st.integers(1, 5),
         st.sampled_from([1, 2, mocd.KMEANS_MAX_ITER]),
     )
@@ -253,6 +253,7 @@ class TestTextScore:
         # Sixth: two levels, centers 1, 1 then 6/5, 1, and the cap stops the
         # column while its assignment still moves, so a center is off its mean.
         ranks = np.array(ranks, dtype=np.int64)
+        k = min(k, len(ranks))  # text_score rejects more clusters than tokens
         with mock.patch.object(mocd, "KMEANS_MAX_ITER", max_iter):
             got = text_score(ranks, k)
             for col, score in zip(ranks.T.tolist(), got):
