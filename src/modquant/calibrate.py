@@ -232,31 +232,29 @@ def stability_report(
 ) -> list[dict]:
     """Mean/std Jaccard similarity of outlier selections from random token
     subsets against the reference-size selection.  Ranks are row-local, so
-    the union of all subsets' rows is ranked once over the reference's
-    candidates, and a subset with those candidates reads its rows of it."""
+    the text rows of all subsets are ranked once over the reference's
+    candidates, and a subset with those candidates reads its rows of them."""
     if reference_size > batch.data.shape[0]:
         raise ValueError("reference size exceeds token count")
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
     row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
                  for t in range(1, trials + 1)] for size in subset_sizes]
-    union = np.unique(np.concatenate([ref_rows, *(r for rs in row_sets for r in rs)]))
-    union_batch = batch if union.size == batch.data.shape[0] else _subset_batch(batch, union)
-    union_text = union[union_batch.text_rows]
-    ranked = []  # the reference's candidates, then the union's counts over them
+    all_rows = np.concatenate([ref_rows, *(r for rs in row_sets for r in rs)])
+    union_text = np.intersect1d(all_rows, batch.text_rows)  # ascending, each row once
+    ranked = []  # the reference's candidates, then union_text's counts over them
 
     def selection(rows):
         def rank(sub, cand):
-            if not ranked:
-                ranked.extend([cand, percentile_rank(union_batch, cand)])
+            if not ranked:  # in blocks no larger than the reference's own sort
+                blocks = np.array_split(union_text, -(-union_text.size // reference_size))
+                ranked.extend([cand, np.concatenate(
+                    [percentile_rank(_subset_batch(batch, b), cand) for b in blocks])])
             if not np.array_equal(cand, ranked[0]):
                 return percentile_rank(sub, cand)
             return ranked[1][np.searchsorted(union_text, rows[sub.text_rows])]
         return outlier_set(_partition(_subset_batch(batch, rows), cfg, rank))
 
     ref_sel = selection(ref_rows)
-    report = []
-    for size, rows_per_trial in zip(subset_sizes, row_sets):
-        sims = np.asarray([jaccard(selection(rows), ref_sel) for rows in rows_per_trial])
-        report.append({"subset_size": size, "mean_jaccard": float(sims.mean()),
-                       "std_jaccard": float(sims.std())})
-    return report
+    sims = [np.asarray([jaccard(selection(rows), ref_sel) for rows in rs]) for rs in row_sets]
+    return [{"subset_size": size, "mean_jaccard": float(s.mean()),
+             "std_jaccard": float(s.std())} for size, s in zip(subset_sizes, sims)]

@@ -271,10 +271,12 @@ class TestStability:
     @staticmethod
     def _plain_report(batch, cfg, sizes, reference_size, trials, seed):
         """stability_report from one build_partition per subset; returns the
-        report and every selection, the reference's first."""
+        report, every selection (the reference's first) and every row set."""
+        row_sets = []
+
         def selection(rng, size):
-            rows = _stratified_subset(rng, batch, size)
-            return outlier_set(build_partition(_subset_batch(batch, rows), cfg))
+            row_sets.append(_stratified_subset(rng, batch, size))
+            return outlier_set(build_partition(_subset_batch(batch, row_sets[-1]), cfg))
 
         picks = [selection(np.random.default_rng(seed), reference_size)]
         report = []
@@ -285,15 +287,16 @@ class TestStability:
                 sims.append(jaccard(picks[-1], picks[0]))
             report.append({"subset_size": size, "mean_jaccard": float(np.mean(sims)),
                            "std_jaccard": float(np.std(sims))})
-        return report, picks
+        return report, picks, row_sets
 
     @pytest.mark.parametrize("tokens", [64, 512, 0],
                              ids=["shared-candidates", "union-below-batch", "vision-pick-differs"])
     def test_rank_reuse_matches_plain_report(self, tokens):
-        # A planted batch's vision pick never moves, so the union of the
-        # subsets' rows is ranked once and every subset reads its rows; at 512
-        # tokens per modality the union is a strict part of the batch.  On
-        # plain noise small subsets pick other vision channels and rank their own.
+        # A planted batch's vision pick never moves, so every text row of the
+        # subsets is ranked once, in blocks of at most reference_size rows, and
+        # every subset reads its rows; at 512 tokens per modality they are a
+        # strict part of the batch.  On plain noise small subsets pick other
+        # vision channels and rank their own rows as well.
         if tokens:
             batch = generate(SynthConfig(tokens_text=tokens, tokens_vision=tokens, seed=2))
             ratio = 2 / 64
@@ -309,12 +312,15 @@ class TestStability:
              mock.patch.object(calibrate_module, "percentile_rank",
                                wraps=percentile_rank) as rank:
             report = stability_report(*args)
-        expect, expect_picks = self._plain_report(*args)
+        expect, expect_picks, row_sets = self._plain_report(*args)
         assert report == expect
         assert [p.tolist() for p in picks] == [p.tolist() for p in expect_picks[1:]]
-        assert (rank.call_count == 1) == (tokens > 0)
-        union_rows = rank.call_args_list[0].args[0].data.shape[0]
-        assert (union_rows < batch.data.shape[0]) == (tokens == 512)
+        union_text = np.intersect1d(np.concatenate(row_sets), batch.text_rows)
+        ranked = [call.args[0].text_rows.size for call in rank.call_args_list]
+        assert (sum(ranked) == union_text.size) == (tokens > 0)
+        assert (union_text.size < batch.text_rows.size) == (tokens == 512)
+        if tokens:
+            assert max(ranked) <= 80 and (len(ranked) > 1) == (tokens == 512)
 
     def test_outlier_set_merges_and_sorts(self):
         batch = generate(SynthConfig(seed=0))
