@@ -44,17 +44,18 @@ def mse(layer):
 # off is where nearly all of the win comes from.
 # ---------------------------------------------------------------------------
 part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
+# A correction branch is built when its rank ratio is given.
 variants = [
-    ("no split, no corrections", trivial_partition(64), False, False),
-    ("channel split", part, False, False),
-    ("split + weight smoothing", part, True, False),
-    ("split + smoothing + compensation", part, True, True),
+    ("no split, no corrections", trivial_partition(64), None, None),
+    ("channel split", part, None, None),
+    ("split + weight smoothing", part, 0.02, None),
+    ("split + smoothing + compensation", part, 0.02, 0.03),
 ]
 print("reconstruction MSE at 3-bit weights / 3-bit activations:")
 layers = {}
-for name, p, cws, mac in variants:
+for name, p, rank_cws, rank_mac in variants:
     layer = build_layer(w, batch, p, act_spec=act3, weight_spec=w3,
-                        use_cws=cws, use_mac=mac)
+                        rank_cws=rank_cws, rank_mac=rank_mac)
     layers[name] = layer
     print(f"  {name:34s} {mse(layer):10.4f}")
 
@@ -65,7 +66,7 @@ for name, p, cws, mac in variants:
 ident_a = QuantSpec(None, False, Granularity.PER_TOKEN)
 ident_w = QuantSpec(None, True, Granularity.PER_CHANNEL)
 exact = build_layer(w, batch, part, act_spec=ident_a, weight_spec=ident_w,
-                    use_cws=True, use_mac=True)
+                    rank_cws=0.02, rank_mac=0.03)
 err = np.linalg.norm(forward(exact, batch) - ref) / np.linalg.norm(ref)
 print(f"\nidentity-quantizer relative error: {err:.2e}")
 

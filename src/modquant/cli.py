@@ -51,6 +51,8 @@ class ConfigError(ValueError):
     pass
 
 
+# A field that feeds a library config takes its default from that config's
+# class, so each default is written once.
 @dataclasses.dataclass
 class RunConfig:
     activations: str | None = None
@@ -65,20 +67,22 @@ class RunConfig:
     mac: bool = True
     ratio_vision: float = DEFAULT_RATIO
     ratio_text: float = DEFAULT_RATIO
-    clusters: int = 3
+    clusters: int = MocdConfig.clusters_k
     rank_cws: float = 0.02
     rank_mac: float = 0.03
-    steps: int = 200
-    learning_rate: float = 1.0
+    steps: int = CalibConfig.steps
+    learning_rate: float = CalibConfig.learning_rate
     # synthetic data generation
-    tokens_text: int = 64
-    tokens_vision: int = 64
-    dim: int = 64
+    tokens_text: int = synth.SynthConfig.tokens_text
+    tokens_vision: int = synth.SynthConfig.tokens_vision
+    dim: int = synth.SynthConfig.dim
     d_out: int = 64
-    vision_outliers: list[int] = dataclasses.field(default_factory=lambda: [3, 9])
-    text_outliers: list[int] = dataclasses.field(default_factory=lambda: [17, 42])
-    vision_scale: float = 100.0
-    text_instability: float = 0.8
+    vision_outliers: list[int] = dataclasses.field(
+        default_factory=lambda: list(synth.SynthConfig.vision_outlier_channels))
+    text_outliers: list[int] = dataclasses.field(
+        default_factory=lambda: list(synth.SynthConfig.text_outlier_channels))
+    vision_scale: float = synth.SynthConfig.vision_outlier_scale
+    text_instability: float = synth.SynthConfig.text_instability
     # stability report
     subset_sizes: list[int] = dataclasses.field(default_factory=lambda: [32, 64])
     reference_size: int = 128
@@ -186,6 +190,19 @@ def _calib_config(cfg: RunConfig) -> CalibConfig:
     return CalibConfig(steps=cfg.steps, learning_rate=cfg.learning_rate)
 
 
+def _synth_config(cfg: RunConfig) -> synth.SynthConfig:
+    return synth.SynthConfig(
+        tokens_text=cfg.tokens_text,
+        tokens_vision=cfg.tokens_vision,
+        dim=cfg.dim,
+        vision_outlier_channels=tuple(cfg.vision_outliers),
+        text_outlier_channels=tuple(cfg.text_outliers),
+        vision_outlier_scale=cfg.vision_scale,
+        text_instability=cfg.text_instability,
+        seed=cfg.seed,
+    )
+
+
 def _load_batch(path: str | None) -> ActivationBatch:
     if path is None:
         raise ConfigError("activation dump path not set")
@@ -219,18 +236,8 @@ def _fmt(v) -> str:
 
 def cmd_gen(cfg: RunConfig) -> int:
     try:  # the planted channels, instability and token count are config values
-        scfg = synth.SynthConfig(
-            tokens_text=cfg.tokens_text,
-            tokens_vision=cfg.tokens_vision,
-            dim=cfg.dim,
-            vision_outlier_channels=tuple(cfg.vision_outliers),
-            text_outlier_channels=tuple(cfg.text_outliers),
-            vision_outlier_scale=cfg.vision_scale,
-            text_instability=cfg.text_instability,
-            seed=cfg.seed,
-        )
         with np.errstate(over="raise"):
-            batch = synth.generate(scfg)
+            batch = synth.generate(_synth_config(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except FloatingPointError as exc:  # vision_scale is the one unbounded input
@@ -278,13 +285,9 @@ def cmd_select(cfg: RunConfig) -> int:
 
 
 def _build(cfg: RunConfig, batch, w, partition):
-    act_spec, weight_spec = _quant_specs(cfg)
-    return build_layer(
-        w, batch, partition,
-        act_spec=act_spec, weight_spec=weight_spec,
-        use_cws=cfg.cws, use_mac=cfg.mac,
-        rank_ratio_cws=cfg.rank_cws, rank_ratio_mac=cfg.rank_mac,
-    )
+    return build_layer(w, batch, partition, *_quant_specs(cfg),
+                       rank_cws=cfg.rank_cws if cfg.cws else None,
+                       rank_mac=cfg.rank_mac if cfg.mac else None)
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
@@ -317,6 +320,12 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     overall, mse_t, mse_v = _mse_rows(layer, batch, y_ref)
     if not math.isfinite(overall):
         raise FloatingPointError(f"non-finite mse_overall {overall!r}")
+    if ablation:  # build_layer checks the weight's rows before anything is written
+        w = _load_weight(cfg.weights)
+        base = _build(dataclasses.replace(cfg, cws=False, mac=False), batch, w,
+                      trivial_partition(batch.data.shape[1]))
+        full = _build(dataclasses.replace(cfg, cws=True, mac=True), batch, w,
+                      build_partition(batch, _mocd_config(cfg)))
     _write_csv(
         cfg, "report.csv", ["metric", "value"],
         [("mse_overall", overall), ("mse_text", mse_t), ("mse_vision", mse_v)],
@@ -336,11 +345,6 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     print(f"mse overall {overall:.6e} (text {mse_t:.6e}, vision {mse_v:.6e})")
 
     if ablation:
-        w = _load_weight(cfg.weights)
-        base = _build(dataclasses.replace(cfg, cws=False, mac=False), batch, w,
-                      trivial_partition(batch.data.shape[1]))
-        full = _build(dataclasses.replace(cfg, cws=True, mac=True), batch, w,
-                      build_partition(batch, _mocd_config(cfg)))
         # Dropping a branch gives the layer built without it, and a best loss
         # is the calibrated layer's MSE (the same forward pass and y_ref).
         grid = [("baseline", base),

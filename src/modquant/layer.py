@@ -23,17 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lowrank, transform as tr
-from .mocd import ChannelPartition, trivial_partition
+from .mocd import ChannelPartition
 from .quantizer import Granularity, QuantSpec, quantize_ste
 from .tensor import ActivationBatch, as_matrix, load_matrix, save_tensor, split_columns
 
 # Fewest bits of the outlier paths' and the low-rank branches' quantizers.
 AUX_BITS_FLOOR = 4
-
-DEFAULT_ACT_SPEC = QuantSpec(bits=8, symmetric=False, granularity=Granularity.PER_TOKEN)
-DEFAULT_WEIGHT_SPEC = QuantSpec(
-    bits=8, symmetric=True, granularity=Granularity.PER_CHANNEL
-)
 
 
 @dataclass(frozen=True)
@@ -205,19 +200,16 @@ def forward_reference(w: np.ndarray, batch: ActivationBatch) -> np.ndarray:
 def build_layer(
     w: np.ndarray,
     batch: ActivationBatch,
-    partition: ChannelPartition | None = None,
-    act_spec: QuantSpec = DEFAULT_ACT_SPEC,
-    weight_spec: QuantSpec = DEFAULT_WEIGHT_SPEC,
-    use_cws: bool = False,
-    use_mac: bool = False,
-    rank_ratio_cws: float = 0.02,
-    rank_ratio_mac: float = 0.03,
+    partition: ChannelPartition,
+    act_spec: QuantSpec,
+    weight_spec: QuantSpec,
+    rank_cws: float | None = None,
+    rank_mac: float | None = None,
 ) -> SplitLayer:
     """Assemble a layer: check and split the weight, init the scales from
-    the calibration activations, and anchor the optional low-rank branches."""
+    the calibration activations, and anchor the low-rank branches.  A branch
+    is built exactly when its rank ratio is given."""
     w = as_matrix(w)
-    if partition is None:
-        partition = trivial_partition(w.shape[0])
     if w.shape[0] != partition.dim:
         raise ValueError("weight rows must match partition dim")
     w_m = w[partition.c_main]
@@ -226,8 +218,8 @@ def build_layer(
 
     d_out = w.shape[1]
     ranks = {name: lowrank.default_rank(ratio, len(partition.c_main), d_out)
-             for name, ratio, on in (("branch_smooth", rank_ratio_cws, use_cws),
-                                     ("branch_comp", rank_ratio_mac, use_mac)) if on}
+             for name, ratio in (("branch_smooth", rank_cws), ("branch_comp", rank_mac))
+             if ratio is not None}
     branches = {}
     if ranks:
         # One SVD serves both branches: each takes its leading r triplets.

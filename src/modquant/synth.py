@@ -16,9 +16,11 @@ import numpy as np
 
 from .tensor import ActivationBatch, ModalityTag
 
-# Magnitude spread of the unstable text component, in units of base_sigma.
-# Wide log-uniform spread keeps the channel's within-token rank dispersed
-# even after k-means clustering with several centers.
+# Log-spread of the vision rows' mild per-channel scale heterogeneity.
+CHANNEL_SCALE_SIGMA = 0.35
+# Magnitude spread of the unstable text component, relative to the unit
+# standard deviation of ordinary channels.  Wide log-uniform spread keeps the
+# channel's within-token rank dispersed even after k-means with several centers.
 TEXT_HIGH_LO = 0.5
 TEXT_HIGH_HI = 12.0
 TEXT_LOW_FRACTION = 0.02
@@ -27,6 +29,8 @@ TEXT_LOW_FRACTION = 0.02
 # which no within-cluster-variance score can separate from planted ones.
 TEXT_LEVEL_SIGMA = 1.0
 TEXT_JITTER_SIGMA = 0.2
+# Ratio of consecutive singular values of a generated weight.
+SPECTRUM_DECAY = 0.93
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,6 @@ class SynthConfig:
     text_outlier_channels: tuple[int, ...] = (17, 42)
     vision_outlier_scale: float = 100.0
     text_instability: float = 0.8
-    base_sigma: float = 1.0
-    channel_scale_sigma: float = 0.35
     seed: int = 0
 
     def __post_init__(self):
@@ -60,33 +62,25 @@ def generate(cfg: SynthConfig) -> ActivationBatch:
     """Draw a batch; bit-exact for a given config (single seeded generator)."""
     rng = np.random.default_rng(cfg.seed)
     dim = cfg.dim
-    # Mild per-channel scale heterogeneity for the vision rows.
-    chan_scale = np.exp(cfg.channel_scale_sigma * rng.standard_normal(dim))
+    chan_scale = np.exp(CHANNEL_SCALE_SIGMA * rng.standard_normal(dim))
 
-    vision = rng.standard_normal((cfg.tokens_vision, dim)) * cfg.base_sigma
+    vision = rng.standard_normal((cfg.tokens_vision, dim))
     vision *= chan_scale[np.newaxis, :]
     for c in cfg.vision_outlier_channels:
-        vision[:, c] = (
-            rng.standard_normal(cfg.tokens_vision)
-            * cfg.base_sigma
-            * cfg.vision_outlier_scale
-        )
+        vision[:, c] = rng.standard_normal(cfg.tokens_vision) * cfg.vision_outlier_scale
 
     # Text rows: each stable channel holds a fixed magnitude level with small
     # log-jitter and random sign, so its within-token rank is consistent.
-    level = np.exp(TEXT_LEVEL_SIGMA * rng.standard_normal(dim)) * cfg.base_sigma
+    level = np.exp(TEXT_LEVEL_SIGMA * rng.standard_normal(dim))
     jitter = np.exp(TEXT_JITTER_SIGMA * rng.standard_normal((cfg.tokens_text, dim)))
     signs = rng.choice([-1.0, 1.0], (cfg.tokens_text, dim))
     text = level[np.newaxis, :] * jitter * signs
     for c in cfg.text_outlier_channels:
         flips = rng.random(cfg.tokens_text) < cfg.text_instability
-        high = (
-            np.exp(rng.uniform(np.log(TEXT_HIGH_LO), np.log(TEXT_HIGH_HI),
-                               cfg.tokens_text))
-            * rng.choice([-1.0, 1.0], cfg.tokens_text)
-            * cfg.base_sigma
-        )
-        low = rng.standard_normal(cfg.tokens_text) * cfg.base_sigma * TEXT_LOW_FRACTION
+        high = (np.exp(rng.uniform(np.log(TEXT_HIGH_LO), np.log(TEXT_HIGH_HI),
+                                   cfg.tokens_text))
+                * rng.choice([-1.0, 1.0], cfg.tokens_text))
+        low = rng.standard_normal(cfg.tokens_text) * TEXT_LOW_FRACTION
         text[:, c] = np.where(flips, high, low)
 
     data = np.concatenate([text, vision], axis=0)
@@ -97,10 +91,8 @@ def generate(cfg: SynthConfig) -> ActivationBatch:
     return ActivationBatch(data, tags)
 
 
-def generate_weight(
-    d_in: int, d_out: int, seed: int = 0, spectrum_decay: float = 0.93
-) -> np.ndarray:
-    """Random weight with a geometrically decaying singular spectrum.
+def generate_weight(d_in: int, d_out: int, seed: int = 0) -> np.ndarray:
+    """Random weight with singular values SPECTRUM_DECAY ** i.
 
     Trained layers are far from isotropic; a decaying spectrum gives the
     low-rank branches a dominant subspace worth anchoring to.
@@ -109,5 +101,5 @@ def generate_weight(
     r = min(d_in, d_out)
     u, _ = np.linalg.qr(rng.standard_normal((d_in, r)))
     v, _ = np.linalg.qr(rng.standard_normal((d_out, r)))
-    sigma = spectrum_decay ** np.arange(r)
+    sigma = SPECTRUM_DECAY ** np.arange(r)
     return (u * sigma[np.newaxis, :]) @ v.T

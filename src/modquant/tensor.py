@@ -29,21 +29,16 @@ class ModalityTag(enum.IntEnum):
     VISION = 1
 
 
-def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def as_matrix(values) -> np.ndarray:
     """Validate and return a 2-D float64 matrix.
 
-    Rejects non-2-D input, NaN/Inf elements, and (when given) shape
-    mismatches.
+    Rejects non-2-D input and NaN/Inf elements.
     """
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite value in matrix")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
     return np.ascontiguousarray(m)
 
 

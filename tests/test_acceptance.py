@@ -134,14 +134,14 @@ def test_criterion_4_cancellation_oracle(capsys):
         batch, w, part = _small_instance(seed)
         for nontrivial in (False, True):
             p = part if nontrivial else trivial_partition(16)
-            for use_cws in (False, True):
-                for use_mac in (False, True):
+            for rank_cws in (None, 0.02):
+                for rank_mac in (None, 0.03):
                     if count >= 50 * 8:
                         break
                     layer = build_layer(
                         w, batch, p, act_spec=IDENTITY_ACT,
                         weight_spec=IDENTITY_W,
-                        use_cws=use_cws, use_mac=use_mac,
+                        rank_cws=rank_cws, rank_mac=rank_mac,
                     )
                     y = forward(layer, batch)
                     ref = forward_reference(w, batch)
@@ -159,7 +159,7 @@ def test_criterion_5_mac_locality(capsys):
         batch, w, part = _small_instance(seed)
         layer = build_layer(
             w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
-            use_cws=True, use_mac=True,
+            rank_cws=0.02, rank_mac=0.03,
         )
         off = dataclasses.replace(layer, branch_comp=None)
         v = batch.vision_rows
@@ -183,7 +183,7 @@ def test_criterion_6_svd_and_branch(capsys, monkeypatch):
     # of the loss through the frozen-quantizer surrogate.
     batch, w, part = _small_instance(6)
     layer = build_layer(w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
-                        use_cws=True, use_mac=True)
+                        rank_cws=0.02, rank_mac=0.03)
     theta0 = _params(layer)
     theta0[part.dim:] = rng.uniform(0.5, 1.5, theta0.size - part.dim)
     grad, fd = gradient_and_oracle(monkeypatch, layer, prepare(layer, batch),
@@ -214,7 +214,7 @@ def test_criterion_8_calibration_monotonicity(capsys):
         part = build_partition(batch, DEFAULT_MOCD)
         layer = build_layer(
             w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
-            use_cws=True, use_mac=True,
+            rank_cws=0.02, rank_mac=0.03,
         )
         _, trace = calibrate(layer, batch, CalibConfig())
         imps.append(1 - trace.best_loss / trace.losses[0])
@@ -234,15 +234,15 @@ def test_criterion_9_ablation_ordering(capsys):
         ref = forward_reference(w, batch)
         part = build_partition(batch, DEFAULT_MOCD)
         grid = [
-            ("baseline", trivial_partition(64), False, False),
-            ("mocd", part, False, False),
-            ("mocd+cws", part, True, False),
-            ("mocd+cws+mac", part, True, True),
+            ("baseline", trivial_partition(64), None, None),
+            ("mocd", part, None, None),
+            ("mocd+cws", part, 0.02, None),
+            ("mocd+cws+mac", part, 0.02, 0.03),
         ]
-        for name, p, cws, mac in grid:
+        for name, p, rank_cws, rank_mac in grid:
             layer = build_layer(
                 w, batch, p, act_spec=ACT_SPEC[3], weight_spec=W_SPEC[3],
-                use_cws=cws, use_mac=mac,
+                rank_cws=rank_cws, rank_mac=rank_mac,
             )
             mses[name].append(float(np.mean((forward(layer, batch) - ref) ** 2)))
     med = {k: float(np.median(v)) for k, v in mses.items()}

@@ -44,7 +44,8 @@ def _setup(seed, dim=16, d_out=12, act=ACT4, w_spec=W4, cws=True, mac=True):
     w = generate_weight(dim, d_out, seed=seed + 500)
     part = build_partition(batch, MocdConfig(ratio_vision=1 / dim, ratio_text=1 / dim))
     layer = build_layer(
-        w, batch, part, act_spec=act, weight_spec=w_spec, use_cws=cws, use_mac=mac
+        w, batch, part, act_spec=act, weight_spec=w_spec,
+        rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
     )
     return batch, layer
 
@@ -88,7 +89,7 @@ class TestCalibrate:
             )
             layer = build_layer(
                 w, batch, part, act_spec=ACT4, weight_spec=W4,
-                use_cws=True, use_mac=True,
+                rank_cws=0.02, rank_mac=0.03,
             )
             _, trace = calibrate(layer, batch, CalibConfig(steps=100))
             imps.append(1 - trace.best_loss / trace.losses[0])
@@ -172,7 +173,8 @@ class TestGradients:
             rows = batch.vision_rows
             batch = ActivationBatch(batch.data[rows], batch.tags[rows])
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=cws, use_mac=mac
+            w, batch, part, act_spec=ACT4, weight_spec=W4,
+            rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
         )
         segments = [(name, getattr(part, name)) for name in ("c_main", "c_text", "c_vision")]
         size = part.dim

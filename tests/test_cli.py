@@ -293,6 +293,13 @@ class TestConfigHandling:
             direct / "activations.spqt"
         ).read_bytes()
 
+    def test_defaults_are_the_library_configs_defaults(self):
+        # Each field that feeds a library config takes that config's default.
+        cfg = cli.RunConfig()
+        assert cli._synth_config(cfg) == synth.SynthConfig()
+        assert cli._mocd_config(cfg) == cli.MocdConfig()
+        assert cli._calib_config(cfg) == cli.CalibConfig()
+
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == EXIT_USAGE
 
@@ -677,6 +684,23 @@ class TestFlags:
 
 
 class TestAblation:
+    @pytest.mark.parametrize("weights,expected", [
+        (None, EXIT_USAGE), ("missing", EXIT_DATA), ("short", EXIT_DATA),
+    ], ids=["unset", "missing", "short"])
+    def test_weight_error_writes_no_output(self, small, tmp_path, weights, expected):
+        # The weight is read and checked before eval writes its report.
+        argv = ["eval", "--ablation", "--config", small["config"],
+                "--activations", small["activations"],
+                "--layer-dir", small["layer_dir"], "--out", str(tmp_path / "out")]
+        if weights is not None:
+            path = tmp_path / f"{weights}.spqt"
+            if weights == "short":  # one row fewer than the batch has channels
+                save_tensor(str(path), load_tensor(small["weights"])[:-1])
+            argv += ["--weights", str(path)]
+        rc, err = run_captured(argv)
+        assert rc == expected and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_builds_each_partition_once(self, small, tmp_path, monkeypatch):
         built = []
         real = cli.build_partition
@@ -716,8 +740,8 @@ class TestAblation:
             part = (cli.build_partition(batch, cli._mocd_config(cfg)) if mocd
                     else cli.trivial_partition(batch.data.shape[1]))
             layer = cli.build_layer(w, batch, part, act_spec=act, weight_spec=weight,
-                                    use_cws=cws, use_mac=mac,
-                                    rank_ratio_cws=cfg.rank_cws, rank_ratio_mac=cfg.rank_mac)
+                                    rank_cws=cfg.rank_cws if cws else None,
+                                    rank_mac=cfg.rank_mac if mac else None)
             layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))
             y_ref = cli.forward_reference(layer.full_weight(), batch)
             expected[name] = repr(cli._mse_rows(layer, batch, y_ref)[0])

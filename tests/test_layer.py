@@ -27,6 +27,8 @@ IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
 IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
 ACT4 = QuantSpec(4, False, Granularity.PER_TOKEN)
 W4 = QuantSpec(4, True, Granularity.PER_CHANNEL)
+ACT8 = QuantSpec(8, False, Granularity.PER_TOKEN)
+W8 = QuantSpec(8, True, Granularity.PER_CHANNEL)
 
 
 def _instance(seed, dim=16, d_out=12, nontrivial=True):
@@ -64,15 +66,15 @@ class TestReference:
 
 class TestCancellation:
     @pytest.mark.parametrize("nontrivial", [False, True])
-    @pytest.mark.parametrize("use_cws", [False, True])
-    @pytest.mark.parametrize("use_mac", [False, True])
-    def test_identity_quantizers_cancel(self, nontrivial, use_cws, use_mac):
+    @pytest.mark.parametrize("cws", [False, True])
+    @pytest.mark.parametrize("mac", [False, True])
+    def test_identity_quantizers_cancel(self, nontrivial, cws, mac):
         for seed in range(5):
             batch, w, part = _instance(seed, nontrivial=nontrivial)
             layer = build_layer(
                 w, batch, part,
                 act_spec=IDENTITY_ACT, weight_spec=IDENTITY_W,
-                use_cws=use_cws, use_mac=use_mac,
+                rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
             )
             y = forward(layer, batch)
             ref = forward_reference(w, batch)
@@ -95,7 +97,7 @@ class TestMacLocality:
             batch, w, part = _instance(seed)
             layer = build_layer(
                 w, batch, part, act_spec=ACT4, weight_spec=W4,
-                use_cws=True, use_mac=True,
+                rank_cws=0.02, rank_mac=0.03,
             )
             off = dataclasses.replace(layer, branch_comp=None)
             y_on = forward(layer, batch)
@@ -107,7 +109,7 @@ class TestMacLocality:
         batch, w, part = _instance(3)
         layer = build_layer(
             w, batch, part, act_spec=ACT4, weight_spec=W4,
-            use_cws=True, use_mac=True,
+            rank_cws=0.02, rank_mac=0.03,
         )
         off = dataclasses.replace(layer, branch_comp=None)
         t = batch.text_rows
@@ -142,11 +144,10 @@ class TestBuild:
         calls = []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        kw = dict(act_spec=ACT4, weight_spec=W4, rank_ratio_cws=0.1, rank_ratio_mac=0.2)
-        both = build_layer(w, batch, part, use_cws=True, use_mac=True, **kw)
+        both = build_layer(w, batch, part, ACT4, W4, rank_cws=0.1, rank_mac=0.2)
         assert len(calls) == 1
-        cws = build_layer(w, batch, part, use_cws=True, **kw).branch_smooth
-        mac = build_layer(w, batch, part, use_mac=True, **kw).branch_comp
+        cws = build_layer(w, batch, part, ACT4, W4, rank_cws=0.1).branch_smooth
+        mac = build_layer(w, batch, part, ACT4, W4, rank_mac=0.2).branch_comp
         assert (cws.rank, mac.rank) == (2, 5)
         for shared, own in ((both.branch_smooth, cws), (both.branch_comp, mac)):
             for name in ("u_star", "v_base", "gate"):
@@ -159,16 +160,16 @@ class TestValidation:
         bad = w.copy()
         bad[part.c_main[0], 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            build_layer(bad, batch, part)
+            build_layer(bad, batch, part, ACT8, W8)
 
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)
         with pytest.raises(ValueError):
-            build_layer(w[:-1], batch, part)
+            build_layer(w[:-1], batch, part, ACT8, W8)
 
     def test_batch_width_checked(self):
         batch, w, part = _instance(0)
-        layer = build_layer(w, batch, part)
+        layer = build_layer(w, batch, part, ACT8, W8)
         short = generate(
             SynthConfig(
                 dim=8, vision_outlier_channels=(1,),
@@ -182,7 +183,7 @@ class TestValidation:
 class TestFullWeight:
     def test_round_trip(self):
         batch, w, part = _instance(2)
-        layer = build_layer(w, batch, part)
+        layer = build_layer(w, batch, part, ACT8, W8)
         np.testing.assert_array_equal(layer.full_weight(), w)
 
 
@@ -192,7 +193,8 @@ class TestSerialization:
         batch, w, part = _instance(4)
         layer = build_layer(
             w, batch, part, act_spec=ACT4, weight_spec=W4,
-            use_cws=use_branches, use_mac=use_branches,
+            rank_cws=0.02 if use_branches else None,
+            rank_mac=0.03 if use_branches else None,
         )
         manifest = save_layer(layer, str(tmp_path / "layer"))
         back = load_layer(manifest)
@@ -204,7 +206,7 @@ class TestSerialization:
         w = generate_weight(64, 64, seed=0)
         part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True, use_mac=True
+            w, batch, part, act_spec=ACT4, weight_spec=W4, rank_cws=0.02, rank_mac=0.03
         )
         layer, _ = calibrate(layer, batch, CalibConfig(steps=50))
         back = load_layer(save_layer(layer, str(tmp_path / "layer")))
@@ -241,7 +243,7 @@ class TestSerialization:
     @pytest.mark.parametrize("key", ["use_mac", "partition", "p_text", "w_main"])
     def test_missing_manifest_key_is_value_error(self, tmp_path, key):
         batch, w, part = _instance(4)
-        path = save_layer(build_layer(w, batch, part), str(tmp_path / "layer"))
+        path = save_layer(build_layer(w, batch, part, ACT8, W8), str(tmp_path / "layer"))
         with open(path) as fh:
             manifest = json.load(fh)
         del manifest[key]
@@ -254,8 +256,8 @@ class TestSerialization:
     def test_branch_factor_of_wrong_shape_is_value_error(self, tmp_path, fname):
         # One column would broadcast against the rank in the forward pass.
         batch, w, part = _instance(4)
-        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True,
-                            use_mac=True, rank_ratio_cws=0.5, rank_ratio_mac=0.5)
+        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4,
+                            rank_cws=0.5, rank_mac=0.5)
         assert layer.branch_smooth.rank > 1 and layer.branch_comp.rank > 1
         path = save_layer(layer, str(tmp_path / "layer"))
         factor = str(tmp_path / "layer" / fname)
@@ -274,7 +276,7 @@ class TestParameterUpdates:
     def test_gate_update_changes_output(self):
         batch, w, part = _instance(5)
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4, use_cws=True
+            w, batch, part, act_spec=ACT4, weight_spec=W4, rank_cws=0.02
         )
         rank = layer.branch_smooth.rank
         updated = dataclasses.replace(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modquant.mocd import MocdConfig, build_partition, select_topk, vision_score
-from modquant.synth import SynthConfig, generate, generate_weight
+from modquant.synth import SPECTRUM_DECAY, SynthConfig, generate, generate_weight
 
 
 class TestConfigValidation:
@@ -74,6 +74,6 @@ class TestGenerateWeight:
         np.testing.assert_array_equal(w, generate_weight(12, 8, seed=3))
 
     def test_decaying_spectrum(self):
-        w = generate_weight(16, 16, seed=4, spectrum_decay=0.8)
+        w = generate_weight(16, 16, seed=4)
         s = np.linalg.svd(w, compute_uv=False)
-        np.testing.assert_allclose(s, 0.8 ** np.arange(16), atol=1e-10)
+        np.testing.assert_allclose(s, SPECTRUM_DECAY ** np.arange(16), atol=1e-10)

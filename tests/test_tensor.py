@@ -36,12 +36,6 @@ class TestAsMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix([[np.inf, 0.0]])
 
-    def test_shape_check(self):
-        with pytest.raises(ValueError, match="rows"):
-            as_matrix(np.zeros((2, 3)), rows=4)
-        with pytest.raises(ValueError, match="cols"):
-            as_matrix(np.zeros((2, 3)), cols=4)
-
 
 class TestActivationBatch:
     def test_text_and_vision_rows(self):

@@ -3,15 +3,16 @@
 Usage: python3 tools/output_digest.py SRC_DIR OUT.json
 
 SRC_DIR is a source tree that holds the ``modquant`` package (``src`` of a
-checkout). For each workload in ``perfbench/workloads.py`` at gen seeds 0, 3
-and 14, the script runs, one subprocess per command and with BLAS pinned to
-one thread:
+checkout). For each workload in ``perfbench/workloads.py``, and once with no
+``--config`` (keyed ``defaults``, so that a moved default shows), at gen seeds
+0, 3 and 14, the script runs, one subprocess per command and with BLAS pinned
+to one thread:
 
 - ``gen``, ``select``, ``calibrate``, ``eval --ablation`` and ``stability``;
 - ``calibrate`` and ``eval`` with ``--wbits 0 --abits 0``;
 - ``calibrate --no-mocd``.
 
-It writes one JSON object, one entry per line, that maps
+It writes one JSON object, one entry per line (720 entries), that maps
 ``<workload>/seed<N>/<command>/<file>`` to the sha256 of each output file and
 ``<workload>/seed<N>/<command>.exit`` to each exit code. Two source trees
 write the same bytes exactly when ``diff`` finds their files equal:
@@ -23,7 +24,8 @@ write the same bytes exactly when ``diff`` finds their files equal:
 Outputs are byte-identical for the same inputs, the same numpy/BLAS build and
 the same BLAS thread count, so every command runs with OpenBLAS, OpenMP and
 MKL pinned to one thread. Another count can change the last bits of a large
-product or SVD: at two threads 18 of 540 entries differ, all on calib-wide.
+product or SVD: at two threads 18 of the 540 workload entries differ, all on
+calib-wide.
 """
 
 from __future__ import annotations
@@ -87,16 +89,18 @@ def digest(src_dir: str) -> dict:
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     result = {}
     with tempfile.TemporaryDirectory() as work:
-        for name, workload in sorted(_workloads().items()):
-            config = os.path.join(work, f"{name}.json")
-            with open(config, "w") as fh:
+        configs = {"defaults": []}  # the CLI's own defaults
+        for name, workload in _workloads().items():
+            configs[name] = ["--config", os.path.join(work, f"{name}.json")]
+            with open(configs[name][1], "w") as fh:
                 json.dump(workload.cli_config(), fh)
+        for name, config in sorted(configs.items()):
             for seed in GEN_SEEDS:
                 key = f"{name}/seed{seed}"
                 run = os.path.join(work, key)
                 for out_name, args in _commands(run):
-                    argv = [sys.executable, "-m", "modquant.cli", *args,
-                            "--config", config, "--seed", str(seed)]
+                    argv = [sys.executable, "-m", "modquant.cli", *args, *config,
+                            "--seed", str(seed)]
                     proc = subprocess.run(argv, env=env, capture_output=True)
                     result[f"{key}/{out_name}.exit"] = proc.returncode
                     out_dir = os.path.join(run, out_name)
