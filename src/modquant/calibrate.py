@@ -18,21 +18,26 @@ scales that the best step multiplied by, so a saved and reloaded layer
 reproduces its loss.
 The gradient reads the layer's ``ForwardPass`` records, and every path's
 log-scale gradient is the one ``_log_scale_grad``, written into the entries
-of its channels.  The gradient buffers are scaled in place, and
+of its channels; a gate's gradient reads its branch's product from the
+forward record.  The gradient buffers are scaled in place, and
 ``_log_scale_grad`` overwrites its two gradient arguments.  A step changes
 only scales and gates, so ``calibrate`` builds one ``layer.prepare`` record
-per call and every step reads it.  The last step only evaluates the loss:
-the update it would make is never evaluated, so it takes no gradient.
+per call, every step reads it, and no step re-runs the layer's shape
+checks.  The last step only evaluates the loss: the update it would make is
+never evaluated, so it takes no gradient.  A non-finite loss or gradient
+raises ``NonFiniteLossError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import transform as tr
-from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
+from .layer import (Prepared, SplitLayer, forward_reference, forward_with_cache, prepare,
+                    replace_unchecked)
+from .lowrank import LowRankBranch
 from .mocd import MocdConfig, _partition, jaccard, percentile_rank
 from .tensor import ActivationBatch
 
@@ -70,8 +75,10 @@ class LossTrace:
 
 
 class NonFiniteLossError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    """A non-finite loss, or gradient, at a calibration step."""
+
+    def __init__(self, step: int, quantity: str = "loss"):
+        super().__init__(f"non-finite {quantity} at step {step}")
         self.step = step
 
 
@@ -83,23 +90,26 @@ def _params(layer: SplitLayer) -> np.ndarray:
 
 
 def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
-    """A copy of ``layer`` whose learned parameters are ``theta``."""
+    """A copy of ``layer`` whose learned parameters are ``theta``.  Only the
+    scales and gates change, and no shape with them, so the copy skips the
+    checks that ``build_layer`` and ``load_layer`` run."""
     offset = layer.partition.dim
     # Clipped to the bounds that load_layer checks (transform.checked_scale).
     changes: dict = {"scale": np.exp(np.clip(theta[:offset], _LOG_LO, _LOG_HI))}
     for name in ("branch_smooth", "branch_comp"):
         br = getattr(layer, name)
         if br is not None:
-            changes[name] = br.with_gate(theta[offset : offset + br.rank].copy())
+            gate = theta[offset : offset + br.rank].copy()
+            changes[name] = LowRankBranch(br.u_star, br.v_base, gate)
             offset += br.rank
-    return replace(layer, **changes)
+    return replace_unchecked(layer, **changes)
 
 
 def _loss(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     """The loss, the residual y - y_ref and the ``ForwardPass`` record."""
     r, fp = forward_with_cache(layer, prep)
     r -= y_ref
-    return float(np.mean(r ** 2)), r, fp
+    return float(np.add.reduce(r ** 2, axis=None) / r.size), r, fp
 
 
 def _log_scale_grad(path, scale, dl_dz, dl_db):
@@ -108,14 +118,14 @@ def _log_scale_grad(path, scale, dl_dz, dl_db):
     Overwrites both."""
     dl_dz *= path.x
     dl_db *= path.w_s
-    return np.sum(dl_dz, axis=0) * scale - np.sum(dl_db, axis=1)
+    return np.add.reduce(dl_dz, axis=0) * scale - np.add.reduce(dl_db, axis=1)
 
 
-def _gate_grad(bp, br, x_in, g):
+def _gate_grad(bp, br, g):
     """Gradient w.r.t. a branch gate through its quantized factor
-    v_q = Q(gate * v_base), for a branch output (x_in @ u_q) @ v_q."""
-    dl_dv = bp.mask_v * ((x_in @ bp.u_q).T @ g)
-    return np.sum(dl_dv * br.v_base, axis=1)
+    v_q = Q(gate * v_base), for a branch output h @ v_q."""
+    dl_dv = bp.mask_v * (bp.h.T @ g)
+    return np.add.reduce(dl_dv * br.v_base, axis=1)
 
 
 def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
@@ -144,12 +154,12 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     if br is not None:
         # The branch product is also subtracted inside the main weight; read
         # dl_db before _log_scale_grad overwrites it.
-        grads.append(_gate_grad(cws, br, main.a, g)
+        grads.append(_gate_grad(cws, br, g)
                      - np.einsum("jk,jo,ko->k", br.u_star, dl_db, br.v_base))
     br = layer.branch_comp
     if br is not None:
         grads.append(np.zeros(br.rank) if mac is None
-                     else _gate_grad(mac, br, mac.e_q, g[t_rows]))
+                     else _gate_grad(mac, br, g[t_rows]))
     d_grad = np.zeros(p.dim)
     d_grad[p.c_main] = _log_scale_grad(main, s[p.c_main], dl_dz, dl_db)
     for path, cols in ((fp.text, p.c_text), (fp.vision, p.c_vision)):
@@ -183,6 +193,9 @@ def calibrate(
                       else analytic_gradient(current, prep, y_ref))
         if not np.isfinite(loss):
             raise NonFiniteLossError(step)
+        # The clips would turn an infinite entry into a bound, silently.
+        if grad is not None and not np.isfinite(grad).all():
+            raise NonFiniteLossError(step, "gradient")
         trace.losses.append(loss)
         if loss < best_loss:
             best_loss = loss

@@ -80,6 +80,14 @@ class SplitLayer:
         return w
 
 
+def replace_unchecked(layer: SplitLayer, **changes) -> SplitLayer:
+    """``dataclasses.replace`` without the shape checks, for changes that
+    keep every shape, such as a calibration step's scales and gates."""
+    new = object.__new__(SplitLayer)
+    new.__dict__.update(layer.__dict__, **changes)
+    return new
+
+
 @dataclass(frozen=True)
 class PathPass:
     """One path's intermediates: x, z = x * d, a = Q(z), w_s = W / d[:, None]
@@ -96,13 +104,15 @@ class PathPass:
 
 @dataclass(frozen=True)
 class BranchPass:
-    """A low-rank branch's quantized factors and the mask of its gated
-    factor; for MAC also the quantized text-row activation error."""
+    """A low-rank branch's quantized factors, the mask of its gated factor
+    and its product h = x_in @ u_q, which the output and the gate gradient
+    share; x_in is the main path's a for CWS and, for MAC, the quantized
+    text-row activation error, whose mask MAC also keeps."""
 
     u_q: np.ndarray
     v_q: np.ndarray
     mask_v: np.ndarray
-    e_q: np.ndarray | None = None
+    h: np.ndarray
     mask_e: np.ndarray | None = None
 
 
@@ -152,7 +162,9 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
     ``prep`` is ``prepare`` of this layer or of one with other scales and
     gates.  Each path scales and quantizes its activation and weight through
     ``_path``; the main path's weight is quantized less the CWS product, and
-    a branch quantizes only gate * v_base.  Empty paths do no work.
+    a branch quantizes only gate * v_base, computed once for both.  Each
+    branch records its product h = x_in @ u_q for the gate gradient.  Empty
+    paths do no work.
     """
     p, s = layer.partition, layer.scale
     t_rows = prep.text_rows
@@ -162,20 +174,22 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
     br = layer.branch_smooth
     cws = shift = None
     if br is not None:
-        cws = BranchPass(prep.u_cws, *quantize_ste(br.effective_v(), w_aux))
-        shift = br.product()
+        v = br.effective_v()  # feeds both Q and the shift
+        v_q, mask_v = quantize_ste(v, w_aux)
+        shift = br.u_star @ v
     main = _path(prep.x_main, layer.w_main, s[p.c_main], layer.act_spec,
                  layer.weight_spec, shift)
     y = main.a @ main.b
-    if cws is not None:
-        y += (main.a @ cws.u_q) @ cws.v_q
+    if br is not None:
+        cws = BranchPass(prep.u_cws, v_q, mask_v, main.a @ prep.u_cws)
+        y += cws.h @ cws.v_q
 
     mac = None
     if layer.branch_comp is not None and t_rows.size:
         e_q, mask_e = quantize_ste((main.z - main.a)[t_rows], act_aux)
         v_q, mask_v = quantize_ste(layer.branch_comp.effective_v(), w_aux)
-        mac = BranchPass(prep.u_mac, v_q, mask_v, e_q, mask_e)
-        y[t_rows] += (e_q @ mac.u_q) @ mac.v_q
+        mac = BranchPass(prep.u_mac, v_q, mask_v, e_q @ prep.u_mac, mask_e)
+        y[t_rows] += mac.h @ mac.v_q
 
     text = vision = None
     if p.c_text.size:

@@ -10,7 +10,7 @@ column, so each branch's leading r triplets equal those of a rank-r SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,15 +58,6 @@ class LowRankBranch:
 
     def effective_v(self) -> np.ndarray:
         return self.gate[:, None] * self.v_base
-
-    def product(self) -> np.ndarray:
-        return self.u_star @ self.effective_v()
-
-    def with_gate(self, gate: np.ndarray) -> "LowRankBranch":
-        gate = np.asarray(gate, dtype=np.float64)
-        if gate.shape != (self.rank,) or not np.all(np.isfinite(gate)):
-            raise ValueError("gate must be a finite vector of length rank")
-        return replace(self, gate=gate)
 
 
 def build_branch(factors: SvdFactors, scale: np.ndarray, r: int) -> LowRankBranch:

@@ -109,13 +109,22 @@ def percentile_rank(
     rows = batch.text_rows
     if rows.size == 0:
         raise ValueError("no text tokens present")
-    a = np.abs(batch.data[np.ix_(rows, cand)])
+    # Each float array is released before the int64 stages, so at most three
+    # arrays of the result's size are alive at once.
+    a = batch.data[np.ix_(rows, cand)]
+    np.abs(a, out=a)
     order = np.argsort(a, axis=1)
     srt = np.take_along_axis(a, order, axis=1)
+    del a
     # A count is one past the sorted position of the last entry equal to it.
-    run_end = np.diff(srt, axis=1, append=np.inf) != 0
+    run_end = np.empty(srt.shape, dtype=bool)
+    run_end[:, -1] = True
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=run_end[:, :-1])
+    del srt
     ends = np.where(run_end, np.arange(1, cand.size + 1), cand.size)
-    ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    del run_end
+    backward = ends[:, ::-1]
+    np.minimum.accumulate(backward, axis=1, out=backward)
     counts = np.empty_like(ends)
     np.put_along_axis(counts, order, ends, axis=1)
     return counts

@@ -91,34 +91,26 @@ def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
     x -= r
     np.abs(x, out=x)
     half = x == 0.5
-    if half.any():
+    if np.count_nonzero(half):
         xh = m[half] / np.broadcast_to(s, m.shape)[half]
         r[half] = xh + np.copysign(0.5, xh)
     return r
 
 
+# The axis each granularity reduces a group along (None: the whole matrix).
+_AXIS = {Granularity.PER_TENSOR: None, Granularity.PER_CHANNEL: 0,
+         Granularity.PER_TOKEN: 1}
+
+
 def _group_count(shape: tuple[int, int], granularity: Granularity) -> int:
-    if granularity is Granularity.PER_TENSOR:
-        return 1
-    if granularity is Granularity.PER_CHANNEL:
-        return shape[1]
-    return shape[0]
-
-
-def _reduce(m: np.ndarray, granularity: Granularity, fn) -> np.ndarray:
-    if granularity is Granularity.PER_TENSOR:
-        return np.atleast_1d(fn(m))
-    axis = 0 if granularity is Granularity.PER_CHANNEL else 1
-    return fn(m, axis=axis)
+    axis = _AXIS[granularity]
+    return 1 if axis is None else shape[1 - axis]
 
 
 def _broadcast(v: np.ndarray, granularity: Granularity) -> np.ndarray:
-    # Shape group values so they broadcast over the full matrix.
-    if granularity is Granularity.PER_TENSOR:
-        return v.reshape(1, 1)
-    if granularity is Granularity.PER_CHANNEL:
-        return v.reshape(1, -1)
-    return v.reshape(-1, 1)
+    # Group values shaped like a keepdims reduction, to broadcast over the matrix.
+    axis = _AXIS[granularity]
+    return v.reshape((1, 1) if axis is None else (1, -1) if axis == 0 else (-1, 1))
 
 
 def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
@@ -129,33 +121,43 @@ def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
     all-zero groups get S = 1, z = 0.  Scales are floored at the smallest
     positive normal, so subnormal groups never underflow to a zero scale.
     """
-    return QuantParams(*_params(as_matrix(m), spec))
-
-
-def _params(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (scales, integer-valued float zero-points) of ``compute_params``."""
-    g = spec.granularity
+    m = as_matrix(m)
     if spec.is_identity or m.size == 0:
-        n = _group_count(m.shape, g)
-        return np.ones(n), np.zeros(n)
-    q_min, q_max = spec.q_min, spec.q_max
+        n = _group_count(m.shape, spec.granularity)
+        return QuantParams(np.ones(n), np.zeros(n))
+    scales, zps = _params(m, spec)
+    return QuantParams(scales.reshape(-1),
+                       np.zeros(scales.size) if zps is None else zps.reshape(-1))
+
+
+def _params(m: np.ndarray, spec: QuantSpec):
+    """Scales and integer-valued float zero-points of ``compute_params`` for a
+    nonempty ``m``, kept 2-D so that they broadcast over it.  A symmetric
+    spec's zero-points are all zero and come back as None."""
+    axis = _AXIS[spec.granularity]
+    hi = np.maximum.reduce(m, axis=axis, keepdims=True)
+    lo = np.minimum.reduce(m, axis=axis, keepdims=True)
     if spec.symmetric:
-        absmax = _reduce(np.abs(m), g, np.max)
-        scales = np.where(absmax > 0, np.maximum(absmax / q_max, _TINY), 1.0)
-        return scales, np.zeros_like(scales)
-    lo = np.minimum(_reduce(m, g, np.min), 0.0)
-    hi = np.maximum(_reduce(m, g, np.max), 0.0)
-    levels = q_max - q_min
+        # max |m| = max(max m, -min m), with no |m| copy of the matrix.
+        np.negative(lo, out=lo)
+        np.maximum(hi, lo, out=hi)
+        return np.where(hi > 0, np.maximum(hi / spec.q_max, _TINY), 1.0), None
+    np.minimum(lo, 0.0, out=lo)
+    np.maximum(hi, 0.0, out=hi)
+    levels = spec.q_max - spec.q_min
     with np.errstate(over="ignore"):
         span = hi - lo
     step = span / levels
     # hi - lo overflows only for finite ranges wider than the largest float;
     # only there is the step computed as hi/levels - lo/levels.
     inf = np.isinf(span)
-    if inf.any():
+    if np.count_nonzero(inf):
         step[inf] = hi[inf] / levels - lo[inf] / levels
     scales = np.where(span > 0, np.maximum(step, _TINY), 1.0)
-    return scales, np.clip(_round_div(-lo, scales), q_min, q_max)
+    # S >= (hi - lo) / levels >= -lo / levels up to one rounding, so the
+    # zero-point round(-lo / S) already lies in [0, levels] = [q_min, q_max].
+    np.negative(lo, out=lo)
+    return scales, _round_div(lo, scales)
 
 
 def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
@@ -166,17 +168,18 @@ def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
         )
 
 
-def _round_clamp(m: np.ndarray, scales: np.ndarray, zps: np.ndarray, spec: QuantSpec):
-    """Q(m) and the straight-through mask from one rounding of m/S, in two buffers."""
-    s = _broadcast(scales, spec.granularity)
-    z = _broadcast(np.asarray(zps, dtype=np.float64), spec.granularity)
+def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, spec: QuantSpec):
+    """Q(m) and the straight-through mask from one rounding of m/S, in two
+    buffers.  ``s`` and ``z`` broadcast over ``m``; a None ``z`` is a zero
+    zero-point, of which only the addition is kept: it turns -0.0 into +0.0."""
     buf = np.empty(m.shape)
     q = _round_div(m, s, out=buf)
-    q += z
+    q += 0.0 if z is None else z
     np.maximum(q, spec.q_min, out=buf)
     np.minimum(buf, spec.q_max, out=buf)
     mask = buf == q
-    buf -= z
+    if z is not None:
+        buf -= z
     buf *= s
     return buf, mask
 
@@ -187,7 +190,9 @@ def fake_quantize(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.nda
     if spec.is_identity:
         return m.copy()
     _check_groups(m, params, spec)
-    return _round_clamp(m, params.scales, params.zero_points, spec)[0]
+    g = spec.granularity
+    z = np.asarray(params.zero_points, dtype=np.float64)
+    return _round_clamp(m, _broadcast(params.scales, g), _broadcast(z, g), spec)[0]
 
 
 def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +202,7 @@ def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray
     and False where it is clamped; an identity spec clamps nothing.  ``m``
     must already be a finite 2-D float64 matrix; it is not checked again.
     """
-    if spec.is_identity:
+    if spec.is_identity or m.size == 0:
         return m.copy(), np.ones(m.shape, dtype=bool)
     return _round_clamp(m, *_params(m, spec), spec)
 

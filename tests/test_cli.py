@@ -437,6 +437,30 @@ class TestNumericalFailureMessage:
         assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
 
 
+class TestNonFiniteGradient:
+    """A non-finite gradient entry is a numerical failure, whether it hits a
+    log-scale or a gate; the clips would turn an infinite one into a bound."""
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["log-scale", "gate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_exits_numerical(self, generated, tmp_path, monkeypatch, index, value):
+        module = sys.modules["modquant.calibrate"]
+        exact = module.analytic_gradient
+
+        def gradient(*args):
+            loss, grad = exact(*args)
+            grad[index] = value
+            return loss, grad
+
+        monkeypatch.setattr(module, "analytic_gradient", gradient)
+        out = tmp_path / "o"
+        rc, err = run_captured(["calibrate", "--activations", generated["activations"],
+                                "--weights", generated["weights"], "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert err == "numerical failure: non-finite gradient at step 0\n"
+        assert not out.exists()
+
+
 class TestLayerFile:
     """eval's layer directory: every manifest key is checked before use."""
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from modquant.layer import (
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
-from modquant.tensor import load_tensor, save_tensor
+from modquant.tensor import TensorFormatError, load_tensor, save_tensor
 
 IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
 IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
@@ -265,6 +266,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="branch factor shapes"):
             load_layer(path)
 
+    def test_gate_of_wrong_length_or_nan_is_rejected(self, tmp_path):
+        # A gate enters a layer only from its file: load_layer checks its
+        # length against the rank, and the tensor loader rejects a NaN.
+        batch, w, part = _instance(4)
+        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4, rank_cws=0.5)
+        rank = layer.branch_smooth.rank
+        path = save_layer(layer, str(tmp_path / "layer"))
+        gate = tmp_path / "layer" / "branch_smooth_gate.spqt"
+        save_tensor(str(gate), np.ones((1, rank + 1)))
+        with pytest.raises(ValueError, match="branch factor shapes"):
+            load_layer(path)
+        save_tensor(str(gate), np.ones((1, rank)))
+        gate.write_bytes(gate.read_bytes()[:-8] + struct.pack("<d", np.nan))
+        with pytest.raises(TensorFormatError, match="non-finite value"):
+            load_layer(path)
+
     def test_rejects_foreign_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"format": "something-else"}\n')
@@ -280,6 +297,7 @@ class TestParameterUpdates:
         )
         rank = layer.branch_smooth.rank
         updated = dataclasses.replace(
-            layer, branch_smooth=layer.branch_smooth.with_gate(np.full(rank, 0.5))
+            layer, branch_smooth=dataclasses.replace(layer.branch_smooth,
+                                                     gate=np.full(rank, 0.5))
         )
         assert np.any(forward(updated, batch) != forward(layer, batch))

@@ -1,5 +1,6 @@
 """Outlier channel selection: scores, clustering, and partitions."""
 
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -133,6 +134,19 @@ class TestPercentileRank:
         b = ActivationBatch(np.concatenate([data, data]), [0] * 5 + [1] * 5)
         ranks = percentile_rank(b, np.arange(6))
         np.testing.assert_array_equal(ranks[:, 2], np.full(5, 6))
+
+    def test_peak_memory_is_a_few_results(self):
+        # The float copies are released before the int64 stages, so the peak
+        # holds about three arrays of the result's size.
+        rng = np.random.default_rng(0)
+        b = ActivationBatch(rng.standard_normal((320, 256)), [0] * 256 + [1] * 64)
+        tracemalloc.start()
+        try:
+            ranks = percentile_rank(b, np.arange(8, 248))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * ranks.nbytes
 
     def test_empty_candidates(self):
         b = _batch([[1.0]], [[1.0]])

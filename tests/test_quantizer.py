@@ -1,6 +1,7 @@
 """Uniform affine fake quantization: parameter derivation and round trips."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from modquant.quantizer import (
     Granularity,
     QuantParams,
     QuantSpec,
+    _broadcast,
     _round_clamp,
     _round_div,
     compute_params,
@@ -226,41 +228,95 @@ def _textbook(m, scales, zero_points, spec):
     return value, (q >= spec.q_min) & (q <= spec.q_max)
 
 
+def _textbook_params(m, spec):
+    """compute_params group by group in Python floats: S = max|m| / q_max
+    (symmetric) or (hi - lo) / levels over the range widened to zero, as
+    hi/levels - lo/levels where hi - lo overflows; floored at the smallest
+    normal, 1 for an all-zero group; z = round(-lo / S)."""
+    if spec.granularity is Granularity.PER_TENSOR:
+        groups = [m.ravel()]
+    else:
+        groups = m.T if spec.granularity is Granularity.PER_CHANNEL else m
+    levels = spec.q_max - spec.q_min
+    scales, zero_points = [], []
+    for group in groups:
+        values = [float(v) for v in group]
+        if spec.symmetric:
+            a = max(abs(v) for v in values)
+            scales.append(max(a / spec.q_max, sys.float_info.min) if a > 0 else 1.0)
+            zero_points.append(0)
+            continue
+        lo, hi = min(min(values), 0.0), max(max(values), 0.0)
+        span = hi - lo
+        step = span / levels if span != math.inf else hi / levels - lo / levels
+        scale = max(step, sys.float_info.min) if span > 0 else 1.0
+        scales.append(scale)
+        zero_points.append(int(_textbook_round(np.array([-lo / scale]))[0]))
+    return np.array(scales), np.array(zero_points)
+
+
+@st.composite
+def _oracle_group(draw, spec, size):
+    """One group of ``size`` values, of one of five kinds: random floats; on
+    the grid of a power-of-two scale S, with its ends at the clamp edges and
+    the other entries at exact k + 0.5 multiples of S; all zeros of either
+    sign; one sign only; or ends at -1e308 and 1e308, whose hi - lo
+    overflows."""
+    kind = draw(st.sampled_from(["random", "grid", "zeros", "one-signed", "overflow"]))
+    if kind == "random":
+        return draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
+    if kind == "zeros":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=size, max_size=size))
+    if kind == "one-signed":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return [sign * v for v in draw(st.lists(st.floats(0.0, 1e6), min_size=size,
+                                                max_size=size))]
+    if kind == "overflow":
+        rest = draw(st.lists(st.floats(-1e308, 1e308), min_size=size - 2, max_size=size - 2))
+        return draw(st.permutations([-1e308, 1e308, *rest]))
+    s = 2.0 ** draw(st.integers(-6, 6))
+    if spec.symmetric:
+        # The absmax q_max * S gives the scale S exactly.
+        lo, hi = -spec.q_max, spec.q_max
+        ends = [draw(st.sampled_from([lo, hi]))]
+    else:
+        # Ends -a S and (levels - a) S give S and the zero-point a exactly.
+        a = draw(st.integers(0, spec.q_max))
+        lo, hi = -a, spec.q_max - a
+        ends = [lo, hi]
+    grid = st.sampled_from([lo, hi, *(k + 0.5 for k in range(lo, hi))])
+    rest = draw(st.lists(grid, min_size=size - len(ends), max_size=size - len(ends)))
+    return [k * s for k in draw(st.permutations(ends + rest))]
+
+
 @st.composite
 def _oracle_cases(draw):
-    """A spec and a matrix: random floats, or groups on the grid of a
-    power-of-two scale S, with their ends at the clamp edges and the other
-    entries at exact k + 0.5 multiples of S."""
-    granularity = draw(st.sampled_from([Granularity.PER_TOKEN, Granularity.PER_CHANNEL]))
+    """A spec of any granularity and a matrix of 1-4 groups of 2-5 values
+    (one group of all of them per tensor), each group from ``_oracle_group``."""
+    granularity = draw(st.sampled_from(list(Granularity)))
     spec = QuantSpec(draw(st.integers(2, 8)), draw(st.booleans()), granularity)
     groups, size = draw(st.integers(1, 4)), draw(st.integers(2, 5))
-    if draw(st.booleans()):
-        m = draw(arrays(np.float64, (groups, size), elements=st.floats(-1e6, 1e6)))
+    if granularity is Granularity.PER_TENSOR:
+        m = np.array(draw(_oracle_group(spec, groups * size))).reshape(groups, size)
     else:
-        rows = []
-        for _ in range(groups):
-            s = 2.0 ** draw(st.integers(-6, 6))
-            if spec.symmetric:
-                # The absmax q_max * S gives the scale S exactly.
-                lo, hi = -spec.q_max, spec.q_max
-                ends = [draw(st.sampled_from([lo, hi]))]
-            else:
-                # Ends -a S and (levels - a) S give S and the zero-point a exactly.
-                a = draw(st.integers(0, spec.q_max))
-                lo, hi = -a, spec.q_max - a
-                ends = [lo, hi]
-            grid = st.sampled_from([lo, hi, *(k + 0.5 for k in range(lo, hi))])
-            rest = draw(st.lists(grid, min_size=size - len(ends), max_size=size - len(ends)))
-            rows.append([k * s for k in draw(st.permutations(ends + rest))])
-        m = np.array(rows)
+        m = np.array([draw(_oracle_group(spec, size)) for _ in range(groups)])
     if granularity is Granularity.PER_CHANNEL:
         m = np.ascontiguousarray(m.T)
     return spec, m
 
 
 class TestTextbookOracle:
-    """quantize_ste against the textbook formula, bit for bit (signed zeros
-    included), on the parameters compute_params derives."""
+    """compute_params and quantize_ste against the textbook formulas, bit for
+    bit (signed zeros included)."""
+
+    @given(_oracle_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_params_are_bit_exact(self, case):
+        spec, m = case
+        params = compute_params(m, spec)
+        scales, zero_points = _textbook_params(m, spec)
+        np.testing.assert_array_equal(params.scales.view(np.uint64), scales.view(np.uint64))
+        np.testing.assert_array_equal(params.zero_points, zero_points)
 
     @given(_oracle_cases())
     @settings(max_examples=300, deadline=None)
@@ -279,7 +335,8 @@ class TestTextbookOracle:
         spec, m = case
         params = compute_params(m, spec)
         scales = params.scales / 2
-        value, mask = _round_clamp(m, scales, params.zero_points, spec)
+        value, mask = _round_clamp(m, _broadcast(scales, spec.granularity),
+                                   _broadcast(params.zero_points, spec.granularity), spec)
         want_value, want_mask = _textbook(m, scales, params.zero_points, spec)
         np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
         np.testing.assert_array_equal(mask, want_mask)

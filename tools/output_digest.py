@@ -12,9 +12,11 @@ to one thread:
 - ``calibrate`` and ``eval`` with ``--wbits 0 --abits 0``;
 - ``calibrate --no-mocd``.
 
-It writes one JSON object, one entry per line (720 entries), that maps
-``<workload>/seed<N>/<command>/<file>`` to the sha256 of each output file and
-``<workload>/seed<N>/<command>.exit`` to each exit code. Two source trees
+It writes one JSON object, one entry per line (816 entries), that maps
+``<workload>/seed<N>/<command>/<file>`` to the sha256 of each output file,
+``<workload>/seed<N>/<command>.exit`` to each exit code and
+``<workload>/seed<N>/<command>.stderr`` to the sha256 of each command's
+standard error, so a new warning or traceback shows too. Two source trees
 write the same bytes exactly when ``diff`` finds their files equal:
 
     python3 tools/output_digest.py OLD/src old.json
@@ -103,6 +105,7 @@ def digest(src_dir: str) -> dict:
                             "--seed", str(seed)]
                     proc = subprocess.run(argv, env=env, capture_output=True)
                     result[f"{key}/{out_name}.exit"] = proc.returncode
+                    result[f"{key}/{out_name}.stderr"] = hashlib.sha256(proc.stderr).hexdigest()
                     out_dir = os.path.join(run, out_name)
                     for root, _, files in os.walk(out_dir):
                         for f in files:
