@@ -28,15 +28,7 @@ from .mocd import (
     trivial_partition,
     vision_score,
 )
-from .quantizer import (
-    Granularity,
-    QuantParams,
-    QuantSpec,
-    compute_params,
-    fake_quantize,
-    quant_error,
-    quantize,
-)
+from .quantizer import Granularity, QuantSpec
 from .synth import SynthConfig, generate, generate_weight
 from .tensor import (
     ActivationBatch,

@@ -36,7 +36,7 @@ from .layer import (
     save_layer,
 )
 from .mocd import DEFAULT_RATIO, MocdConfig, build_partition, trivial_partition
-from .quantizer import Granularity, QuantSpec, compute_params, quant_error
+from .quantizer import Granularity, QuantSpec, quantize_ste
 from .tensor import (
     ActivationBatch, TensorFormatError, load_matrix, load_tensor, save_tensor,
 )
@@ -134,7 +134,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # Bad JSON or non-text bytes are ValueErrors; deep nesting, RecursionError.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(values, dict):
             raise ConfigError(f"config {path} is not a JSON object")
@@ -334,8 +335,7 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     # Per-channel weight quantization error of the scaled main weight,
     # sorted ascending by MAE and averaged within 10 equal bins.
     w_prime = layer.w_main / layer.scale[layer.partition.c_main, None]
-    params = compute_params(w_prime, layer.weight_spec)
-    mae = np.mean(np.abs(quant_error(w_prime, params, layer.weight_spec)), axis=1)
+    mae = np.mean(np.abs(w_prime - quantize_ste(w_prime, layer.weight_spec)[0]), axis=1)
     order = np.sort(mae)
     bins = np.array_split(order, 10)
     decile_rows = [

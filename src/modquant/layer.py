@@ -379,7 +379,10 @@ def load_layer(manifest_path: str) -> SplitLayer:
     that fails a check raises ``ValueError``.
     """
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("layer manifest is nested too deeply") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "modquant-layer":
         raise ValueError("not a layer manifest")
     for key, (ok, what) in _MANIFEST_KEYS.items():

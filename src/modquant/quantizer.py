@@ -5,13 +5,13 @@ trips: Q(x) = (clamp(round(x/S) + z, q_min, q_max) - z) * S.  Rounding is
 half-away-from-zero so independent implementations agree bit-exactly.
 
 ``bits=None`` is the identity-quantizer sentinel used by exact-cancellation
-tests: fake_quantize then returns its input untouched.
+tests: quantize_ste then returns a copy of its input and a mask of all True.
 
-The public functions validate their input.  ``quantize_ste`` is the split
-layer's single quantizer call: it takes a matrix the caller already holds as
-finite 2-D float64, derives fresh parameters, rounds once, and returns the
-quantized value with its boolean straight-through mask (multiplying by it
-casts True/False to 1.0/0.0, the same bits as a float mask).
+``quantize_ste`` is the one quantizer: it takes a matrix the caller already
+holds as finite 2-D float64 (it checks nothing), derives fresh parameters,
+rounds once, and returns the quantized value with its boolean
+straight-through mask (multiplying by it casts True/False to 1.0/0.0, the
+same bits as a float mask).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .tensor import as_matrix
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -65,22 +63,6 @@ class QuantSpec:
         return replace(self, bits=min_bits)
 
 
-@dataclass(frozen=True)
-class QuantParams:
-    """Per-group scale/zero-point, one entry per group along the granularity axis."""
-
-    scales: np.ndarray
-    zero_points: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
-        object.__setattr__(
-            self, "zero_points", np.asarray(self.zero_points, dtype=np.int64)
-        )
-        if np.any(self.scales <= 0):
-            raise ValueError("scales must be positive")
-
-
 def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
     """m / s rounded to the nearest integer, halves away from zero, exactly
     for every finite quotient: x - rint(x) is exact, so every half is found,
@@ -102,38 +84,16 @@ _AXIS = {Granularity.PER_TENSOR: None, Granularity.PER_CHANNEL: 0,
          Granularity.PER_TOKEN: 1}
 
 
-def _group_count(shape: tuple[int, int], granularity: Granularity) -> int:
-    axis = _AXIS[granularity]
-    return 1 if axis is None else shape[1 - axis]
-
-
-def _broadcast(v: np.ndarray, granularity: Granularity) -> np.ndarray:
-    # Group values shaped like a keepdims reduction, to broadcast over the matrix.
-    axis = _AXIS[granularity]
-    return v.reshape((1, 1) if axis is None else (1, -1) if axis == 0 else (-1, 1))
-
-
-def compute_params(m: np.ndarray, spec: QuantSpec) -> QuantParams:
-    """Derive per-group scale/zero-point from the data range.
+def _params(m: np.ndarray, spec: QuantSpec):
+    """Per-group scales and integer-valued float zero-points of a nonempty
+    ``m``, kept 2-D so that they broadcast over it.  A symmetric spec's
+    zero-points are all zero and come back as None.
 
     An asymmetric group's range is widened to include zero, so zero and
     constants map onto grid points and one-signed groups never saturate;
     all-zero groups get S = 1, z = 0.  Scales are floored at the smallest
     positive normal, so subnormal groups never underflow to a zero scale.
     """
-    m = as_matrix(m)
-    if spec.is_identity or m.size == 0:
-        n = _group_count(m.shape, spec.granularity)
-        return QuantParams(np.ones(n), np.zeros(n))
-    scales, zps = _params(m, spec)
-    return QuantParams(scales.reshape(-1),
-                       np.zeros(scales.size) if zps is None else zps.reshape(-1))
-
-
-def _params(m: np.ndarray, spec: QuantSpec):
-    """Scales and integer-valued float zero-points of ``compute_params`` for a
-    nonempty ``m``, kept 2-D so that they broadcast over it.  A symmetric
-    spec's zero-points are all zero and come back as None."""
     axis = _AXIS[spec.granularity]
     hi = np.maximum.reduce(m, axis=axis, keepdims=True)
     lo = np.minimum.reduce(m, axis=axis, keepdims=True)
@@ -160,14 +120,6 @@ def _params(m: np.ndarray, spec: QuantSpec):
     return scales, _round_div(lo, scales)
 
 
-def _check_groups(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> None:
-    expected = _group_count(m.shape, spec.granularity)
-    if params.scales.shape[0] != expected or params.zero_points.shape[0] != expected:
-        raise ValueError(
-            f"params have {params.scales.shape[0]} groups, expected {expected}"
-        )
-
-
 def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, spec: QuantSpec):
     """Q(m) and the straight-through mask from one rounding of m/S, in two
     buffers.  ``s`` and ``z`` broadcast over ``m``; a None ``z`` is a zero
@@ -184,17 +136,6 @@ def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, spec: Quant
     return buf, mask
 
 
-def fake_quantize(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.ndarray:
-    """Quantize-dequantize per group; identity specs return the input copy."""
-    m = as_matrix(m)
-    if spec.is_identity:
-        return m.copy()
-    _check_groups(m, params, spec)
-    g = spec.granularity
-    z = np.asarray(params.zero_points, dtype=np.float64)
-    return _round_clamp(m, _broadcast(params.scales, g), _broadcast(z, g), spec)[0]
-
-
 def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
     """Fake-quantize with fresh params; returns (value, straight-through mask).
 
@@ -205,13 +146,3 @@ def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray
     if spec.is_identity or m.size == 0:
         return m.copy(), np.ones(m.shape, dtype=bool)
     return _round_clamp(m, *_params(m, spec), spec)
-
-
-def quantize(m: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """Convenience: fresh params from the data, then fake-quantize."""
-    return fake_quantize(m, compute_params(m, spec), spec)
-
-
-def quant_error(m: np.ndarray, params: QuantParams, spec: QuantSpec) -> np.ndarray:
-    """Quantization error operator: M - Q(M)."""
-    return as_matrix(m) - fake_quantize(m, params, spec)

@@ -14,13 +14,8 @@ from modquant.cli import EXIT_OK, main
 from modquant.layer import _path, build_layer, forward, forward_reference, prepare
 from modquant.lowrank import truncated_svd
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
-from modquant.quantizer import (
-    Granularity,
-    QuantSpec,
-    compute_params,
-    fake_quantize,
-    quantize,
-)
+from modquant.quantizer import Granularity, QuantSpec, _round_clamp, quantize_ste
+from modquant.quantizer import _params as _quant_params
 from modquant.synth import SynthConfig, generate, generate_weight
 from surrogate import gradient_and_oracle
 
@@ -89,20 +84,22 @@ def test_criterion_1_partition_correctness(capsys):
 
 
 def test_criterion_2_quantizer_contracts(capsys):
+    # Idempotence and the S/2 error bound at the parameters fitted to m.
     rng = np.random.default_rng(1)
     ok = True
     for spec in (W_SPEC[4], ACT_SPEC[4], W_SPEC[16]):
         m = rng.standard_normal((24, 24))
-        params = compute_params(m, spec)
-        once = fake_quantize(m, params, spec)
-        ok &= np.array_equal(once, fake_quantize(once, params, spec))
+        scales, zero_points = _quant_params(m, spec)
+        once, _ = _round_clamp(m, scales, zero_points, spec)
+        ok &= np.array_equal(once, quantize_ste(m, spec)[0])
+        ok &= np.array_equal(once, _round_clamp(once, scales, zero_points, spec)[0])
         err = np.abs(m - once)
-        ok &= bool(np.all(err <= np.max(params.scales) / 2 + 1e-12))
+        ok &= bool(np.all(err <= np.max(scales) / 2 + 1e-12))
     m = rng.uniform(-1, 1, (32, 32))
-    rel16 = np.linalg.norm(m - quantize(m, W_SPEC[16])) / np.linalg.norm(m)
+    rel16 = np.linalg.norm(m - quantize_ste(m, W_SPEC[16])[0]) / np.linalg.norm(m)
     ok &= rel16 < 1e-3
     mses = [
-        float(np.mean((m - quantize(m, QuantSpec(b, True, Granularity.PER_TENSOR))) ** 2))
+        float(np.mean((m - quantize_ste(m, QuantSpec(b, True, Granularity.PER_TENSOR))[0]) ** 2))
         for b in range(2, 9)
     ]
     ok &= all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))

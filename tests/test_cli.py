@@ -154,6 +154,42 @@ class TestCalibrateEval:
         values = [float(line.split(",")[1]) for line in deciles]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("wbits", ["4", "0"])
+    def test_weight_error_deciles_match_numpy(self, generated, tmp_path, wbits):
+        # The deciles recomputed from the saved layer's files: the main
+        # weight's rows divided by their scales, quantized symmetric per
+        # column (S = absmax / q_max, round half away from zero, clip), each
+        # row's mean |error|, sorted and averaged in 10 bins.
+        out = tmp_path / "c"
+        assert run("calibrate", "--activations", generated["activations"],
+                   "--weights", generated["weights"], "--wbits", wbits,
+                   "--steps", "3", "--out", str(out)) == EXIT_OK
+        assert run("eval", "--activations", generated["activations"],
+                   "--out", str(out)) == EXIT_OK
+        layer = out / "layer"
+        manifest = json.loads((layer / "manifest.json").read_text())
+        scale = load_tensor(str(layer / manifest["p_main"]["file"])).reshape(-1, 1)
+        w = load_tensor(str(layer / manifest["w_main"])) / scale
+        err = np.zeros_like(w)
+        if wbits == "0":
+            assert manifest["weight_spec"]["bits"] is None
+        else:
+            assert manifest["weight_spec"] == {
+                "bits": int(wbits), "symmetric": True, "granularity": "per_channel"}
+            q_max = 2 ** (int(wbits) - 1) - 1
+            s = np.abs(w).max(axis=0) / q_max
+            x = w / s
+            q = np.clip(np.sign(x) * np.floor(np.abs(x) + 0.5), -q_max, q_max)
+            err = w - q * s
+        mae = np.sort(np.abs(err).mean(axis=1))
+        want = [b.mean() if b.size else 0.0 for b in np.array_split(mae, 10)]
+        lines = (out / "weight_error_deciles.csv").read_text().splitlines()
+        assert lines[1] == "decile,mean_mae"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [int(r[0]) for r in rows] == list(range(1, 11))
+        np.testing.assert_allclose([float(r[1]) for r in rows], want, rtol=1e-12, atol=0)
+        assert (want[-1] > 0) == (wbits != "0")
+
     def test_identity_quantizer_mode_is_exact(self, generated, tmp_path):
         out = tmp_path / "id"
         rc = run(
@@ -307,8 +343,14 @@ class TestConfigHandling:
         assert run("gen", "--seed", "not-an-int") == EXIT_USAGE
 
 
+# Nesting deep enough to exhaust the JSON decoder's recursion.
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
 class TestErrorExits:
-    @pytest.mark.parametrize("command,config,drop_key,expected,prefix", [
+    # config: a dict to write as JSON, or the file's bytes.  manifest_edit: a
+    # key to drop from a calibrated layer's manifest, or the manifest's bytes.
+    @pytest.mark.parametrize("command,config,manifest_edit,expected,prefix", [
         ("calibrate", {"steps": "ten"}, None, EXIT_USAGE, "config error:"),
         ("stability", {"trials": "x"}, None, EXIT_USAGE, "config error:"),
         ("calibrate", {"abits": 1}, None, EXIT_USAGE, "config error:"),
@@ -325,31 +367,42 @@ class TestErrorExits:
         ("stability", {"subset_sizes": [0]}, None, EXIT_USAGE, "config error:"),
         ("stability", {"reference_size": 0}, None, EXIT_USAGE, "config error:"),
         ("eval", {}, "use_mac", EXIT_DATA, "data error:"),
+        ("eval", {}, DEEP_JSON, EXIT_DATA, "data error:"),
+        ("eval", {}, b"\xff\xfe{}", EXIT_DATA, "data error:"),
         ("gen", {"d_out": 0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"dim": 0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"tokens_text": -1}, None, EXIT_USAGE, "config error:"),
         ("gen", {"text_instability": 2.0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"vision_outliers": [999]}, None, EXIT_USAGE, "config error:"),
+        ("gen", DEEP_JSON, None, EXIT_USAGE, "config error:"),
+        ("gen", b"\xff\xfe{}", None, EXIT_USAGE, "config error:"),
     ], ids=["steps-str", "trials-str", "abits-1", "ratio-0.6", "clusters-0",
             "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
-            "manifest-key", "d-out-0", "dim-0", "tokens-text-neg", "instability-2",
-            "outlier-999"])
+            "manifest-key", "manifest-deep", "manifest-not-utf8", "d-out-0", "dim-0", "tokens-text-neg", "instability-2",
+            "outlier-999", "config-deep", "config-not-utf8"])
     def test_exit_code_without_traceback(
-        self, generated, tmp_path, capsys, command, config, drop_key, expected, prefix
+        self, generated, tmp_path, capsys, command, config, manifest_edit, expected, prefix
     ):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(json.dumps(config))
         layer_dir = tmp_path / "c" / "layer"
-        if drop_key is not None:
+        if manifest_edit is not None:
             assert run(
                 "calibrate", "--activations", generated["activations"],
                 "--weights", generated["weights"], "--steps", "1",
                 "--out", str(tmp_path / "c"),
             ) == EXIT_OK
-            manifest = json.loads((layer_dir / "manifest.json").read_text())
-            del manifest[drop_key]
-            (layer_dir / "manifest.json").write_text(json.dumps(manifest))
+            path = layer_dir / "manifest.json"
+            if isinstance(manifest_edit, bytes):
+                path.write_bytes(manifest_edit)
+            else:
+                manifest = json.loads(path.read_text())
+                del manifest[manifest_edit]
+                path.write_text(json.dumps(manifest))
         capsys.readouterr()
         rc = run(
             command, "--config", str(cfg),
@@ -359,7 +412,7 @@ class TestErrorExits:
         )
         err = capsys.readouterr().err
         assert rc == expected
-        assert err.startswith(prefix) and "Traceback" not in err
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 # Small sizes and counts for the tests that run many commands: no command

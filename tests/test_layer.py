@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import modquant.layer as layer_module
 from modquant.calibrate import _LOG_HI, _LOG_LO, CalibConfig, _params, _with_params, calibrate
@@ -19,10 +21,11 @@ from modquant.layer import (
     prepare,
     save_layer,
 )
-from modquant.mocd import MocdConfig, build_partition, trivial_partition
+from modquant.mocd import ChannelPartition, MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
-from modquant.tensor import TensorFormatError, load_tensor, save_tensor
+from modquant.tensor import ActivationBatch, TensorFormatError, load_tensor, save_tensor
+from reference_forward import reference_terms
 
 IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
 IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
@@ -115,6 +118,44 @@ class TestMacLocality:
         off = dataclasses.replace(layer, branch_comp=None)
         t = batch.text_rows
         assert np.any(forward(layer, batch)[t] != forward(off, batch)[t])
+
+
+@st.composite
+def _forward_cases(draw):
+    """A layer and a batch: a partition of 1-9 channels whose outlier paths
+    may be empty, specs of 2-8 bits or identity, any tag pattern, each branch
+    present or not, and random scales and gates."""
+    dim = draw(st.integers(1, 9))
+    k_text, k_vision = draw(st.integers(0, dim // 2)), draw(st.integers(0, dim // 2))
+    assume(dim - k_text - k_vision >= max(k_text, k_vision))
+    order = draw(st.permutations(range(dim)))
+    part = ChannelPartition(sorted(order[k_text + k_vision:]), sorted(order[:k_text]),
+                            sorted(order[k_text:k_text + k_vision]), dim)
+    tags = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8))
+    specs = [QuantSpec(draw(st.one_of(st.none(), st.integers(2, 8))), draw(st.booleans()),
+                       draw(st.sampled_from(list(Granularity)))) for _ in range(2)]
+    ranks = [draw(st.one_of(st.none(), st.floats(0.0, 1.0))) for _ in range(2)]
+    d_out = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = ActivationBatch(rng.standard_normal((len(tags), dim))
+                            * 10.0 ** rng.uniform(-2, 2, dim), tags)
+    layer = build_layer(rng.standard_normal((dim, d_out)), batch, part, *specs, *ranks)
+    gates = {name: dataclasses.replace(br, gate=rng.uniform(0.0, 2.0, br.rank))
+             for name in ("branch_smooth", "branch_comp")
+             if (br := getattr(layer, name)) is not None}
+    return dataclasses.replace(layer, scale=rng.uniform(0.1, 10.0, dim), **gates), batch
+
+
+class TestReferenceForward:
+    @given(_forward_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        # The terms are summed in another order, so each output differs from
+        # the reference by rounding only: 1e-12 of its terms' magnitude.
+        layer, batch = case
+        terms = reference_terms(layer, batch)
+        err = np.abs(forward(layer, batch) - sum(terms))
+        assert np.all(err <= 1e-12 * sum(np.abs(t) for t in terms))
 
 
 class TestForwardPass:
@@ -284,9 +325,11 @@ class TestSerialization:
 
     def test_rejects_foreign_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ValueError, match="manifest"):
-            load_layer(str(path))
+        # The last is nested deep enough to exhaust the JSON decoder's recursion.
+        for text in ('{"format": "something-else"}\n', "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="manifest"):
+                load_layer(str(path))
 
 
 class TestParameterUpdates:

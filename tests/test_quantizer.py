@@ -1,4 +1,7 @@
-"""Uniform affine fake quantization: parameter derivation and round trips."""
+"""Uniform affine fake quantization: parameter derivation and round trips,
+all through the one quantizer ``quantize_ste`` and its two halves, ``_params``
+(per-group scales and zero-points) and ``_round_clamp`` (round and clamp at
+given parameters)."""
 
 import math
 import sys
@@ -12,15 +15,10 @@ from hypothesis.extra.numpy import arrays
 
 from modquant.quantizer import (
     Granularity,
-    QuantParams,
     QuantSpec,
-    _broadcast,
+    _params,
     _round_clamp,
     _round_div,
-    compute_params,
-    fake_quantize,
-    quant_error,
-    quantize,
     quantize_ste,
 )
 
@@ -28,6 +26,12 @@ SYM8 = QuantSpec(8, True, Granularity.PER_TENSOR)
 ASYM2 = QuantSpec(2, False, Granularity.PER_TENSOR)
 SYM2 = QuantSpec(2, True, Granularity.PER_TENSOR)
 ASYM8 = QuantSpec(8, False, Granularity.PER_TENSOR)
+ASYM4_TOKEN = QuantSpec(4, False, Granularity.PER_TOKEN)
+
+
+def _value(m, spec):
+    """The quantized value of ``quantize_ste``, without its mask."""
+    return quantize_ste(m, spec)[0]
 
 
 class TestSpec:
@@ -76,96 +80,81 @@ class TestRounding:
 
 
 class TestComputeParams:
+    """``_params``: one scale (and one zero-point) per group, kept 2-D; the
+    oracle below checks the group count of every granularity."""
+
     def test_symmetric_8bit_hand_value(self):
-        p = compute_params(np.array([[-1.0, 0.5]]), SYM8)
-        assert p.scales.tolist() == [1.0 / 127.0]
-        assert p.zero_points.tolist() == [0]
+        scales, zero_points = _params(np.array([[-1.0, 0.5]]), SYM8)
+        assert scales.tolist() == [[1.0 / 127.0]]
+        assert zero_points is None
 
     def test_all_zero_symmetric(self):
-        p = compute_params(np.zeros((2, 2)), SYM8)
-        assert p.scales.tolist() == [1.0]
-        assert not quantize(np.zeros((2, 2)), SYM8).any()
+        scales, _ = _params(np.zeros((2, 2)), SYM8)
+        assert scales.tolist() == [[1.0]]
+        assert not _value(np.zeros((2, 2)), SYM8).any()
 
     def test_asymmetric_2bit_hand_value(self):
-        p = compute_params(np.array([[-1.0, 1.0]]), ASYM2)
-        np.testing.assert_allclose(p.scales, [2.0 / 3.0])
-        assert p.zero_points.tolist() == [2]
-
-    def test_per_channel_group_count(self):
-        spec = QuantSpec(8, True, Granularity.PER_CHANNEL)
-        p = compute_params(np.ones((3, 5)), spec)
-        assert p.scales.shape == (5,)
-
-    def test_per_token_group_count(self):
-        spec = QuantSpec(8, True, Granularity.PER_TOKEN)
-        p = compute_params(np.ones((3, 5)), spec)
-        assert p.scales.shape == (3,)
+        scales, zero_points = _params(np.array([[-1.0, 1.0]]), ASYM2)
+        np.testing.assert_allclose(scales, [[2.0 / 3.0]])
+        assert zero_points.tolist() == [[2.0]]
 
     def test_constant_group_reconstructs_exactly(self):
         # Degenerate asymmetric groups must map the constant onto the grid.
         m = np.full((4, 1), 0.7)
         spec = QuantSpec(4, False, Granularity.PER_CHANNEL)
-        np.testing.assert_array_equal(quantize(m, spec), m)
-
-    def test_positive_scales_enforced(self):
-        with pytest.raises(ValueError, match="positive"):
-            QuantParams(np.array([0.0]), np.array([0]))
+        np.testing.assert_array_equal(_value(m, spec), m)
 
 
 class TestFakeQuantize:
     def test_symmetric_2bit_hand_values(self):
-        params = QuantParams(np.array([1.0]), np.array([0]))
-        out = fake_quantize(np.array([[-5.0, -0.4, 0.6, 5.0]]), params, SYM2)
+        out, _ = _round_clamp(np.array([[-5.0, -0.4, 0.6, 5.0]]), np.ones((1, 1)), None, SYM2)
         assert out.tolist() == [[-1.0, 0.0, 1.0, 1.0]]
 
     def test_grid_points_are_fixed(self):
-        params = QuantParams(np.array([0.25]), np.array([0]))
         spec = QuantSpec(4, True, Granularity.PER_TENSOR)
         x = np.array([[-1.75, -0.25, 0.0, 0.5, 1.5]])
-        np.testing.assert_array_equal(fake_quantize(x, params, spec), x)
+        np.testing.assert_array_equal(_round_clamp(x, np.full((1, 1), 0.25), None, spec)[0], x)
 
     def test_idempotent(self):
+        # At fixed parameters a value on the grid stays where it is.
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8))
-        params = compute_params(m, SYM8)
-        once = fake_quantize(m, params, SYM8)
-        twice = fake_quantize(once, params, SYM8)
+        params = _params(m, SYM8)
+        once = _round_clamp(m, *params, SYM8)[0]
+        twice = _round_clamp(once, *params, SYM8)[0]
         np.testing.assert_array_equal(once, twice)
 
     def test_identity_spec_returns_input(self):
         spec = QuantSpec(None, True, Granularity.PER_TENSOR)
         m = np.random.default_rng(4).standard_normal((3, 3))
-        np.testing.assert_array_equal(quantize(m, spec), m)
-
-    def test_group_count_mismatch_rejected(self):
-        params = QuantParams(np.ones(3), np.zeros(3, dtype=np.int64))
-        with pytest.raises(ValueError, match="groups"):
-            fake_quantize(np.ones((2, 2)), params, SYM8)
+        np.testing.assert_array_equal(_value(m, spec), m)
 
     def test_16bit_relative_error(self):
         rng = np.random.default_rng(5)
         m = rng.uniform(-1.0, 1.0, (32, 32))
         spec = QuantSpec(16, True, Granularity.PER_TENSOR)
-        err = np.linalg.norm(m - quantize(m, spec)) / np.linalg.norm(m)
+        err = np.linalg.norm(m - _value(m, spec)) / np.linalg.norm(m)
         assert err < 1e-3
 
-    @given(arrays(np.float64, (4, 4), elements=st.floats(-100.0, 100.0)), st.just(SYM8))
+    @given(arrays(np.float64, (4, 4), elements=st.floats(-100.0, 100.0)),
+           st.sampled_from([SYM8, ASYM4_TOKEN]))
     # A subnormal group: absmax / q_max underflows unless the scale is floored.
     @example(np.full((2, 2), 5e-324), SYM8)
     # A finite range wider than the largest float: hi - lo overflows to inf.
     @example(np.array([[-1e308, 1e308]]), ASYM8)
     @settings(max_examples=100, deadline=None)
     def test_in_range_error_bound(self, m, spec):
-        params = compute_params(m, spec)
-        err = np.abs(m - fake_quantize(m, params, spec))
-        assert np.all(err <= params.scales[0] / 2 + 1e-12)
+        # Every value lies in its group's widened range, so none is clamped.
+        scales, _ = _params(m, spec)
+        err = np.abs(m - _value(m, spec))
+        assert np.all(err <= scales / 2 + 1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_mse_monotone_in_bits(self, seed):
         m = np.random.default_rng(seed).standard_normal((16, 16))
         mses = [
-            np.mean((m - quantize(m, QuantSpec(b, True, Granularity.PER_TENSOR))) ** 2)
+            np.mean((m - _value(m, QuantSpec(b, True, Granularity.PER_TENSOR))) ** 2)
             for b in (2, 3, 4, 6, 8)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))
@@ -187,7 +176,7 @@ class TestClampMask:
         for m in (np.array([[-120.0, -80.0]]), np.array([[80.0, 120.0]])):
             value, mask = quantize_ste(m, spec)
             assert mask.tolist() == [[1.0, 1.0]]
-            assert np.all(np.abs(value - m) <= compute_params(m, spec).scales[0] / 2)
+            assert np.all(np.abs(value - m) <= _params(m, spec)[0] / 2)
         # Only parameters that do not fit the data round below q_min = 0.
         value, mask = _round_clamp(np.array([[-3.0, 2.0]]), np.ones(1),
                                    np.zeros(1, dtype=np.int64), spec)
@@ -206,9 +195,11 @@ class TestClampMask:
         QuantSpec(3, True, Granularity.PER_CHANNEL),
     ])
     def test_value_matches_quantize(self, spec):
+        # The value is Q(m) of the textbook formulas, on columns of mixed range.
         m = np.random.default_rng(8).standard_normal((6, 5)) * [1, 10, 0.1, 100, 1]
         value, mask = quantize_ste(m, spec)
-        np.testing.assert_array_equal(value, quantize(m, spec))
+        want_value, _ = _textbook(m, *_textbook_params(m, spec), spec)
+        np.testing.assert_array_equal(value, want_value)
         assert mask.dtype == bool and mask.shape == m.shape
 
 
@@ -229,7 +220,7 @@ def _textbook(m, scales, zero_points, spec):
 
 
 def _textbook_params(m, spec):
-    """compute_params group by group in Python floats: S = max|m| / q_max
+    """_params group by group in Python floats: S = max|m| / q_max
     (symmetric) or (hi - lo) / levels over the range widened to zero, as
     hi/levels - lo/levels where hi - lo overflows; floored at the smallest
     normal, 1 for an all-zero group; z = round(-lo / S)."""
@@ -305,26 +296,40 @@ def _oracle_cases(draw):
     return spec, m
 
 
+def _group_params(m, spec):
+    """``_params`` of ``m`` as one flat scale and zero-point per group, with
+    the None zero-points of a symmetric spec as zeros.  It checks their
+    shape: one group per tensor, per column or per row, kept 2-D."""
+    scales, zero_points = _params(m, spec)
+    rows, cols = m.shape
+    assert scales.shape == {Granularity.PER_TENSOR: (1, 1), Granularity.PER_CHANNEL: (1, cols),
+                            Granularity.PER_TOKEN: (rows, 1)}[spec.granularity]
+    assert (zero_points is None) == spec.symmetric
+    assert zero_points is None or zero_points.shape == scales.shape
+    if zero_points is None:
+        zero_points = np.zeros_like(scales)
+    return scales.reshape(-1), zero_points.reshape(-1)
+
+
 class TestTextbookOracle:
-    """compute_params and quantize_ste against the textbook formulas, bit for
-    bit (signed zeros included)."""
+    """_params and quantize_ste against the textbook formulas, bit for bit
+    (signed zeros included)."""
 
     @given(_oracle_cases())
     @settings(max_examples=300, deadline=None)
     def test_params_are_bit_exact(self, case):
         spec, m = case
-        params = compute_params(m, spec)
-        scales, zero_points = _textbook_params(m, spec)
-        np.testing.assert_array_equal(params.scales.view(np.uint64), scales.view(np.uint64))
-        np.testing.assert_array_equal(params.zero_points, zero_points)
+        scales, zero_points = _group_params(m, spec)
+        want_scales, want_zero_points = _textbook_params(m, spec)
+        np.testing.assert_array_equal(scales.view(np.uint64), want_scales.view(np.uint64))
+        np.testing.assert_array_equal(zero_points, want_zero_points)
 
     @given(_oracle_cases())
     @settings(max_examples=300, deadline=None)
     def test_quantize_ste_is_bit_exact(self, case):
         spec, m = case
-        params = compute_params(m, spec)
         value, mask = quantize_ste(m, spec)
-        want_value, want_mask = _textbook(m, params.scales, params.zero_points, spec)
+        want_value, want_mask = _textbook(m, *_group_params(m, spec), spec)
         np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
         np.testing.assert_array_equal(mask, want_mask)
 
@@ -333,33 +338,10 @@ class TestTextbookOracle:
     def test_clamped_values_are_bit_exact(self, case):
         # Half the fitted scale pushes the group's ends past the clamp edges.
         spec, m = case
-        params = compute_params(m, spec)
-        scales = params.scales / 2
-        value, mask = _round_clamp(m, _broadcast(scales, spec.granularity),
-                                   _broadcast(params.zero_points, spec.granularity), spec)
-        want_value, want_mask = _textbook(m, scales, params.zero_points, spec)
+        scales, zero_points = _params(m, spec)
+        value, mask = _round_clamp(m, scales / 2, zero_points, spec)
+        flat_scales, flat_zero_points = _group_params(m, spec)
+        want_value, want_mask = _textbook(m, flat_scales / 2, flat_zero_points, spec)
         np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
         np.testing.assert_array_equal(mask, want_mask)
 
-
-class TestQuantError:
-    def test_grid_point_error_is_zero(self):
-        params = QuantParams(np.array([0.5]), np.array([0]))
-        spec = QuantSpec(4, True, Granularity.PER_TENSOR)
-        x = np.array([[-1.0, 0.5, 0.0]])
-        assert not quant_error(x, params, spec).any()
-
-    def test_error_plus_quantized_reconstructs(self):
-        rng = np.random.default_rng(6)
-        m = rng.standard_normal((6, 6))
-        params = compute_params(m, SYM8)
-        recon = quant_error(m, params, SYM8) + fake_quantize(m, params, SYM8)
-        np.testing.assert_array_equal(recon, m)
-
-    def test_in_range_error_bounded_by_half_scale(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((16, 16))
-        spec = QuantSpec(4, False, Granularity.PER_TOKEN)
-        params = compute_params(m, spec)
-        err = np.max(np.abs(quant_error(m, params, spec)))
-        assert err <= np.max(params.scales) / 2 + 1e-12
