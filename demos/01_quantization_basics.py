@@ -5,54 +5,54 @@ Run with:  python3 demos/01_quantization_basics.py
 
 import numpy as np
 
-from modquant import Granularity, QuantSpec
-from modquant.quantizer import quantize_ste
+from modquant.quantizer import quantize_act, quantize_weight
 
 rng = np.random.default_rng(0)
 
 # ---------------------------------------------------------------------------
-# A symmetric per-tensor quantizer keeps the zero-point at 0 and derives the
-# scale from the absolute maximum: S = max|x| / q_max.
+# The weight quantizer is symmetric with one scale per column (output
+# channel): the zero-point is 0 and S = max|column| / q_max, q_max = 2^(b-1) - 1.
+# A bit width is its whole setting.
 # ---------------------------------------------------------------------------
 x = rng.standard_normal((4, 6))
-spec8 = QuantSpec(bits=8, symmetric=True, granularity=Granularity.PER_TENSOR)
-scale = np.max(np.abs(x)) / spec8.q_max
-once, mask = quantize_ste(x, spec8)
-print("8-bit symmetric scale:", scale)
-print("max |error|:", np.max(np.abs(x - once)))
-print("half scale  :", scale / 2)
+scale = np.max(np.abs(x), axis=0) / (2 ** (8 - 1) - 1)
+once, mask = quantize_weight(x, 8)
+print("8-bit symmetric scales per column:", np.round(scale, 5))
+print("max |error| <= S/2 in every column:", bool(np.all(np.abs(x - once) <= scale / 2)))
 print("clamped values:", int(np.count_nonzero(~mask)))
 
 # ---------------------------------------------------------------------------
 # Quantize-dequantize is idempotent: once a value sits on the integer grid,
 # re-quantizing does not move it.
 # ---------------------------------------------------------------------------
-twice, _ = quantize_ste(once, spec8)
+twice, _ = quantize_weight(once, 8)
 print("idempotent:", np.array_equal(once, twice))
 
 # ---------------------------------------------------------------------------
-# Error shrinks monotonically with bit width.  From here on only the value
-# is used: [0] drops the mask.
+# Error shrinks monotonically with bit width, for both quantizers.  The
+# activation quantizer is asymmetric with one scale and zero-point per row
+# (token).  From here on only the value is used: [0] drops the mask.
 # ---------------------------------------------------------------------------
-print("\nbits  mse")
+print("\nbits  weight mse  act mse")
 for bits in (2, 3, 4, 6, 8, 12):
-    spec = QuantSpec(bits, True, Granularity.PER_TENSOR)
-    print(f"{bits:4d}  {np.mean((x - quantize_ste(x, spec)[0]) ** 2):.3e}")
+    mse_w = np.mean((x - quantize_weight(x, bits)[0]) ** 2)
+    mse_a = np.mean((x - quantize_act(x, bits)[0]) ** 2)
+    print(f"{bits:4d}  {mse_w:.3e}  {mse_a:.3e}")
 
 # ---------------------------------------------------------------------------
-# Granularity matters once channels have very different ranges: one huge
-# column ruins a per-tensor scale but leaves per-channel scales untouched.
+# The grouping matters once channels have very different ranges: one huge
+# column leaves the per-column weight scales of the other columns untouched,
+# but enters every row's activation scale.  That is why outlier channels of
+# the activations are split off into their own paths.
 # ---------------------------------------------------------------------------
 y = rng.standard_normal((64, 8))
 y[:, 3] *= 100.0
-for gran in (Granularity.PER_TENSOR, Granularity.PER_CHANNEL):
-    spec = QuantSpec(4, True, gran)
-    mse_small = np.mean((y[:, :3] - quantize_ste(y, spec)[0][:, :3]) ** 2)
-    print(f"{gran.value:12s} mse on ordinary columns: {mse_small:.3e}")
+for name, quantize in (("quantize_weight", quantize_weight), ("quantize_act", quantize_act)):
+    mse_small = np.mean((y[:, :3] - quantize(y, 4)[0][:, :3]) ** 2)
+    print(f"{name:15s} 4-bit mse on ordinary columns: {mse_small:.3e}")
 
 # ---------------------------------------------------------------------------
 # bits=None is the identity sentinel used by the exact-cancellation tests.
 # ---------------------------------------------------------------------------
-ident = QuantSpec(None, True, Granularity.PER_TENSOR)
-print("\nidentity quantizer returns input exactly:",
-      np.array_equal(quantize_ste(y, ident)[0], y))
+print("\nidentity quantizers return input exactly:",
+      np.array_equal(quantize_weight(y, None)[0], y) and np.array_equal(quantize_act(y, None)[0], y))

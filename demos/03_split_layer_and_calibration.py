@@ -12,9 +12,7 @@ import numpy as np
 
 from modquant import (
     CalibConfig,
-    Granularity,
     MocdConfig,
-    QuantSpec,
     SynthConfig,
     build_layer,
     build_partition,
@@ -30,18 +28,17 @@ batch = generate(SynthConfig(seed=7))
 w = generate_weight(64, 64, seed=123)
 ref = forward_reference(w, batch)
 
-act3 = QuantSpec(3, symmetric=False, granularity=Granularity.PER_TOKEN)
-w3 = QuantSpec(3, symmetric=True, granularity=Granularity.PER_CHANNEL)
-
 
 def mse(layer):
     return float(np.mean((forward(layer, batch) - ref) ** 2))
 
 
 # ---------------------------------------------------------------------------
-# Ablation at 3-bit weights and activations.  The naive layer quantizes the
-# huge vision outlier channels together with everything else; splitting them
-# off is where nearly all of the win comes from.
+# Ablation at 3-bit weights and activations: a bit width per role is the
+# whole quantizer setting (activations asymmetric per token, weights
+# symmetric per output channel).  The naive layer quantizes the huge vision
+# outlier channels together with everything else; splitting them off is
+# where nearly all of the win comes from.
 # ---------------------------------------------------------------------------
 part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
 # A correction branch is built when its rank ratio is given.
@@ -54,7 +51,7 @@ variants = [
 print("reconstruction MSE at 3-bit weights / 3-bit activations:")
 layers = {}
 for name, p, rank_cws, rank_mac in variants:
-    layer = build_layer(w, batch, p, act_spec=act3, weight_spec=w3,
+    layer = build_layer(w, batch, p, act_bits=3, weight_bits=3,
                         rank_cws=rank_cws, rank_mac=rank_mac)
     layers[name] = layer
     print(f"  {name:34s} {mse(layer):10.4f}")
@@ -63,9 +60,7 @@ for name, p, rank_cws, rank_mac in variants:
 # Sanity: with identity quantizers everything cancels algebraically and the
 # layer reproduces X @ W to machine precision, corrections included.
 # ---------------------------------------------------------------------------
-ident_a = QuantSpec(None, False, Granularity.PER_TOKEN)
-ident_w = QuantSpec(None, True, Granularity.PER_CHANNEL)
-exact = build_layer(w, batch, part, act_spec=ident_a, weight_spec=ident_w,
+exact = build_layer(w, batch, part, act_bits=None, weight_bits=None,
                     rank_cws=0.02, rank_mac=0.03)
 err = np.linalg.norm(forward(exact, batch) - ref) / np.linalg.norm(ref)
 print(f"\nidentity-quantizer relative error: {err:.2e}")

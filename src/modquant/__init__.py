@@ -28,7 +28,6 @@ from .mocd import (
     trivial_partition,
     vision_score,
 )
-from .quantizer import Granularity, QuantSpec
 from .synth import SynthConfig, generate, generate_weight
 from .tensor import (
     ActivationBatch,

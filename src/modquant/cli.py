@@ -36,7 +36,7 @@ from .layer import (
     save_layer,
 )
 from .mocd import DEFAULT_RATIO, MocdConfig, build_partition, trivial_partition
-from .quantizer import Granularity, QuantSpec, quantize_ste
+from .quantizer import check_bits, quantize_weight
 from .tensor import (
     ActivationBatch, TensorFormatError, load_matrix, load_tensor, save_tensor,
 )
@@ -125,8 +125,8 @@ def _flag(field: str) -> str:
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge the JSON config file and the flags, and check every value.
 
-    Types are checked per field; quantizer widths, selection ratios and
-    calibration settings are checked by building the configs they feed (the
+    Types are checked per field; quantizer widths by ``check_bits``, selection
+    ratios and calibration settings by building the configs they feed (the
     generator's by ``gen``), and the remaining counts, sizes and ratios here.
     """
     values: dict = {}
@@ -163,7 +163,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not ok:
             raise ConfigError(f"{key} must be {domain}, got {getattr(cfg, key)!r}")
     try:
-        _quant_specs(cfg)
+        _quant_bits(cfg)
         _mocd_config(cfg)
         _calib_config(cfg)
     except ValueError as exc:
@@ -171,12 +171,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _quant_specs(cfg: RunConfig) -> tuple[QuantSpec, QuantSpec]:
-    abits = None if cfg.abits == 0 else cfg.abits
-    wbits = None if cfg.wbits == 0 else cfg.wbits
-    act = QuantSpec(abits, symmetric=False, granularity=Granularity.PER_TOKEN)
-    weight = QuantSpec(wbits, symmetric=True, granularity=Granularity.PER_CHANNEL)
-    return act, weight
+def _quant_bits(cfg: RunConfig) -> tuple[int | None, int | None]:
+    """The activation and weight bits, checked; 0 is the identity (None)."""
+    return tuple(check_bits(None if b == 0 else b) for b in (cfg.abits, cfg.wbits))
 
 
 def _mocd_config(cfg: RunConfig) -> MocdConfig:
@@ -286,7 +283,7 @@ def cmd_select(cfg: RunConfig) -> int:
 
 
 def _build(cfg: RunConfig, batch, w, partition):
-    return build_layer(w, batch, partition, *_quant_specs(cfg),
+    return build_layer(w, batch, partition, *_quant_bits(cfg),
                        rank_cws=cfg.rank_cws if cfg.cws else None,
                        rank_mac=cfg.rank_mac if cfg.mac else None)
 
@@ -313,6 +310,16 @@ def _mse_rows(layer, batch, y_ref):
     return overall, mse_t, mse_v
 
 
+def _weight_error_deciles(layer) -> list[tuple[int, float]]:
+    """Per-channel weight quantization error of the scaled main weight,
+    sorted ascending by MAE and averaged within 10 equal bins.  Its
+    full-size temporaries are freed on return, before any ablation."""
+    w_prime = layer.w_main / layer.scale[layer.partition.c_main, None]
+    mae = np.mean(np.abs(w_prime - quantize_weight(w_prime, layer.weight_bits)[0]), axis=1)
+    bins = np.array_split(np.sort(mae), 10)
+    return [(i + 1, float(b.mean()) if b.size else 0.0) for i, b in enumerate(bins)]
+
+
 def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     batch = _load_batch(cfg.activations)
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
@@ -332,16 +339,8 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
         [("mse_overall", overall), ("mse_text", mse_t), ("mse_vision", mse_v)],
     )
 
-    # Per-channel weight quantization error of the scaled main weight,
-    # sorted ascending by MAE and averaged within 10 equal bins.
-    w_prime = layer.w_main / layer.scale[layer.partition.c_main, None]
-    mae = np.mean(np.abs(w_prime - quantize_ste(w_prime, layer.weight_spec)[0]), axis=1)
-    order = np.sort(mae)
-    bins = np.array_split(order, 10)
-    decile_rows = [
-        (i + 1, float(b.mean()) if b.size else 0.0) for i, b in enumerate(bins)
-    ]
-    _write_csv(cfg, "weight_error_deciles.csv", ["decile", "mean_mae"], decile_rows)
+    _write_csv(cfg, "weight_error_deciles.csv", ["decile", "mean_mae"],
+               _weight_error_deciles(layer))
     print(f"mse overall {overall:.6e} (text {mse_t:.6e}, vision {mse_v:.6e})")
 
     if ablation:

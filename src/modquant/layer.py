@@ -3,15 +3,16 @@
 The forward pass splits activations and weights into main / text-outlier /
 vision-outlier paths and runs each through one path function: multiply the
 activation's columns by the per-channel smoothing scale s and quantize,
-divide the weight's rows by s and quantize (one ``quantize_ste`` call per
-tensor, which yields the value and its straight-through mask).  It applies
-the gated low-rank corrections that are present (weight smoothing on the
-main weight, activation compensation on text-token rows) and sums the paths.
-It records each path and branch in a frozen ``ForwardPass`` for the
-calibration gradient; an outlier path with no channels and an absent branch
-are ``None`` and cost nothing.  What no scale or gate changes comes from one
-``prepare`` record.  With identity quantizers everything cancels and the
-output equals X @ W, the load-bearing correctness oracle.
+divide the weight's rows by s and quantize (one ``quantize_act`` or
+``quantize_weight`` call per tensor, which yields the value and its
+straight-through mask).  It applies the gated low-rank corrections that are
+present (weight smoothing on the main weight, activation compensation on
+text-token rows) and sums the paths.  It records each path and branch in a
+frozen ``ForwardPass`` for the calibration gradient; an outlier path with no
+channels and an absent branch are ``None`` and cost nothing.  What no scale
+or gate changes comes from one ``prepare`` record.  With identity quantizers
+everything cancels and the output equals X @ W, the load-bearing
+correctness oracle.
 """
 
 from __future__ import annotations
@@ -24,25 +25,32 @@ import numpy as np
 
 from . import lowrank, transform as tr
 from .mocd import ChannelPartition
-from .quantizer import Granularity, QuantSpec, quantize_ste
+from .quantizer import check_bits, quantize_act, quantize_weight
 from .tensor import ActivationBatch, as_matrix, load_matrix, save_tensor, split_columns
 
 # Fewest bits of the outlier paths' and the low-rank branches' quantizers.
 AUX_BITS_FLOOR = 4
 
 
+def _aux_bits(bits: int | None) -> int | None:
+    """``bits`` raised to the floor; the identity stays the identity."""
+    return None if bits is None else max(bits, AUX_BITS_FLOOR)
+
+
 @dataclass(frozen=True)
 class SplitLayer:
-    """``scale`` holds SmoothQuant's migration scale s, one per input channel.
-    The weights are checked where they enter, so this checks shapes only."""
+    """``scale`` holds SmoothQuant's migration scale s, one per input channel;
+    ``act_bits`` and ``weight_bits`` set the main path's quantizers (None:
+    identity).  The weights and bits are checked where they enter, so this
+    checks shapes only."""
 
     partition: ChannelPartition
     w_main: np.ndarray
     w_text: np.ndarray
     w_vision: np.ndarray
     scale: np.ndarray
-    act_spec: QuantSpec
-    weight_spec: QuantSpec
+    act_bits: int | None
+    weight_bits: int | None
     branch_smooth: lowrank.LowRankBranch | None = None
     branch_comp: lowrank.LowRankBranch | None = None
 
@@ -127,11 +135,11 @@ class ForwardPass:
     mac: BranchPass | None
 
 
-def _path(x, w, d, act_spec, weight_spec, shift=None) -> PathPass:
+def _path(x, w, d, act_bits, weight_bits, shift=None) -> PathPass:
     z = x * d
-    a, mask_a = quantize_ste(z, act_spec)
+    a, mask_a = quantize_act(z, act_bits)
     w_s = w / d[:, None]
-    b, mask_b = quantize_ste(w_s if shift is None else w_s - shift, weight_spec)
+    b, mask_b = quantize_weight(w_s if shift is None else w_s - shift, weight_bits)
     return PathPass(x, z, a, mask_a, w_s, b, mask_b)
 
 
@@ -150,8 +158,8 @@ class Prepared:
 
 def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
     """The layer's ``Prepared`` record; ``split_columns`` checks the batch width."""
-    w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
-    u_q = (None if br is None else quantize_ste(br.u_star, w_aux)[0]
+    w_aux = _aux_bits(layer.weight_bits)
+    u_q = (None if br is None else quantize_weight(br.u_star, w_aux)[0]
            for br in (layer.branch_smooth, layer.branch_comp))
     return Prepared(*split_columns(batch.data, layer.partition), batch.text_rows, *u_q)
 
@@ -168,17 +176,16 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
     """
     p, s = layer.partition, layer.scale
     t_rows = prep.text_rows
-    act_aux = layer.act_spec.with_floor(AUX_BITS_FLOOR)
-    w_aux = layer.weight_spec.with_floor(AUX_BITS_FLOOR)
+    act_aux, w_aux = _aux_bits(layer.act_bits), _aux_bits(layer.weight_bits)
 
     br = layer.branch_smooth
     cws = shift = None
     if br is not None:
         v = br.effective_v()  # feeds both Q and the shift
-        v_q, mask_v = quantize_ste(v, w_aux)
+        v_q, mask_v = quantize_weight(v, w_aux)
         shift = br.u_star @ v
-    main = _path(prep.x_main, layer.w_main, s[p.c_main], layer.act_spec,
-                 layer.weight_spec, shift)
+    main = _path(prep.x_main, layer.w_main, s[p.c_main], layer.act_bits,
+                 layer.weight_bits, shift)
     y = main.a @ main.b
     if br is not None:
         cws = BranchPass(prep.u_cws, v_q, mask_v, main.a @ prep.u_cws)
@@ -186,8 +193,8 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
 
     mac = None
     if layer.branch_comp is not None and t_rows.size:
-        e_q, mask_e = quantize_ste((main.z - main.a)[t_rows], act_aux)
-        v_q, mask_v = quantize_ste(layer.branch_comp.effective_v(), w_aux)
+        e_q, mask_e = quantize_act((main.z - main.a)[t_rows], act_aux)
+        v_q, mask_v = quantize_weight(layer.branch_comp.effective_v(), w_aux)
         mac = BranchPass(prep.u_mac, v_q, mask_v, e_q @ prep.u_mac, mask_e)
         y[t_rows] += mac.h @ mac.v_q
 
@@ -215,14 +222,16 @@ def build_layer(
     w: np.ndarray,
     batch: ActivationBatch,
     partition: ChannelPartition,
-    act_spec: QuantSpec,
-    weight_spec: QuantSpec,
+    act_bits: int | None,
+    weight_bits: int | None,
     rank_cws: float | None = None,
     rank_mac: float | None = None,
 ) -> SplitLayer:
-    """Assemble a layer: check and split the weight, init the scales from
-    the calibration activations, and anchor the low-rank branches.  A branch
-    is built exactly when its rank ratio is given."""
+    """Assemble a layer: check the bits, check and split the weight, init
+    the scales from the calibration activations, and anchor the low-rank
+    branches.  A branch is built exactly when its rank ratio is given."""
+    check_bits(act_bits)
+    check_bits(weight_bits)
     w = as_matrix(w)
     if w.shape[0] != partition.dim:
         raise ValueError("weight rows must match partition dim")
@@ -243,15 +252,15 @@ def build_layer(
     return SplitLayer(
         partition=partition,
         w_main=w_m, w_text=w[partition.c_text], w_vision=w[partition.c_vision],
-        scale=scale, act_spec=act_spec, weight_spec=weight_spec, **branches,
+        scale=scale, act_bits=act_bits, weight_bits=weight_bits, **branches,
     )
 
 
 # -- serialization -----------------------------------------------------------
 
-def _spec_to_dict(spec: QuantSpec) -> dict:
-    return {"bits": spec.bits, "symmetric": spec.symmetric,
-            "granularity": spec.granularity.value}
+# The one quantizer form of each role, which the manifest keeps next to its bits.
+_ROLES = {"act_spec": {"symmetric": False, "granularity": "per_token"},
+          "weight_spec": {"symmetric": True, "granularity": "per_channel"}}
 
 
 def _save_branch(br: lowrank.LowRankBranch, out_dir: str, name: str, manifest: dict):
@@ -277,8 +286,8 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
             "c_text": layer.partition.c_text.tolist(),
             "c_vision": layer.partition.c_vision.tolist(),
         },
-        "act_spec": _spec_to_dict(layer.act_spec),
-        "weight_spec": _spec_to_dict(layer.weight_spec),
+        "act_spec": {"bits": layer.act_bits, **_ROLES["act_spec"]},
+        "weight_spec": {"bits": layer.weight_bits, **_ROLES["weight_spec"]},
         "use_cws": layer.branch_smooth is not None,
         "use_mac": layer.branch_comp is not None,
     }
@@ -322,11 +331,18 @@ def _is_partition(v) -> bool:
         for k in _PATHS)
 
 
-def _is_spec(v) -> bool:
-    return (isinstance(v, dict) and "bits" in v
-            and (v["bits"] is None or _is_int(v["bits"]))
-            and isinstance(v.get("symmetric"), bool)
-            and v.get("granularity") in [g.value for g in Granularity])
+def _role_check(role: str):
+    """The check of a role's dict: int-or-null bits and the role's one form
+    (``is`` for the bool, so that 0 does not pass for false)."""
+    form = _ROLES[role]
+
+    def ok(v) -> bool:
+        return (isinstance(v, dict) and "bits" in v
+                and (v["bits"] is None or _is_int(v["bits"]))
+                and v.get("symmetric") is form["symmetric"]
+                and v.get("granularity") == form["granularity"])
+
+    return ok, f"a dict of int-or-null bits and {json.dumps(form)}"
 
 
 def _is_file(v) -> bool:
@@ -342,7 +358,6 @@ def _is_branch(v) -> bool:
     return isinstance(v, dict) and all(_is_file(v.get(k)) for k in _BRANCH_FILES)
 
 
-_SPEC = (_is_spec, "a dict of int-or-null bits, bool symmetric and a granularity")
 _FILE = (_is_file, "a file name inside the layer directory")
 _TRANSFORM = (_is_transform, 'a dict {"kind": "diagonal", "file": <file name>}')
 _BRANCH = (_is_branch, "a dict of u_star, v_base and gate file names")
@@ -354,8 +369,8 @@ _MANIFEST_KEYS = {
     "dim": (_is_int, "an int"),
     "d_out": (_is_int, "an int"),
     "partition": (_is_partition, "a dict of three channel index lists"),
-    "act_spec": _SPEC,
-    "weight_spec": _SPEC,
+    "act_spec": _role_check("act_spec"),
+    "weight_spec": _role_check("weight_spec"),
     "use_cws": _BOOL,
     "use_mac": _BOOL,
     "w_main": _FILE,
@@ -393,13 +408,11 @@ def load_layer(manifest_path: str) -> SplitLayer:
         if not ok(manifest[key]):
             raise ValueError(f"layer manifest {key} must be {what}, "
                              f"got {manifest[key]!r}")
+    act_bits, weight_bits = (check_bits(manifest[role]["bits"]) for role in _ROLES)
     in_dir = os.path.dirname(os.path.abspath(manifest_path))
 
     def tensor(name: str) -> np.ndarray:
         return load_matrix(os.path.join(in_dir, name))
-
-    def spec(d: dict) -> QuantSpec:
-        return QuantSpec(d["bits"], d["symmetric"], Granularity(d["granularity"]))
 
     def branch(name: str) -> lowrank.LowRankBranch:
         if name not in manifest:
@@ -423,8 +436,8 @@ def load_layer(manifest_path: str) -> SplitLayer:
         w_text=tensor(manifest["w_text"]),
         w_vision=tensor(manifest["w_vision"]),
         scale=scale,
-        act_spec=spec(manifest["act_spec"]),
-        weight_spec=spec(manifest["weight_spec"]),
+        act_bits=act_bits,
+        weight_bits=weight_bits,
         **{name: branch(name) for name, flag in _BRANCHES.items() if manifest[flag]},
     )
     if layer.d_out != manifest["d_out"]:

@@ -1,66 +1,33 @@
-"""Uniform affine fake quantization.
+"""Uniform affine fake quantization: one fixed quantizer per role.
 
 Simulates integer quantization in float64 via quantize-dequantize round
 trips: Q(x) = (clamp(round(x/S) + z, q_min, q_max) - z) * S.  Rounding is
 half-away-from-zero so independent implementations agree bit-exactly.
 
-``bits=None`` is the identity-quantizer sentinel used by exact-cancellation
-tests: quantize_ste then returns a copy of its input and a mask of all True.
+A bit width is the whole setting, as in SmoothQuant's convention:
+``quantize_act`` is asymmetric with one scale and zero-point per row (token),
+``quantize_weight`` symmetric with one scale per column (output channel).
+``bits=None`` is the identity sentinel used by exact-cancellation tests: the
+quantizer then returns a copy of its input and a mask of all True.
 
-``quantize_ste`` is the one quantizer: it takes a matrix the caller already
-holds as finite 2-D float64 (it checks nothing), derives fresh parameters,
-rounds once, and returns the quantized value with its boolean
-straight-through mask (multiplying by it casts True/False to 1.0/0.0, the
-same bits as a float mask).
+Each quantizer takes a matrix the caller already holds as finite 2-D float64
+(it checks nothing), derives fresh parameters, rounds once, and returns the
+quantized value with its boolean straight-through mask (multiplying by it
+casts True/False to 1.0/0.0, the same bits as a float mask).
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
 
 
-class Granularity(enum.Enum):
-    PER_TENSOR = "per_tensor"
-    PER_CHANNEL = "per_channel"  # one group per column
-    PER_TOKEN = "per_token"      # one group per row
-
-
-@dataclass(frozen=True)
-class QuantSpec:
-    bits: int | None
-    symmetric: bool
-    granularity: Granularity
-
-    def __post_init__(self):
-        if self.bits is not None and not 2 <= self.bits <= 16:
-            raise ValueError(f"bits must be in [2, 16] or None, got {self.bits}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.bits is None
-
-    @property
-    def q_min(self) -> int:
-        if self.symmetric:
-            return -(2 ** (self.bits - 1)) + 1
-        return 0
-
-    @property
-    def q_max(self) -> int:
-        if self.symmetric:
-            return 2 ** (self.bits - 1) - 1
-        return 2**self.bits - 1
-
-    def with_floor(self, min_bits: int) -> "QuantSpec":
-        """Raise the bit width to ``min_bits`` (identity stays identity)."""
-        if self.bits is None or self.bits >= min_bits:
-            return self
-        return replace(self, bits=min_bits)
+def check_bits(bits: int | None) -> int | None:
+    """``bits`` if it is None or in [2, 16]; a ValueError otherwise."""
+    if bits is not None and not 2 <= bits <= 16:
+        raise ValueError(f"bits must be in [2, 16] or None, got {bits}")
+    return bits
 
 
 def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
@@ -79,32 +46,20 @@ def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
     return r
 
 
-# The axis each granularity reduces a group along (None: the whole matrix).
-_AXIS = {Granularity.PER_TENSOR: None, Granularity.PER_CHANNEL: 0,
-         Granularity.PER_TOKEN: 1}
+def _act_params(m: np.ndarray, bits: int):
+    """(S, z, q_min, q_max) of ``quantize_act``: one scale and integer-valued
+    float zero-point per row of a nonempty ``m``, kept 2-D (rows x 1).
 
-
-def _params(m: np.ndarray, spec: QuantSpec):
-    """Per-group scales and integer-valued float zero-points of a nonempty
-    ``m``, kept 2-D so that they broadcast over it.  A symmetric spec's
-    zero-points are all zero and come back as None.
-
-    An asymmetric group's range is widened to include zero, so zero and
-    constants map onto grid points and one-signed groups never saturate;
-    all-zero groups get S = 1, z = 0.  Scales are floored at the smallest
-    positive normal, so subnormal groups never underflow to a zero scale.
+    Each row's range is widened to include zero, so zero and constants map
+    onto grid points and one-signed rows never saturate; all-zero rows get
+    S = 1, z = 0.  Scales are floored at the smallest positive normal, so
+    subnormal rows never underflow to a zero scale.
     """
-    axis = _AXIS[spec.granularity]
-    hi = np.maximum.reduce(m, axis=axis, keepdims=True)
-    lo = np.minimum.reduce(m, axis=axis, keepdims=True)
-    if spec.symmetric:
-        # max |m| = max(max m, -min m), with no |m| copy of the matrix.
-        np.negative(lo, out=lo)
-        np.maximum(hi, lo, out=hi)
-        return np.where(hi > 0, np.maximum(hi / spec.q_max, _TINY), 1.0), None
+    levels = 2**bits - 1
+    hi = np.maximum.reduce(m, axis=1, keepdims=True)
+    lo = np.minimum.reduce(m, axis=1, keepdims=True)
     np.minimum(lo, 0.0, out=lo)
     np.maximum(hi, 0.0, out=hi)
-    levels = spec.q_max - spec.q_min
     with np.errstate(over="ignore"):
         span = hi - lo
     step = span / levels
@@ -117,18 +72,32 @@ def _params(m: np.ndarray, spec: QuantSpec):
     # S >= (hi - lo) / levels >= -lo / levels up to one rounding, so the
     # zero-point round(-lo / S) already lies in [0, levels] = [q_min, q_max].
     np.negative(lo, out=lo)
-    return scales, _round_div(lo, scales)
+    return scales, _round_div(lo, scales), 0, levels
 
 
-def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, spec: QuantSpec):
+def _weight_params(m: np.ndarray, bits: int):
+    """(S, None, q_min, q_max) of ``quantize_weight``: one scale per column
+    of a nonempty ``m``, kept 2-D (1 x cols), S = max|m| / q_max floored at
+    the smallest positive normal (1 for an all-zero column); the None
+    zero-point is zero, and the grid [-q_max, q_max] is symmetric."""
+    q_max = 2 ** (bits - 1) - 1
+    hi = np.maximum.reduce(m, axis=0, keepdims=True)
+    lo = np.minimum.reduce(m, axis=0, keepdims=True)
+    # max |m| = max(max m, -min m), with no |m| copy of the matrix.
+    np.negative(lo, out=lo)
+    np.maximum(hi, lo, out=hi)
+    return np.where(hi > 0, np.maximum(hi / q_max, _TINY), 1.0), None, -q_max, q_max
+
+
+def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, q_min: int, q_max: int):
     """Q(m) and the straight-through mask from one rounding of m/S, in two
     buffers.  ``s`` and ``z`` broadcast over ``m``; a None ``z`` is a zero
     zero-point, of which only the addition is kept: it turns -0.0 into +0.0."""
     buf = np.empty(m.shape)
     q = _round_div(m, s, out=buf)
     q += 0.0 if z is None else z
-    np.maximum(q, spec.q_min, out=buf)
-    np.minimum(buf, spec.q_max, out=buf)
+    np.maximum(q, q_min, out=buf)
+    np.minimum(buf, q_max, out=buf)
     mask = buf == q
     if z is not None:
         buf -= z
@@ -136,13 +105,19 @@ def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, spec: Quant
     return buf, mask
 
 
-def quantize_ste(m: np.ndarray, spec: QuantSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Fake-quantize with fresh params; returns (value, straight-through mask).
-
-    The boolean mask is True where round(x/S)+z stays inside [q_min, q_max]
-    and False where it is clamped; an identity spec clamps nothing.  ``m``
-    must already be a finite 2-D float64 matrix; it is not checked again.
-    """
-    if spec.is_identity or m.size == 0:
+def _quantize(m: np.ndarray, bits: int | None, params) -> tuple[np.ndarray, np.ndarray]:
+    # The mask is True where round(x/S)+z stays inside [q_min, q_max] and
+    # False where it is clamped; the identity clamps nothing.
+    if bits is None or m.size == 0:
         return m.copy(), np.ones(m.shape, dtype=bool)
-    return _round_clamp(m, *_params(m, spec), spec)
+    return _round_clamp(m, *params(m, bits))
+
+
+def quantize_act(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Asymmetric fake quantization, one group per row; (value, STE mask)."""
+    return _quantize(m, bits, _act_params)
+
+
+def quantize_weight(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric fake quantization, one group per column; (value, STE mask)."""
+    return _quantize(m, bits, _weight_params)

@@ -2,28 +2,29 @@
 README ("The quantized forward pass") and from nothing else of ``layer.py``:
 the oracle for ``layer.forward``.
 
-It reads the layer's and the batch's fields and calls only ``quantize_ste``,
-which has its own bit-exact oracle in ``test_quantizer.py``.
+It reads the layer's and the batch's fields and calls only the two
+quantizers, ``quantize_act`` (Q_a) and ``quantize_weight`` (Q_w), which have
+their own bit-exact oracle in ``test_quantizer.py``.
 """
-
-import dataclasses
 
 import numpy as np
 
-from modquant.quantizer import quantize_ste
+from modquant.quantizer import quantize_act, quantize_weight
 
 AUX_BITS = 4  # the fewest bits of the outlier paths and the branch factors
 
 
-def _q(m, spec):
-    return quantize_ste(m, spec)[0]
+def _qa(m, bits):
+    return quantize_act(m, bits)[0]
 
 
-def _aux(spec):
-    """``spec`` with at least AUX_BITS bits; identity stays identity."""
-    if spec.bits is None or spec.bits >= AUX_BITS:
-        return spec
-    return dataclasses.replace(spec, bits=AUX_BITS)
+def _qw(m, bits):
+    return quantize_weight(m, bits)[0]
+
+
+def _aux(bits):
+    """``bits`` raised to at least AUX_BITS; identity stays identity."""
+    return None if bits is None else max(bits, AUX_BITS)
 
 
 def reference_terms(layer, batch):
@@ -31,28 +32,28 @@ def reference_terms(layer, batch):
     (zero off the text rows), the text path and the vision path; an absent
     branch has no term.  The forward pass's output is their sum."""
     p, s, x = layer.partition, layer.scale, batch.data
-    a_aux, w_aux = _aux(layer.act_spec), _aux(layer.weight_spec)
+    a_bits, w_bits = layer.act_bits, layer.weight_bits
+    a_aux, w_aux = _aux(a_bits), _aux(w_bits)
 
     def scaled(c, w):  # X_c = X[:, c] s[c] and W_c = W / s[c]
         return x[:, c] * s[c], w / s[c, None]
 
     x_m, w_m = scaled(p.c_main, layer.w_main)
-    a_m = _q(x_m, layer.act_spec)
+    a_m = _qa(x_m, a_bits)
     cws = layer.branch_smooth
     if cws is None:
-        terms = [a_m @ _q(w_m, layer.weight_spec)]
+        terms = [a_m @ _qw(w_m, w_bits)]
     else:
         v = cws.gate[:, None] * cws.v_base
-        terms = [a_m @ _q(w_m - cws.u_star @ v, layer.weight_spec),
-                 a_m @ _q(cws.u_star, w_aux) @ _q(v, w_aux)]
+        terms = [a_m @ _qw(w_m - cws.u_star @ v, w_bits),
+                 a_m @ _qw(cws.u_star, w_aux) @ _qw(v, w_aux)]
     mac, t = layer.branch_comp, batch.text_rows
     if mac is not None:
         v = mac.gate[:, None] * mac.v_base
         term = np.zeros_like(terms[0])
-        term[t] = _q((x_m - a_m)[t], a_aux) @ _q(mac.u_star, w_aux) @ _q(v, w_aux)
+        term[t] = _qa((x_m - a_m)[t], a_aux) @ _qw(mac.u_star, w_aux) @ _qw(v, w_aux)
         terms.append(term)
     for c, w in ((p.c_text, layer.w_text), (p.c_vision, layer.w_vision)):
         x_c, w_c = scaled(c, w)
-        terms.append(_q(x_c, a_aux) @ _q(w_c, w_aux))
+        terms.append(_qa(x_c, a_aux) @ _qw(w_c, w_aux))
     return terms
-

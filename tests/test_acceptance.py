@@ -14,19 +14,12 @@ from modquant.cli import EXIT_OK, main
 from modquant.layer import _path, build_layer, forward, forward_reference, prepare
 from modquant.lowrank import truncated_svd
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
-from modquant.quantizer import Granularity, QuantSpec, _round_clamp, quantize_ste
-from modquant.quantizer import _params as _quant_params
+from modquant.quantizer import (
+    _act_params, _round_clamp, _weight_params, quantize_act, quantize_weight,
+)
 from modquant.synth import SynthConfig, generate, generate_weight
 from surrogate import gradient_and_oracle
 
-ACT_SPEC = {
-    b: QuantSpec(b, False, Granularity.PER_TOKEN) for b in (3, 4, 16)
-}
-W_SPEC = {
-    b: QuantSpec(b, True, Granularity.PER_CHANNEL) for b in (3, 4, 16)
-}
-IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
-IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
 DEFAULT_MOCD = MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64)
 
 
@@ -87,22 +80,22 @@ def test_criterion_2_quantizer_contracts(capsys):
     # Idempotence and the S/2 error bound at the parameters fitted to m.
     rng = np.random.default_rng(1)
     ok = True
-    for spec in (W_SPEC[4], ACT_SPEC[4], W_SPEC[16]):
+    for quantize, fit, bits in ((quantize_weight, _weight_params, 4),
+                                (quantize_act, _act_params, 4),
+                                (quantize_weight, _weight_params, 16)):
         m = rng.standard_normal((24, 24))
-        scales, zero_points = _quant_params(m, spec)
-        once, _ = _round_clamp(m, scales, zero_points, spec)
-        ok &= np.array_equal(once, quantize_ste(m, spec)[0])
-        ok &= np.array_equal(once, _round_clamp(once, scales, zero_points, spec)[0])
+        params = fit(m, bits)
+        once, _ = _round_clamp(m, *params)
+        ok &= np.array_equal(once, quantize(m, bits)[0])
+        ok &= np.array_equal(once, _round_clamp(once, *params)[0])
         err = np.abs(m - once)
-        ok &= bool(np.all(err <= np.max(scales) / 2 + 1e-12))
+        ok &= bool(np.all(err <= np.max(params[0]) / 2 + 1e-12))
     m = rng.uniform(-1, 1, (32, 32))
-    rel16 = np.linalg.norm(m - quantize_ste(m, W_SPEC[16])[0]) / np.linalg.norm(m)
+    rel16 = np.linalg.norm(m - quantize_weight(m, 16)[0]) / np.linalg.norm(m)
     ok &= rel16 < 1e-3
-    mses = [
-        float(np.mean((m - quantize_ste(m, QuantSpec(b, True, Granularity.PER_TENSOR))[0]) ** 2))
-        for b in range(2, 9)
-    ]
-    ok &= all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))
+    for quantize in (quantize_weight, quantize_act):
+        mses = [float(np.mean((m - quantize(m, b)[0]) ** 2)) for b in range(2, 9)]
+        ok &= all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))
     _report(capsys, 2, "quantizer contracts", ok)
 
 
@@ -114,7 +107,7 @@ def test_criterion_3_computational_invariance(capsys):
         dim = int(rng.integers(2, 65))
         x = rng.standard_normal((8, dim))
         w = rng.standard_normal((dim, 6))
-        path = _path(x, w, rng.uniform(0.1, 10.0, dim), IDENTITY_ACT, IDENTITY_W)
+        path = _path(x, w, rng.uniform(0.1, 10.0, dim), None, None)
         ref = x @ w
         worst = max(
             worst,
@@ -136,8 +129,8 @@ def test_criterion_4_cancellation_oracle(capsys):
                     if count >= 50 * 8:
                         break
                     layer = build_layer(
-                        w, batch, p, act_spec=IDENTITY_ACT,
-                        weight_spec=IDENTITY_W,
+                        w, batch, p, act_bits=None,
+                        weight_bits=None,
                         rank_cws=rank_cws, rank_mac=rank_mac,
                     )
                     y = forward(layer, batch)
@@ -155,7 +148,7 @@ def test_criterion_5_mac_locality(capsys):
     for seed in range(100):
         batch, w, part = _small_instance(seed)
         layer = build_layer(
-            w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
+            w, batch, part, act_bits=4, weight_bits=4,
             rank_cws=0.02, rank_mac=0.03,
         )
         off = dataclasses.replace(layer, branch_comp=None)
@@ -179,7 +172,7 @@ def test_criterion_6_svd_and_branch(capsys, monkeypatch):
     # The gate segments of the calibration gradient vs central differences
     # of the loss through the frozen-quantizer surrogate.
     batch, w, part = _small_instance(6)
-    layer = build_layer(w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
+    layer = build_layer(w, batch, part, act_bits=4, weight_bits=4,
                         rank_cws=0.02, rank_mac=0.03)
     theta0 = _params(layer)
     theta0[part.dim:] = rng.uniform(0.5, 1.5, theta0.size - part.dim)
@@ -210,7 +203,7 @@ def test_criterion_8_calibration_monotonicity(capsys):
         w = generate_weight(64, 64, seed=1000 + seed)
         part = build_partition(batch, DEFAULT_MOCD)
         layer = build_layer(
-            w, batch, part, act_spec=ACT_SPEC[4], weight_spec=W_SPEC[4],
+            w, batch, part, act_bits=4, weight_bits=4,
             rank_cws=0.02, rank_mac=0.03,
         )
         _, trace = calibrate(layer, batch, CalibConfig())
@@ -238,7 +231,7 @@ def test_criterion_9_ablation_ordering(capsys):
         ]
         for name, p, rank_cws, rank_mac in grid:
             layer = build_layer(
-                w, batch, p, act_spec=ACT_SPEC[3], weight_spec=W_SPEC[3],
+                w, batch, p, act_bits=3, weight_bits=3,
                 rank_cws=rank_cws, rank_mac=rank_mac,
             )
             mses[name].append(float(np.mean((forward(layer, batch) - ref) ** 2)))

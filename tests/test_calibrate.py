@@ -6,7 +6,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import modquant.layer as layer_module
 from modquant.calibrate import (
     CalibConfig,
     _loss,
@@ -21,20 +20,14 @@ from modquant.calibrate import (
 )
 from modquant.layer import build_layer, forward_reference, prepare
 from modquant.mocd import MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition
-from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
-from surrogate import gradient_and_oracle
+from surrogate import gradient_and_oracle, patch_quantizers
 
 calibrate_module = importlib.import_module("modquant.calibrate")
 
-ACT4 = QuantSpec(4, False, Granularity.PER_TOKEN)
-W4 = QuantSpec(4, True, Granularity.PER_CHANNEL)
-IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
-IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
 
-
-def _setup(seed, dim=16, d_out=12, act=ACT4, w_spec=W4, cws=True, mac=True):
+def _setup(seed, dim=16, d_out=12, act_bits=4, weight_bits=4, cws=True, mac=True):
     batch = generate(
         SynthConfig(
             tokens_text=12, tokens_vision=12, dim=dim,
@@ -44,7 +37,7 @@ def _setup(seed, dim=16, d_out=12, act=ACT4, w_spec=W4, cws=True, mac=True):
     w = generate_weight(dim, d_out, seed=seed + 500)
     part = build_partition(batch, MocdConfig(ratio_vision=1 / dim, ratio_text=1 / dim))
     layer = build_layer(
-        w, batch, part, act_spec=act, weight_spec=w_spec,
+        w, batch, part, act_bits=act_bits, weight_bits=weight_bits,
         rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
     )
     return batch, layer
@@ -66,7 +59,7 @@ class TestCalibrate:
         assert len(trace.losses) == 50
 
     def test_identity_mode_loss_is_zero(self):
-        batch, layer = _setup(1, act=IDENTITY_ACT, w_spec=IDENTITY_W)
+        batch, layer = _setup(1, act_bits=None, weight_bits=None)
         _, trace = calibrate(layer, batch, CalibConfig(steps=10))
         assert all(l <= 1e-12 for l in trace.losses)
 
@@ -88,7 +81,7 @@ class TestCalibrate:
                 batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64)
             )
             layer = build_layer(
-                w, batch, part, act_spec=ACT4, weight_spec=W4,
+                w, batch, part, act_bits=4, weight_bits=4,
                 rank_cws=0.02, rank_mac=0.03,
             )
             _, trace = calibrate(layer, batch, CalibConfig(steps=100))
@@ -144,7 +137,7 @@ class TestGradients:
     def test_identity_mode_gradient_is_zero(self):
         # With identity quantizers the transforms cancel exactly, so every
         # parameter direction is flat and the gradient is zero.
-        batch, layer = _setup(5, act=IDENTITY_ACT, w_spec=IDENTITY_W)
+        batch, layer = _setup(5, act_bits=None, weight_bits=None)
         y_ref = forward_reference(layer.full_weight(), batch)
         loss, grad = analytic_gradient(layer, prepare(layer, batch), y_ref)
         assert grad.size == _params(layer).size
@@ -173,7 +166,7 @@ class TestGradients:
             rows = batch.vision_rows
             batch = ActivationBatch(batch.data[rows], batch.tags[rows])
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4,
+            w, batch, part, act_bits=4, weight_bits=4,
             rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
         )
         segments = [(name, getattr(part, name)) for name in ("c_main", "c_text", "c_vision")]
@@ -200,14 +193,15 @@ class TestGradients:
         # branch's u_star is quantized once per calibrate call, before step 0.
         batch, layer = _setup(0)
         assert layer.partition.c_text.size and layer.partition.c_vision.size
-        real = layer_module.quantize_ste
         inputs = []
 
-        def recording(m, spec):
-            inputs.append(m)
-            return real(m, spec)
+        def recording(name, real):
+            def quantize(m, bits):
+                inputs.append(m)
+                return real(m, bits)
+            return quantize
 
-        monkeypatch.setattr(layer_module, "quantize_ste", recording)
+        patch_quantizers(monkeypatch, recording)
         calibrate(layer, batch, CalibConfig(steps=3))
         fixed = (layer.branch_smooth.u_star, layer.branch_comp.u_star)
         assert [i for i, m in enumerate(inputs) if any(m is u for u in fixed)] == [0, 1]

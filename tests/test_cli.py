@@ -354,6 +354,7 @@ class TestErrorExits:
         ("calibrate", {"steps": "ten"}, None, EXIT_USAGE, "config error:"),
         ("stability", {"trials": "x"}, None, EXIT_USAGE, "config error:"),
         ("calibrate", {"abits": 1}, None, EXIT_USAGE, "config error:"),
+        ("calibrate", {"wbits": 17}, None, EXIT_USAGE, "config error:"),
         ("select", {"ratio_vision": 0.6}, None, EXIT_USAGE, "config error:"),
         ("select", {"clusters": 0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"mac": 1}, None, EXIT_USAGE, "config error:"),
@@ -376,7 +377,7 @@ class TestErrorExits:
         ("gen", {"vision_outliers": [999]}, None, EXIT_USAGE, "config error:"),
         ("gen", DEEP_JSON, None, EXIT_USAGE, "config error:"),
         ("gen", b"\xff\xfe{}", None, EXIT_USAGE, "config error:"),
-    ], ids=["steps-str", "trials-str", "abits-1", "ratio-0.6", "clusters-0",
+    ], ids=["steps-str", "trials-str", "abits-1", "wbits-17", "ratio-0.6", "clusters-0",
             "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
             "manifest-key", "manifest-deep", "manifest-not-utf8", "d-out-0", "dim-0", "tokens-text-neg", "instability-2",
@@ -546,8 +547,15 @@ class TestLayerFile:
         (("d_out",), -1),
         (("version",), 2),
         (("w_main",), "../w_main.spqt"),
+        # Each role has one fixed quantizer form; bits enter checked.
+        (("act_spec", "symmetric"), True),
+        (("act_spec", "symmetric"), 0),
+        (("weight_spec", "granularity"), "per_tensor"),
+        (("weight_spec", "granularity"), "per_token"),
+        (("weight_spec", "bits"), 17),
     ], ids=["partition-list", "bits-str", "transform-str", "transform-dense", "file-int",
-            "flag-str", "d_out-neg", "version-2", "file-parent"])
+            "flag-str", "d_out-neg", "version-2", "file-parent", "symmetric-true",
+            "symmetric-int", "granularity-per-tensor", "granularity-per-token", "bits-17"])
     def test_bad_key_is_data_error(self, small, layer, tmp_path, key_path, value):
         # A readable w_main.spqt next to the layer directory: only the name
         # check keeps "../w_main.spqt" from loading it.
@@ -808,7 +816,7 @@ class TestAblation:
         cfg = cli.load_config(str(config), {})
         batch = load_tensor(str(tmp_path / "activations.spqt"))
         w = load_tensor(str(tmp_path / "weights.spqt"))
-        act, weight = cli._quant_specs(cfg)
+        act_bits, weight_bits = cli._quant_bits(cfg)
         expected = {}
         for name, mocd, cws, mac in [("baseline", False, False, False),
                                      ("mocd", True, False, False),
@@ -816,7 +824,7 @@ class TestAblation:
                                      ("mocd+cws+mac", True, True, True)]:
             part = (cli.build_partition(batch, cli._mocd_config(cfg)) if mocd
                     else cli.trivial_partition(batch.data.shape[1]))
-            layer = cli.build_layer(w, batch, part, act_spec=act, weight_spec=weight,
+            layer = cli.build_layer(w, batch, part, act_bits=act_bits, weight_bits=weight_bits,
                                     rank_cws=cfg.rank_cws if cws else None,
                                     rank_mac=cfg.rank_mac if mac else None)
             layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))

@@ -6,13 +6,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import modquant.layer as layer_module
 from modquant.calibrate import _LOG_HI, _LOG_LO, CalibConfig, _params, _with_params, calibrate
 from modquant.layer import (
+    AUX_BITS_FLOOR,
     SplitLayer,
+    _aux_bits,
     build_layer,
     forward,
     forward_reference,
@@ -22,17 +23,11 @@ from modquant.layer import (
     save_layer,
 )
 from modquant.mocd import ChannelPartition, MocdConfig, build_partition, trivial_partition
-from modquant.quantizer import Granularity, QuantSpec
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch, TensorFormatError, load_tensor, save_tensor
 from reference_forward import reference_terms
+from surrogate import patch_quantizers
 
-IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
-IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
-ACT4 = QuantSpec(4, False, Granularity.PER_TOKEN)
-W4 = QuantSpec(4, True, Granularity.PER_CHANNEL)
-ACT8 = QuantSpec(8, False, Granularity.PER_TOKEN)
-W8 = QuantSpec(8, True, Granularity.PER_CHANNEL)
 
 
 def _instance(seed, dim=16, d_out=12, nontrivial=True):
@@ -77,7 +72,7 @@ class TestCancellation:
             batch, w, part = _instance(seed, nontrivial=nontrivial)
             layer = build_layer(
                 w, batch, part,
-                act_spec=IDENTITY_ACT, weight_spec=IDENTITY_W,
+                act_bits=None, weight_bits=None,
                 rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
             )
             y = forward(layer, batch)
@@ -87,9 +82,7 @@ class TestCancellation:
 
     def test_16bit_close_to_reference(self):
         batch, w, _ = _instance(1)
-        spec_a = QuantSpec(16, False, Granularity.PER_TOKEN)
-        spec_w = QuantSpec(16, True, Granularity.PER_CHANNEL)
-        layer = build_layer(w, batch, trivial_partition(16), spec_a, spec_w)
+        layer = build_layer(w, batch, trivial_partition(16), 16, 16)
         y = forward(layer, batch)
         ref = forward_reference(w, batch)
         assert np.linalg.norm(y - ref) <= 1e-3 * np.linalg.norm(ref)
@@ -100,7 +93,7 @@ class TestMacLocality:
         for seed in range(10):
             batch, w, part = _instance(seed)
             layer = build_layer(
-                w, batch, part, act_spec=ACT4, weight_spec=W4,
+                w, batch, part, act_bits=4, weight_bits=4,
                 rank_cws=0.02, rank_mac=0.03,
             )
             off = dataclasses.replace(layer, branch_comp=None)
@@ -112,7 +105,7 @@ class TestMacLocality:
     def test_mac_changes_text_rows(self):
         batch, w, part = _instance(3)
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4,
+            w, batch, part, act_bits=4, weight_bits=4,
             rank_cws=0.02, rank_mac=0.03,
         )
         off = dataclasses.replace(layer, branch_comp=None)
@@ -123,7 +116,7 @@ class TestMacLocality:
 @st.composite
 def _forward_cases(draw):
     """A layer and a batch: a partition of 1-9 channels whose outlier paths
-    may be empty, specs of 2-8 bits or identity, any tag pattern, each branch
+    may be empty, bit widths of 2-8 or identity, any tag pattern, each branch
     present or not, and random scales and gates."""
     dim = draw(st.integers(1, 9))
     k_text, k_vision = draw(st.integers(0, dim // 2)), draw(st.integers(0, dim // 2))
@@ -132,22 +125,33 @@ def _forward_cases(draw):
     part = ChannelPartition(sorted(order[k_text + k_vision:]), sorted(order[:k_text]),
                             sorted(order[k_text:k_text + k_vision]), dim)
     tags = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8))
-    specs = [QuantSpec(draw(st.one_of(st.none(), st.integers(2, 8))), draw(st.booleans()),
-                       draw(st.sampled_from(list(Granularity)))) for _ in range(2)]
+    bits = [draw(st.one_of(st.none(), st.integers(2, 8))) for _ in range(2)]
     ranks = [draw(st.one_of(st.none(), st.floats(0.0, 1.0))) for _ in range(2)]
-    d_out = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    batch = ActivationBatch(rng.standard_normal((len(tags), dim))
-                            * 10.0 ** rng.uniform(-2, 2, dim), tags)
-    layer = build_layer(rng.standard_normal((dim, d_out)), batch, part, *specs, *ranks)
+    return _forward_case(part, tags, bits, ranks, draw(st.integers(1, 6)),
+                         draw(st.integers(0, 2**32 - 1)))
+
+
+def _forward_case(part, tags, bits, ranks, d_out, seed):
+    """The layer and batch for the drawn values, with random data, scales
+    and gates from ``seed``."""
+    rng = np.random.default_rng(seed)
+    batch = ActivationBatch(rng.standard_normal((len(tags), part.dim))
+                            * 10.0 ** rng.uniform(-2, 2, part.dim), tags)
+    layer = build_layer(rng.standard_normal((part.dim, d_out)), batch, part, *bits, *ranks)
     gates = {name: dataclasses.replace(br, gate=rng.uniform(0.0, 2.0, br.rank))
              for name in ("branch_smooth", "branch_comp")
              if (br := getattr(layer, name)) is not None}
-    return dataclasses.replace(layer, scale=rng.uniform(0.1, 10.0, dim), **gates), batch
+    return dataclasses.replace(layer, scale=rng.uniform(0.1, 10.0, part.dim), **gates), batch
 
 
 class TestReferenceForward:
     @given(_forward_cases())
+    # Two-channel outlier paths and both branches at rank 4, at 2 bits.  A
+    # group of one value keeps it at every bit width, so only groups of two
+    # or more at < 4 bits show whether a quantizer takes the 4-bit floor,
+    # and few draws have them in every path and branch.
+    @example(_forward_case(ChannelPartition([0, 1, 2, 3], [4, 5], [6, 7], 8),
+                           [0, 1, 0, 1, 1, 0], [2, 2], [1.0, 1.0], 4, 1))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, case):
         # The terms are summed in another order, so each output differs from
@@ -161,22 +165,29 @@ class TestReferenceForward:
 class TestForwardPass:
     def test_empty_paths_do_no_work(self, monkeypatch):
         # On a trivial partition without branches only the main path's
-        # activation and weight are quantized.
+        # activation and weight are quantized, each by its role's quantizer.
         batch, w, part = _instance(0, nontrivial=False)
-        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4)
-        real = layer_module.quantize_ste
-        shapes = []
+        layer = build_layer(w, batch, part, act_bits=4, weight_bits=4)
+        calls = []
 
-        def counting(m, spec):
-            shapes.append(m.shape)
-            return real(m, spec)
+        def counting(name, real):
+            def quantize(m, bits):
+                calls.append((name, m.shape))
+                return real(m, bits)
+            return quantize
 
-        monkeypatch.setattr(layer_module, "quantize_ste", counting)
+        patch_quantizers(monkeypatch, counting)
         y, fp = forward_with_cache(layer, prepare(layer, batch))
-        assert shapes == [(24, 16), (16, 12)]
+        assert calls == [("quantize_act", (24, 16)), ("quantize_weight", (16, 12))]
         assert fp.text is None and fp.vision is None
         assert fp.cws is None and fp.mac is None
         np.testing.assert_array_equal(y, fp.main.a @ fp.main.b)
+
+    def test_aux_bits_floor(self):
+        # The outlier paths and branch factors take at least the floor.
+        assert AUX_BITS_FLOOR == 4
+        assert (_aux_bits(2), _aux_bits(4), _aux_bits(8)) == (4, 4, 8)
+        assert _aux_bits(None) is None
 
 
 class TestBuild:
@@ -186,10 +197,10 @@ class TestBuild:
         calls = []
         monkeypatch.setattr(np.linalg, "svd",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        both = build_layer(w, batch, part, ACT4, W4, rank_cws=0.1, rank_mac=0.2)
+        both = build_layer(w, batch, part, 4, 4, rank_cws=0.1, rank_mac=0.2)
         assert len(calls) == 1
-        cws = build_layer(w, batch, part, ACT4, W4, rank_cws=0.1).branch_smooth
-        mac = build_layer(w, batch, part, ACT4, W4, rank_mac=0.2).branch_comp
+        cws = build_layer(w, batch, part, 4, 4, rank_cws=0.1).branch_smooth
+        mac = build_layer(w, batch, part, 4, 4, rank_mac=0.2).branch_comp
         assert (cws.rank, mac.rank) == (2, 5)
         for shared, own in ((both.branch_smooth, cws), (both.branch_comp, mac)):
             for name in ("u_star", "v_base", "gate"):
@@ -202,16 +213,23 @@ class TestValidation:
         bad = w.copy()
         bad[part.c_main[0], 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            build_layer(bad, batch, part, ACT8, W8)
+            build_layer(bad, batch, part, 8, 8)
+
+    @pytest.mark.parametrize("bits", [1, 17])
+    def test_bits_out_of_range(self, bits):
+        batch, w, part = _instance(0)
+        for act_bits, weight_bits in ((bits, 4), (4, bits)):
+            with pytest.raises(ValueError, match="bits must be in"):
+                build_layer(w, batch, part, act_bits, weight_bits)
 
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)
         with pytest.raises(ValueError):
-            build_layer(w[:-1], batch, part, ACT8, W8)
+            build_layer(w[:-1], batch, part, 8, 8)
 
     def test_batch_width_checked(self):
         batch, w, part = _instance(0)
-        layer = build_layer(w, batch, part, ACT8, W8)
+        layer = build_layer(w, batch, part, 8, 8)
         short = generate(
             SynthConfig(
                 dim=8, vision_outlier_channels=(1,),
@@ -225,7 +243,7 @@ class TestValidation:
 class TestFullWeight:
     def test_round_trip(self):
         batch, w, part = _instance(2)
-        layer = build_layer(w, batch, part, ACT8, W8)
+        layer = build_layer(w, batch, part, 8, 8)
         np.testing.assert_array_equal(layer.full_weight(), w)
 
 
@@ -234,7 +252,7 @@ class TestSerialization:
     def test_save_load_round_trip(self, tmp_path, use_branches):
         batch, w, part = _instance(4)
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4,
+            w, batch, part, act_bits=4, weight_bits=4,
             rank_cws=0.02 if use_branches else None,
             rank_mac=0.03 if use_branches else None,
         )
@@ -248,7 +266,7 @@ class TestSerialization:
         w = generate_weight(64, 64, seed=0)
         part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4, rank_cws=0.02, rank_mac=0.03
+            w, batch, part, act_bits=4, weight_bits=4, rank_cws=0.02, rank_mac=0.03
         )
         layer, _ = calibrate(layer, batch, CalibConfig(steps=50))
         back = load_layer(save_layer(layer, str(tmp_path / "layer")))
@@ -259,7 +277,7 @@ class TestSerialization:
         # Calibration clips its log-scales to [log DIAG_EPS, log DIAG_MAX],
         # and exp of either clip bound must pass load_layer's range check.
         batch, w, part = _instance(4)
-        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4)
+        layer = build_layer(w, batch, part, act_bits=4, weight_bits=4)
         theta = _params(layer)
         theta[0::2], theta[1::2] = _LOG_LO - 1.0, _LOG_HI + 1.0
         layer = _with_params(layer, theta)
@@ -272,7 +290,7 @@ class TestSerialization:
         # Layer directories written before the floor became a constant carry
         # an "aux_bits_floor" key; the loader ignores it.
         batch, w, part = _instance(4)
-        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4)
+        layer = build_layer(w, batch, part, act_bits=4, weight_bits=4)
         path = save_layer(layer, str(tmp_path / "layer"))
         with open(path) as fh:
             manifest = json.load(fh)
@@ -282,10 +300,22 @@ class TestSerialization:
             json.dump(manifest, fh)
         np.testing.assert_array_equal(forward(load_layer(path), batch), forward(layer, batch))
 
+    def test_bits_checked_before_any_tensor_is_read(self, tmp_path):
+        batch, w, part = _instance(4)
+        path = save_layer(build_layer(w, batch, part, 8, 8), str(tmp_path / "layer"))
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["weight_spec"]["bits"] = 17
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        (tmp_path / "layer" / "w_main.spqt").unlink()
+        with pytest.raises(ValueError, match=r"bits must be in \[2, 16\] or None, got 17"):
+            load_layer(path)
+
     @pytest.mark.parametrize("key", ["use_mac", "partition", "p_text", "w_main"])
     def test_missing_manifest_key_is_value_error(self, tmp_path, key):
         batch, w, part = _instance(4)
-        path = save_layer(build_layer(w, batch, part, ACT8, W8), str(tmp_path / "layer"))
+        path = save_layer(build_layer(w, batch, part, 8, 8), str(tmp_path / "layer"))
         with open(path) as fh:
             manifest = json.load(fh)
         del manifest[key]
@@ -298,7 +328,7 @@ class TestSerialization:
     def test_branch_factor_of_wrong_shape_is_value_error(self, tmp_path, fname):
         # One column would broadcast against the rank in the forward pass.
         batch, w, part = _instance(4)
-        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4,
+        layer = build_layer(w, batch, part, act_bits=4, weight_bits=4,
                             rank_cws=0.5, rank_mac=0.5)
         assert layer.branch_smooth.rank > 1 and layer.branch_comp.rank > 1
         path = save_layer(layer, str(tmp_path / "layer"))
@@ -311,7 +341,7 @@ class TestSerialization:
         # A gate enters a layer only from its file: load_layer checks its
         # length against the rank, and the tensor loader rejects a NaN.
         batch, w, part = _instance(4)
-        layer = build_layer(w, batch, part, act_spec=ACT4, weight_spec=W4, rank_cws=0.5)
+        layer = build_layer(w, batch, part, act_bits=4, weight_bits=4, rank_cws=0.5)
         rank = layer.branch_smooth.rank
         path = save_layer(layer, str(tmp_path / "layer"))
         gate = tmp_path / "layer" / "branch_smooth_gate.spqt"
@@ -336,7 +366,7 @@ class TestParameterUpdates:
     def test_gate_update_changes_output(self):
         batch, w, part = _instance(5)
         layer = build_layer(
-            w, batch, part, act_spec=ACT4, weight_spec=W4, rank_cws=0.02
+            w, batch, part, act_bits=4, weight_bits=4, rank_cws=0.02
         )
         rank = layer.branch_smooth.rank
         updated = dataclasses.replace(

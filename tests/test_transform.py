@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modquant.layer import _path
-from modquant.quantizer import Granularity, QuantSpec
 from modquant.transform import DIAG_EPS, checked_scale, smoothing_scale
-
-IDENTITY_ACT = QuantSpec(None, False, Granularity.PER_TOKEN)
-IDENTITY_W = QuantSpec(None, True, Granularity.PER_CHANNEL)
 
 
 class TestConstruction:
@@ -26,7 +22,7 @@ class TestConstruction:
 
     def test_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        path = _path(x, x.T, np.ones(3), IDENTITY_ACT, IDENTITY_W)
+        path = _path(x, x.T, np.ones(3), None, None)
         np.testing.assert_array_equal(path.z, x)
         np.testing.assert_array_equal(path.w_s, x.T)
 
@@ -35,12 +31,12 @@ class TestApply:
     # The layer applies s through its path function: z = x s, w_s = W / s.
     def test_diagonal_right_hand_value(self):
         path = _path(np.array([[1.0, 1.0]]), np.ones((2, 1)), np.array([2.0, 3.0]),
-                     IDENTITY_ACT, IDENTITY_W)
+                     None, None)
         np.testing.assert_allclose(path.z, [[2.0, 3.0]], rtol=1e-14)
 
     def test_diagonal_inv_left_hand_value(self):
         path = _path(np.ones((1, 2)), np.array([[2.0], [4.0]]), np.array([2.0, 4.0]),
-                     IDENTITY_ACT, IDENTITY_W)
+                     None, None)
         np.testing.assert_allclose(path.w_s, [[1.0], [1.0]], rtol=1e-14)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
@@ -49,7 +45,7 @@ class TestApply:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((5, dim))
         w = rng.standard_normal((dim, 3))
-        path = _path(x, w, rng.uniform(0.1, 10.0, dim), IDENTITY_ACT, IDENTITY_W)
+        path = _path(x, w, rng.uniform(0.1, 10.0, dim), None, None)
         ref = x @ w
         assert np.linalg.norm(path.a @ path.b - ref) <= 1e-9 * max(np.linalg.norm(ref), 1.0)
 
