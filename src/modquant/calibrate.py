@@ -22,21 +22,21 @@ of its channels; a gate's gradient reads its branch's product from the
 forward record.  The gradient buffers are scaled in place, and
 ``_log_scale_grad`` overwrites its two gradient arguments.  A step changes
 only scales and gates, so ``calibrate`` builds one ``layer.prepare`` record
-per call, every step reads it, and no step re-runs the layer's shape
-checks.  The last step only evaluates the loss: the update it would make is
+per call (the batch's and the weight's blocks), every step reads it, and a
+step's layer is a ``dataclasses.replace`` copy, which checks nothing.  The
+last step only evaluates the loss: the update it would make is
 never evaluated, so it takes no gradient.  A non-finite loss or gradient
 raises ``NonFiniteLossError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import transform as tr
-from .layer import (Prepared, SplitLayer, forward_reference, forward_with_cache, prepare,
-                    replace_unchecked)
+from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
 from .lowrank import LowRankBranch
 from .mocd import MocdConfig, _partition, jaccard, percentile_rank
 from .tensor import ActivationBatch
@@ -91,8 +91,8 @@ def _params(layer: SplitLayer) -> np.ndarray:
 
 def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
     """A copy of ``layer`` whose learned parameters are ``theta``.  Only the
-    scales and gates change, and no shape with them, so the copy skips the
-    checks that ``build_layer`` and ``load_layer`` run."""
+    scales and gates change, and no shape with them; the copy shares the
+    weight and the branch factors."""
     offset = layer.partition.dim
     # Clipped to the bounds that load_layer checks (transform.checked_scale).
     changes: dict = {"scale": np.exp(np.clip(theta[:offset], _LOG_LO, _LOG_HI))}
@@ -102,7 +102,7 @@ def _with_params(layer: SplitLayer, theta: np.ndarray) -> SplitLayer:
             gate = theta[offset : offset + br.rank].copy()
             changes[name] = LowRankBranch(br.u_star, br.v_base, gate)
             offset += br.rank
-    return replace_unchecked(layer, **changes)
+    return replace(layer, **changes)
 
 
 def _loss(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
@@ -178,7 +178,7 @@ def calibrate(
     """Minimize the reconstruction loss; returns the best-loss snapshot.
     ``y_ref``, when given, is the reference output X @ W of the batch."""
     if y_ref is None:
-        y_ref = forward_reference(layer.full_weight(), batch)
+        y_ref = forward_reference(layer.w, batch)
     prep = prepare(layer, batch)
     theta = _params(layer)
     # Everything after the per-channel log-scales is a branch gate.

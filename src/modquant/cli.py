@@ -314,7 +314,8 @@ def _weight_error_deciles(layer) -> list[tuple[int, float]]:
     """Per-channel weight quantization error of the scaled main weight,
     sorted ascending by MAE and averaged within 10 equal bins.  Its
     full-size temporaries are freed on return, before any ablation."""
-    w_prime = layer.w_main / layer.scale[layer.partition.c_main, None]
+    c_main = layer.partition.c_main
+    w_prime = layer.w[c_main] / layer.scale[c_main, None]
     mae = np.mean(np.abs(w_prime - quantize_weight(w_prime, layer.weight_bits)[0]), axis=1)
     bins = np.array_split(np.sort(mae), 10)
     return [(i + 1, float(b.mean()) if b.size else 0.0) for i, b in enumerate(bins)]
@@ -324,7 +325,7 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
     batch = _load_batch(cfg.activations)
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     layer = load_layer(os.path.join(layer_dir, "manifest.json"))
-    y_ref = forward_reference(layer.full_weight(), batch)
+    y_ref = forward_reference(layer.w, batch)
     overall, mse_t, mse_v = _mse_rows(layer, batch, y_ref)
     if not math.isfinite(overall):
         raise FloatingPointError(f"non-finite mse_overall {overall!r}")
@@ -351,7 +352,7 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
                 ("mocd+cws", dataclasses.replace(full, branch_comp=None)),
                 ("mocd+cws+mac", full)]
         # The layer is most often this weight's calibration: reuse its X @ W.
-        if not np.array_equal(w, layer.full_weight()):
+        if not np.array_equal(w, layer.w):
             y_ref = forward_reference(w, batch)
         calib = _calib_config(cfg)
         rows = [(name, calibrate(lay, batch, calib, y_ref=y_ref)[1].best_loss)

@@ -1,7 +1,9 @@
 """The channel-split quantized linear layer.
 
-The forward pass splits activations and weights into main / text-outlier /
-vision-outlier paths and runs each through one path function: multiply the
+The layer holds one unsplit weight, and its channel partition gives each
+input channel to the main, text-outlier or vision-outlier path: ``prepare``
+gathers each path's columns of the activations and rows of the weight once.
+The forward pass runs each path through one path function: multiply the
 activation's columns by the per-channel smoothing scale s and quantize,
 divide the weight's rows by s and quantize (one ``quantize_act`` or
 ``quantize_weight`` call per tensor, which yields the value and its
@@ -9,10 +11,10 @@ straight-through mask).  It applies the gated low-rank corrections that are
 present (weight smoothing on the main weight, activation compensation on
 text-token rows) and sums the paths.  It records each path and branch in a
 frozen ``ForwardPass`` for the calibration gradient; an outlier path with no
-channels and an absent branch are ``None`` and cost nothing.  What no scale
-or gate changes comes from one ``prepare`` record.  With identity quantizers
-everything cancels and the output equals X @ W, the load-bearing
-correctness oracle.
+channels and an absent branch are ``None`` and cost nothing.  With identity
+quantizers everything cancels and the output equals X @ W, the load-bearing
+correctness oracle.  Shapes are checked only where a layer enters, by
+``build_layer`` and ``load_layer``.
 """
 
 from __future__ import annotations
@@ -39,61 +41,22 @@ def _aux_bits(bits: int | None) -> int | None:
 
 @dataclass(frozen=True)
 class SplitLayer:
-    """``scale`` holds SmoothQuant's migration scale s, one per input channel;
-    ``act_bits`` and ``weight_bits`` set the main path's quantizers (None:
-    identity).  The weights and bits are checked where they enter, so this
-    checks shapes only."""
+    """``w`` is the unsplit D_in x d_out weight; ``scale`` holds SmoothQuant's
+    migration scale s, one per input channel; ``act_bits`` and
+    ``weight_bits`` set the main path's quantizers (None: identity).  It
+    checks nothing: its makers do, and a copy keeps their shapes."""
 
     partition: ChannelPartition
-    w_main: np.ndarray
-    w_text: np.ndarray
-    w_vision: np.ndarray
+    w: np.ndarray
     scale: np.ndarray
     act_bits: int | None
     weight_bits: int | None
     branch_smooth: lowrank.LowRankBranch | None = None
     branch_comp: lowrank.LowRankBranch | None = None
 
-    def __post_init__(self):
-        p = self.partition
-        d_out = self.w_main.shape[1]
-        if self.w_main.shape[0] != len(p.c_main):
-            raise ValueError("w_main rows must match main channel count")
-        if self.w_text.shape != (len(p.c_text), d_out):
-            raise ValueError("w_text shape mismatch")
-        if self.w_vision.shape != (len(p.c_vision), d_out):
-            raise ValueError("w_vision shape mismatch")
-        if self.scale.shape != (p.dim,):
-            raise ValueError("scale must hold one entry per channel")
-        for br in (self.branch_smooth, self.branch_comp):
-            if br is None:
-                continue
-            if br.rank > min(len(p.c_main), d_out):
-                raise ValueError("branch rank exceeds min(path width, d_out)")
-            # A wrong shape could broadcast in the forward pass, not fail.
-            if (br.u_star.shape[0] != len(p.c_main) or br.gate.shape != (br.rank,)
-                    or br.v_base.shape != (br.rank, d_out)):
-                raise ValueError("branch factor shapes do not match the main path")
-
     @property
     def d_out(self) -> int:
-        return self.w_main.shape[1]
-
-    def full_weight(self) -> np.ndarray:
-        """Reassemble the unsplit D_in x D_out weight."""
-        w = np.empty((self.partition.dim, self.d_out))
-        w[self.partition.c_main] = self.w_main
-        w[self.partition.c_text] = self.w_text
-        w[self.partition.c_vision] = self.w_vision
-        return w
-
-
-def replace_unchecked(layer: SplitLayer, **changes) -> SplitLayer:
-    """``dataclasses.replace`` without the shape checks, for changes that
-    keep every shape, such as a calibration step's scales and gates."""
-    new = object.__new__(SplitLayer)
-    new.__dict__.update(layer.__dict__, **changes)
-    return new
+        return self.w.shape[1]
 
 
 @dataclass(frozen=True)
@@ -145,12 +108,16 @@ def _path(x, w, d, act_bits, weight_bits, shift=None) -> PathPass:
 
 @dataclass(frozen=True)
 class Prepared:
-    """What no scale or gate changes: the batch's C-contiguous column blocks
-    and text rows, and each branch's u_q = Q(u_star) (None when absent)."""
+    """What no scale or gate changes: each path's block of the batch's
+    columns (C-contiguous) and of the weight's rows, the batch's text rows,
+    and each branch's u_q = Q(u_star) (None when absent)."""
 
     x_main: np.ndarray
     x_text: np.ndarray
     x_vision: np.ndarray
+    w_main: np.ndarray
+    w_text: np.ndarray
+    w_vision: np.ndarray
     text_rows: np.ndarray
     u_cws: np.ndarray | None
     u_mac: np.ndarray | None
@@ -158,10 +125,13 @@ class Prepared:
 
 def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
     """The layer's ``Prepared`` record; ``split_columns`` checks the batch width."""
+    p = layer.partition
     w_aux = _aux_bits(layer.weight_bits)
     u_q = (None if br is None else quantize_weight(br.u_star, w_aux)[0]
            for br in (layer.branch_smooth, layer.branch_comp))
-    return Prepared(*split_columns(batch.data, layer.partition), batch.text_rows, *u_q)
+    return Prepared(*split_columns(batch.data, p),
+                    *(layer.w[cols] for cols in (p.c_main, p.c_text, p.c_vision)),
+                    batch.text_rows, *u_q)
 
 
 def forward_with_cache(layer: SplitLayer, prep: Prepared):
@@ -184,7 +154,7 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
         v = br.effective_v()  # feeds both Q and the shift
         v_q, mask_v = quantize_weight(v, w_aux)
         shift = br.u_star @ v
-    main = _path(prep.x_main, layer.w_main, s[p.c_main], layer.act_bits,
+    main = _path(prep.x_main, prep.w_main, s[p.c_main], layer.act_bits,
                  layer.weight_bits, shift)
     y = main.a @ main.b
     if br is not None:
@@ -200,9 +170,9 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
 
     text = vision = None
     if p.c_text.size:
-        text = _path(prep.x_text, layer.w_text, s[p.c_text], act_aux, w_aux)
+        text = _path(prep.x_text, prep.w_text, s[p.c_text], act_aux, w_aux)
     if p.c_vision.size:
-        vision = _path(prep.x_vision, layer.w_vision, s[p.c_vision], act_aux, w_aux)
+        vision = _path(prep.x_vision, prep.w_vision, s[p.c_vision], act_aux, w_aux)
     for path in (text, vision):
         if path is not None:
             y += path.a @ path.b
@@ -214,8 +184,12 @@ def forward(layer: SplitLayer, batch: ActivationBatch) -> np.ndarray:
 
 
 def forward_reference(w: np.ndarray, batch: ActivationBatch) -> np.ndarray:
-    """Unquantized reference output X @ W."""
-    return batch.data @ as_matrix(w)
+    """Unquantized reference output X @ W; X's columns must be W's rows."""
+    w = as_matrix(w)
+    if batch.data.shape[1] != w.shape[0]:
+        raise ValueError(f"batch has {batch.data.shape[1]} channels, "
+                         f"weight has {w.shape[0]} rows")
+    return batch.data @ w
 
 
 def build_layer(
@@ -227,37 +201,33 @@ def build_layer(
     rank_cws: float | None = None,
     rank_mac: float | None = None,
 ) -> SplitLayer:
-    """Assemble a layer: check the bits, check and split the weight, init
-    the scales from the calibration activations, and anchor the low-rank
-    branches.  A branch is built exactly when its rank ratio is given."""
+    """Assemble a layer: check the bits and widths, init the scales from the
+    calibration activations, and anchor the low-rank branches; every other
+    shape follows.  A branch is built exactly when its rank ratio is given."""
     check_bits(act_bits)
     check_bits(weight_bits)
     w = as_matrix(w)
-    if w.shape[0] != partition.dim:
-        raise ValueError("weight rows must match partition dim")
-    w_m = w[partition.c_main]
+    if w.shape[0] != partition.dim or batch.data.shape[1] != partition.dim:
+        raise ValueError("weight rows and batch columns must match partition dim")
     # The init is per column, so each path gets the values of its channels.
     scale = tr.smoothing_scale(batch.data)
 
-    d_out = w.shape[1]
-    ranks = {name: lowrank.default_rank(ratio, len(partition.c_main), d_out)
+    c_main = partition.c_main
+    ranks = {name: lowrank.default_rank(ratio, len(c_main), w.shape[1])
              for name, ratio in (("branch_smooth", rank_cws), ("branch_comp", rank_mac))
              if ratio is not None}
     branches = {}
     if ranks:
         # One SVD serves both branches: each takes its leading r triplets.
-        factors = lowrank.truncated_svd(w_m, max(ranks.values()))
-        branches = {name: lowrank.build_branch(factors, scale[partition.c_main], r)
+        factors = lowrank.truncated_svd(w[c_main], max(ranks.values()))
+        branches = {name: lowrank.build_branch(factors, scale[c_main], r)
                     for name, r in ranks.items()}
-    return SplitLayer(
-        partition=partition,
-        w_main=w_m, w_text=w[partition.c_text], w_vision=w[partition.c_vision],
-        scale=scale, act_bits=act_bits, weight_bits=weight_bits, **branches,
-    )
+    return SplitLayer(partition, w, scale, act_bits, weight_bits, **branches)
 
 
 # -- serialization -----------------------------------------------------------
 
+_PATHS = ("main", "text", "vision")
 # The one quantizer form of each role, which the manifest keeps next to its bits.
 _ROLES = {"act_spec": {"symmetric": False, "granularity": "per_token"},
           "weight_spec": {"symmetric": True, "granularity": "per_channel"}}
@@ -281,27 +251,21 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
         "version": 1,
         "dim": layer.partition.dim,
         "d_out": layer.d_out,
-        "partition": {
-            "c_main": layer.partition.c_main.tolist(),
-            "c_text": layer.partition.c_text.tolist(),
-            "c_vision": layer.partition.c_vision.tolist(),
-        },
+        "partition": {},
         "act_spec": {"bits": layer.act_bits, **_ROLES["act_spec"]},
         "weight_spec": {"bits": layer.weight_bits, **_ROLES["weight_spec"]},
         "use_cws": layer.branch_smooth is not None,
         "use_mac": layer.branch_comp is not None,
     }
-    for name, w in (("w_main", layer.w_main), ("w_text", layer.w_text),
-                    ("w_vision", layer.w_vision)):
-        fname = f"{name}.spqt"
-        save_tensor(os.path.join(out_dir, fname), w)
-        manifest[name] = fname
-    # The file format keeps each path's scales as a diagonal transform.
-    for name, path in zip(_SCALES, _PATHS):
-        fname = f"{name}_scale.spqt"
-        cols = getattr(layer.partition, path)
-        save_tensor(os.path.join(out_dir, fname), layer.scale[cols].reshape(1, -1))
-        manifest[name] = {"kind": "diagonal", "file": fname}
+    # Each path's rows of the weight, and its scales as a diagonal transform.
+    for path in _PATHS:
+        cols = getattr(layer.partition, f"c_{path}")
+        manifest["partition"][f"c_{path}"] = cols.tolist()
+        w_file, scale_file = f"w_{path}.spqt", f"p_{path}_scale.spqt"
+        save_tensor(os.path.join(out_dir, w_file), layer.w[cols])
+        save_tensor(os.path.join(out_dir, scale_file), layer.scale[cols].reshape(1, -1))
+        manifest[f"w_{path}"] = w_file
+        manifest[f"p_{path}"] = {"kind": "diagonal", "file": scale_file}
     if layer.branch_smooth is not None:
         _save_branch(layer.branch_smooth, out_dir, "branch_smooth", manifest)
     if layer.branch_comp is not None:
@@ -313,8 +277,6 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
     return path
 
 
-_PATHS = ("c_main", "c_text", "c_vision")
-_SCALES = ("p_main", "p_text", "p_vision")
 # Each branch and the manifest flag that says it is present.
 _BRANCHES = {"branch_smooth": "use_cws", "branch_comp": "use_mac"}
 _BRANCH_FILES = ("u_star", "v_base", "gate")
@@ -327,8 +289,8 @@ def _is_int(v) -> bool:
 def _is_partition(v) -> bool:
     # Indices stay in int64 range, so numpy converts them without overflow.
     return isinstance(v, dict) and all(
-        isinstance(v.get(k), list) and all(_is_int(c) and 0 <= c < 2**63 for c in v[k])
-        for k in _PATHS)
+        isinstance(cols := v.get(f"c_{path}"), list)
+        and all(_is_int(c) and 0 <= c < 2**63 for c in cols) for path in _PATHS)
 
 
 def _role_check(role: str):
@@ -385,13 +347,15 @@ _MANIFEST_KEYS = {
 
 
 def load_layer(manifest_path: str) -> SplitLayer:
-    """Load a layer written by ``save_layer``.
+    """Load a layer written by ``save_layer``, checking every shape.
 
     Every manifest key is checked before any tensor is opened, and file
     names must be plain basenames, so only files inside the layer directory
-    are read.  A branch is loaded when its flag is true.  Each path's scale
-    file must hold one in-range scale per channel of the path.  A manifest
-    that fails a check raises ``ValueError``.
+    are read.  Each path's scale file must hold one in-range scale per
+    channel of the path, and its weight block must be its width x ``d_out``,
+    checked before the full weight is allocated.  A branch is loaded when
+    its flag is true, and its rank and factor shapes must fit the main path.
+    A manifest that fails a check raises ``ValueError``.
     """
     with open(manifest_path) as fh:
         try:
@@ -410,37 +374,44 @@ def load_layer(manifest_path: str) -> SplitLayer:
                              f"got {manifest[key]!r}")
     act_bits, weight_bits = (check_bits(manifest[role]["bits"]) for role in _ROLES)
     in_dir = os.path.dirname(os.path.abspath(manifest_path))
+    d_out = manifest["d_out"]
 
     def tensor(name: str) -> np.ndarray:
         return load_matrix(os.path.join(in_dir, name))
+
+    partition = ChannelPartition(*(manifest["partition"][f"c_{path}"] for path in _PATHS),
+                                 manifest["dim"])
+    scale = np.empty(partition.dim)
+    blocks = []
+    for path in _PATHS:
+        cols = getattr(partition, f"c_{path}")
+        values = tr.checked_scale(tensor(manifest[f"p_{path}"]["file"]).reshape(-1))
+        if values.shape != cols.shape:
+            raise ValueError(f"p_{path} holds {values.size} scales for {cols.size} channels")
+        scale[cols] = values
+        block = tensor(manifest[f"w_{path}"])
+        if block.shape != (cols.size, d_out):
+            raise ValueError(f"w_{path} is {block.shape[0]} x {block.shape[1]}, "
+                             f"not {cols.size} channels x d_out {d_out}")
+        blocks.append((cols, block))
+    w = np.empty((partition.dim, d_out))
+    for cols, block in blocks:
+        w[cols] = block
 
     def branch(name: str) -> lowrank.LowRankBranch:
         if name not in manifest:
             raise ValueError(f"layer manifest {_BRANCHES[name]} is true "
                              f"but it lacks key {name!r}")
         u, v, gate = (tensor(manifest[name][k]) for k in _BRANCH_FILES)
-        return lowrank.LowRankBranch(u, v, gate.reshape(-1))
+        br = lowrank.LowRankBranch(u, v, gate.reshape(-1))
+        if br.rank > min(partition.c_main.size, d_out):
+            raise ValueError("branch rank exceeds min(path width, d_out)")
+        # A wrong shape could broadcast in the forward pass, not fail.
+        if (u.shape[0] != partition.c_main.size or br.gate.shape != (br.rank,)
+                or v.shape != (br.rank, d_out)):
+            raise ValueError("branch factor shapes do not match the main path")
+        return br
 
-    partition = ChannelPartition(*(manifest["partition"][k] for k in _PATHS),
-                                 manifest["dim"])
-    scale = np.empty(partition.dim)
-    for name, path in zip(_SCALES, _PATHS):
-        cols = getattr(partition, path)
-        values = tr.checked_scale(tensor(manifest[name]["file"]).reshape(-1))
-        if values.shape != cols.shape:
-            raise ValueError(f"{name} holds {values.size} scales for {cols.size} channels")
-        scale[cols] = values
-    layer = SplitLayer(
-        partition=partition,
-        w_main=tensor(manifest["w_main"]),
-        w_text=tensor(manifest["w_text"]),
-        w_vision=tensor(manifest["w_vision"]),
-        scale=scale,
-        act_bits=act_bits,
-        weight_bits=weight_bits,
-        **{name: branch(name) for name, flag in _BRANCHES.items() if manifest[flag]},
-    )
-    if layer.d_out != manifest["d_out"]:
-        raise ValueError(f"layer manifest d_out {manifest['d_out']} does not match "
-                         f"w_main's {layer.d_out} columns")
-    return layer
+    return SplitLayer(partition, w, scale, act_bits, weight_bits,
+                      **{name: branch(name) for name, flag in _BRANCHES.items()
+                         if manifest[flag]})

@@ -35,10 +35,10 @@ def reference_terms(layer, batch):
     a_bits, w_bits = layer.act_bits, layer.weight_bits
     a_aux, w_aux = _aux(a_bits), _aux(w_bits)
 
-    def scaled(c, w):  # X_c = X[:, c] s[c] and W_c = W / s[c]
-        return x[:, c] * s[c], w / s[c, None]
+    def scaled(c):  # X_c = X[:, c] s[c] and W_c = W[c] / s[c]
+        return x[:, c] * s[c], layer.w[c] / s[c, None]
 
-    x_m, w_m = scaled(p.c_main, layer.w_main)
+    x_m, w_m = scaled(p.c_main)
     a_m = _qa(x_m, a_bits)
     cws = layer.branch_smooth
     if cws is None:
@@ -53,7 +53,7 @@ def reference_terms(layer, batch):
         term = np.zeros_like(terms[0])
         term[t] = _qa((x_m - a_m)[t], a_aux) @ _qw(mac.u_star, w_aux) @ _qw(v, w_aux)
         terms.append(term)
-    for c, w in ((p.c_text, layer.w_text), (p.c_vision, layer.w_vision)):
-        x_c, w_c = scaled(c, w)
+    for c in (p.c_text, p.c_vision):
+        x_c, w_c = scaled(c)
         terms.append(_qa(x_c, a_aux) @ _qw(w_c, w_aux))
     return terms

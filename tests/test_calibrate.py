@@ -66,7 +66,7 @@ class TestCalibrate:
     def test_returned_layer_attains_best_loss(self):
         batch, layer = _setup(3)
         out, trace = calibrate(layer, batch, CalibConfig(steps=40))
-        y_ref = forward_reference(out.full_weight(), batch)
+        y_ref = forward_reference(out.w, batch)
         from modquant.layer import forward
 
         final = float(np.mean((forward(out, batch) - y_ref) ** 2))
@@ -95,7 +95,7 @@ class TestCalibrate:
 def _calibrate_with_every_gradient(layer, batch, cfg):
     """The calibration loop that takes a gradient at every step, the last
     one included: (returned layer, losses)."""
-    y_ref = forward_reference(layer.full_weight(), batch)
+    y_ref = forward_reference(layer.w, batch)
     prep = prepare(layer, batch)
     theta = best_theta = _params(layer)
     gates = slice(layer.partition.dim, None)
@@ -127,7 +127,7 @@ class TestLastStep:
         np.testing.assert_array_equal(_params(out), _params(want_layer))
         np.testing.assert_array_equal(out.scale, want_layer.scale)
         # A reference output passed in gives the same calibration.
-        y_ref = forward_reference(layer.full_weight(), batch)
+        y_ref = forward_reference(layer.w, batch)
         again, again_trace = calibrate(layer, batch, cfg, y_ref=y_ref)
         assert again_trace.losses == want_losses
         np.testing.assert_array_equal(_params(again), _params(want_layer))
@@ -138,7 +138,7 @@ class TestGradients:
         # With identity quantizers the transforms cancel exactly, so every
         # parameter direction is flat and the gradient is zero.
         batch, layer = _setup(5, act_bits=None, weight_bits=None)
-        y_ref = forward_reference(layer.full_weight(), batch)
+        y_ref = forward_reference(layer.w, batch)
         loss, grad = analytic_gradient(layer, prepare(layer, batch), y_ref)
         assert grad.size == _params(layer).size
         assert loss <= 1e-12
@@ -178,7 +178,7 @@ class TestGradients:
         theta0 = _params(layer)
         assert theta0.size == size
         theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
-        y_ref = forward_reference(layer.full_weight(), batch)
+        y_ref = forward_reference(layer.w, batch)
         grad, fd = gradient_and_oracle(monkeypatch, layer, prepare(layer, batch),
                                        y_ref, theta0)
         for name, index in segments:
@@ -214,7 +214,7 @@ class TestGradients:
         for seed in range(8):
             batch, layer = _setup(seed + 20)
             theta = _params(layer)
-            y_ref = forward_reference(layer.full_weight(), batch)
+            y_ref = forward_reference(layer.w, batch)
             prep = prepare(layer, batch)
             loss0, grad = analytic_gradient(layer, prep, y_ref)
             step = 1e-3 / max(np.linalg.norm(grad), 1e-12)

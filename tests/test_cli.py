@@ -349,7 +349,9 @@ DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 
 class TestErrorExits:
     # config: a dict to write as JSON, or the file's bytes.  manifest_edit: a
-    # key to drop from a calibrated layer's manifest, or the manifest's bytes.
+    # key to drop from a calibrated layer's manifest, the manifest's bytes,
+    # or the gen config of a batch that the command reads in place of the
+    # calibration batch.
     @pytest.mark.parametrize("command,config,manifest_edit,expected,prefix", [
         ("calibrate", {"steps": "ten"}, None, EXIT_USAGE, "config error:"),
         ("stability", {"trials": "x"}, None, EXIT_USAGE, "config error:"),
@@ -370,6 +372,8 @@ class TestErrorExits:
         ("eval", {}, "use_mac", EXIT_DATA, "data error:"),
         ("eval", {}, DEEP_JSON, EXIT_DATA, "data error:"),
         ("eval", {}, b"\xff\xfe{}", EXIT_DATA, "data error:"),
+        ("eval", {}, {"dim": 32, "text_outliers": [17, 20]}, EXIT_DATA,
+         "data error: batch has 32 channels, weight has 64 rows"),
         ("gen", {"d_out": 0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"dim": 0}, None, EXIT_USAGE, "config error:"),
         ("gen", {"tokens_text": -1}, None, EXIT_USAGE, "config error:"),
@@ -380,8 +384,9 @@ class TestErrorExits:
     ], ids=["steps-str", "trials-str", "abits-1", "wbits-17", "ratio-0.6", "clusters-0",
             "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
-            "manifest-key", "manifest-deep", "manifest-not-utf8", "d-out-0", "dim-0", "tokens-text-neg", "instability-2",
-            "outlier-999", "config-deep", "config-not-utf8"])
+            "manifest-key", "manifest-deep", "manifest-not-utf8", "batch-width-32", "d-out-0",
+            "dim-0", "tokens-text-neg", "instability-2", "outlier-999", "config-deep",
+            "config-not-utf8"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, manifest_edit, expected, prefix
     ):
@@ -391,6 +396,7 @@ class TestErrorExits:
         else:
             cfg.write_text(json.dumps(config))
         layer_dir = tmp_path / "c" / "layer"
+        activations = generated["activations"]
         if manifest_edit is not None:
             assert run(
                 "calibrate", "--activations", generated["activations"],
@@ -398,7 +404,12 @@ class TestErrorExits:
                 "--out", str(tmp_path / "c"),
             ) == EXIT_OK
             path = layer_dir / "manifest.json"
-            if isinstance(manifest_edit, bytes):
+            if isinstance(manifest_edit, dict):
+                gen_cfg = tmp_path / "gen.json"
+                gen_cfg.write_text(json.dumps(manifest_edit))
+                assert run("gen", "--config", str(gen_cfg), "--out", str(tmp_path / "g")) == EXIT_OK
+                activations = str(tmp_path / "g" / "activations.spqt")
+            elif isinstance(manifest_edit, bytes):
                 path.write_bytes(manifest_edit)
             else:
                 manifest = json.loads(path.read_text())
@@ -407,7 +418,7 @@ class TestErrorExits:
         capsys.readouterr()
         rc = run(
             command, "--config", str(cfg),
-            "--activations", generated["activations"],
+            "--activations", activations,
             "--weights", generated["weights"],
             "--layer-dir", str(layer_dir), "--out", str(tmp_path / "o"),
         )
@@ -584,11 +595,20 @@ class TestLayerFile:
         rc, err = self.eval_with(small, layer, tmp_path)
         assert rc == EXIT_DATA and err.startswith("data error:") and branch in err
 
-    def test_scale_file_longer_than_its_path_is_data_error(self, small, layer, tmp_path):
-        path = str(layer / "p_text_scale.spqt")
-        save_tensor(path, np.append(load_tensor(path), 1.0).reshape(1, -1))
+    # Each tensor file must fit its path's width (and a weight block d_out).
+    @pytest.mark.parametrize("key,reshape", [
+        ("p_text", lambda m: np.append(m, 1.0).reshape(1, -1)),
+        ("w_main", lambda m: m[:-1]),
+        ("w_text", lambda m: np.ones((m.shape[0], m.shape[1] + 1))),
+        ("w_vision", lambda m: np.ones((m.shape[0] + 2, m.shape[1]))),
+    ], ids=["scale-longer", "main-row-short", "text-column-long", "vision-rows"])
+    def test_tensor_of_wrong_shape_is_data_error(self, small, layer, tmp_path, key, reshape):
+        manifest = json.loads((layer / "manifest.json").read_text())
+        entry = manifest[key]
+        path = str(layer / (entry["file"] if isinstance(entry, dict) else entry))
+        save_tensor(path, reshape(load_tensor(path)))
         rc, err = self.eval_with(small, layer, tmp_path)
-        assert rc == EXIT_DATA and err.startswith("data error:") and "p_text" in err
+        assert rc == EXIT_DATA and err.startswith("data error:") and key in err
 
     @pytest.mark.parametrize("value", [0.0, 1e7, -1.0, np.nextafter(DIAG_EPS, 0),
                                        np.nextafter(DIAG_MAX, np.inf)])
@@ -828,7 +848,7 @@ class TestAblation:
                                     rank_cws=cfg.rank_cws if cws else None,
                                     rank_mac=cfg.rank_mac if mac else None)
             layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))
-            y_ref = cli.forward_reference(layer.full_weight(), batch)
+            y_ref = cli.forward_reference(layer.w, batch)
             expected[name] = repr(cli._mse_rows(layer, batch, y_ref)[0])
         assert rows == expected
 

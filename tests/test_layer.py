@@ -227,6 +227,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             build_layer(w[:-1], batch, part, 8, 8)
 
+    def test_batch_width_must_match_partition(self):
+        batch, w, part = _instance(0)
+        narrow = ActivationBatch(batch.data[:, :-1], batch.tags)
+        with pytest.raises(ValueError, match="batch columns"):
+            build_layer(w, narrow, part, 8, 8)
+
     def test_batch_width_checked(self):
         batch, w, part = _instance(0)
         layer = build_layer(w, batch, part, 8, 8)
@@ -240,13 +246,6 @@ class TestValidation:
             forward(layer, short)
 
 
-class TestFullWeight:
-    def test_round_trip(self):
-        batch, w, part = _instance(2)
-        layer = build_layer(w, batch, part, 8, 8)
-        np.testing.assert_array_equal(layer.full_weight(), w)
-
-
 class TestSerialization:
     @pytest.mark.parametrize("use_branches", [False, True])
     def test_save_load_round_trip(self, tmp_path, use_branches):
@@ -258,7 +257,7 @@ class TestSerialization:
         )
         manifest = save_layer(layer, str(tmp_path / "layer"))
         back = load_layer(manifest)
-        np.testing.assert_array_equal(back.full_weight(), w)
+        np.testing.assert_array_equal(back.w, w)
         np.testing.assert_array_equal(forward(back, batch), forward(layer, batch))
 
     def test_calibrated_layer_round_trips_bit_for_bit(self, tmp_path):

@@ -6,18 +6,41 @@ import pathlib
 import subprocess
 import sys
 
+import modquant  # noqa: F401  (loads every submodule the tracer looks up)
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Tracer targets whose functions were deleted or renamed before the tracer
+# could follow; their per-layer metrics read 0.
+DEAD_TARGETS = {
+    "tensor.matmul", "quantizer.compute_params", "quantizer.fake_quantize",
+    "quantizer.clamp_mask", "transform.apply_right", "transform.apply_inv_left",
+    "transform.diagonal_transform", "layer.with_updated_params",
+}
+
+
+def _tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclass looks it up
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_live_tracer_target_resolves(monkeypatch):
+    # Tracer.install skips a target that does not resolve without a word, so
+    # a renamed function would zero its per-layer metric silently.
+    unresolved = [f"{module.removeprefix('modquant.')}.{name}"
+                  for module, name, _ in _tracer(monkeypatch).TARGETS
+                  if not callable(getattr(sys.modules.get(module), name, None))]
+    assert [t for t in unresolved if t not in DEAD_TARGETS] == []
 
 
 def test_import_loads_every_module_the_tracer_targets(monkeypatch):
     # perfbench's Tracer.install looks each target's module up with
     # sys.modules[name], so a module that ``import modquant`` no longer loads
     # (deleted, or folded into another) makes --trace 1 fail with a KeyError.
-    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclass looks it up
-    spec.loader.exec_module(tracer)
-    targets = sorted({module for module, _, _ in tracer.TARGETS})
+    targets = sorted({module for module, _, _ in _tracer(monkeypatch).TARGETS})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
