@@ -39,7 +39,7 @@ from . import transform as tr
 from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
 from .lowrank import LowRankBranch
 from .mocd import MocdConfig, _partition, jaccard, percentile_rank
-from .tensor import ActivationBatch
+from .tensor import ActivationBatch, ModalityTag
 
 _LOG_LO = np.log(tr.DIAG_EPS)
 _LOG_HI = np.log(tr.DIAG_MAX)
@@ -252,6 +252,14 @@ def stability_report(
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
     row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
                  for t in range(1, trials + 1)] for size in subset_sizes]
+    dim = batch.data.shape[1]
+    for size, rows in [(reference_size, ref_rows),
+                       *((size, r) for size, rs in zip(subset_sizes, row_sets) for r in rs)]:
+        for name, k, tag in (("vision", cfg.k_vision(dim), ModalityTag.VISION),
+                             ("text", cfg.k_text(dim), ModalityTag.TEXT)):
+            if k and not np.any(batch.tags[rows] == tag):
+                raise ValueError(f"a subset of size {size} has no {name} token, "
+                                 f"but the {name} ratio is nonzero")
     all_rows = np.concatenate([ref_rows, *(r for rs in row_sets for r in rs)])
     union_text = np.intersect1d(all_rows, batch.text_rows)  # ascending, each row once
     ranked = []  # the reference's candidates, then union_text's counts over them

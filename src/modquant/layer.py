@@ -14,7 +14,9 @@ frozen ``ForwardPass`` for the calibration gradient; an outlier path with no
 channels and an absent branch are ``None`` and cost nothing.  With identity
 quantizers everything cancels and the output equals X @ W, the load-bearing
 correctness oracle.  Shapes are checked only where a layer enters, by
-``build_layer`` and ``load_layer``.
+``build_layer`` and ``load_layer``.  A layer directory's format has one
+definition, ``_manifest``: ``save_layer`` writes it, ``load_layer`` checks
+the manifest it reads against it.
 """
 
 from __future__ import annotations
@@ -231,55 +233,58 @@ _PATHS = ("main", "text", "vision")
 # The one quantizer form of each role, which the manifest keeps next to its bits.
 _ROLES = {"act_spec": {"symmetric": False, "granularity": "per_token"},
           "weight_spec": {"symmetric": True, "granularity": "per_channel"}}
+# Each branch, the manifest flag that says it is present, and its factors.
+_BRANCHES = {"branch_smooth": "use_cws", "branch_comp": "use_mac"}
+_BRANCH_FILES = ("u_star", "v_base", "gate")
 
 
-def _save_branch(br: lowrank.LowRankBranch, out_dir: str, name: str, manifest: dict):
-    files = {}
-    for part, value in (("u_star", br.u_star), ("v_base", br.v_base),
-                        ("gate", br.gate.reshape(1, -1))):
-        fname = f"{name}_{part}.spqt"
-        save_tensor(os.path.join(out_dir, fname), value)
-        files[part] = fname
-    manifest[name] = files
+def _manifest(dim, d_out, partition, act_bits, weight_bits, branches) -> dict:
+    """The layer directory's manifest, the one definition of its format (version
+    1): ``partition`` maps each ``c_<path>`` to its channel list, ``branches``
+    names the branches present, and every file name is fixed."""
+    return {
+        "format": "modquant-layer",
+        "version": 1,
+        "dim": dim,
+        "d_out": d_out,
+        "partition": {f"c_{path}": partition[f"c_{path}"] for path in _PATHS},
+        "act_spec": {"bits": act_bits, **_ROLES["act_spec"]},
+        "weight_spec": {"bits": weight_bits, **_ROLES["weight_spec"]},
+        **{flag: name in branches for name, flag in _BRANCHES.items()},
+        **{f"w_{path}": f"w_{path}.spqt" for path in _PATHS},
+        **{f"p_{path}": {"kind": "diagonal", "file": f"p_{path}_scale.spqt"}
+           for path in _PATHS},
+        **{name: {part: f"{name}_{part}.spqt" for part in _BRANCH_FILES}
+           for name in branches},
+    }
 
 
 def save_layer(layer: SplitLayer, out_dir: str) -> str:
-    """Write all layer tensors plus a JSON manifest; returns the manifest path."""
+    """Write each tensor under its ``_manifest`` file name, then the manifest;
+    returns the manifest path."""
+    p = layer.partition
+    branches = {name: br for name in _BRANCHES if (br := getattr(layer, name)) is not None}
+    manifest = _manifest(p.dim, layer.d_out,
+                         {f"c_{path}": getattr(p, f"c_{path}").tolist() for path in _PATHS},
+                         layer.act_bits, layer.weight_bits, branches)
     os.makedirs(out_dir, exist_ok=True)
-    manifest: dict = {
-        "format": "modquant-layer",
-        "version": 1,
-        "dim": layer.partition.dim,
-        "d_out": layer.d_out,
-        "partition": {},
-        "act_spec": {"bits": layer.act_bits, **_ROLES["act_spec"]},
-        "weight_spec": {"bits": layer.weight_bits, **_ROLES["weight_spec"]},
-        "use_cws": layer.branch_smooth is not None,
-        "use_mac": layer.branch_comp is not None,
-    }
-    # Each path's rows of the weight, and its scales as a diagonal transform.
+
+    def save(name: str, value: np.ndarray):
+        save_tensor(os.path.join(out_dir, name), value)
+
+    # Each path's rows of the weight, and its slice of the scales.
     for path in _PATHS:
-        cols = getattr(layer.partition, f"c_{path}")
-        manifest["partition"][f"c_{path}"] = cols.tolist()
-        w_file, scale_file = f"w_{path}.spqt", f"p_{path}_scale.spqt"
-        save_tensor(os.path.join(out_dir, w_file), layer.w[cols])
-        save_tensor(os.path.join(out_dir, scale_file), layer.scale[cols].reshape(1, -1))
-        manifest[f"w_{path}"] = w_file
-        manifest[f"p_{path}"] = {"kind": "diagonal", "file": scale_file}
-    if layer.branch_smooth is not None:
-        _save_branch(layer.branch_smooth, out_dir, "branch_smooth", manifest)
-    if layer.branch_comp is not None:
-        _save_branch(layer.branch_comp, out_dir, "branch_comp", manifest)
+        cols = getattr(p, f"c_{path}")
+        save(manifest[f"w_{path}"], layer.w[cols])
+        save(manifest[f"p_{path}"]["file"], layer.scale[cols].reshape(1, -1))
+    for name, br in branches.items():
+        for part, value in zip(_BRANCH_FILES, (br.u_star, br.v_base, br.gate.reshape(1, -1))):
+            save(manifest[name][part], value)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-# Each branch and the manifest flag that says it is present.
-_BRANCHES = {"branch_smooth": "use_cws", "branch_comp": "use_mac"}
-_BRANCH_FILES = ("u_star", "v_base", "gate")
 
 
 def _is_int(v) -> bool:
@@ -293,69 +298,31 @@ def _is_partition(v) -> bool:
         and all(_is_int(c) and 0 <= c < 2**63 for c in cols) for path in _PATHS)
 
 
-def _role_check(role: str):
-    """The check of a role's dict: int-or-null bits and the role's one form
-    (``is`` for the bool, so that 0 does not pass for false)."""
-    form = _ROLES[role]
-
-    def ok(v) -> bool:
-        return (isinstance(v, dict) and "bits" in v
-                and (v["bits"] is None or _is_int(v["bits"]))
-                and v.get("symmetric") is form["symmetric"]
-                and v.get("granularity") == form["granularity"])
-
-    return ok, f"a dict of int-or-null bits and {json.dumps(form)}"
+def _has_bits(v) -> bool:
+    return isinstance(v, dict) and "bits" in v and (v["bits"] is None or _is_int(v["bits"]))
 
 
-def _is_file(v) -> bool:
-    # A plain basename, so that it names a file inside the layer directory.
-    return isinstance(v, str) and os.path.basename(v) == v and v not in ("", ".", "..")
-
-
-def _is_transform(v) -> bool:
-    return isinstance(v, dict) and v.get("kind") == "diagonal" and _is_file(v.get("file"))
-
-
-def _is_branch(v) -> bool:
-    return isinstance(v, dict) and all(_is_file(v.get(k)) for k in _BRANCH_FILES)
-
-
-_FILE = (_is_file, "a file name inside the layer directory")
-_TRANSFORM = (_is_transform, 'a dict {"kind": "diagonal", "file": <file name>}')
-_BRANCH = (_is_branch, "a dict of u_star, v_base and gate file names")
-_BOOL = (lambda v: isinstance(v, bool), "a bool")
-
-# The check of each key save_layer writes; only the branches are optional.
-_MANIFEST_KEYS = {
-    "version": (lambda v: _is_int(v) and v == 1, "1"),
+# The manifest's values that come from the layer, each with its type check.
+_TYPED_KEYS = {
     "dim": (_is_int, "an int"),
-    "d_out": (_is_int, "an int"),
+    "d_out": (lambda v: _is_int(v) and v > 0, "a positive int"),
     "partition": (_is_partition, "a dict of three channel index lists"),
-    "act_spec": _role_check("act_spec"),
-    "weight_spec": _role_check("weight_spec"),
-    "use_cws": _BOOL,
-    "use_mac": _BOOL,
-    "w_main": _FILE,
-    "w_text": _FILE,
-    "w_vision": _FILE,
-    "p_main": _TRANSFORM,
-    "p_text": _TRANSFORM,
-    "p_vision": _TRANSFORM,
-    "branch_smooth": _BRANCH,
-    "branch_comp": _BRANCH,
+    **dict.fromkeys(_ROLES, (_has_bits, "a dict of int-or-null bits")),
+    **dict.fromkeys(_BRANCHES.values(), (lambda v: isinstance(v, bool), "a bool")),
 }
 
 
 def load_layer(manifest_path: str) -> SplitLayer:
     """Load a layer written by ``save_layer``, checking every shape.
 
-    Every manifest key is checked before any tensor is opened, and file
-    names must be plain basenames, so only files inside the layer directory
-    are read.  Each path's scale file must hold one in-range scale per
-    channel of the path, and its weight block must be its width x ``d_out``,
-    checked before the full weight is allocated.  A branch is loaded when
-    its flag is true, and its rank and factor shapes must fit the main path.
-    A manifest that fails a check raises ``ValueError``.
+    Before any tensor is opened, the typed keys (``dim``, a positive
+    ``d_out``, ``partition``, each role's ``bits``, ``use_cws``, ``use_mac``)
+    are checked, and every key that ``_manifest`` writes for them must match;
+    other keys are ignored, and only its fixed file names are read.  Each
+    path's scales must be in range, one per channel, and its weight block its
+    width x ``d_out``, before the full weight is allocated; a present
+    branch's rank and factor shapes must fit the main path.  A manifest that
+    fails a check raises ``ValueError``.
     """
     with open(manifest_path) as fh:
         try:
@@ -364,32 +331,36 @@ def load_layer(manifest_path: str) -> SplitLayer:
             raise ValueError("layer manifest is nested too deeply") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "modquant-layer":
         raise ValueError("not a layer manifest")
-    for key, (ok, what) in _MANIFEST_KEYS.items():
+    for key, (ok, what) in _TYPED_KEYS.items():
         if key not in manifest:
-            if key in _BRANCHES:
-                continue
             raise ValueError(f"layer manifest lacks key {key!r}")
         if not ok(manifest[key]):
-            raise ValueError(f"layer manifest {key} must be {what}, "
-                             f"got {manifest[key]!r}")
+            raise ValueError(f"layer manifest {key} must be {what}, got {manifest[key]!r}")
     act_bits, weight_bits = (check_bits(manifest[role]["bits"]) for role in _ROLES)
-    in_dir = os.path.dirname(os.path.abspath(manifest_path))
     d_out = manifest["d_out"]
+    fixed = _manifest(manifest["dim"], d_out, manifest["partition"], act_bits, weight_bits,
+                      [name for name, flag in _BRANCHES.items() if manifest[flag]])
+    for key, value in fixed.items():
+        # JSON text tells true from 1, 0 from false and 1.0 from 1.
+        want = json.dumps(value, sort_keys=True)
+        got = json.dumps(manifest[key], sort_keys=True) if key in manifest else "nothing"
+        if got != want:
+            raise ValueError(f"layer manifest {key} must be {want}, got {got}")
+    in_dir = os.path.dirname(os.path.abspath(manifest_path))
 
     def tensor(name: str) -> np.ndarray:
         return load_matrix(os.path.join(in_dir, name))
 
-    partition = ChannelPartition(*(manifest["partition"][f"c_{path}"] for path in _PATHS),
-                                 manifest["dim"])
+    partition = ChannelPartition(*fixed["partition"].values(), manifest["dim"])
     scale = np.empty(partition.dim)
     blocks = []
     for path in _PATHS:
         cols = getattr(partition, f"c_{path}")
-        values = tr.checked_scale(tensor(manifest[f"p_{path}"]["file"]).reshape(-1))
+        values = tr.checked_scale(tensor(fixed[f"p_{path}"]["file"]).reshape(-1))
         if values.shape != cols.shape:
             raise ValueError(f"p_{path} holds {values.size} scales for {cols.size} channels")
         scale[cols] = values
-        block = tensor(manifest[f"w_{path}"])
+        block = tensor(fixed[f"w_{path}"])
         if block.shape != (cols.size, d_out):
             raise ValueError(f"w_{path} is {block.shape[0]} x {block.shape[1]}, "
                              f"not {cols.size} channels x d_out {d_out}")
@@ -399,10 +370,7 @@ def load_layer(manifest_path: str) -> SplitLayer:
         w[cols] = block
 
     def branch(name: str) -> lowrank.LowRankBranch:
-        if name not in manifest:
-            raise ValueError(f"layer manifest {_BRANCHES[name]} is true "
-                             f"but it lacks key {name!r}")
-        u, v, gate = (tensor(manifest[name][k]) for k in _BRANCH_FILES)
+        u, v, gate = (tensor(fixed[name][part]) for part in _BRANCH_FILES)
         br = lowrank.LowRankBranch(u, v, gate.reshape(-1))
         if br.rank > min(partition.c_main.size, d_out):
             raise ValueError("branch rank exceeds min(path width, d_out)")
@@ -413,5 +381,4 @@ def load_layer(manifest_path: str) -> SplitLayer:
         return br
 
     return SplitLayer(partition, w, scale, act_bits, weight_bits,
-                      **{name: branch(name) for name, flag in _BRANCHES.items()
-                         if manifest[flag]})
+                      **{name: branch(name) for name in _BRANCHES if name in fixed})

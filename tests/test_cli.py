@@ -381,12 +381,15 @@ class TestErrorExits:
         ("gen", {"vision_outliers": [999]}, None, EXIT_USAGE, "config error:"),
         ("gen", DEEP_JSON, None, EXIT_USAGE, "config error:"),
         ("gen", b"\xff\xfe{}", None, EXIT_USAGE, "config error:"),
+        # A one-token subset holds a text token whenever the batch has one.
+        ("stability", {"subset_sizes": [1]}, None, EXIT_DATA,
+         "data error: a subset of size 1 has no vision token, but the vision ratio is nonzero"),
     ], ids=["steps-str", "trials-str", "abits-1", "wbits-17", "ratio-0.6", "clusters-0",
             "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
             "manifest-key", "manifest-deep", "manifest-not-utf8", "batch-width-32", "d-out-0",
             "dim-0", "tokens-text-neg", "instability-2", "outlier-999", "config-deep",
-            "config-not-utf8"])
+            "config-not-utf8", "subset-1-no-vision"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, manifest_edit, expected, prefix
     ):
@@ -432,6 +435,7 @@ class TestErrorExits:
 SMALL = {
     "tokens_text": 8, "tokens_vision": 8, "dim": 16, "d_out": 8,
     "vision_outliers": [1], "text_outliers": [5],
+    "ratio_vision": 1 / 16, "ratio_text": 1 / 16,
     "steps": 4, "trials": 2, "subset_sizes": [4, 8], "reference_size": 8,
 }
 
@@ -564,9 +568,13 @@ class TestLayerFile:
         (("weight_spec", "granularity"), "per_tensor"),
         (("weight_spec", "granularity"), "per_token"),
         (("weight_spec", "bits"), 17),
+        # File names are fixed: another file of the layer never loads in place.
+        (("branch_comp", "gate"), "branch_smooth_gate.spqt"),
+        (("w_text",), "w_vision.spqt"),
     ], ids=["partition-list", "bits-str", "transform-str", "transform-dense", "file-int",
             "flag-str", "d_out-neg", "version-2", "file-parent", "symmetric-true",
-            "symmetric-int", "granularity-per-tensor", "granularity-per-token", "bits-17"])
+            "symmetric-int", "granularity-per-tensor", "granularity-per-token", "bits-17",
+            "file-other-gate", "file-other-block"])
     def test_bad_key_is_data_error(self, small, layer, tmp_path, key_path, value):
         # A readable w_main.spqt next to the layer directory: only the name
         # check keeps "../w_main.spqt" from loading it.
@@ -574,6 +582,19 @@ class TestLayerFile:
         rc, err = self.eval_with(small, layer, tmp_path, key_path, value)
         assert rc == EXIT_DATA
         assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_zero_d_out_is_data_error(self, small, tmp_path):
+        # Weight blocks of no columns fit d_out 0, and eval would then
+        # average empty slices.
+        layer = tmp_path / "layer"
+        assert run("calibrate", "--config", small["config"], "--activations",
+                   small["activations"], "--weights", small["weights"], "--no-cws",
+                   "--no-mac", "--layer-dir", str(layer), "--out", str(tmp_path)) == EXIT_OK
+        for path in ("main", "text", "vision"):
+            name = str(layer / f"w_{path}.spqt")
+            save_tensor(name, load_tensor(name)[:, :0])
+        rc, err = self.eval_with(small, layer, tmp_path, ("d_out",), 0)
+        assert rc == EXIT_DATA and err.startswith("data error:") and "d_out" in err
 
     def test_file_outside_the_layer_directory_is_not_read(self, small, layer, tmp_path):
         outside = tmp_path / "elsewhere" / "w_main.spqt"

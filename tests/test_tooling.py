@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import modquant  # noqa: F401  (loads every submodule the tracer looks up)
+from modquant.cli import EXIT_OK, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -19,19 +20,20 @@ DEAD_TARGETS = {
 }
 
 
-def _tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclass looks it up
-    spec.loader.exec_module(tracer)
-    return tracer
+def _perfbench(monkeypatch, name):
+    """perfbench/<name>.py, loaded by file path."""
+    spec = importlib.util.spec_from_file_location(f"_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # a dataclass looks it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_live_tracer_target_resolves(monkeypatch):
     # Tracer.install skips a target that does not resolve without a word, so
     # a renamed function would zero its per-layer metric silently.
     unresolved = [f"{module.removeprefix('modquant.')}.{name}"
-                  for module, name, _ in _tracer(monkeypatch).TARGETS
+                  for module, name, _ in _perfbench(monkeypatch, "tracer").TARGETS
                   if not callable(getattr(sys.modules.get(module), name, None))]
     assert [t for t in unresolved if t not in DEAD_TARGETS] == []
 
@@ -40,7 +42,7 @@ def test_import_loads_every_module_the_tracer_targets(monkeypatch):
     # perfbench's Tracer.install looks each target's module up with
     # sys.modules[name], so a module that ``import modquant`` no longer loads
     # (deleted, or folded into another) makes --trace 1 fail with a KeyError.
-    targets = sorted({module for module, _, _ in _tracer(monkeypatch).TARGETS})
+    targets = sorted({module for module, _, _ in _perfbench(monkeypatch, "tracer").TARGETS})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -52,3 +54,17 @@ def test_import_loads_every_module_the_tracer_targets(monkeypatch):
     )
     loaded = set(done.stdout.split())
     assert [m for m in targets if m not in loaded] == []
+
+
+def test_benchmark_checks_pass_on_the_cli_outputs(monkeypatch, tmp_path):
+    # perfbench/checks.py reads the layer directory and the CSVs without
+    # modquant, so an output format that drifts from what it reads fails here.
+    checks = _perfbench(monkeypatch, "checks")
+    acts, weights = str(tmp_path / "activations.spqt"), str(tmp_path / "weights.spqt")
+    out = str(tmp_path / "out")
+    assert main(["gen", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["calibrate", "--activations", acts, "--weights", weights,
+                 "--steps", "20", "--out", out]) == EXIT_OK
+    assert main(["eval", "--activations", acts, "--out", out]) == EXIT_OK
+    checks.check_calibrate(out, weights, 20, 0)
+    checks.check_eval(out, acts, 0)
