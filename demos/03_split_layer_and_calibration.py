@@ -41,11 +41,11 @@ def mse(layer):
 # where nearly all of the win comes from.
 # ---------------------------------------------------------------------------
 part = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
-# A correction branch is built when its rank ratio is given.
+# A correction branch is built when its rank ratio is positive.
 variants = [
-    ("no split, no corrections", trivial_partition(64), None, None),
-    ("channel split", part, None, None),
-    ("split + weight smoothing", part, 0.02, None),
+    ("no split, no corrections", trivial_partition(64), 0.0, 0.0),
+    ("channel split", part, 0.0, 0.0),
+    ("split + weight smoothing", part, 0.02, 0.0),
     ("split + smoothing + compensation", part, 0.02, 0.03),
 ]
 print("reconstruction MSE at 3-bit weights / 3-bit activations:")

@@ -3,8 +3,9 @@
 Every command is a deterministic function of its input files, flags, and
 seed; re-running with identical inputs produces byte-identical outputs.
 Each ``RunConfig`` field can come from a JSON file (--config, unknown keys
-rejected) or from its flag, which wins: ``--field-with-dashes``, or
-``--no-field`` for a bool; a list flag takes space-separated ints.
+rejected) or from its flag, which wins: ``--field-with-dashes``; a list flag
+takes space-separated ints.  A zero size turns its part off: zero ratios
+give no channel split, and a zero ``--rank-cws`` or ``--rank-mac`` no branch.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/format error (including
 OS and memory errors), 3 numerical failure.
@@ -62,9 +63,6 @@ class RunConfig:
     seed: int = 0
     wbits: int = 4
     abits: int = 4
-    mocd: bool = True
-    cws: bool = True
-    mac: bool = True
     ratio_vision: float = DEFAULT_RATIO
     ratio_text: float = DEFAULT_RATIO
     clusters: int = MocdConfig.clusters_k
@@ -108,7 +106,6 @@ def _is_finite_float(v) -> bool:
 _KINDS = {
     "str | None": (lambda v: v is None or isinstance(v, str), {"type": str}),
     "str": (lambda v: isinstance(v, str), {"type": str}),
-    "bool": (lambda v: isinstance(v, bool), {"action": "store_false"}),
     "int": (_is_int, {"type": int}),
     "float": (_is_finite_float, {"type": float}),
     "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
@@ -117,9 +114,8 @@ _KINDS = {
 
 
 def _flag(field: str) -> str:
-    """The flag of a RunConfig field: --field-with-dashes, --no-field for a bool."""
-    prefix = "--no-" if _CONFIG_FIELDS[field] == "bool" else "--"
-    return prefix + field.replace("_", "-")
+    """The flag of a RunConfig field: --field-with-dashes."""
+    return "--" + field.replace("_", "-")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -248,15 +244,9 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _partition_for(cfg: RunConfig, batch: ActivationBatch):
-    if not cfg.mocd:
-        return trivial_partition(batch.data.shape[1])
-    return build_partition(batch, _mocd_config(cfg))
-
-
 def cmd_select(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
-    partition = _partition_for(cfg, batch)
+    partition = build_partition(batch, _mocd_config(cfg))
     # initial=0.0 gives an absent modality 0.0 in every channel.
     t_max, v_max = (np.max(np.abs(batch.data[rows]), axis=0, initial=0.0)
                     for rows in (batch.text_rows, batch.vision_rows))
@@ -282,17 +272,15 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build(cfg: RunConfig, batch, w, partition):
-    return build_layer(w, batch, partition, *_quant_bits(cfg),
-                       rank_cws=cfg.rank_cws if cfg.cws else None,
-                       rank_mac=cfg.rank_mac if cfg.mac else None)
+def _build(cfg: RunConfig, batch, w):
+    return build_layer(w, batch, build_partition(batch, _mocd_config(cfg)),
+                       *_quant_bits(cfg), cfg.rank_cws, cfg.rank_mac)
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
     w = _load_weight(cfg.weights)
-    partition = _partition_for(cfg, batch)
-    layer, trace = calibrate(_build(cfg, batch, w, partition), batch, _calib_config(cfg))
+    layer, trace = calibrate(_build(cfg, batch, w), batch, _calib_config(cfg))
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     save_layer(layer, layer_dir)
     _write_csv(cfg, "loss_trace.csv", ["step", "loss"], enumerate(trace.losses))
@@ -331,10 +319,9 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
         raise FloatingPointError(f"non-finite mse_overall {overall!r}")
     if ablation:  # build_layer checks the weight's rows before anything is written
         w = _load_weight(cfg.weights)
-        base = _build(dataclasses.replace(cfg, cws=False, mac=False), batch, w,
-                      trivial_partition(batch.data.shape[1]))
-        full = _build(dataclasses.replace(cfg, cws=True, mac=True), batch, w,
-                      build_partition(batch, _mocd_config(cfg)))
+        base = build_layer(w, batch, trivial_partition(batch.data.shape[1]),
+                           *_quant_bits(cfg))
+        full = _build(cfg, batch, w)
     _write_csv(
         cfg, "report.csv", ["metric", "value"],
         [("mse_overall", overall), ("mse_text", mse_t), ("mse_vision", mse_v)],
@@ -346,7 +333,8 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
 
     if ablation:
         # Dropping a branch gives the layer built without it, and a best loss
-        # is the calibrated layer's MSE (the same forward pass and y_ref).
+        # is the calibrated layer's MSE (the same forward pass and y_ref).  The
+        # split layer follows the configured ratios: a zero rank repeats a row.
         grid = [("baseline", base),
                 ("mocd", dataclasses.replace(full, branch_smooth=None, branch_comp=None)),
                 ("mocd+cws", dataclasses.replace(full, branch_comp=None)),

@@ -200,24 +200,26 @@ def build_layer(
     partition: ChannelPartition,
     act_bits: int | None,
     weight_bits: int | None,
-    rank_cws: float | None = None,
-    rank_mac: float | None = None,
+    rank_cws: float = 0.0,
+    rank_mac: float = 0.0,
 ) -> SplitLayer:
     """Assemble a layer: check the bits and widths, init the scales from the
     calibration activations, and anchor the low-rank branches; every other
-    shape follows.  A branch is built exactly when its rank ratio is given."""
+    shape follows.  A branch is built exactly when its rank ratio is positive."""
     check_bits(act_bits)
     check_bits(weight_bits)
     w = as_matrix(w)
     if w.shape[0] != partition.dim or batch.data.shape[1] != partition.dim:
         raise ValueError("weight rows and batch columns must match partition dim")
+    if w.shape[1] == 0:
+        raise ValueError("weight has no columns (d_out 0)")
     # The init is per column, so each path gets the values of its channels.
     scale = tr.smoothing_scale(batch.data)
 
     c_main = partition.c_main
     ranks = {name: lowrank.default_rank(ratio, len(c_main), w.shape[1])
              for name, ratio in (("branch_smooth", rank_cws), ("branch_comp", rank_mac))
-             if ratio is not None}
+             if ratio > 0}
     branches = {}
     if ranks:
         # One SVD serves both branches: each takes its leading r triplets.

@@ -124,8 +124,8 @@ def test_criterion_4_cancellation_oracle(capsys):
         batch, w, part = _small_instance(seed)
         for nontrivial in (False, True):
             p = part if nontrivial else trivial_partition(16)
-            for rank_cws in (None, 0.02):
-                for rank_mac in (None, 0.03):
+            for rank_cws in (0.0, 0.02):
+                for rank_mac in (0.0, 0.03):
                     if count >= 50 * 8:
                         break
                     layer = build_layer(
@@ -224,9 +224,9 @@ def test_criterion_9_ablation_ordering(capsys):
         ref = forward_reference(w, batch)
         part = build_partition(batch, DEFAULT_MOCD)
         grid = [
-            ("baseline", trivial_partition(64), None, None),
-            ("mocd", part, None, None),
-            ("mocd+cws", part, 0.02, None),
+            ("baseline", trivial_partition(64), 0.0, 0.0),
+            ("mocd", part, 0.0, 0.0),
+            ("mocd+cws", part, 0.02, 0.0),
             ("mocd+cws+mac", part, 0.02, 0.03),
         ]
         for name, p, rank_cws, rank_mac in grid:

@@ -38,7 +38,7 @@ def _setup(seed, dim=16, d_out=12, act_bits=4, weight_bits=4, cws=True, mac=True
     part = build_partition(batch, MocdConfig(ratio_vision=1 / dim, ratio_text=1 / dim))
     layer = build_layer(
         w, batch, part, act_bits=act_bits, weight_bits=weight_bits,
-        rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
+        rank_cws=0.02 if cws else 0.0, rank_mac=0.03 if mac else 0.0,
     )
     return batch, layer
 
@@ -167,7 +167,7 @@ class TestGradients:
             batch = ActivationBatch(batch.data[rows], batch.tags[rows])
         layer = build_layer(
             w, batch, part, act_bits=4, weight_bits=4,
-            rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
+            rank_cws=0.02 if cws else 0.0, rank_mac=0.03 if mac else 0.0,
         )
         segments = [(name, getattr(part, name)) for name in ("c_main", "c_text", "c_vision")]
         size = part.dim

@@ -269,13 +269,13 @@ class TestCalibrateEval:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_unsplit_calibration_converges(self, tmp_path, seed):
-        # CLI default sizes (the loop-small config; its ratio is unused here),
-        # W4A4 with CWS and MAC and no channel split: with unbounded branch
-        # gates, 9 of these 15 seeds diverge and exit 3.
+        # CLI default sizes (the loop-small config; zero ratios select no
+        # channel), W4A4 with CWS and MAC and no channel split: with unbounded
+        # branch gates, 9 of these 15 seeds diverge and exit 3.
         data = tmp_path / "data"
         assert run("gen", "--seed", str(seed), "--out", str(data)) == EXIT_OK
         rc = run(
-            "calibrate", "--no-mocd",
+            "calibrate", "--ratio-vision", "0", "--ratio-text", "0",
             "--activations", str(data / "activations.spqt"),
             "--weights", str(data / "weights.spqt"),
             "--out", str(tmp_path / "c"),
@@ -359,7 +359,7 @@ class TestErrorExits:
         ("calibrate", {"wbits": 17}, None, EXIT_USAGE, "config error:"),
         ("select", {"ratio_vision": 0.6}, None, EXIT_USAGE, "config error:"),
         ("select", {"clusters": 0}, None, EXIT_USAGE, "config error:"),
-        ("gen", {"mac": 1}, None, EXIT_USAGE, "config error:"),
+        ("calibrate", {"rank_mac": True}, None, EXIT_USAGE, "config error:"),
         ("gen", {"vision_outliers": [3.5]}, None, EXIT_USAGE, "config error:"),
         ("calibrate", {"learning_rate": 10**400}, None, EXIT_USAGE, "config error:"),
         ("stability", {"trials": 0}, None, EXIT_USAGE, "config error:"),
@@ -385,7 +385,7 @@ class TestErrorExits:
         ("stability", {"subset_sizes": [1]}, None, EXIT_DATA,
          "data error: a subset of size 1 has no vision token, but the vision ratio is nonzero"),
     ], ids=["steps-str", "trials-str", "abits-1", "wbits-17", "ratio-0.6", "clusters-0",
-            "mac-int", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
+            "rank-mac-bool", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
             "manifest-key", "manifest-deep", "manifest-not-utf8", "batch-width-32", "d-out-0",
             "dim-0", "tokens-text-neg", "instability-2", "outlier-999", "config-deep",
@@ -588,8 +588,8 @@ class TestLayerFile:
         # average empty slices.
         layer = tmp_path / "layer"
         assert run("calibrate", "--config", small["config"], "--activations",
-                   small["activations"], "--weights", small["weights"], "--no-cws",
-                   "--no-mac", "--layer-dir", str(layer), "--out", str(tmp_path)) == EXIT_OK
+                   small["activations"], "--weights", small["weights"], "--rank-cws", "0",
+                   "--rank-mac", "0", "--layer-dir", str(layer), "--out", str(tmp_path)) == EXIT_OK
         for path in ("main", "text", "vision"):
             name = str(layer / f"w_{path}.spqt")
             save_tensor(name, load_tensor(name)[:, :0])
@@ -746,7 +746,7 @@ class TestOsErrors:
 
 
 class TestFlags:
-    # (argv after the command, RunConfig field, value); the first 16 are the
+    # (argv after the command, RunConfig field, value); the first 13 are
     # flags the CLI had before flags were derived from RunConfig.
     FIELD_FLAGS = [
         (["--seed", "5"], "seed", 5),
@@ -756,9 +756,6 @@ class TestFlags:
         (["--layer-dir", "L"], "layer_dir", "L"),
         (["--wbits", "3"], "wbits", 3),
         (["--abits", "8"], "abits", 8),
-        (["--no-mocd"], "mocd", False),
-        (["--no-cws"], "cws", False),
-        (["--no-mac"], "mac", False),
         (["--ratio-vision", "0.25"], "ratio_vision", 0.25),
         (["--ratio-text", "0.125"], "ratio_text", 0.125),
         (["--clusters", "4"], "clusters", 4),
@@ -866,12 +863,45 @@ class TestAblation:
             part = (cli.build_partition(batch, cli._mocd_config(cfg)) if mocd
                     else cli.trivial_partition(batch.data.shape[1]))
             layer = cli.build_layer(w, batch, part, act_bits=act_bits, weight_bits=weight_bits,
-                                    rank_cws=cfg.rank_cws if cws else None,
-                                    rank_mac=cfg.rank_mac if mac else None)
+                                    rank_cws=cfg.rank_cws if cws else 0.0,
+                                    rank_mac=cfg.rank_mac if mac else 0.0)
             layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))
             y_ref = cli.forward_reference(layer.w, batch)
             expected[name] = repr(cli._mse_rows(layer, batch, y_ref)[0])
         assert rows == expected
+
+
+class TestZeroSizes:
+    """A zero selection ratio or branch rank turns its part of the layer off."""
+
+    ZERO = ["--ratio-vision", "0", "--ratio-text", "0", "--rank-cws", "0", "--rank-mac", "0"]
+
+    def test_zero_sizes_calibrate_the_plain_layer(self, generated, tmp_path):
+        out = tmp_path / "c"
+        assert run_captured(["calibrate", "--activations", generated["activations"],
+                             "--weights", generated["weights"], *self.ZERO,
+                             "--out", str(out)]) == (EXIT_OK, "")
+        manifest = json.loads((out / "layer" / "manifest.json").read_text())
+        assert manifest["partition"]["c_text"] == manifest["partition"]["c_vision"] == []
+        assert manifest["use_cws"] is manifest["use_mac"] is False
+
+        batch = load_tensor(generated["activations"])
+        w = load_tensor(generated["weights"])
+        layer = cli.build_layer(w, batch, cli.trivial_partition(batch.data.shape[1]), 4, 4)
+        _, trace = cli.calibrate(layer, batch, cli.CalibConfig())
+        lines = (out / "loss_trace.csv").read_text().splitlines()[2:]
+        # repr round-trips a float, so equal text is equal bits.
+        assert [line.split(",")[1] for line in lines] == [repr(v) for v in trace.losses]
+
+    @pytest.mark.parametrize("steps", [[], ["--steps", "1"]], ids=["default", "steps-1"])
+    def test_weight_without_columns_is_data_error(self, generated, tmp_path, steps):
+        weights = str(tmp_path / "w.spqt")
+        save_tensor(weights, load_tensor(generated["weights"])[:, :0])
+        rc, err = run_captured(["calibrate", "--activations", generated["activations"],
+                                "--weights", weights, *self.ZERO, *steps,
+                                "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA and "Traceback" not in err
+        assert err == "data error: weight has no columns (d_out 0)\n"
 
 
 # Values for the argv fuzz, and the fields fixed to paths under a temporary
@@ -893,7 +923,7 @@ def argvs(draw, paths):
     for field in draw(st.lists(st.sampled_from(fields), unique=True, max_size=4)):
         argv.append(cli._flag(field))
         kind = cli._CONFIG_FIELDS[field]
-        count = 0 if kind == "bool" else draw(st.integers(0, 2)) if kind == "list[int]" else 1
+        count = draw(st.integers(0, 2)) if kind == "list[int]" else 1
         argv += draw(st.lists(st.sampled_from(FUZZ_VALUES), min_size=count, max_size=count))
     if command == "eval" and draw(st.booleans()):
         argv.append("--ablation")

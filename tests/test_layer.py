@@ -73,7 +73,7 @@ class TestCancellation:
             layer = build_layer(
                 w, batch, part,
                 act_bits=None, weight_bits=None,
-                rank_cws=0.02 if cws else None, rank_mac=0.03 if mac else None,
+                rank_cws=0.02 if cws else 0.0, rank_mac=0.03 if mac else 0.0,
             )
             y = forward(layer, batch)
             ref = forward_reference(w, batch)
@@ -126,7 +126,7 @@ def _forward_cases(draw):
                             sorted(order[k_text:k_text + k_vision]), dim)
     tags = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=8))
     bits = [draw(st.one_of(st.none(), st.integers(2, 8))) for _ in range(2)]
-    ranks = [draw(st.one_of(st.none(), st.floats(0.0, 1.0))) for _ in range(2)]
+    ranks = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))) for _ in range(2)]
     return _forward_case(part, tags, bits, ranks, draw(st.integers(1, 6)),
                          draw(st.integers(0, 2**32 - 1)))
 
@@ -206,6 +206,14 @@ class TestBuild:
             for name in ("u_star", "v_base", "gate"):
                 np.testing.assert_array_equal(getattr(shared, name), getattr(own, name))
 
+    def test_zero_ratio_builds_no_branch(self):
+        batch, w, part = _instance(2, dim=32, d_out=24)
+        layer = build_layer(w, batch, part, 4, 4, rank_cws=0.0, rank_mac=0.0)
+        assert layer.branch_smooth is None and layer.branch_comp is None
+        assert build_layer(w, batch, part, 4, 4).branch_smooth is None
+        layer = build_layer(w, batch, part, 4, 4, rank_cws=0.001, rank_mac=0.001)
+        assert layer.branch_smooth.rank == layer.branch_comp.rank == 1
+
 
 class TestValidation:
     def test_rejects_non_finite_weight(self):
@@ -221,6 +229,12 @@ class TestValidation:
         for act_bits, weight_bits in ((bits, 4), (4, bits)):
             with pytest.raises(ValueError, match="bits must be in"):
                 build_layer(w, batch, part, act_bits, weight_bits)
+
+    @pytest.mark.parametrize("rank", [0.0, 0.02], ids=["no-branch", "branches"])
+    def test_weight_without_columns(self, rank):
+        batch, w, part = _instance(0)
+        with pytest.raises(ValueError, match=r"weight has no columns \(d_out 0\)"):
+            build_layer(w[:, :0], batch, part, 4, 4, rank_cws=rank, rank_mac=rank)
 
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)
@@ -252,8 +266,8 @@ class TestSerialization:
         batch, w, part = _instance(4)
         layer = build_layer(
             w, batch, part, act_bits=4, weight_bits=4,
-            rank_cws=0.02 if use_branches else None,
-            rank_mac=0.03 if use_branches else None,
+            rank_cws=0.02 if use_branches else 0.0,
+            rank_mac=0.03 if use_branches else 0.0,
         )
         manifest = save_layer(layer, str(tmp_path / "layer"))
         back = load_layer(manifest)

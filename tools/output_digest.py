@@ -10,7 +10,7 @@ to one thread:
 
 - ``gen``, ``select``, ``calibrate``, ``eval --ablation`` and ``stability``;
 - ``calibrate`` and ``eval`` with ``--wbits 0 --abits 0``;
-- ``calibrate --no-mocd``.
+- ``calibrate --ratio-vision 0 --ratio-text 0`` (no channel split).
 
 It writes one JSON object, one entry per line (816 entries), that maps
 ``<workload>/seed<N>/<command>/<file>`` to the sha256 of each output file,
@@ -76,8 +76,8 @@ def _commands(run: str) -> list[tuple[str, list[str]]]:
          + out("identity-calibrate")),
         ("identity-eval", ["eval"] + identity + acts + layer("identity-calibrate")
          + out("identity-eval")),
-        ("no-mocd-calibrate", ["calibrate", "--no-mocd"] + acts + weights
-         + out("no-mocd-calibrate")),
+        ("unsplit-calibrate", ["calibrate", "--ratio-vision", "0", "--ratio-text", "0"]
+         + acts + weights + out("unsplit-calibrate")),
     ]
 
 
