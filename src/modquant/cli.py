@@ -9,11 +9,16 @@ give no channel split, and a zero ``--rank-cws`` or ``--rank-mac`` no branch.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/format error (including
 OS and memory errors), 3 numerical failure.
+
+The CLI process is the application, so ``main`` first pins glibc's malloc
+thresholds (``_keep_heap``) to keep freed memory between calibration steps;
+``import modquant`` leaves its host process's allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -389,7 +394,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_heap() -> None:
+    """Stop glibc from handing freed heap memory back to the kernel.
+
+    Each calibration step frees several MB of numpy temporaries; by default
+    glibc returns the free heap top, and the next step faults the same pages
+    in again.  Setting either threshold turns glibc's dynamic rule off, so
+    both are set, to the values that rule climbs to.  Off Linux, or where
+    ``mallopt`` cannot be found, nothing changes.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: DEFAULT_MMAP_THRESHOLD_MAX on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as the dynamic rule keeps it
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_heap()
     try:
         args = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error

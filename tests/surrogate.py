@@ -2,14 +2,20 @@
 
 With scales and zero-points held at their base-pass values, the
 straight-through estimator is the exact derivative of the surrogate
-m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  Central differences
-of the loss through that surrogate are the oracle for ``analytic_gradient``.
+m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  The surrogate loss
+is analytic in the learned parameters, so its complex-step derivative
+Im f(theta + i h e_k) / h is exact to rounding error, with no difference
+taken (Squire & Trapp, SIAM Review 1998): that is the oracle for
+``analytic_gradient``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 import modquant.layer as layer_module
-from modquant.calibrate import _loss, _with_params, analytic_gradient
+from modquant.calibrate import _with_params, analytic_gradient
+from modquant.layer import forward_with_cache
 
 
 def patch_quantizers(monkeypatch, wrap):
@@ -19,11 +25,25 @@ def patch_quantizers(monkeypatch, wrap):
         monkeypatch.setattr(layer_module, name, wrap(name, getattr(layer_module, name)))
 
 
-def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-6):
-    """``analytic_gradient`` at ``theta0`` and the central differences of the
-    surrogate loss there, one entry per parameter.  Leaves the layer's
-    quantizers patched to the surrogate until ``monkeypatch`` undoes it.
-    Both quantizers share one record list, replayed in call order."""
+def _complex_layer(layer, theta):
+    """``layer`` with scales exp(theta[:dim]) and then its gates from
+    ``theta``, unclipped: ``_with_params``'s clip drops the imaginary part."""
+    offset = layer.partition.dim
+    changes = {"scale": np.exp(theta[:offset])}
+    for name in ("branch_smooth", "branch_comp"):
+        br = getattr(layer, name)
+        if br is not None:
+            changes[name] = replace(br, gate=theta[offset : offset + br.rank])
+            offset += br.rank
+    return replace(layer, **changes)
+
+
+def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-30):
+    """``analytic_gradient`` at ``theta0`` and the complex-step derivative of
+    the surrogate loss there, one entry per parameter.  ``theta0`` must lie
+    inside ``_with_params``'s clip.  Leaves the layer's quantizers patched to
+    the surrogate until ``monkeypatch`` undoes it.  Both quantizers share one
+    record list, replayed in call order."""
     records = []
 
     def recording(name, real):
@@ -49,14 +69,14 @@ def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-6):
 
     def surrogate_loss(theta):
         replay.clear()
-        loss = _loss(_with_params(layer, theta), prep, y_ref)[0]
+        r = forward_with_cache(_complex_layer(layer, theta), prep)[0] - y_ref
         assert len(replay) == len(records)
-        return loss
+        # The sum of r ** 2 itself: _loss's float() drops the imaginary part.
+        return np.add.reduce(r ** 2, axis=None) / r.size
 
-    fd = np.empty_like(theta0)
-    for i in range(theta0.size):
-        step = np.zeros_like(theta0)
-        step[i] = h
-        fd[i] = surrogate_loss(theta0 + step) - surrogate_loss(theta0 - step)
-    fd /= 2 * h
-    return grad, fd
+    oracle = np.empty_like(theta0)
+    for k in range(theta0.size):
+        theta = theta0.astype(complex)
+        theta[k] += 1j * h
+        oracle[k] = surrogate_loss(theta).imag / h
+    return grad, oracle

@@ -18,7 +18,7 @@ from modquant.calibrate import (
     outlier_set,
     stability_report,
 )
-from modquant.layer import build_layer, forward_reference, prepare
+from modquant.layer import build_layer, forward_reference, forward_with_cache, prepare
 from modquant.mocd import MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
@@ -147,18 +147,24 @@ class TestGradients:
     @pytest.mark.parametrize("text_rows", [True, False])
     @pytest.mark.parametrize("cws,mac", [(False, False), (True, False),
                                          (False, True), (True, True)])
-    @pytest.mark.parametrize("seed,split", [
-        pytest.param(0, True, id="0"),
-        pytest.param(3, True, id="3"),
-        pytest.param(0, False, id="0-trivial"),
+    @pytest.mark.parametrize("seed,split,lattice", [
+        pytest.param(0, True, False, id="0"),
+        pytest.param(3, True, False, id="3"),
+        pytest.param(0, False, False, id="0-trivial"),
+        pytest.param(0, True, True, id="0-lattice"),
+        pytest.param(3, True, True, id="3-lattice"),
     ])
-    def test_matches_frozen_surrogate(self, monkeypatch, seed, split, cws, mac,
-                                      text_rows):
-        # Central differences through the frozen-quantizer surrogate are the
+    def test_matches_frozen_surrogate(self, monkeypatch, seed, split, lattice, cws,
+                                      mac, text_rows):
+        # The complex step through the frozen-quantizer surrogate is the
         # oracle (see surrogate.py).  Each path's log-scales are checked on
         # their own channels; the trivial partition's empty outlier paths are
-        # skipped.
+        # skipped.  On continuous draws no quantizer clamps, so the lattice
+        # cases round the batch to halves and start at unit scales: there
+        # the activation quantizers clamp and their masks are reached.
         batch = generate(SynthConfig(seed=seed))
+        if lattice:
+            batch = ActivationBatch(np.round(2 * batch.data) / 2, batch.tags)
         w = generate_weight(64, 64, seed=seed + 900)
         part = (build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
                 if split else trivial_partition(64))
@@ -178,14 +184,18 @@ class TestGradients:
         theta0 = _params(layer)
         assert theta0.size == size
         theta0 = theta0 + 0.1 * np.random.default_rng(seed).standard_normal(theta0.size)
+        prep = prepare(layer, batch)
+        if lattice:
+            theta0[:part.dim] = 0.0
+            fp = forward_with_cache(_with_params(layer, theta0), prep)[1]
+            assert not fp.main.mask_a.all()
         y_ref = forward_reference(layer.w, batch)
-        grad, fd = gradient_and_oracle(monkeypatch, layer, prepare(layer, batch),
-                                       y_ref, theta0)
+        grad, oracle = gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0)
         for name, index in segments:
-            a, f = grad[index], fd[index]
+            a, f = grad[index], oracle[index]
             if index.size == 0:
                 continue
-            assert np.max(np.abs(f - a)) <= 1e-5 * np.max(np.abs(a)), name
+            assert np.max(np.abs(f - a)) <= 1e-12 * np.max(np.abs(a)), name
 
     def test_steps_do_not_quantize_the_fixed_factors(self, monkeypatch):
         # With CWS and MAC on a split partition a step quantizes 9 tensors:

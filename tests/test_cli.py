@@ -1,9 +1,11 @@
 """End-to-end command-line pipeline: exit codes and determinism."""
 
 import contextlib
+import ctypes
 import io
 import json
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -957,3 +959,60 @@ class TestArgvFuzz:
             argv += [cli._flag(field), paths[field]]
         rc, err = run_captured(argv)
         assert rc in (0, 1, 2, 3) and "Traceback" not in err
+
+
+# calib-wide's inputs from perfbench/workloads.py: 512 channels in and out,
+# 20 planted channels per modality, selected at ratio 20/512.
+CALIB_WIDE = {
+    "tokens_text": 512, "tokens_vision": 512, "dim": 512, "d_out": 512,
+    "vision_outliers": [13 + 25 * i for i in range(20)],
+    "text_outliers": [25 + 25 * i for i in range(20)],
+    "ratio_vision": 20 / 512, "ratio_text": 20 / 512, "steps": 2, "clusters": 1,
+}
+
+# A second, identical calibrate in one process: its minor page faults, last line.
+WARM_CALIBRATE = """
+import resource, sys
+from modquant.cli import main
+config, out = sys.argv[1:]
+common = ["--config", config, "--out", out]
+assert main(["gen", *common]) == 0
+argv = ["calibrate", "--activations", out + "/activations.spqt",
+        "--weights", out + "/weights.spqt", *common]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocator:
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are glibc's")
+    def test_warm_calibrate_keeps_its_heap(self, tmp_path):
+        # With glibc's default thresholds each step's freed temporaries go
+        # back to the kernel and are faulted in again: about 12k faults here.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CALIB_WIDE))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(modquant.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", WARM_CALIBRATE, str(config),
+                               str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 1000
+
+    @pytest.mark.parametrize("where", ["platform", "lookup"])
+    def test_without_mallopt_nothing_changes(self, monkeypatch, tmp_path, where):
+        def no_c_library(name):
+            raise OSError("no C library")
+
+        assert run("gen", "--out", str(tmp_path / "a")) == EXIT_OK
+        if where == "platform":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", no_c_library)
+        assert run("gen", "--out", str(tmp_path / "b")) == EXIT_OK
+        for name in ("activations.spqt", "weights.spqt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

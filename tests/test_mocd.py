@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modquant import mocd
@@ -319,6 +319,66 @@ class TestBuildPartition:
         assert sorted(merged.tolist()) == list(range(dim))
         assert len(p.c_vision) == cfg.k_vision(dim)
         assert len(p.c_text) == cfg.k_text(dim)
+
+
+@st.composite
+def continuous_selections(draw):
+    """A batch of standard normal draws, continuous so that no two scores
+    of ``vision_score`` tie, and a config selecting 1-4 channels per
+    modality."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, text, vision = draw(st.integers(16, 64)), draw(st.integers(2, 64)), draw(st.integers(1, 32))
+    tags = rng.permutation([0] * text + [1] * vision)
+    batch = ActivationBatch(rng.standard_normal((text + vision, dim)), tags)
+    picked = draw(st.integers(1, 4))
+    cfg = MocdConfig(ratio_vision=picked / dim, ratio_text=picked / dim,
+                     clusters_k=draw(st.integers(1, 4)))
+    return rng, batch, cfg
+
+
+def _cut_is_tie_free(scores, k):
+    """The k-th and (k+1)-th largest scores differ, so the top k is one set
+    whatever order the channels come in."""
+    top = np.sort(scores)[::-1]
+    return k == scores.size or top[k - 1] != top[k]
+
+
+class TestMetamorphic:
+    """Relations between two selections that hold exactly on any data."""
+
+    @given(continuous_selections())
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_channels_permutes_the_partition(self, drawn):
+        rng, batch, cfg = drawn
+        p = build_partition(batch, cfg)
+        # Rank-count scores take few values, so keep the draws whose text cut
+        # does not fall inside a tie (about 1 in 100).
+        remaining = np.setdiff1d(np.arange(batch.data.shape[1]), p.c_vision)
+        scores = text_score(percentile_rank(batch, remaining),
+                            min(cfg.clusters_k, batch.text_rows.size))
+        assume(_cut_is_tie_free(vision_score(batch), p.c_vision.size))
+        assume(_cut_is_tie_free(scores, p.c_text.size))
+        perm = rng.permutation(batch.data.shape[1])
+        q = build_partition(ActivationBatch(batch.data[:, perm], batch.tags), cfg)
+        # Column j of the permuted batch is channel perm[j].
+        where = np.argsort(perm)
+        for name in ("c_main", "c_text", "c_vision"):
+            np.testing.assert_array_equal(getattr(q, name), np.sort(where[getattr(p, name)]))
+
+    @given(continuous_selections())
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_text_rows_by_powers_of_two_keeps_ranks(self, drawn):
+        # Ranks compare entries within one row, and 2^k scales exactly.
+        rng, batch, cfg = drawn
+        rows = batch.text_rows
+        data = batch.data.copy()
+        data[rows] *= 2.0 ** rng.integers(-20, 21, size=(rows.size, 1))
+        scaled = ActivationBatch(data, batch.tags)
+        channels = np.arange(data.shape[1])
+        np.testing.assert_array_equal(percentile_rank(scaled, channels),
+                                      percentile_rank(batch, channels))
+        np.testing.assert_array_equal(build_partition(scaled, cfg).c_text,
+                                      build_partition(batch, cfg).c_text)
 
 
 class TestJaccard:
