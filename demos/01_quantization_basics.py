@@ -15,27 +15,30 @@ rng = np.random.default_rng(0)
 # A bit width is its whole setting.
 # ---------------------------------------------------------------------------
 x = rng.standard_normal((4, 6))
-scale = np.max(np.abs(x), axis=0) / (2 ** (8 - 1) - 1)
-once, mask = quantize_weight(x, 8)
+q_max = 2 ** (8 - 1) - 1
+scale = np.max(np.abs(x), axis=0) / q_max
+once = quantize_weight(x, 8)
 print("8-bit symmetric scales per column:", np.round(scale, 5))
 print("max |error| <= S/2 in every column:", bool(np.all(np.abs(x - once) <= scale / 2)))
-print("clamped values:", int(np.count_nonzero(~mask)))
+# S is fitted to the column's absmax, so no weight code needs a clamp.
+codes = np.round(once / scale)
+print(f"every weight code in [-{q_max}, {q_max}]:", bool(np.all(np.abs(codes) <= q_max)))
 
 # ---------------------------------------------------------------------------
 # Quantize-dequantize is idempotent: once a value sits on the integer grid,
 # re-quantizing does not move it.
 # ---------------------------------------------------------------------------
-twice, _ = quantize_weight(once, 8)
+twice = quantize_weight(once, 8)
 print("idempotent:", np.array_equal(once, twice))
 
 # ---------------------------------------------------------------------------
 # Error shrinks monotonically with bit width, for both quantizers.  The
 # activation quantizer is asymmetric with one scale and zero-point per row
-# (token).  From here on only the value is used: [0] drops the mask.
+# (token) and returns its value with a clamp mask: [0] drops the mask.
 # ---------------------------------------------------------------------------
 print("\nbits  weight mse  act mse")
 for bits in (2, 3, 4, 6, 8, 12):
-    mse_w = np.mean((x - quantize_weight(x, bits)[0]) ** 2)
+    mse_w = np.mean((x - quantize_weight(x, bits)) ** 2)
     mse_a = np.mean((x - quantize_act(x, bits)[0]) ** 2)
     print(f"{bits:4d}  {mse_w:.3e}  {mse_a:.3e}")
 
@@ -47,12 +50,13 @@ for bits in (2, 3, 4, 6, 8, 12):
 # ---------------------------------------------------------------------------
 y = rng.standard_normal((64, 8))
 y[:, 3] *= 100.0
-for name, quantize in (("quantize_weight", quantize_weight), ("quantize_act", quantize_act)):
-    mse_small = np.mean((y[:, :3] - quantize(y, 4)[0][:, :3]) ** 2)
+for name, value in (("quantize_weight", quantize_weight(y, 4)),
+                    ("quantize_act", quantize_act(y, 4)[0])):
+    mse_small = np.mean((y[:, :3] - value[:, :3]) ** 2)
     print(f"{name:15s} 4-bit mse on ordinary columns: {mse_small:.3e}")
 
 # ---------------------------------------------------------------------------
 # bits=None is the identity sentinel used by the exact-cancellation tests.
 # ---------------------------------------------------------------------------
 print("\nidentity quantizers return input exactly:",
-      np.array_equal(quantize_weight(y, None)[0], y) and np.array_equal(quantize_act(y, None)[0], y))
+      np.array_equal(quantize_weight(y, None), y) and np.array_equal(quantize_act(y, None)[0], y))

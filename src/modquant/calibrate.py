@@ -3,11 +3,11 @@
 Plain gradient descent with a cosine-decayed learning rate minimizes the
 mean squared error between the quantized forward pass and the unquantized
 reference output.  Gradients flow through rounding with the straight-through
-estimator (identity inside the clamp range, zero outside); quantization
-scales and zero-points are treated as stop-gradient.  ``analytic_gradient``
-is the only gradient; the test suite checks it against central differences
-of the forward pass with every quantizer frozen at its base-pass value and
-mask.
+estimator: the identity, and zero where an activation quantizer clamps (the
+weight quantizer never clamps); scales and zero-points are stop-gradient.
+``analytic_gradient`` is the only gradient; the test suite checks it against
+the complex-step derivative of the forward pass with every quantizer frozen
+at its base-pass value (and an activation quantizer at its mask).
 
 The learned parameters are read from the layer itself: the logarithms of
 its per-channel scales, so a step cannot cross zero, then the gates of the
@@ -113,8 +113,8 @@ def _loss(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
 
 
 def _log_scale_grad(path, scale, dl_dz, dl_db):
-    """Gradient w.r.t. a path's log-scales, from the masked gradients at its
-    two quantizer inputs: z = x d moves with d, w_s = W / d against it.
+    """Gradient w.r.t. a path's log-scales, from the gradients at its two
+    quantizer inputs: z = x d moves with d, w_s = W / d against it.
     Overwrites both."""
     dl_dz *= path.x
     dl_db *= path.w_s
@@ -124,8 +124,7 @@ def _log_scale_grad(path, scale, dl_dz, dl_db):
 def _gate_grad(bp, br, g):
     """Gradient w.r.t. a branch gate through its quantized factor
     v_q = Q(gate * v_base), for a branch output h @ v_q."""
-    dl_dv = bp.mask_v * (bp.h.T @ g)
-    return np.add.reduce(dl_dv * br.v_base, axis=1)
+    return np.add.reduce((bp.h.T @ g) * br.v_base, axis=1)
 
 
 def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
@@ -148,7 +147,6 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     if mac is not None:
         dl_dz[t_rows] += dl_de
     dl_db = main.a.T @ g
-    dl_db *= main.mask_b
     grads = []
     br = layer.branch_smooth
     if br is not None:
@@ -166,7 +164,6 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
         if path is not None:
             dl_dz, dl_db = g @ path.b.T, path.a.T @ g
             dl_dz *= path.mask_a
-            dl_db *= path.mask_b
             d_grad[cols] = _log_scale_grad(path, s[cols], dl_dz, dl_db)
     return loss, np.concatenate([d_grad, *grads])
 

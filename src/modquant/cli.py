@@ -309,7 +309,7 @@ def _weight_error_deciles(layer) -> list[tuple[int, float]]:
     full-size temporaries are freed on return, before any ablation."""
     c_main = layer.partition.c_main
     w_prime = layer.w[c_main] / layer.scale[c_main, None]
-    mae = np.mean(np.abs(w_prime - quantize_weight(w_prime, layer.weight_bits)[0]), axis=1)
+    mae = np.mean(np.abs(w_prime - quantize_weight(w_prime, layer.weight_bits)), axis=1)
     bins = np.array_split(np.sort(mae), 10)
     return [(i + 1, float(b.mean()) if b.size else 0.0) for i, b in enumerate(bins)]
 

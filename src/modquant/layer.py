@@ -5,18 +5,18 @@ input channel to the main, text-outlier or vision-outlier path: ``prepare``
 gathers each path's columns of the activations and rows of the weight once.
 The forward pass runs each path through one path function: multiply the
 activation's columns by the per-channel smoothing scale s and quantize,
-divide the weight's rows by s and quantize (one ``quantize_act`` or
-``quantize_weight`` call per tensor, which yields the value and its
-straight-through mask).  It applies the gated low-rank corrections that are
-present (weight smoothing on the main weight, activation compensation on
-text-token rows) and sums the paths.  It records each path and branch in a
-frozen ``ForwardPass`` for the calibration gradient; an outlier path with no
-channels and an absent branch are ``None`` and cost nothing.  With identity
-quantizers everything cancels and the output equals X @ W, the load-bearing
-correctness oracle.  Shapes are checked only where a layer enters, by
-``build_layer`` and ``load_layer``.  A layer directory's format has one
-definition, ``_manifest``: ``save_layer`` writes it, ``load_layer`` checks
-the manifest it reads against it.
+divide the weight's rows by s and quantize (one call per tensor:
+``quantize_act`` yields the value and its straight-through mask, and
+``quantize_weight``, which never clamps, the value alone).  It applies the
+gated low-rank corrections that are present (weight smoothing on the main
+weight, activation compensation on text-token rows) and sums the paths.  It
+records each path and branch in a frozen ``ForwardPass`` for the calibration
+gradient; an outlier path with no channels and an absent branch are ``None``
+and cost nothing.  With identity quantizers everything cancels and the
+output equals X @ W, the load-bearing correctness oracle.  Shapes are
+checked only where a layer enters, by ``build_layer`` and ``load_layer``.  A
+layer directory's format has one definition, ``_manifest``: ``save_layer``
+writes it, ``load_layer`` checks the manifest it reads against it.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class SplitLayer:
 
 @dataclass(frozen=True)
 class PathPass:
-    """One path's intermediates: x, z = x * d, a = Q(z), w_s = W / d[:, None]
-    and b = Q(w_s), less the CWS product on the main path; one mask per Q."""
+    """One path's intermediates: x, z = x * d, a = Q(z) and its mask, w_s =
+    W / d[:, None] and b = Q(w_s), less the CWS product on the main path."""
 
     x: np.ndarray
     z: np.ndarray
@@ -72,19 +72,17 @@ class PathPass:
     mask_a: np.ndarray
     w_s: np.ndarray
     b: np.ndarray
-    mask_b: np.ndarray
 
 
 @dataclass(frozen=True)
 class BranchPass:
-    """A low-rank branch's quantized factors, the mask of its gated factor
-    and its product h = x_in @ u_q, which the output and the gate gradient
-    share; x_in is the main path's a for CWS and, for MAC, the quantized
-    text-row activation error, whose mask MAC also keeps."""
+    """A low-rank branch's quantized factors and its product h = x_in @ u_q,
+    which the output and the gate gradient share; x_in is the main path's a
+    for CWS and, for MAC, the quantized text-row activation error, whose mask
+    MAC also keeps."""
 
     u_q: np.ndarray
     v_q: np.ndarray
-    mask_v: np.ndarray
     h: np.ndarray
     mask_e: np.ndarray | None = None
 
@@ -104,8 +102,8 @@ def _path(x, w, d, act_bits, weight_bits, shift=None) -> PathPass:
     z = x * d
     a, mask_a = quantize_act(z, act_bits)
     w_s = w / d[:, None]
-    b, mask_b = quantize_weight(w_s if shift is None else w_s - shift, weight_bits)
-    return PathPass(x, z, a, mask_a, w_s, b, mask_b)
+    b = quantize_weight(w_s if shift is None else w_s - shift, weight_bits)
+    return PathPass(x, z, a, mask_a, w_s, b)
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
     """The layer's ``Prepared`` record; ``split_columns`` checks the batch width."""
     p = layer.partition
     w_aux = _aux_bits(layer.weight_bits)
-    u_q = (None if br is None else quantize_weight(br.u_star, w_aux)[0]
+    u_q = (None if br is None else quantize_weight(br.u_star, w_aux)
            for br in (layer.branch_smooth, layer.branch_comp))
     return Prepared(*split_columns(batch.data, p),
                     *(layer.w[cols] for cols in (p.c_main, p.c_text, p.c_vision)),
@@ -154,20 +152,20 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
     cws = shift = None
     if br is not None:
         v = br.effective_v()  # feeds both Q and the shift
-        v_q, mask_v = quantize_weight(v, w_aux)
+        v_q = quantize_weight(v, w_aux)
         shift = br.u_star @ v
     main = _path(prep.x_main, prep.w_main, s[p.c_main], layer.act_bits,
                  layer.weight_bits, shift)
     y = main.a @ main.b
     if br is not None:
-        cws = BranchPass(prep.u_cws, v_q, mask_v, main.a @ prep.u_cws)
+        cws = BranchPass(prep.u_cws, v_q, main.a @ prep.u_cws)
         y += cws.h @ cws.v_q
 
     mac = None
     if layer.branch_comp is not None and t_rows.size:
         e_q, mask_e = quantize_act((main.z - main.a)[t_rows], act_aux)
-        v_q, mask_v = quantize_weight(layer.branch_comp.effective_v(), w_aux)
-        mac = BranchPass(prep.u_mac, v_q, mask_v, e_q @ prep.u_mac, mask_e)
+        v_q = quantize_weight(layer.branch_comp.effective_v(), w_aux)
+        mac = BranchPass(prep.u_mac, v_q, e_q @ prep.u_mac, mask_e)
         y[t_rows] += mac.h @ mac.v_q
 
     text = vision = None

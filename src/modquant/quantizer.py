@@ -8,12 +8,14 @@ A bit width is the whole setting, as in SmoothQuant's convention:
 ``quantize_act`` is asymmetric with one scale and zero-point per row (token),
 ``quantize_weight`` symmetric with one scale per column (output channel).
 ``bits=None`` is the identity sentinel used by exact-cancellation tests: the
-quantizer then returns a copy of its input and a mask of all True.
+quantizer then returns a copy of its input (and the act mask all True).
 
 Each quantizer takes a matrix the caller already holds as finite 2-D float64
-(it checks nothing), derives fresh parameters, rounds once, and returns the
-quantized value with its boolean straight-through mask (multiplying by it
-casts True/False to 1.0/0.0, the same bits as a float mask).
+(it checks nothing), derives fresh parameters and rounds once.
+``quantize_act`` returns the value with its boolean straight-through mask
+(multiplying by it casts True/False to 1.0/0.0, the same bits as a float
+mask); ``quantize_weight`` returns the value alone, since no weight code
+leaves [-q_max, q_max] (see ``_weight_params``) and its mask is all True.
 """
 
 from __future__ import annotations
@@ -75,49 +77,49 @@ def _act_params(m: np.ndarray, bits: int):
     return scales, _round_div(lo, scales), 0, levels
 
 
-def _weight_params(m: np.ndarray, bits: int):
-    """(S, None, q_min, q_max) of ``quantize_weight``: one scale per column
-    of a nonempty ``m``, kept 2-D (1 x cols), S = max|m| / q_max floored at
-    the smallest positive normal (1 for an all-zero column); the None
-    zero-point is zero, and the grid [-q_max, q_max] is symmetric."""
+def _weight_params(m: np.ndarray, bits: int) -> np.ndarray:
+    """The scales of ``quantize_weight``: one per column of a nonempty ``m``,
+    kept 2-D (1 x cols), S = max|m| / q_max floored at the smallest positive
+    normal (1 for an all-zero column).  So |m| / S <= q_max (1 + 2^-52),
+    which rounds to at most q_max: no code round(m/S) needs a clamp."""
     q_max = 2 ** (bits - 1) - 1
     hi = np.maximum.reduce(m, axis=0, keepdims=True)
     lo = np.minimum.reduce(m, axis=0, keepdims=True)
     # max |m| = max(max m, -min m), with no |m| copy of the matrix.
     np.negative(lo, out=lo)
     np.maximum(hi, lo, out=hi)
-    return np.where(hi > 0, np.maximum(hi / q_max, _TINY), 1.0), None, -q_max, q_max
+    return np.where(hi > 0, np.maximum(hi / q_max, _TINY), 1.0)
 
 
-def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray | None, q_min: int, q_max: int):
+def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max: int):
     """Q(m) and the straight-through mask from one rounding of m/S, in two
-    buffers.  ``s`` and ``z`` broadcast over ``m``; a None ``z`` is a zero
-    zero-point, of which only the addition is kept: it turns -0.0 into +0.0."""
+    buffers; ``s`` and ``z`` broadcast over ``m``."""
     buf = np.empty(m.shape)
     q = _round_div(m, s, out=buf)
-    q += 0.0 if z is None else z
+    q += z
     np.maximum(q, q_min, out=buf)
     np.minimum(buf, q_max, out=buf)
     mask = buf == q
-    if z is not None:
-        buf -= z
+    buf -= z
     buf *= s
     return buf, mask
 
 
-def _quantize(m: np.ndarray, bits: int | None, params) -> tuple[np.ndarray, np.ndarray]:
-    # The mask is True where round(x/S)+z stays inside [q_min, q_max] and
-    # False where it is clamped; the identity clamps nothing.
+def quantize_act(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Asymmetric fake quantization, one group per row; (value, STE mask),
+    the mask False where round(x/S)+z is clamped."""
     if bits is None or m.size == 0:
         return m.copy(), np.ones(m.shape, dtype=bool)
-    return _round_clamp(m, *params(m, bits))
+    return _round_clamp(m, *_act_params(m, bits))
 
 
-def quantize_act(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Asymmetric fake quantization, one group per row; (value, STE mask)."""
-    return _quantize(m, bits, _act_params)
-
-
-def quantize_weight(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric fake quantization, one group per column; (value, STE mask)."""
-    return _quantize(m, bits, _weight_params)
+def quantize_weight(m: np.ndarray, bits: int | None) -> np.ndarray:
+    """Symmetric fake quantization, one group per column: round(m/S) * S,
+    with no clamp (see ``_weight_params``)."""
+    if bits is None or m.size == 0:
+        return m.copy()
+    s = _weight_params(m, bits)
+    q = _round_div(m, s)
+    q += 0.0  # turns -0.0 into +0.0
+    q *= s
+    return q

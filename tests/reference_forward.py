@@ -18,8 +18,7 @@ def _qa(m, bits):
     return quantize_act(m, bits)[0]
 
 
-def _qw(m, bits):
-    return quantize_weight(m, bits)[0]
+_qw = quantize_weight
 
 
 def _aux(bits):

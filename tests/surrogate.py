@@ -2,11 +2,12 @@
 
 With scales and zero-points held at their base-pass values, the
 straight-through estimator is the exact derivative of the surrogate
-m -> Q(m0) + mask0 * (m - m0) at every quantizer call.  The surrogate loss
-is analytic in the learned parameters, so its complex-step derivative
-Im f(theta + i h e_k) / h is exact to rounding error, with no difference
-taken (Squire & Trapp, SIAM Review 1998): that is the oracle for
-``analytic_gradient``.
+m -> Q(m0) + mask0 * (m - m0) at every activation quantizer call and of
+m -> Q(m0) + (m - m0) at every weight quantizer call, which never clamps.
+The surrogate loss is analytic in the learned parameters, so its
+complex-step derivative Im f(theta + i h e_k) / h is exact to rounding
+error, with no difference taken (Squire & Trapp, SIAM Review 1998): that is
+the oracle for ``analytic_gradient``.
 """
 
 from dataclasses import replace
@@ -48,9 +49,9 @@ def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-30):
 
     def recording(name, real):
         def quantize(m, bits):
-            value, mask = real(m, bits)
-            records.append((name, m.copy(), value, mask))
-            return value, mask
+            out = real(m, bits)
+            records.append((name, m.copy(), out))
+            return out
         return quantize
 
     patch_quantizers(monkeypatch, recording)
@@ -59,9 +60,12 @@ def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-30):
 
     def frozen(name, real):
         def quantize(m, bits):
-            recorded, m0, q0, mask0 = records[len(replay)]
+            recorded, m0, out = records[len(replay)]
             assert recorded == name, "the quantizers were called in another order"
             replay.append(None)
+            if name == "quantize_weight":
+                return out + (m - m0)
+            q0, mask0 = out
             return q0 + mask0 * (m - m0), mask0
         return quantize
 

@@ -15,7 +15,7 @@ from modquant.layer import _path, build_layer, forward, forward_reference, prepa
 from modquant.lowrank import truncated_svd
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import (
-    _act_params, _round_clamp, _weight_params, quantize_act, quantize_weight,
+    _act_params, _round_clamp, _round_div, _weight_params, quantize_act, quantize_weight,
 )
 from modquant.synth import SynthConfig, generate, generate_weight
 from surrogate import gradient_and_oracle
@@ -80,21 +80,25 @@ def test_criterion_2_quantizer_contracts(capsys):
     # Idempotence and the S/2 error bound at the parameters fitted to m.
     rng = np.random.default_rng(1)
     ok = True
-    for quantize, fit, bits in ((quantize_weight, _weight_params, 4),
-                                (quantize_act, _act_params, 4),
-                                (quantize_weight, _weight_params, 16)):
+    for role, bits in (("weight", 4), ("act", 4), ("weight", 16)):
         m = rng.standard_normal((24, 24))
-        params = fit(m, bits)
-        once, _ = _round_clamp(m, *params)
-        ok &= np.array_equal(once, quantize(m, bits)[0])
-        ok &= np.array_equal(once, _round_clamp(once, *params)[0])
+        if role == "weight":
+            scales = _weight_params(m, bits)
+            once = quantize_weight(m, bits)
+            again = _round_div(once, scales) * scales
+        else:
+            params = _act_params(m, bits)
+            scales = params[0]
+            once = quantize_act(m, bits)[0]
+            again = _round_clamp(once, *params)[0]
+        ok &= np.array_equal(once, again)
         err = np.abs(m - once)
-        ok &= bool(np.all(err <= np.max(params[0]) / 2 + 1e-12))
+        ok &= bool(np.all(err <= np.max(scales) / 2 + 1e-12))
     m = rng.uniform(-1, 1, (32, 32))
-    rel16 = np.linalg.norm(m - quantize_weight(m, 16)[0]) / np.linalg.norm(m)
+    rel16 = np.linalg.norm(m - quantize_weight(m, 16)) / np.linalg.norm(m)
     ok &= rel16 < 1e-3
-    for quantize in (quantize_weight, quantize_act):
-        mses = [float(np.mean((m - quantize(m, b)[0]) ** 2)) for b in range(2, 9)]
+    for quantize in (quantize_weight, lambda m, b: quantize_act(m, b)[0]):
+        mses = [float(np.mean((m - quantize(m, b)) ** 2)) for b in range(2, 9)]
         ok &= all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))
     _report(capsys, 2, "quantizer contracts", ok)
 

@@ -1,9 +1,11 @@
 """Uniform affine fake quantization: parameter derivation and round trips of
 the two fixed quantizers, ``quantize_act`` (asymmetric, one group per row)
-and ``quantize_weight`` (symmetric, one group per column), and of their two
-halves: ``_act_params``/``_weight_params`` (per-group scales and zero-points
-and the clamp range) and ``_round_clamp`` (round and clamp at given
-parameters)."""
+and ``quantize_weight`` (symmetric, one group per column), and of their
+halves: ``_act_params`` (per-row scales, zero-points and the clamp range),
+``_weight_params`` (per-column scales) and ``_round_clamp`` (the activation
+quantizer's round and clamp at given parameters).  The weight quantizer has
+no clamp; its invariant, that every code lies in [-q_max, q_max], is tested
+in its place."""
 
 import math
 import sys
@@ -25,13 +27,17 @@ from modquant.quantizer import (
     quantize_weight,
 )
 
-# Each role's quantizer and its parameter half.
-ROLES = {"act": (quantize_act, _act_params), "weight": (quantize_weight, _weight_params)}
+ROLES = ("act", "weight")
 
 
 def _value(m, role, bits):
-    """The quantized value of the role's quantizer, without its mask."""
-    return ROLES[role][0](m, bits)[0]
+    """The quantized value of the role's quantizer (act: without its mask)."""
+    return quantize_act(m, bits)[0] if role == "act" else quantize_weight(m, bits)
+
+
+def _weight_at(m, scales):
+    """The weight quantizer at given scales: round(m/S) * S."""
+    return _round_div(m, scales) * scales
 
 
 def _grid(role, bits):
@@ -46,9 +52,12 @@ class TestSpec:
     """The bit width, the one setting of each quantizer."""
 
     def test_symmetric_range(self):
-        m = np.ones((2, 2))
-        assert _weight_params(m, 8)[2:] == (-127, 127)
-        assert _weight_params(m, 2)[2:] == (-1, 1)
+        # A column whose absmax is q_max has unit scale, and its ends land
+        # on the grid's ends -q_max and q_max.
+        for bits, q_max in ((8, 127.0), (2, 1.0)):
+            m = np.array([[-q_max], [q_max], [0.4]])
+            assert _weight_params(m, bits).tolist() == [[1.0]]
+            assert quantize_weight(m, bits).tolist() == [[-q_max], [q_max], [0.0]]
 
     def test_asymmetric_range(self):
         m = np.ones((2, 2))
@@ -64,8 +73,7 @@ class TestSpec:
     def test_identity_sentinel(self):
         assert check_bits(None) is None
         m = np.arange(6.0).reshape(2, 3)
-        for quantize, _ in ROLES.values():
-            value, _ = quantize(m, None)
+        for value in (quantize_act(m, None)[0], quantize_weight(m, None)):
             assert value is not m
             np.testing.assert_array_equal(value, m)
 
@@ -94,12 +102,11 @@ class TestComputeParams:
     2-D; the oracle below checks the group shape of both roles."""
 
     def test_symmetric_8bit_hand_value(self):
-        scales, zero_points, _, _ = _weight_params(np.array([[-1.0], [0.5]]), 8)
+        scales = _weight_params(np.array([[-1.0], [0.5]]), 8)
         assert scales.tolist() == [[1.0 / 127.0]]
-        assert zero_points is None
 
     def test_all_zero_symmetric(self):
-        scales = _weight_params(np.zeros((2, 2)), 8)[0]
+        scales = _weight_params(np.zeros((2, 2)), 8)
         assert scales.tolist() == [[1.0, 1.0]]
         assert not _value(np.zeros((2, 2)), "weight", 8).any()
 
@@ -116,23 +123,26 @@ class TestComputeParams:
 
 class TestFakeQuantize:
     def test_symmetric_2bit_hand_values(self):
-        out, _ = _round_clamp(np.array([[-5.0, -0.4, 0.6, 5.0]]), np.ones((1, 1)), None, -1, 1)
-        assert out.tolist() == [[-1.0, 0.0, 1.0, 1.0]]
+        # S = 1; -0.4 rounds to -0.0, which the quantizer turns into +0.0.
+        out = quantize_weight(np.array([[-1.0], [-0.4], [0.6], [1.0]]), 2)
+        assert out.tolist() == [[-1.0], [0.0], [1.0], [1.0]]
+        assert not np.signbit(out[1, 0])
 
     def test_grid_points_are_fixed(self):
-        x = np.array([[-1.75, -0.25, 0.0, 0.5, 1.5]])
-        np.testing.assert_array_equal(
-            _round_clamp(x, np.full((1, 1), 0.25), None, *_grid("weight", 4))[0], x)
+        # The absmax 1.75 = q_max S at 4 bits gives S = 0.25 exactly.
+        x = np.array([[-1.75], [-0.25], [0.0], [0.5], [1.5]])
+        np.testing.assert_array_equal(quantize_weight(x, 4), x)
 
     def test_idempotent(self):
         # At fixed parameters a value on the grid stays where it is.
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8))
-        for _, fit in ROLES.values():
-            params = fit(m, 8)
-            once = _round_clamp(m, *params)[0]
-            twice = _round_clamp(once, *params)[0]
-            np.testing.assert_array_equal(once, twice)
+        params = _act_params(m, 8)
+        once = _round_clamp(m, *params)[0]
+        np.testing.assert_array_equal(once, _round_clamp(once, *params)[0])
+        scales = _weight_params(m, 8)
+        once = _weight_at(m, scales)
+        np.testing.assert_array_equal(once, _weight_at(once, scales))
 
     def test_identity_spec_returns_input(self):
         m = np.random.default_rng(4).standard_normal((3, 3))
@@ -156,7 +166,7 @@ class TestFakeQuantize:
     def test_in_range_error_bound(self, m, quantizer):
         # Every value lies in its group's widened range, so none is clamped.
         role, bits = quantizer
-        scales = ROLES[role][1](m, bits)[0]
+        scales = _act_params(m, bits)[0] if role == "act" else _weight_params(m, bits)
         err = np.abs(m - _value(m, role, bits))
         assert np.all(err <= scales / 2 + 1e-12)
 
@@ -170,7 +180,8 @@ class TestFakeQuantize:
 
 
 class TestClampMask:
-    """The straight-through mask that each quantizer returns with its value."""
+    """The straight-through mask that the activation quantizer returns with
+    its value."""
 
     def test_in_and_out_of_range(self):
         # S = 1 and z = round(0.5) = 1, so 2.5 rounds to 3 + 1 = 4 > q_max.
@@ -192,20 +203,20 @@ class TestClampMask:
         assert value.tolist() == [[0.0, 2.0]]
 
     def test_identity_spec_all_ones(self):
-        for quantize, _ in ROLES.values():
-            value, mask = quantize(np.ones((2, 3)), None)
-            assert mask.dtype == bool and mask.tolist() == [[True] * 3] * 2
-            assert value.tolist() == [[1.0] * 3] * 2
+        value, mask = quantize_act(np.ones((2, 3)), None)
+        assert mask.dtype == bool and mask.tolist() == [[True] * 3] * 2
+        assert value.tolist() == [[1.0] * 3] * 2
 
     @pytest.mark.parametrize("spec", [("weight", 8), ("act", 2), ("act", 4), ("weight", 3)])
     def test_value_matches_quantize(self, spec):
         # The value is Q(m) of the textbook formulas, on columns of mixed range.
         role, bits = spec
         m = np.random.default_rng(8).standard_normal((6, 5)) * [1, 10, 0.1, 100, 1]
-        value, mask = ROLES[role][0](m, bits)
         want_value, _ = _textbook(m, *_textbook_params(m, role, bits), role, bits)
-        np.testing.assert_array_equal(value, want_value)
-        assert mask.dtype == bool and mask.shape == m.shape
+        np.testing.assert_array_equal(_value(m, role, bits), want_value)
+        if role == "act":
+            mask = quantize_act(m, bits)[1]
+            assert mask.dtype == bool and mask.shape == m.shape
 
 
 def _textbook_round(x: np.ndarray) -> np.ndarray:
@@ -286,10 +297,11 @@ def _oracle_group(draw, role, bits, size):
 
 
 @st.composite
-def _oracle_cases(draw):
-    """A role, a bit width and a matrix of 1-4 groups of 2-5 values (rows for
-    act, columns for weight), each group from ``_oracle_group``."""
-    role, bits = draw(st.sampled_from(list(ROLES))), draw(st.integers(2, 8))
+def _oracle_cases(draw, roles=ROLES):
+    """A role of ``roles``, a bit width and a matrix of 1-4 groups of 2-5
+    values (rows for act, columns for weight), each group from
+    ``_oracle_group``."""
+    role, bits = draw(st.sampled_from(roles)), draw(st.integers(2, 8))
     groups, size = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     m = np.array([draw(_oracle_group(role, bits, size)) for _ in range(groups)])
     if role == "weight":
@@ -299,16 +311,16 @@ def _oracle_cases(draw):
 
 def _group_params(m, role, bits):
     """The role's parameters of ``m`` as one flat scale and zero-point per
-    group, with the weight's None zero-points as zeros.  It checks their
-    shape (one group per row or per column, kept 2-D) and the clamp range."""
-    scales, zero_points, q_min, q_max = ROLES[role][1](m, bits)
+    group, with zeros as the weight's zero-points.  It checks their shape
+    (one group per row or per column, kept 2-D) and the act clamp range."""
     rows, cols = m.shape
-    assert scales.shape == ((rows, 1) if role == "act" else (1, cols))
-    assert (zero_points is None) == (role == "weight")
-    assert zero_points is None or zero_points.shape == scales.shape
+    if role == "weight":
+        scales = _weight_params(m, bits)
+        assert scales.shape == (1, cols)
+        return scales.reshape(-1), np.zeros(cols)
+    scales, zero_points, q_min, q_max = _act_params(m, bits)
+    assert scales.shape == zero_points.shape == (rows, 1)
     assert (q_min, q_max) == _grid(role, bits)
-    if zero_points is None:
-        zero_points = np.zeros_like(scales)
     return scales.reshape(-1), zero_points.reshape(-1)
 
 
@@ -328,20 +340,121 @@ class TestTextbookOracle:
     @given(_oracle_cases())
     @settings(max_examples=300, deadline=None)
     def test_quantizers_are_bit_exact(self, case):
+        # The textbook weight value clips, the quantizer does not: their
+        # equality is the check that no weight code needs the clip.
         role, bits, m = case
-        value, mask = ROLES[role][0](m, bits)
         want_value, want_mask = _textbook(m, *_group_params(m, role, bits), role, bits)
-        np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
-        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(_value(m, role, bits).view(np.uint64),
+                                      want_value.view(np.uint64))
+        if role == "act":
+            np.testing.assert_array_equal(quantize_act(m, bits)[1], want_mask)
+        else:
+            assert want_mask.all()
 
-    @given(_oracle_cases())
+    @given(_oracle_cases(roles=("act",)))
     @settings(max_examples=100, deadline=None)
     def test_clamped_values_are_bit_exact(self, case):
         # Half the fitted scale pushes the group's ends past the clamp edges.
         role, bits, m = case
-        scales, zero_points, q_min, q_max = ROLES[role][1](m, bits)
+        scales, zero_points, q_min, q_max = _act_params(m, bits)
         value, mask = _round_clamp(m, scales / 2, zero_points, q_min, q_max)
         flat_scales, flat_zero_points = _group_params(m, role, bits)
         want_value, want_mask = _textbook(m, flat_scales / 2, flat_zero_points, role, bits)
         np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
         np.testing.assert_array_equal(mask, want_mask)
+
+
+@st.composite
+def _weight_column(draw, bits, size):
+    """One column of ``size`` values, of one of seven kinds: any finite
+    floats; uniform in [-1, 1] times 10^e, e in [-300, 300]; subnormal
+    entries; magnitudes 1e300 and 1e-300 mixed; one sign only; all zeros of
+    either sign; or on a lattice, each value k or k + 0.5 times a scale
+    (a power of two, or any), with one end at q_max times it."""
+    kind = draw(st.sampled_from(
+        ["any", "magnitude", "subnormal", "mixed", "one-signed", "zeros", "lattice"]))
+
+    def values(elements):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    if kind == "any":
+        return values(st.floats(allow_nan=False, allow_infinity=False))
+    if kind == "magnitude":
+        e = draw(st.integers(-300, 300))
+        return [v * 10.0**e for v in values(st.floats(-1.0, 1.0))]
+    if kind == "subnormal":
+        return [k * 5e-324 for k in values(st.integers(-(2**52) + 1, 2**52 - 1))]
+    if kind == "mixed":
+        return values(st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 0.0]))
+    if kind == "one-signed":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return [sign * abs(v) for v in values(st.floats(allow_nan=False, allow_infinity=False))]
+    if kind == "zeros":
+        return values(st.sampled_from([0.0, -0.0]))
+    q_max = _grid("weight", bits)[1]
+    s = draw(st.one_of(st.integers(-1000, 1000).map(lambda j: 2.0**j), st.floats(1e-300, 1e300)))
+    codes = values(st.integers(-2 * q_max, 2 * q_max).map(lambda h: h / 2))
+    codes[0] = draw(st.sampled_from([-q_max, q_max]))
+    return [c * s for c in draw(st.permutations(codes))]
+
+
+@st.composite
+def _weight_cases(draw):
+    """A bit width in [2, 16] and a matrix of 1-4 columns of 1-6 values, each
+    column from ``_weight_column``."""
+    bits, size = draw(st.integers(2, 16)), draw(st.integers(1, 6))
+    columns = [draw(_weight_column(bits, size)) for _ in range(draw(st.integers(1, 4)))]
+    return bits, np.ascontiguousarray(np.array(columns).T)
+
+
+class TestWeightCodes:
+    """The invariant that stands in for the weight quantizer's clamp."""
+
+    @given(_weight_cases())
+    @example((16, np.array([[1e300, 1e-300], [-1e-300, -1e300], [5e-324, 0.0]])))
+    @example((2, np.array([[5e-324], [-1e-310]])))
+    @example((8, np.array([[0.0], [-0.0]])))
+    @settings(max_examples=500, deadline=None)
+    def test_codes_stay_in_range(self, case):
+        # S = max|m| / q_max puts every code round(m/S) in [-q_max, q_max],
+        # and the quantizer's value is code * S.
+        bits, m = case
+        scales = _weight_params(m, bits)
+        codes = _round_div(m, scales)
+        assert np.abs(codes).max() <= _grid("weight", bits)[1]
+        assert np.array_equal(quantize_weight(m, bits), codes * scales)
+
+
+@st.composite
+def _scalable(draw):
+    """A 1-6 x 1-6 matrix of zeros and values +-f 2^e, f in [1, 2), with e
+    at most 8 below one exponent in [-200, 200]: every scale a 2^k shift,
+    |k| <= 20, can reach stays far from underflow and overflow."""
+    e0 = draw(st.integers(-200, 200))
+    value = st.builds(lambda sign, f, e: sign * f * 2.0**e, st.sampled_from([-1.0, 1.0]),
+                      st.floats(1.0, 2.0, exclude_max=True), st.integers(e0 - 8, e0))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    return draw(arrays(np.float64, shape, elements=st.one_of(st.just(0.0), value)))
+
+
+class TestMetamorphic:
+    """Relations between two calls of one quantizer that hold bit for bit."""
+
+    @given(_scalable(), st.integers(2, 16), st.integers(-20, 20))
+    # Below 1e-12 at first, above it after the shift: an absolute floor on
+    # the scale would show.
+    @example(np.array([[3e-13, -1e-13], [1e-13, 2e-13]]), 8, 20)
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling(self, m, bits, k):
+        # 2^k scales every value, range and scale exactly, and no quotient.
+        c = 2.0**k
+        assert np.array_equal(quantize_act(c * m, bits)[0], c * quantize_act(m, bits)[0])
+        assert np.array_equal(quantize_weight(c * m, bits), c * quantize_weight(m, bits))
+
+    @given(_weight_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_weight_is_odd(self, case):
+        # The scales of -m are those of m, and rounding halves away from
+        # zero is odd; np.array_equal does not see the sign of zero.
+        bits, m = case
+        assert np.array_equal(quantize_weight(-m, bits), -quantize_weight(m, bits))
