@@ -9,16 +9,10 @@ Run with:  python3 demos/02_outlier_selection.py
 
 import numpy as np
 
-from modquant import (
-    MocdConfig,
-    SynthConfig,
-    build_partition,
-    generate,
-    percentile_rank,
-    text_score,
-    vision_score,
-)
-from modquant.calibrate import stability_report
+from modquant import MocdConfig, SynthConfig, build_partition, generate, stability_report
+# The scoring steps trust their input, so the package does not export them;
+# build_partition is the entry point that checks it.
+from modquant.mocd import percentile_rank, text_score, vision_score
 
 cfg = SynthConfig(seed=0)
 batch = generate(cfg)

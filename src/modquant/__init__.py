@@ -1,5 +1,11 @@
 """Channel-splitting post-training fake quantization for linear layers fed
-by modality-heterogeneous (text + vision) activations."""
+by modality-heterogeneous (text + vision) activations.
+
+The package exports the entry points, which check their input, and the
+types they take or return.  The steps behind them (the selection scores,
+the SVD and branch construction, the column split, the quantizers) trust
+their callers and stay in their modules.
+"""
 
 from .calibrate import (
     CalibConfig,
@@ -16,18 +22,8 @@ from .layer import (
     load_layer,
     save_layer,
 )
-from .lowrank import LowRankBranch, SvdFactors, build_branch, truncated_svd
-from .mocd import (
-    ChannelPartition,
-    MocdConfig,
-    build_partition,
-    jaccard,
-    percentile_rank,
-    select_topk,
-    text_score,
-    trivial_partition,
-    vision_score,
-)
+from .lowrank import LowRankBranch
+from .mocd import ChannelPartition, MocdConfig, build_partition, trivial_partition
 from .synth import SynthConfig, generate, generate_weight
 from .tensor import (
     ActivationBatch,
@@ -35,7 +31,6 @@ from .tensor import (
     TensorFormatError,
     load_tensor,
     save_tensor,
-    split_columns,
 )
 
 __version__ = "0.1.0"

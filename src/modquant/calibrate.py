@@ -77,10 +77,6 @@ class LossTrace:
 class NonFiniteLossError(RuntimeError):
     """A non-finite loss, or gradient, at a calibration step."""
 
-    def __init__(self, step: int, quantity: str = "loss"):
-        super().__init__(f"non-finite {quantity} at step {step}")
-        self.step = step
-
 
 def _params(layer: SplitLayer) -> np.ndarray:
     """The learned parameters as one vector: the log-scales in channel order,
@@ -189,10 +185,10 @@ def calibrate(
         loss, grad = ((_loss(current, prep, y_ref)[0], None) if step == last
                       else analytic_gradient(current, prep, y_ref))
         if not np.isfinite(loss):
-            raise NonFiniteLossError(step)
+            raise NonFiniteLossError(f"non-finite loss at step {step}")
         # The clips would turn an infinite entry into a bound, silently.
         if grad is not None and not np.isfinite(grad).all():
-            raise NonFiniteLossError(step, "gradient")
+            raise NonFiniteLossError(f"non-finite gradient at step {step}")
         trace.losses.append(loss)
         if loss < best_loss:
             best_loss = loss
@@ -244,8 +240,6 @@ def stability_report(
     subsets against the reference-size selection.  Ranks are row-local, so
     the text rows of all subsets are ranked once over the reference's
     candidates, and a subset with those candidates reads its rows of them."""
-    if reference_size > batch.data.shape[0]:
-        raise ValueError("reference size exceeds token count")
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
     row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
                  for t in range(1, trials + 1)] for size in subset_sizes]

@@ -35,6 +35,7 @@ from .calibrate import (
     stability_report,
 )
 from .layer import (
+    _is_int,
     build_layer,
     forward,
     forward_reference,
@@ -93,10 +94,6 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_finite_float(v) -> bool:

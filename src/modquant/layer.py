@@ -13,8 +13,9 @@ weight, activation compensation on text-token rows) and sums the paths.  It
 records each path and branch in a frozen ``ForwardPass`` for the calibration
 gradient; an outlier path with no channels and an absent branch are ``None``
 and cost nothing.  With identity quantizers everything cancels and the
-output equals X @ W, the load-bearing correctness oracle.  Shapes are
-checked only where a layer enters, by ``build_layer`` and ``load_layer``.  A
+output equals X @ W, the load-bearing correctness oracle.  Shapes and
+rank ratios are checked only where a layer enters, by ``build_layer`` and
+``load_layer``, so the ``lowrank`` steps check nothing.  A
 layer directory's format has one definition, ``_manifest``: ``save_layer``
 writes it, ``load_layer`` checks the manifest it reads against it.
 """
@@ -201,9 +202,11 @@ def build_layer(
     rank_cws: float = 0.0,
     rank_mac: float = 0.0,
 ) -> SplitLayer:
-    """Assemble a layer: check the bits and widths, init the scales from the
-    calibration activations, and anchor the low-rank branches; every other
-    shape follows.  A branch is built exactly when its rank ratio is positive."""
+    """Assemble a layer: check the bits, widths and rank ratios, init the
+    scales from the calibration activations, and anchor the low-rank
+    branches; every other shape follows.  A branch is built exactly when its
+    rank ratio is positive, and that ratio must be at most 1, on a main path
+    with channels."""
     check_bits(act_bits)
     check_bits(weight_bits)
     w = as_matrix(w)
@@ -215,9 +218,13 @@ def build_layer(
     scale = tr.smoothing_scale(batch.data)
 
     c_main = partition.c_main
-    ranks = {name: lowrank.default_rank(ratio, len(c_main), w.shape[1])
-             for name, ratio in (("branch_smooth", rank_cws), ("branch_comp", rank_mac))
-             if ratio > 0}
+    ratios = {name: ratio for name, ratio in (("branch_smooth", rank_cws),
+                                              ("branch_comp", rank_mac)) if ratio > 0}
+    if ratios and (max(ratios.values()) > 1 or c_main.size == 0):
+        raise ValueError(f"rank ratios must be at most 1, on a main path with channels: "
+                         f"got {ratios} on {c_main.size} main channels")
+    ranks = {name: lowrank.default_rank(ratio, c_main.size, w.shape[1])
+             for name, ratio in ratios.items()}
     branches = {}
     if ranks:
         # One SVD serves both branches: each takes its leading r triplets.
@@ -288,6 +295,7 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
 
 
 def _is_int(v) -> bool:
+    """A JSON integer: an int that is not a bool (the CLI config checks it too)."""
     return isinstance(v, int) and not isinstance(v, bool)
 
 

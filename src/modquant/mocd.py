@@ -8,6 +8,9 @@ variance; in 1-D each cluster is an interval of levels (Ckmeans.1d.dp), so a
 Lloyd step costs O(k^2) per channel, whatever the number of levels.  The
 leftover channels form the modality-compatible main set.  Ranks are
 row-local, so the stability report ranks its subsets' rows once (``_partition``).
+``build_partition`` is the entry point and checks what its steps need; the
+steps (``vision_score``, ``select_topk``, ``percentile_rank``,
+``text_score``, ``jaccard``) state their preconditions and check nothing.
 """
 
 from __future__ import annotations
@@ -74,41 +77,29 @@ class MocdConfig:
 
 
 def vision_score(batch: ActivationBatch) -> np.ndarray:
-    """Per-channel maximum absolute activation over vision tokens."""
-    rows = batch.vision_rows
-    if rows.size == 0:
-        raise ValueError("no vision tokens present")
-    return np.max(np.abs(batch.data[rows]), axis=0)
+    """Per-channel maximum absolute activation over vision tokens; the batch
+    holds at least one."""
+    return np.max(np.abs(batch.data[batch.vision_rows]), axis=0)
 
 
 def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ties to the lower index, sorted ascending."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if k > scores.shape[0]:
-        raise ValueError(f"k={k} exceeds score vector length {scores.shape[0]}")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
+    """Indices of the k largest of a float64 score vector, 0 <= k <= its
+    length, ties to the lower index, sorted ascending."""
     # Stable sort on (-score, index): equal scores keep ascending index order.
     order = np.argsort(-scores, kind="stable")
     return np.sort(order[:k]).astype(np.int64)
 
 
-def percentile_rank(
-    batch: ActivationBatch, candidate_channels: np.ndarray
-) -> np.ndarray:
-    """Within-token rank counts of |activation| over the candidate set.
+def percentile_rank(batch: ActivationBatch, cand: np.ndarray) -> np.ndarray:
+    """Within-token rank counts of |activation| over the candidate channels
+    ``cand``, a nonempty int64 index array, on a batch with a text token.
 
     Returns a (num text tokens) x (num candidates) int64 matrix: each entry
     counts the candidates in its token whose |activation| is <= its own, so
     it lies in 1..C for C candidates (C throughout a constant row), and the
     percentile rank is count / C.
     """
-    cand = np.asarray(candidate_channels, dtype=np.int64)
-    if cand.size == 0:
-        raise ValueError("candidate channel set is empty")
     rows = batch.text_rows
-    if rows.size == 0:
-        raise ValueError("no text tokens present")
     # Each float array is released before the int64 stages, so at most three
     # arrays of the result's size are alive at once.
     a = batch.data[np.ix_(rows, cand)]
@@ -189,14 +180,9 @@ def text_score(ranks: np.ndarray, k: int) -> np.ndarray:
     the column has fewer distinct values.  k-means is exact Lloyd's algorithm:
     np.quantile's centers, each value to its nearest center with ties to the
     lower index, an empty cluster keeps its center, KMEANS_MAX_ITER updates.
+    ``ranks`` holds ``percentile_rank``'s int64 counts and 1 <= k <= tokens.
     """
     tokens, cols = ranks.shape
-    if k < 1:
-        raise ValueError("cluster count must be positive")
-    if k > tokens:
-        raise ValueError("cluster count exceeds number of text tokens")
-    if ranks.dtype.kind not in "iu" or ranks.min() < 1 or ranks.max() > cols:
-        raise ValueError(f"ranks must be integer counts in 1..{cols}")
     flat = (ranks + np.arange(-1, cols * cols - 1, cols)).ravel()
     hist = np.bincount(flat, minlength=cols * cols).reshape(cols, cols)
     k_col = np.minimum(k, np.count_nonzero(hist, axis=1))
@@ -216,10 +202,16 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
 
 
 def _partition(batch: ActivationBatch, cfg: MocdConfig, rank) -> ChannelPartition:
-    """``build_partition`` with the text rank counts from ``rank(batch, remaining)``."""
+    """``build_partition`` with the text rank counts from ``rank(batch, remaining)``.
+    It checks what its steps take on trust: the picks leave the main set at
+    least as large as each outlier set, and each modality with a pick has a
+    token."""
     dim = batch.data.shape[1]
     k_v = cfg.k_vision(dim)
     k_t = cfg.k_text(dim)
+    if dim - k_v - k_t < max(k_v, k_t):
+        raise ValueError(f"picking {k_v} vision and {k_t} text of {dim} channels "
+                         "leaves the main set smaller than an outlier set")
     all_channels = np.arange(dim)
     if k_v > 0:
         if batch.vision_rows.size == 0:

@@ -16,6 +16,9 @@ Each quantizer takes a matrix the caller already holds as finite 2-D float64
 (multiplying by it casts True/False to 1.0/0.0, the same bits as a float
 mask); ``quantize_weight`` returns the value alone, since no weight code
 leaves [-q_max, q_max] (see ``_weight_params``) and its mask is all True.
+Both are total over finite input: in the rare group whose scale times its
+largest code could pass the largest float, the value is clamped to +-max
+float (``_times_scale``), never inf.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
+_MAX = np.finfo(np.float64).max
 
 
 def check_bits(bits: int | None) -> int | None:
@@ -91,6 +95,20 @@ def _weight_params(m: np.ndarray, bits: int) -> np.ndarray:
     return np.where(hi > 0, np.maximum(hi / q_max, _TINY), 1.0)
 
 
+def _times_scale(q: np.ndarray, s: np.ndarray, top: int) -> np.ndarray:
+    """q *= s in place, for integer codes |q| < ``top``.  Where S <= max
+    float / top, |q| S stays below the largest float, rounding included;
+    the other groups, found from the scales alone, are clamped to +-max
+    float, so a finite input never quantizes to inf."""
+    big = s > _MAX / top
+    if not np.count_nonzero(big):
+        q *= s
+        return q
+    with np.errstate(over="ignore"):
+        q *= s
+    return np.clip(q, -_MAX, _MAX, out=q, where=big)
+
+
 def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max: int):
     """Q(m) and the straight-through mask from one rounding of m/S, in two
     buffers; ``s`` and ``z`` broadcast over ``m``."""
@@ -101,8 +119,8 @@ def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max:
     np.minimum(buf, q_max, out=buf)
     mask = buf == q
     buf -= z
-    buf *= s
-    return buf, mask
+    # z lies in [q_min, q_max], so every code q - z within q_max - q_min of 0.
+    return _times_scale(buf, s, q_max - q_min + 1), mask
 
 
 def quantize_act(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -121,5 +139,4 @@ def quantize_weight(m: np.ndarray, bits: int | None) -> np.ndarray:
     s = _weight_params(m, bits)
     q = _round_div(m, s)
     q += 0.0  # turns -0.0 into +0.0
-    q *= s
-    return q
+    return _times_scale(q, s, 2 ** (bits - 1))

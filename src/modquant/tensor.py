@@ -1,9 +1,10 @@
 """Dense matrix helpers, activation batches, and the binary tensor-dump format.
 
-Matrices are plain 2-D float64 numpy arrays throughout the library.  The
-helpers here validate shapes and finiteness, split columns by a channel
-partition, and read/write the "SPQT" dump format used to move
-calibration data between commands.
+Matrices are plain 2-D float64 numpy arrays throughout the library.  Data
+is checked where it enters: ``as_matrix`` and ``ActivationBatch`` validate
+shapes and finiteness, and the loaders the "SPQT" dump format used to move
+calibration data between commands.  ``split_columns``, which splits a
+checked matrix by a channel partition, checks only that their widths match.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class ActivationBatch:
 
 
 def split_columns(x: np.ndarray, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather columns into (main, text, vision) groups in ascending index order."""
-    x = as_matrix(x)
+    """Gather the columns of a 2-D float64 ``x`` into (main, text, vision)
+    groups in ascending index order.  The width check is ``forward``'s check
+    of its batch."""
     if partition.dim != x.shape[1]:
         raise ValueError(
             f"partition covers {partition.dim} channels, matrix has {x.shape[1]}"

@@ -243,6 +243,13 @@ class TestStratifiedSubset:
         assert np.sum(tags == 0) == 30
         assert np.sum(tags == 1) == 10
 
+    def test_forces_one_vision_token(self):
+        # 4 * 15/16 rounds to 4 text tokens, so the subset trades one of them
+        # for the batch's one vision token.
+        batch = ActivationBatch(np.zeros((16, 2)), [0] * 15 + [1])
+        rows = _stratified_subset(np.random.default_rng(0), batch, 4)
+        assert batch.tags[rows].tolist() == [0, 0, 0, 1]
+
     def test_rejects_oversized_subset(self):
         batch = generate(
             SynthConfig(

@@ -386,12 +386,20 @@ class TestErrorExits:
         # A one-token subset holds a text token whenever the batch has one.
         ("stability", {"subset_sizes": [1]}, None, EXIT_DATA,
          "data error: a subset of size 1 has no vision token, but the vision ratio is nonzero"),
+        ("select", {}, {"tokens_text": 0}, EXIT_DATA,
+         "data error: nonzero text ratio but no text tokens"),
+        # One channel cannot hold a vision pick, a text pick and a main set.
+        *((command, {"ratio_vision": 0.5, "ratio_text": 0.5},
+           {"dim": 1, "vision_outliers": [], "text_outliers": []}, EXIT_DATA,
+           "data error: picking 1 vision and 1 text of 1 channels leaves the main set "
+           "smaller than an outlier set") for command in ("select", "stability")),
     ], ids=["steps-str", "trials-str", "abits-1", "wbits-17", "ratio-0.6", "clusters-0",
             "rank-mac-bool", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
             "manifest-key", "manifest-deep", "manifest-not-utf8", "batch-width-32", "d-out-0",
             "dim-0", "tokens-text-neg", "instability-2", "outlier-999", "config-deep",
-            "config-not-utf8", "subset-1-no-vision"])
+            "config-not-utf8", "subset-1-no-vision", "select-no-text", "select-dim-1",
+            "stability-dim-1"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, manifest_edit, expected, prefix
     ):
@@ -810,8 +818,8 @@ class TestFlags:
 
 class TestAblation:
     @pytest.mark.parametrize("weights,expected", [
-        (None, EXIT_USAGE), ("missing", EXIT_DATA), ("short", EXIT_DATA),
-    ], ids=["unset", "missing", "short"])
+        (None, EXIT_USAGE), ("missing", EXIT_DATA), ("short", EXIT_DATA), ("batch", EXIT_DATA),
+    ], ids=["unset", "missing", "short", "batch"])
     def test_weight_error_writes_no_output(self, small, tmp_path, weights, expected):
         # The weight is read and checked before eval writes its report.
         argv = ["eval", "--ablation", "--config", small["config"],
@@ -821,6 +829,8 @@ class TestAblation:
             path = tmp_path / f"{weights}.spqt"
             if weights == "short":  # one row fewer than the batch has channels
                 save_tensor(str(path), load_tensor(small["weights"])[:-1])
+            elif weights == "batch":  # an activation batch, not a matrix
+                save_tensor(str(path), load_tensor(small["activations"]))
             argv += ["--weights", str(path)]
         rc, err = run_captured(argv)
         assert rc == expected and "Traceback" not in err
@@ -838,8 +848,11 @@ class TestAblation:
         assert rc == EXIT_OK and len(built) == 1
 
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_rows_equal_separately_built_layers(self, tmp_path, seed):
+    @pytest.mark.parametrize("seed,other_weight", [
+        pytest.param(0, False, id="0"), pytest.param(5, False, id="5"),
+        pytest.param(0, True, id="other-weight"),
+    ])
+    def test_rows_equal_separately_built_layers(self, tmp_path, seed, other_weight):
         # Each row is the eval MSE of a layer built and calibrated for that
         # row alone, the way the rows were computed before they were taken
         # from the calibrations' best losses.
@@ -848,8 +861,14 @@ class TestAblation:
         flags = ["--config", str(config), "--activations", str(tmp_path / "activations.spqt"),
                  "--weights", str(tmp_path / "weights.spqt"),
                  "--layer-dir", str(tmp_path / "layer"), "--out", str(tmp_path)]
-        for command in (["gen"], ["calibrate"], ["eval", "--ablation"]):
+        for command in (["gen"], ["calibrate"]):
             assert run_captured([*command, *flags]) == (EXIT_OK, "")
+        if other_weight:
+            # The layer was calibrated on gen's weight and the ablation reads
+            # another, so its rows need that weight's X @ W, not the layer's.
+            save_tensor(str(tmp_path / "weights.spqt"),
+                        synth.generate_weight(SMALL["dim"], SMALL["d_out"], seed=seed + 1))
+        assert run_captured(["eval", "--ablation", *flags]) == (EXIT_OK, "")
         lines = (tmp_path / "ablation.csv").read_text().splitlines()[2:]
         rows = dict(line.split(",") for line in lines)
 

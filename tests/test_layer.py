@@ -162,6 +162,31 @@ class TestReferenceForward:
         assert np.all(err <= 1e-12 * sum(np.abs(t) for t in terms))
 
 
+class TestPermutation:
+    @given(_forward_cases(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_permuting_channels_and_weight_rows_keeps_the_output(self, case, random):
+        # Channel j of the permuted layer is channel perm[j]: X's columns,
+        # W's rows, the scales and the partition move together, and each
+        # branch's rows follow its main channels' new order.  Every group
+        # the quantizers see keeps its values, so only the sums' order moves.
+        layer, batch = case
+        p = layer.partition
+        perm = np.array(random.sample(range(p.dim), p.dim))
+        where = np.argsort(perm)
+        moved = ChannelPartition(*(np.sort(where[c]) for c in (p.c_main, p.c_text, p.c_vision)),
+                                 p.dim)
+        rows = np.argsort(where[p.c_main])
+        branches = {name: dataclasses.replace(br, u_star=br.u_star[rows])
+                    for name in ("branch_smooth", "branch_comp")
+                    if (br := getattr(layer, name)) is not None}
+        permuted = dataclasses.replace(layer, partition=moved, w=layer.w[perm],
+                                       scale=layer.scale[perm], **branches)
+        y = forward(permuted, ActivationBatch(batch.data[:, perm], batch.tags))
+        terms = reference_terms(layer, batch)
+        assert np.all(np.abs(y - forward(layer, batch)) <= 1e-12 * sum(np.abs(t) for t in terms))
+
+
 class TestForwardPass:
     def test_empty_paths_do_no_work(self, monkeypatch):
         # On a trivial partition without branches only the main path's
@@ -235,6 +260,19 @@ class TestValidation:
         batch, w, part = _instance(0)
         with pytest.raises(ValueError, match=r"weight has no columns \(d_out 0\)"):
             build_layer(w[:, :0], batch, part, 4, 4, rank_cws=rank, rank_mac=rank)
+
+    def test_rank_ratio_above_one(self):
+        # The SVD and branch steps trust the ranks that build_layer derives.
+        batch, w, part = _instance(0)
+        for ratios in ((1.5, 0.0), (0.0, 1.0 + 1e-9)):
+            with pytest.raises(ValueError, match="rank ratios must be at most 1"):
+                build_layer(w, batch, part, 4, 4, *ratios)
+
+    def test_branch_needs_main_channels(self):
+        batch, part = ActivationBatch(np.ones((2, 0)), [0, 1]), trivial_partition(0)
+        assert build_layer(np.ones((0, 3)), batch, part, 4, 4).branch_smooth is None
+        with pytest.raises(ValueError, match="on a main path with channels"):
+            build_layer(np.ones((0, 3)), batch, part, 4, 4, rank_cws=0.5)
 
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)

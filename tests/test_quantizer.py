@@ -28,6 +28,7 @@ from modquant.quantizer import (
 )
 
 ROLES = ("act", "weight")
+_MAX = sys.float_info.max
 
 
 def _value(m, role, bits):
@@ -417,12 +418,15 @@ class TestWeightCodes:
     @settings(max_examples=500, deadline=None)
     def test_codes_stay_in_range(self, case):
         # S = max|m| / q_max puts every code round(m/S) in [-q_max, q_max],
-        # and the quantizer's value is code * S.
+        # and the quantizer's value is code * S, clamped to the largest
+        # float where that product rounds past it.
         bits, m = case
         scales = _weight_params(m, bits)
         codes = _round_div(m, scales)
         assert np.abs(codes).max() <= _grid("weight", bits)[1]
-        assert np.array_equal(quantize_weight(m, bits), codes * scales)
+        with np.errstate(over="ignore"):
+            product = codes * scales
+        assert np.array_equal(quantize_weight(m, bits), np.clip(product, -_MAX, _MAX))
 
 
 @st.composite
@@ -458,3 +462,25 @@ class TestMetamorphic:
         # zero is odd; np.array_equal does not see the sign of zero.
         bits, m = case
         assert np.array_equal(quantize_weight(-m, bits), -quantize_weight(m, bits))
+
+
+class TestFiniteOutput:
+    """Both quantizers are total over finite input: no value is inf."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([_MAX, -_MAX, 1e308, -1e308])),
+           st.integers(2, 16))
+    # q_max S and (levels - z) S round past the largest float: both
+    # quantizers gave inf here before their products were clamped.
+    @example(np.array([[_MAX], [1.0]]), 3)
+    @example(np.array([[_MAX], [1.0]]), 16)
+    @example(np.array([[_MAX, 1.0]]), 2)
+    @example(np.array([[_MAX, -_MAX]]), 8)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_input_gives_finite_output(self, m, bits):
+        # Each matrix is quantized as it is and transposed, so a row of the
+        # activation quantizer is also a column of the weight quantizer.
+        for x in (m, np.ascontiguousarray(m.T)):
+            assert np.isfinite(quantize_act(x, bits)[0]).all()
+            assert np.isfinite(quantize_weight(x, bits)).all()
