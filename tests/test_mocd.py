@@ -38,6 +38,34 @@ def _batch(text, vision):
     return ActivationBatch(data, tags)
 
 
+def _partition_checking(step, precondition, batch, cfg):
+    """``build_partition`` with the step ``step`` wrapped to assert
+    ``precondition`` on its arguments.  Returns the partition, or None when
+    build_partition rejects picks that cannot fit, its one allowed error."""
+    real = getattr(mocd, step)
+
+    def checked(*args):
+        assert precondition(*args), f"{step} called outside its precondition"
+        return real(*args)
+
+    with mock.patch.object(mocd, step, checked):
+        try:
+            return build_partition(batch, cfg)
+        except ValueError as e:
+            assert "main set smaller than an outlier set" in str(e)
+            return None
+
+
+# A batch of `dim` channels with two tokens per modality, and ratios in
+# eighths, which cover every pick count of up to half the channels.
+_picks = st.tuples(st.integers(1, 8), st.integers(0, 4), st.integers(0, 4))
+
+
+def _picks_case(dim, eighths_v, eighths_t):
+    data = np.random.default_rng(dim).standard_normal((4, dim))
+    return ActivationBatch(data, [0, 0, 1, 1]), MocdConfig(eighths_v / 8, eighths_t / 8)
+
+
 class TestPartitionValidation:
     def test_trivial(self):
         p = trivial_partition(4)
@@ -89,6 +117,14 @@ class TestVisionScore:
         b = _batch([[1.0, 1.0]], [[0.0, 0.0]])
         assert not vision_score(b).any()
 
+    def test_no_vision_tokens(self):
+        # vision_score trusts that the batch has a vision row: build_partition
+        # rejects a vision pick on a batch without one before it scores.
+        b = ActivationBatch(np.ones((2, 2)), [0, 0])
+        with mock.patch.object(mocd, "vision_score", side_effect=AssertionError("scored")):
+            with pytest.raises(ValueError, match="vision"):
+                build_partition(b, MocdConfig(ratio_vision=0.5, ratio_text=0.0))
+
 
 class TestTopK:
     def test_tie_resolved_by_lower_index(self):
@@ -99,6 +135,15 @@ class TestTopK:
 
     def test_k_full(self):
         assert select_topk(np.array([1.0, 2.0, 0.5]), 3).tolist() == [0, 1, 2]
+
+    @given(_picks)
+    @example((1, 4, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_k_too_large(self, picks):
+        # select_topk trusts that k fits its scores: build_partition never
+        # asks for more, since it rejects picks that cannot fit first.
+        _partition_checking("select_topk", lambda scores, k: 0 <= k <= scores.size,
+                            *_picks_case(*picks))
 
     def test_result_sorted_ascending(self):
         got = select_topk(np.array([0.1, 5.0, 0.2, 4.0, 3.0]), 3)
@@ -125,6 +170,15 @@ class TestPercentileRank:
         b = ActivationBatch(np.concatenate([data, data]), [0] * 5 + [1] * 5)
         ranks = percentile_rank(b, np.arange(6))
         np.testing.assert_array_equal(ranks[:, 2], np.full(5, 6))
+
+    @given(_picks)
+    @example((1, 4, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_empty_candidates(self, picks):
+        # percentile_rank trusts that its candidate set is nonempty:
+        # build_partition rejects picks that would leave none before it ranks.
+        _partition_checking("percentile_rank", lambda batch, cand: cand.size > 0,
+                            *_picks_case(*picks))
 
     def test_peak_memory_is_a_few_results(self):
         # The float copies are released before the int64 stages, so the peak
