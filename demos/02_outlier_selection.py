@@ -18,8 +18,8 @@ cfg = SynthConfig(seed=0)
 batch = generate(cfg)
 print(f"batch: {batch.data.shape[0]} tokens x {batch.data.shape[1]} channels "
       f"({batch.text_rows.size} text, {batch.vision_rows.size} vision)")
-print("planted vision channels:", cfg.vision_outlier_channels)
-print("planted text channels:  ", cfg.text_outlier_channels)
+print("planted vision channels:", cfg.vision_outliers)
+print("planted text channels:  ", cfg.text_outliers)
 
 # ---------------------------------------------------------------------------
 # Vision score: per-channel max |activation| over vision tokens.  The

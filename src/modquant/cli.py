@@ -4,8 +4,11 @@ Every command is a deterministic function of its input files, flags, and
 seed; re-running with identical inputs produces byte-identical outputs.
 Each ``RunConfig`` field can come from a JSON file (--config, unknown keys
 rejected) or from its flag, which wins: ``--field-with-dashes``; a list flag
-takes space-separated ints.  A zero size turns its part off: zero ratios
-give no channel split, and a zero ``--rank-cws`` or ``--rank-mac`` no branch.
+takes space-separated ints.  A field that feeds a library config
+(``MocdConfig``, ``CalibConfig``, ``SynthConfig``) has that config's field
+name and default, and ``_config`` builds the config from those fields.  A
+zero size turns its part off: zero ratios give no channel split, and a zero
+``--rank-cws`` or ``--rank-mac`` no branch.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/format error (including
 OS and memory errors), 3 numerical failure.
@@ -58,8 +61,8 @@ class ConfigError(ValueError):
     pass
 
 
-# A field that feeds a library config takes its default from that config's
-# class, so each default is written once.
+# A field that feeds a library config has that config's field name and takes
+# its default from that config's class, so each default is written once.
 @dataclasses.dataclass
 class RunConfig:
     activations: str | None = None
@@ -71,7 +74,7 @@ class RunConfig:
     abits: int = 4
     ratio_vision: float = DEFAULT_RATIO
     ratio_text: float = DEFAULT_RATIO
-    clusters: int = MocdConfig.clusters_k
+    clusters: int = MocdConfig.clusters
     rank_cws: float = 0.02
     rank_mac: float = 0.03
     steps: int = CalibConfig.steps
@@ -82,10 +85,10 @@ class RunConfig:
     dim: int = synth.SynthConfig.dim
     d_out: int = 64
     vision_outliers: list[int] = dataclasses.field(
-        default_factory=lambda: list(synth.SynthConfig.vision_outlier_channels))
+        default_factory=lambda: list(synth.SynthConfig.vision_outliers))
     text_outliers: list[int] = dataclasses.field(
-        default_factory=lambda: list(synth.SynthConfig.text_outlier_channels))
-    vision_scale: float = synth.SynthConfig.vision_outlier_scale
+        default_factory=lambda: list(synth.SynthConfig.text_outliers))
+    vision_scale: float = synth.SynthConfig.vision_scale
     text_instability: float = synth.SynthConfig.text_instability
     # stability report
     subset_sizes: list[int] = dataclasses.field(default_factory=lambda: [32, 64])
@@ -162,8 +165,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"{key} must be {domain}, got {getattr(cfg, key)!r}")
     try:
         _quant_bits(cfg)
-        _mocd_config(cfg)
-        _calib_config(cfg)
+        _config(MocdConfig, cfg)
+        _config(CalibConfig, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -174,29 +177,11 @@ def _quant_bits(cfg: RunConfig) -> tuple[int | None, int | None]:
     return tuple(check_bits(None if b == 0 else b) for b in (cfg.abits, cfg.wbits))
 
 
-def _mocd_config(cfg: RunConfig) -> MocdConfig:
-    return MocdConfig(
-        ratio_vision=cfg.ratio_vision,
-        ratio_text=cfg.ratio_text,
-        clusters_k=cfg.clusters,
-    )
-
-
-def _calib_config(cfg: RunConfig) -> CalibConfig:
-    return CalibConfig(steps=cfg.steps, learning_rate=cfg.learning_rate)
-
-
-def _synth_config(cfg: RunConfig) -> synth.SynthConfig:
-    return synth.SynthConfig(
-        tokens_text=cfg.tokens_text,
-        tokens_vision=cfg.tokens_vision,
-        dim=cfg.dim,
-        vision_outlier_channels=tuple(cfg.vision_outliers),
-        text_outlier_channels=tuple(cfg.text_outliers),
-        vision_outlier_scale=cfg.vision_scale,
-        text_instability=cfg.text_instability,
-        seed=cfg.seed,
-    )
+def _config(cls, cfg: RunConfig):
+    """A ``cls`` whose every field takes the ``cfg`` field of the same name;
+    lists become tuples, so ``_config(cls, RunConfig()) == cls()``."""
+    return cls(**{f.name: tuple(v) if isinstance(v := getattr(cfg, f.name), list) else v
+                  for f in dataclasses.fields(cls)})
 
 
 def _load_batch(path: str | None) -> ActivationBatch:
@@ -233,7 +218,7 @@ def _fmt(v) -> str:
 def cmd_gen(cfg: RunConfig) -> int:
     try:  # the planted channels, instability and token count are config values
         with np.errstate(over="raise"):
-            batch = synth.generate(_synth_config(cfg))
+            batch = synth.generate(_config(synth.SynthConfig, cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except FloatingPointError as exc:  # vision_scale is the one unbounded input
@@ -248,7 +233,7 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def cmd_select(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
-    partition = build_partition(batch, _mocd_config(cfg))
+    partition = build_partition(batch, _config(MocdConfig, cfg))
     # initial=0.0 gives an absent modality 0.0 in every channel.
     t_max, v_max = (np.max(np.abs(batch.data[rows]), axis=0, initial=0.0)
                     for rows in (batch.text_rows, batch.vision_rows))
@@ -275,14 +260,14 @@ def cmd_select(cfg: RunConfig) -> int:
 
 
 def _build(cfg: RunConfig, batch, w):
-    return build_layer(w, batch, build_partition(batch, _mocd_config(cfg)),
+    return build_layer(w, batch, build_partition(batch, _config(MocdConfig, cfg)),
                        *_quant_bits(cfg), cfg.rank_cws, cfg.rank_mac)
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
     w = _load_weight(cfg.weights)
-    layer, trace = calibrate(_build(cfg, batch, w), batch, _calib_config(cfg))
+    layer, trace = calibrate(_build(cfg, batch, w), batch, _config(CalibConfig, cfg))
     layer_dir = cfg.layer_dir or os.path.join(cfg.out, "layer")
     save_layer(layer, layer_dir)
     _write_csv(cfg, "loss_trace.csv", ["step", "loss"], enumerate(trace.losses))
@@ -344,7 +329,7 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
         # The layer is most often this weight's calibration: reuse its X @ W.
         if not np.array_equal(w, layer.w):
             y_ref = forward_reference(w, batch)
-        calib = _calib_config(cfg)
+        calib = _config(CalibConfig, cfg)
         rows = [(name, calibrate(lay, batch, calib, y_ref=y_ref)[1].best_loss)
                 for name, lay in grid]
         _write_csv(cfg, "ablation.csv", ["config", "mse"], rows)
@@ -354,7 +339,7 @@ def cmd_eval(cfg: RunConfig, ablation: bool = False) -> int:
 def cmd_stability(cfg: RunConfig) -> int:
     batch = _load_batch(cfg.activations)
     report = stability_report(
-        batch, _mocd_config(cfg), cfg.subset_sizes,
+        batch, _config(MocdConfig, cfg), cfg.subset_sizes,
         min(cfg.reference_size, batch.data.shape[0]),
         cfg.trials, seed=cfg.seed,
     )

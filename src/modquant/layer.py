@@ -31,7 +31,7 @@ import numpy as np
 from . import lowrank, transform as tr
 from .mocd import ChannelPartition
 from .quantizer import check_bits, quantize_act, quantize_weight
-from .tensor import ActivationBatch, as_matrix, load_matrix, save_tensor, split_columns
+from .tensor import ActivationBatch, as_matrix, load_matrix, save_tensor
 
 # Fewest bits of the outlier paths' and the low-rank branches' quantizers.
 AUX_BITS_FLOOR = 4
@@ -125,14 +125,18 @@ class Prepared:
 
 
 def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
-    """The layer's ``Prepared`` record; ``split_columns`` checks the batch width."""
+    """The layer's ``Prepared`` record; this is ``forward``'s batch width check."""
     p = layer.partition
+    if p.dim != batch.data.shape[1]:
+        raise ValueError(f"partition covers {p.dim} channels, matrix has {batch.data.shape[1]}")
+    paths = (p.c_main, p.c_text, p.c_vision)
     w_aux = _aux_bits(layer.weight_bits)
     u_q = (None if br is None else quantize_weight(br.u_star, w_aux)
            for br in (layer.branch_smooth, layer.branch_comp))
-    return Prepared(*split_columns(batch.data, p),
-                    *(layer.w[cols] for cols in (p.c_main, p.c_text, p.c_vision)),
-                    batch.text_rows, *u_q)
+    # Column gathers come back Fortran-ordered; downstream products expect
+    # C order (BLAS picks another kernel, and rounding, for the other).
+    return Prepared(*(np.ascontiguousarray(batch.data[:, cols]) for cols in paths),
+                    *(layer.w[cols] for cols in paths), batch.text_rows, *u_q)
 
 
 def forward_with_cache(layer: SplitLayer, prep: Prepared):
@@ -205,8 +209,7 @@ def build_layer(
     """Assemble a layer: check the bits, widths and rank ratios, init the
     scales from the calibration activations, and anchor the low-rank
     branches; every other shape follows.  A branch is built exactly when its
-    rank ratio is positive, and that ratio must be at most 1, on a main path
-    with channels."""
+    rank ratio is positive, and that ratio must be at most 1."""
     check_bits(act_bits)
     check_bits(weight_bits)
     w = as_matrix(w)
@@ -220,9 +223,8 @@ def build_layer(
     c_main = partition.c_main
     ratios = {name: ratio for name, ratio in (("branch_smooth", rank_cws),
                                               ("branch_comp", rank_mac)) if ratio > 0}
-    if ratios and (max(ratios.values()) > 1 or c_main.size == 0):
-        raise ValueError(f"rank ratios must be at most 1, on a main path with channels: "
-                         f"got {ratios} on {c_main.size} main channels")
+    if max(ratios.values(), default=0) > 1:
+        raise ValueError(f"rank ratios must be at most 1, got {ratios}")
     ranks = {name: lowrank.default_rank(ratio, c_main.size, w.shape[1])
              for name, ratio in ratios.items()}
     branches = {}
@@ -312,8 +314,7 @@ def _has_bits(v) -> bool:
 
 # The manifest's values that come from the layer, each with its type check.
 _TYPED_KEYS = {
-    "dim": (_is_int, "an int"),
-    "d_out": (lambda v: _is_int(v) and v > 0, "a positive int"),
+    **dict.fromkeys(("dim", "d_out"), (lambda v: _is_int(v) and v > 0, "a positive int")),
     "partition": (_is_partition, "a dict of three channel index lists"),
     **dict.fromkeys(_ROLES, (_has_bits, "a dict of int-or-null bits")),
     **dict.fromkeys(_BRANCHES.values(), (lambda v: isinstance(v, bool), "a bool")),
@@ -323,7 +324,7 @@ _TYPED_KEYS = {
 def load_layer(manifest_path: str) -> SplitLayer:
     """Load a layer written by ``save_layer``, checking every shape.
 
-    Before any tensor is opened, the typed keys (``dim``, a positive
+    Before any tensor is opened, the typed keys (a positive ``dim`` and
     ``d_out``, ``partition``, each role's ``bits``, ``use_cws``, ``use_mac``)
     are checked, and every key that ``_manifest`` writes for them must match;
     other keys are ignored, and only its fixed file names are read.  Each

@@ -59,15 +59,15 @@ def trivial_partition(dim: int) -> ChannelPartition:
 class MocdConfig:
     ratio_vision: float = DEFAULT_RATIO
     ratio_text: float = DEFAULT_RATIO
-    clusters_k: int = 3
+    clusters: int = 3
 
     def __post_init__(self):
         for name in ("ratio_vision", "ratio_text"):
             r = getattr(self, name)
             if not 0.0 <= r <= 0.5:
                 raise ValueError(f"{name} must be in [0, 0.5], got {r}")
-        if self.clusters_k < 1:
-            raise ValueError("clusters_k must be positive")
+        if self.clusters < 1:
+            raise ValueError("clusters must be positive")
 
     def k_vision(self, dim: int) -> int:
         return int(np.floor(self.ratio_vision * dim + 0.5))
@@ -224,7 +224,7 @@ def _partition(batch: ActivationBatch, cfg: MocdConfig, rank) -> ChannelPartitio
         if batch.text_rows.size == 0:
             raise ValueError("nonzero text ratio but no text tokens")
         ranks = rank(batch, remaining)
-        scores = text_score(ranks, min(cfg.clusters_k, ranks.shape[0]))
+        scores = text_score(ranks, min(cfg.clusters, ranks.shape[0]))
         c_text = remaining[select_topk(scores, k_t)]
     else:
         c_text = np.empty(0, dtype=np.int64)

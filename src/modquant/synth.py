@@ -38,15 +38,15 @@ class SynthConfig:
     tokens_text: int = 64
     tokens_vision: int = 64
     dim: int = 64
-    vision_outlier_channels: tuple[int, ...] = (3, 9)
-    text_outlier_channels: tuple[int, ...] = (17, 42)
-    vision_outlier_scale: float = 100.0
+    vision_outliers: tuple[int, ...] = (3, 9)
+    text_outliers: tuple[int, ...] = (17, 42)
+    vision_scale: float = 100.0
     text_instability: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
-        v = set(self.vision_outlier_channels)
-        t = set(self.text_outlier_channels)
+        v = set(self.vision_outliers)
+        t = set(self.text_outliers)
         if v & t:
             raise ValueError("planted channel sets overlap")
         for c in v | t:
@@ -66,8 +66,8 @@ def generate(cfg: SynthConfig) -> ActivationBatch:
 
     vision = rng.standard_normal((cfg.tokens_vision, dim))
     vision *= chan_scale[np.newaxis, :]
-    for c in cfg.vision_outlier_channels:
-        vision[:, c] = rng.standard_normal(cfg.tokens_vision) * cfg.vision_outlier_scale
+    for c in cfg.vision_outliers:
+        vision[:, c] = rng.standard_normal(cfg.tokens_vision) * cfg.vision_scale
 
     # Text rows: each stable channel holds a fixed magnitude level with small
     # log-jitter and random sign, so its within-token rank is consistent.
@@ -75,7 +75,7 @@ def generate(cfg: SynthConfig) -> ActivationBatch:
     jitter = np.exp(TEXT_JITTER_SIGMA * rng.standard_normal((cfg.tokens_text, dim)))
     signs = rng.choice([-1.0, 1.0], (cfg.tokens_text, dim))
     text = level[np.newaxis, :] * jitter * signs
-    for c in cfg.text_outlier_channels:
+    for c in cfg.text_outliers:
         flips = rng.random(cfg.tokens_text) < cfg.text_instability
         high = (np.exp(rng.uniform(np.log(TEXT_HIGH_LO), np.log(TEXT_HIGH_HI),
                                    cfg.tokens_text))

@@ -3,8 +3,7 @@
 Matrices are plain 2-D float64 numpy arrays throughout the library.  Data
 is checked where it enters: ``as_matrix`` and ``ActivationBatch`` validate
 shapes and finiteness, and the loaders the "SPQT" dump format used to move
-calibration data between commands.  ``split_columns``, which splits a
-checked matrix by a channel partition, checks only that their widths match.
+calibration data between commands.
 """
 
 from __future__ import annotations
@@ -48,7 +47,8 @@ class ActivationBatch:
     """Token-by-channel activations plus a per-token modality tag.
 
     ``data`` is T x D, ``tags`` has length T with values from ModalityTag.
-    Either modality may be empty, but the batch holds at least one token.
+    Either modality may be empty, but the batch holds at least one token and
+    one channel.
     """
 
     data: np.ndarray
@@ -63,6 +63,8 @@ class ActivationBatch:
             raise ValueError("tag-length mismatch")
         if self.data.shape[0] < 1:
             raise ValueError("batch must contain at least one token")
+        if self.data.shape[1] < 1:
+            raise ValueError("batch must have at least one channel")
         if not np.all((tags == ModalityTag.TEXT) | (tags == ModalityTag.VISION)):
             raise ValueError("tags must be 0 (text) or 1 (vision)")
         object.__setattr__(self, "tags", tags)
@@ -74,22 +76,6 @@ class ActivationBatch:
     @property
     def vision_rows(self) -> np.ndarray:
         return np.flatnonzero(self.tags == ModalityTag.VISION)
-
-
-def split_columns(x: np.ndarray, partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather the columns of a 2-D float64 ``x`` into (main, text, vision)
-    groups in ascending index order.  The width check is ``forward``'s check
-    of its batch."""
-    if partition.dim != x.shape[1]:
-        raise ValueError(
-            f"partition covers {partition.dim} channels, matrix has {x.shape[1]}"
-        )
-    # Column gathers come back Fortran-ordered; downstream products expect
-    # C order (BLAS picks another kernel, and rounding, for the other).
-    return tuple(
-        np.ascontiguousarray(x[:, cols])
-        for cols in (partition.c_main, partition.c_text, partition.c_vision)
-    )
 
 
 def save_tensor(path, obj) -> None:

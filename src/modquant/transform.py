@@ -25,11 +25,9 @@ def smoothing_scale(x: np.ndarray) -> np.ndarray:
 
 
 def checked_scale(values: np.ndarray) -> np.ndarray:
-    """``values`` as a float64 scale vector; raises ``ValueError`` unless it
-    is 1-D with every entry positive and in [DIAG_EPS, DIAG_MAX]."""
+    """A 1-D ``values`` as a float64 scale vector; raises ``ValueError``
+    unless every entry is positive and in [DIAG_EPS, DIAG_MAX]."""
     scale = np.array(values, dtype=np.float64)
-    if scale.ndim != 1:
-        raise ValueError("diagonal scale must be 1-D")
     mag = np.abs(scale)
     if np.any(mag < DIAG_EPS) or np.any(mag > DIAG_MAX):
         raise ValueError(f"diagonal magnitudes must lie in [{DIAG_EPS}, {DIAG_MAX}]")

@@ -42,7 +42,7 @@ def _small_instance(seed, dim=16, d_out=12):
     batch = generate(
         SynthConfig(
             tokens_text=10, tokens_vision=10, dim=dim,
-            vision_outlier_channels=(1,), text_outlier_channels=(5,), seed=seed,
+            vision_outliers=(1,), text_outliers=(5,), seed=seed,
         )
     )
     w = generate_weight(dim, d_out, seed=seed + 77)

@@ -31,7 +31,7 @@ def _setup(seed, dim=16, d_out=12, act_bits=4, weight_bits=4, cws=True, mac=True
     batch = generate(
         SynthConfig(
             tokens_text=12, tokens_vision=12, dim=dim,
-            vision_outlier_channels=(1,), text_outlier_channels=(5,), seed=seed,
+            vision_outliers=(1,), text_outliers=(5,), seed=seed,
         )
     )
     w = generate_weight(dim, d_out, seed=seed + 500)
@@ -254,7 +254,7 @@ class TestStratifiedSubset:
         batch = generate(
             SynthConfig(
                 tokens_text=4, tokens_vision=4, dim=4,
-                vision_outlier_channels=(0,), text_outlier_channels=(2,), seed=0,
+                vision_outliers=(0,), text_outliers=(2,), seed=0,
             )
         )
         with pytest.raises(ValueError):

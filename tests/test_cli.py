@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import modquant
 from modquant import cli, synth
 from modquant.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from modquant.layer import _manifest
 from modquant.tensor import MAGIC, ActivationBatch, load_tensor, save_tensor
 from modquant.transform import DIAG_EPS, DIAG_MAX
 
@@ -331,12 +332,11 @@ class TestConfigHandling:
             direct / "activations.spqt"
         ).read_bytes()
 
-    def test_defaults_are_the_library_configs_defaults(self):
-        # Each field that feeds a library config takes that config's default.
-        cfg = cli.RunConfig()
-        assert cli._synth_config(cfg) == synth.SynthConfig()
-        assert cli._mocd_config(cfg) == cli.MocdConfig()
-        assert cli._calib_config(cfg) == cli.CalibConfig()
+    @pytest.mark.parametrize("cls", [synth.SynthConfig, cli.MocdConfig, cli.CalibConfig],
+                             ids=lambda cls: cls.__name__)
+    def test_defaults_are_the_library_configs_defaults(self, cls):
+        # Each field that feeds a library config has that config's name and default.
+        assert cli._config(cls, cli.RunConfig()) == cls()
 
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == EXIT_USAGE
@@ -347,13 +347,18 @@ class TestConfigHandling:
 
 # Nesting deep enough to exhaust the JSON decoder's recursion.
 DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+# A 4 x 0 activation batch as the dump format holds it: no payload, one tag per token.
+NO_CHANNELS = MAGIC + struct.pack("<IBQQ", 1, 1, 4, 0) + bytes([0, 0, 1, 1])
+# The manifest that calibrate on a batch with no channels would write.
+DIM_0_MANIFEST = json.dumps(
+    _manifest(0, 64, dict.fromkeys(("c_main", "c_text", "c_vision"), []), 4, 4, [])).encode()
 
 
 class TestErrorExits:
     # config: a dict to write as JSON, or the file's bytes.  manifest_edit: a
     # key to drop from a calibrated layer's manifest, the manifest's bytes,
     # or the gen config of a batch that the command reads in place of the
-    # calibration batch.
+    # calibration batch; NO_CHANNELS is read in place of it as it is.
     @pytest.mark.parametrize("command,config,manifest_edit,expected,prefix", [
         ("calibrate", {"steps": "ten"}, None, EXIT_USAGE, "config error:"),
         ("stability", {"trials": "x"}, None, EXIT_USAGE, "config error:"),
@@ -393,13 +398,18 @@ class TestErrorExits:
            {"dim": 1, "vision_outliers": [], "text_outliers": []}, EXIT_DATA,
            "data error: picking 1 vision and 1 text of 1 channels leaves the main set "
            "smaller than an outlier set") for command in ("select", "stability")),
+        *((command, {}, NO_CHANNELS, EXIT_DATA, "data error: batch must have at least one channel")
+          for command in ("select", "stability", "calibrate")),
+        ("eval", {}, DIM_0_MANIFEST, EXIT_DATA,
+         "data error: layer manifest dim must be a positive int, got 0"),
     ], ids=["steps-str", "trials-str", "abits-1", "wbits-17", "ratio-0.6", "clusters-0",
             "rank-mac-bool", "outliers-float", "lr-huge-int", "trials-0", "trials-neg",
             "seed-neg", "rank-cws-neg", "rank-mac-5", "subset-0", "reference-0",
             "manifest-key", "manifest-deep", "manifest-not-utf8", "batch-width-32", "d-out-0",
             "dim-0", "tokens-text-neg", "instability-2", "outlier-999", "config-deep",
             "config-not-utf8", "subset-1-no-vision", "select-no-text", "select-dim-1",
-            "stability-dim-1"])
+            "stability-dim-1", "select-no-channels", "stability-no-channels",
+            "calibrate-no-channels", "eval-dim-0"])
     def test_exit_code_without_traceback(
         self, generated, tmp_path, capsys, command, config, manifest_edit, expected, prefix
     ):
@@ -410,7 +420,10 @@ class TestErrorExits:
             cfg.write_text(json.dumps(config))
         layer_dir = tmp_path / "c" / "layer"
         activations = generated["activations"]
-        if manifest_edit is not None:
+        if manifest_edit is NO_CHANNELS:
+            activations = str(tmp_path / "no-channels.spqt")
+            (tmp_path / "no-channels.spqt").write_bytes(NO_CHANNELS)
+        elif manifest_edit is not None:
             assert run(
                 "calibrate", "--activations", generated["activations"],
                 "--weights", generated["weights"], "--steps", "1",
@@ -881,12 +894,12 @@ class TestAblation:
                                      ("mocd", True, False, False),
                                      ("mocd+cws", True, True, False),
                                      ("mocd+cws+mac", True, True, True)]:
-            part = (cli.build_partition(batch, cli._mocd_config(cfg)) if mocd
+            part = (cli.build_partition(batch, cli._config(cli.MocdConfig, cfg)) if mocd
                     else cli.trivial_partition(batch.data.shape[1]))
             layer = cli.build_layer(w, batch, part, act_bits=act_bits, weight_bits=weight_bits,
                                     rank_cws=cfg.rank_cws if cws else 0.0,
                                     rank_mac=cfg.rank_mac if mac else 0.0)
-            layer, _ = cli.calibrate(layer, batch, cli._calib_config(cfg))
+            layer, _ = cli.calibrate(layer, batch, cli._config(cli.CalibConfig, cfg))
             y_ref = cli.forward_reference(layer.w, batch)
             expected[name] = repr(cli._mse_rows(layer, batch, y_ref)[0])
         assert rows == expected

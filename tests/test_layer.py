@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modquant.calibrate import _LOG_HI, _LOG_LO, CalibConfig, _params, _with_params, calibrate
 from modquant.layer import (
@@ -36,8 +37,8 @@ def _instance(seed, dim=16, d_out=12, nontrivial=True):
             tokens_text=12,
             tokens_vision=12,
             dim=dim,
-            vision_outlier_channels=(1,),
-            text_outlier_channels=(5,),
+            vision_outliers=(1,),
+            text_outliers=(5,),
             seed=seed,
         )
     )
@@ -187,6 +188,57 @@ class TestPermutation:
         assert np.all(np.abs(y - forward(layer, batch)) <= 1e-12 * sum(np.abs(t) for t in terms))
 
 
+def _column_blocks(x, part):
+    """``prepare``'s (x_main, x_text, x_vision) of the batch ``x`` for a
+    branchless layer on ``part``."""
+    layer = SplitLayer(part, np.zeros((part.dim, 1)), np.ones(part.dim), None, None)
+    prep = prepare(layer, ActivationBatch(x, np.zeros(x.shape[0])))
+    return prep.x_main, prep.x_text, prep.x_vision
+
+
+class TestPrepare:
+    def test_hand_example(self):
+        # C_m={0,2}, C_t={1}, C_v={} on a 2x3 matrix.
+        part = ChannelPartition([0, 2], [1], [], 3)
+        x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        m, t, v = _column_blocks(x, part)
+        assert m.tolist() == [[1, 3], [4, 6]]
+        assert t.tolist() == [[2], [5]]
+        assert v.shape == (2, 0)
+
+    def test_identity_partition(self):
+        part = ChannelPartition([0, 1, 2], [], [], 3)
+        x = np.arange(6.0).reshape(2, 3)
+        m, t, v = _column_blocks(x, part)
+        np.testing.assert_array_equal(m, x)
+        assert t.shape == (2, 0) and v.shape == (2, 0)
+
+    def test_blocks_are_c_contiguous(self):
+        # A column gather is Fortran-ordered; products of the blocks must see
+        # the same memory order whatever the partition.
+        part = ChannelPartition([0, 2, 3], [1], [4], 5)
+        for block in _column_blocks(np.arange(20.0).reshape(4, 5), part):
+            assert block.flags.c_contiguous
+
+    def test_dim_mismatch(self):
+        part = ChannelPartition([0, 1], [], [], 2)
+        with pytest.raises(ValueError, match="partition covers"):
+            _column_blocks(np.zeros((2, 3)), part)
+
+    @given(
+        arrays(np.float64, (4, 6), elements=st.floats(-1e6, 1e6)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_is_exact(self, x, rnd):
+        idx = list(range(6))
+        rnd.shuffle(idx)
+        part = ChannelPartition(sorted(idx[:4]), sorted(idx[4:5]), sorted(idx[5:]), 6)
+        for block, cols in zip(_column_blocks(x, part),
+                               (part.c_main, part.c_text, part.c_vision)):
+            np.testing.assert_array_equal(block, x[:, cols])
+
+
 class TestForwardPass:
     def test_empty_paths_do_no_work(self, monkeypatch):
         # On a trivial partition without branches only the main path's
@@ -268,12 +320,6 @@ class TestValidation:
             with pytest.raises(ValueError, match="rank ratios must be at most 1"):
                 build_layer(w, batch, part, 4, 4, *ratios)
 
-    def test_branch_needs_main_channels(self):
-        batch, part = ActivationBatch(np.ones((2, 0)), [0, 1]), trivial_partition(0)
-        assert build_layer(np.ones((0, 3)), batch, part, 4, 4).branch_smooth is None
-        with pytest.raises(ValueError, match="on a main path with channels"):
-            build_layer(np.ones((0, 3)), batch, part, 4, 4, rank_cws=0.5)
-
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)
         with pytest.raises(ValueError):
@@ -290,8 +336,8 @@ class TestValidation:
         layer = build_layer(w, batch, part, 8, 8)
         short = generate(
             SynthConfig(
-                dim=8, vision_outlier_channels=(1,),
-                text_outlier_channels=(5,), seed=0,
+                dim=8, vision_outliers=(1,),
+                text_outliers=(5,), seed=0,
             )
         )
         with pytest.raises(ValueError, match="partition covers 16 channels, matrix has 8"):

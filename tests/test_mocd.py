@@ -381,7 +381,7 @@ def continuous_selections(draw):
     batch = ActivationBatch(rng.standard_normal((text + vision, dim)), tags)
     picked = draw(st.integers(1, 4))
     cfg = MocdConfig(ratio_vision=picked / dim, ratio_text=picked / dim,
-                     clusters_k=draw(st.integers(1, 4)))
+                     clusters=draw(st.integers(1, 4)))
     return rng, batch, cfg
 
 
@@ -404,7 +404,7 @@ class TestMetamorphic:
         # does not fall inside a tie (about 1 in 100).
         remaining = np.setdiff1d(np.arange(batch.data.shape[1]), p.c_vision)
         scores = text_score(percentile_rank(batch, remaining),
-                            min(cfg.clusters_k, batch.text_rows.size))
+                            min(cfg.clusters, batch.text_rows.size))
         assume(_cut_is_tie_free(vision_score(batch), p.c_vision.size))
         assume(_cut_is_tie_free(scores, p.c_text.size))
         perm = rng.permutation(batch.data.shape[1])

@@ -10,11 +10,11 @@ from modquant.synth import SPECTRUM_DECAY, SynthConfig, generate, generate_weigh
 class TestConfigValidation:
     def test_rejects_overlapping_plants(self):
         with pytest.raises(ValueError, match="overlap"):
-            SynthConfig(vision_outlier_channels=(3,), text_outlier_channels=(3,))
+            SynthConfig(vision_outliers=(3,), text_outliers=(3,))
 
     def test_rejects_out_of_range_channel(self):
         with pytest.raises(ValueError, match="outside"):
-            SynthConfig(dim=8, vision_outlier_channels=(8,))
+            SynthConfig(dim=8, vision_outliers=(8,))
 
     def test_rejects_bad_instability(self):
         with pytest.raises(ValueError, match="instability"):
@@ -26,7 +26,7 @@ class TestGenerate:
         b = generate(
             SynthConfig(
                 tokens_text=5, tokens_vision=7, dim=10,
-                vision_outlier_channels=(3,), text_outlier_channels=(7,),
+                vision_outliers=(3,), text_outliers=(7,),
             )
         )
         assert b.data.shape == (12, 10)
@@ -58,7 +58,7 @@ class TestGenerate:
 
     def test_degenerate_config_is_plain_noise(self):
         cfg = SynthConfig(
-            vision_outlier_scale=1.0, text_instability=0.0, seed=0
+            vision_scale=1.0, text_instability=0.0, seed=0
         )
         b = generate(cfg)
         # No huge vision channels: max score within an order of magnitude of

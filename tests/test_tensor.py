@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from modquant.mocd import ChannelPartition
 from modquant.tensor import (
     ActivationBatch,
     ModalityTag,
@@ -14,7 +13,6 @@ from modquant.tensor import (
     as_matrix,
     load_tensor,
     save_tensor,
-    split_columns,
 )
 
 
@@ -55,53 +53,14 @@ class TestActivationBatch:
         with pytest.raises(ValueError):
             ActivationBatch(np.zeros((0, 2)), [])
 
+    def test_rejects_batch_without_channels(self):
+        with pytest.raises(ValueError, match="batch must have at least one channel"):
+            ActivationBatch(np.zeros((4, 0)), [0, 0, 1, 1])
+
     def test_single_modality_is_fine(self):
         b = ActivationBatch(np.ones((2, 3)), [1, 1])
         assert b.text_rows.size == 0
         assert b.vision_rows.size == 2
-
-
-class TestSplitScatter:
-    def test_hand_example(self):
-        # C_m={0,2}, C_t={1}, C_v={} on a 2x3 matrix.
-        part = ChannelPartition([0, 2], [1], [], 3)
-        x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        m, t, v = split_columns(x, part)
-        assert m.tolist() == [[1, 3], [4, 6]]
-        assert t.tolist() == [[2], [5]]
-        assert v.shape == (2, 0)
-
-    def test_identity_partition(self):
-        part = ChannelPartition([0, 1, 2], [], [], 3)
-        x = np.arange(6.0).reshape(2, 3)
-        m, t, v = split_columns(x, part)
-        np.testing.assert_array_equal(m, x)
-        assert t.shape == (2, 0) and v.shape == (2, 0)
-
-    def test_blocks_are_c_contiguous(self):
-        # A column gather is Fortran-ordered; products of the blocks must see
-        # the same memory order whatever the partition.
-        part = ChannelPartition([0, 2, 3], [1], [4], 5)
-        for block in split_columns(np.arange(20.0).reshape(4, 5), part):
-            assert block.flags.c_contiguous
-
-    def test_dim_mismatch(self):
-        part = ChannelPartition([0, 1], [], [], 2)
-        with pytest.raises(ValueError, match="partition covers"):
-            split_columns(np.zeros((2, 3)), part)
-
-    @given(
-        arrays(np.float64, (4, 6), elements=st.floats(-1e6, 1e6)),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_round_trip_is_exact(self, x, rnd):
-        idx = list(range(6))
-        rnd.shuffle(idx)
-        part = ChannelPartition(sorted(idx[:4]), sorted(idx[4:5]), sorted(idx[5:]), 6)
-        for block, cols in zip(split_columns(x, part),
-                               (part.c_main, part.c_text, part.c_vision)):
-            np.testing.assert_array_equal(block, x[:, cols])
 
 
 class TestDumpFormat:

@@ -68,3 +68,43 @@ def test_benchmark_checks_pass_on_the_cli_outputs(monkeypatch, tmp_path):
     assert main(["eval", "--activations", acts, "--out", out]) == EXIT_OK
     checks.check_calibrate(out, weights, 20, 0)
     checks.check_eval(out, acts, 0)
+
+
+def _code_lines(package):
+    """tools/code_lines.py's output on ``package``: per-file rows of (name,
+    physical, code), the totals row, and the code total outside __init__.py."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(package)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    lines = done.stdout.splitlines()
+    rows = [(name, int(p), int(c)) for name, p, c in map(str.split, lines[1:-2])]
+    total = lines[-2].split()
+    assert total[0] == "total"
+    return rows, (int(total[1]), int(total[2])), int(lines[-1].split()[-1])
+
+
+def test_code_lines_totals_match_wc():
+    package = ROOT / "src" / "modquant"
+    files = sorted(str(p) for p in package.glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True)
+    rows, (physical, code), outside = _code_lines(package)
+    assert [name for name, _, _ in rows] == [os.path.basename(f) for f in files]
+    assert physical == int(wc.stdout.splitlines()[-1].split()[0])
+    assert all(0 < c <= p for _, p, c in rows) and code <= physical
+    assert outside == code - dict((name, c) for name, _, c in rows)["__init__.py"]
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "__init__.py").write_text('"""Package docstring."""\nfrom .m import f\n')
+    (tmp_path / "m.py").write_text(
+        '"""Module docstring\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        'x = """a string\nthat is code"""  # trailing comment\n'
+        "\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        "    return (1,\n"
+        "            2)\n")
+    rows, total, outside = _code_lines(tmp_path)
+    assert rows == [("__init__.py", 2, 1), ("m.py", 11, 5)]
+    assert (total, outside) == ((13, 6), 5)
