@@ -228,6 +228,15 @@ def outlier_set(partition) -> np.ndarray:
     return np.sort(np.concatenate([partition.c_text, partition.c_vision]))
 
 
+# Cell budget n C (C + 1) of one text_score call over n subsets of C text
+# candidates: the stacked histogram and prefix sums.  Sharing a call saves
+# numpy's per-call overhead, but the stacked arrays are fresh heap, so peak RSS
+# grows and, for wide batches, first-touch faults cost more than the call
+# saves.  At 30 000 cells the CLI defaults score 7 subsets per call, and from
+# C = 122 on each subset has its own call.
+SCORE_CELLS = 30_000
+
+
 def stability_report(
     batch: ActivationBatch,
     cfg: MocdConfig,
@@ -239,7 +248,11 @@ def stability_report(
     """Mean/std Jaccard similarity of outlier selections from random token
     subsets against the reference-size selection.  Ranks are row-local, so
     the text rows of all subsets are ranked once over the reference's
-    candidates, and a subset with those candidates reads its rows of them."""
+    candidates, and a subset with those candidates reads its rows of them.
+    Subsets of one size share their text-token count, so their text
+    candidates are scored together, ``SCORE_CELLS // (C (C + 1))`` subsets
+    (at least one) per ``text_score`` call; the budget bounds the stacked
+    arrays, which are fresh heap."""
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
     row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
                  for t in range(1, trials + 1)] for size in subset_sizes]
@@ -255,18 +268,23 @@ def stability_report(
     union_text = np.intersect1d(all_rows, batch.text_rows)  # ascending, each row once
     ranked = []  # the reference's candidates, then union_text's counts over them
 
-    def selection(rows):
-        def rank(sub, cand):
+    def selections(group):  # row arrays of one size
+        subs = [_subset_batch(batch, rows) for rows in group]
+
+        def rank(j, cand):
             if not ranked:  # in blocks no larger than the reference's own sort
                 blocks = np.array_split(union_text, -(-union_text.size // reference_size))
                 ranked.extend([cand, np.concatenate(
                     [percentile_rank(_subset_batch(batch, b), cand) for b in blocks])])
             if not np.array_equal(cand, ranked[0]):
-                return percentile_rank(sub, cand)
-            return ranked[1][np.searchsorted(union_text, rows[sub.text_rows])]
-        return outlier_set(_partition(_subset_batch(batch, rows), cfg, rank))
+                return percentile_rank(subs[j], cand)
+            return ranked[1][np.searchsorted(union_text, group[j][subs[j].text_rows])]
+        return [outlier_set(p) for p in _partition(subs, cfg, rank)]
 
-    ref_sel = selection(ref_rows)
-    sims = [np.asarray([jaccard(selection(rows), ref_sel) for rows in rs]) for rs in row_sets]
+    c = dim - cfg.k_vision(dim)  # text candidates; 0 only for picks that cannot fit
+    chunk = max(1, SCORE_CELLS // max(1, c * (c + 1)))
+    ref_sel = selections([ref_rows])[0]
+    sims = [np.asarray([jaccard(sel, ref_sel) for i in range(0, trials, chunk)
+                        for sel in selections(rs[i:i + chunk])]) for rs in row_sets]
     return [{"subset_size": size, "mean_jaccard": float(s.mean()),
              "std_jaccard": float(s.std())} for size, s in zip(subset_sizes, sims)]

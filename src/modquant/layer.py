@@ -133,9 +133,10 @@ def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
     w_aux = _aux_bits(layer.weight_bits)
     u_q = (None if br is None else quantize_weight(br.u_star, w_aux)
            for br in (layer.branch_smooth, layer.branch_comp))
-    # Column gathers come back Fortran-ordered; downstream products expect
-    # C order (BLAS picks another kernel, and rounding, for the other).
-    return Prepared(*(np.ascontiguousarray(batch.data[:, cols]) for cols in paths),
+    # Downstream products expect C order (BLAS picks another kernel, and
+    # rounding, for the other); ``take`` gathers the columns straight into it,
+    # where a fancy-indexed gather comes back Fortran-ordered and needs a copy.
+    return Prepared(*(batch.data.take(cols, axis=1) for cols in paths),
                     *(layer.w[cols] for cols in paths), batch.text_rows, *u_q)
 
 

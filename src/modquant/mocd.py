@@ -6,11 +6,15 @@ instability: each channel's within-token rank counts are clustered by exact
 1-D k-means on integers, all channels at once, and scored by within-cluster
 variance; in 1-D each cluster is an interval of levels (Ckmeans.1d.dp), so a
 Lloyd step costs O(k^2) per channel, whatever the number of levels.  The
-leftover channels form the modality-compatible main set.  Ranks are
-row-local, so the stability report ranks its subsets' rows once (``_partition``).
-``build_partition`` is the entry point and checks what its steps need; the
-steps (``vision_score``, ``select_topk``, ``percentile_rank``,
-``text_score``, ``jaccard``) state their preconditions and check nothing.
+leftover channels form the modality-compatible main set.  ``_partition``
+selects for several batches of one width and text-token count, with one
+``text_score`` call over their rank matrices side by side and the rank
+counts from a callable: ranks are row-local, so the stability report ranks
+its subsets' rows once and scores its same-size subsets together.
+``build_partition`` is its one-batch case and the entry point, and checks
+what its steps need; the steps (``vision_score``, ``select_topk``,
+``percentile_rank``, ``text_score``, ``jaccard``) state their preconditions
+and check nothing.
 """
 
 from __future__ import annotations
@@ -173,23 +177,26 @@ def _lloyd_sse(hist: np.ndarray, tokens: int, k: int) -> np.ndarray:
     return np.sum(np.divide(sse, w, out=np.zeros_like(sse), where=w > 0), axis=1)
 
 
-def text_score(ranks: np.ndarray, k: int) -> np.ndarray:
+def text_score(ranks: np.ndarray, k: int, levels: int | None = None) -> np.ndarray:
     """Rank-instability score per candidate channel: the within-cluster
     variance, in rank units (count / C), of its column of ``percentile_rank``
     counts (1..C for C columns) after 1-D k-means into k groups, or fewer if
     the column has fewer distinct values.  k-means is exact Lloyd's algorithm:
     np.quantile's centers, each value to its nearest center with ties to the
     lower index, an empty cluster keeps its center, KMEANS_MAX_ITER updates.
-    ``ranks`` holds ``percentile_rank``'s int64 counts and 1 <= k <= tokens.
+    ``ranks`` holds ``percentile_rank``'s int64 counts, or several such
+    matrices of C = ``levels`` columns each side by side (by default one,
+    C its width); each column is scored on its own, and 1 <= k <= tokens.
     """
     tokens, cols = ranks.shape
-    flat = (ranks + np.arange(-1, cols * cols - 1, cols)).ravel()
-    hist = np.bincount(flat, minlength=cols * cols).reshape(cols, cols)
+    levels = cols if levels is None else levels
+    flat = (ranks + np.arange(-1, cols * levels - 1, levels)).ravel()
+    hist = np.bincount(flat, minlength=cols * levels).reshape(cols, levels)
     k_col = np.minimum(k, np.count_nonzero(hist, axis=1))
     sse = np.empty(cols)
     for kk in np.unique(k_col):
         sse[k_col == kk] = _lloyd_sse(hist[k_col == kk], tokens, int(kk))
-    return sse / (tokens * cols * cols)
+    return sse / (tokens * levels * levels)
 
 
 def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition:
@@ -198,15 +205,18 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
     Vision channels come first (top-K over all channels), text channels are
     drawn from the remainder, and everything else is the main set.
     """
-    return _partition(batch, cfg, percentile_rank)
+    return _partition([batch], cfg, lambda _, cand: percentile_rank(batch, cand))[0]
 
 
-def _partition(batch: ActivationBatch, cfg: MocdConfig, rank) -> ChannelPartition:
-    """``build_partition`` with the text rank counts from ``rank(batch, remaining)``.
-    It checks what its steps take on trust: the picks leave the main set at
-    least as large as each outlier set, and each modality with a pick has a
-    token."""
-    dim = batch.data.shape[1]
+def _partition(batches: list[ActivationBatch], cfg: MocdConfig, rank) -> list[ChannelPartition]:
+    """``build_partition`` of each of ``batches``, which share their width and
+    text-token count, with batch j's text rank counts from ``rank(j, remaining)``.
+    Every batch has as many text candidates, C, so one ``text_score`` call
+    scores them all, over their rank matrices side by side; one matrix is
+    passed as it is.  It checks what its steps take on trust: the picks leave
+    the main set at least as large as each outlier set, and each modality
+    with a pick has a token."""
+    dim = batches[0].data.shape[1]
     k_v = cfg.k_vision(dim)
     k_t = cfg.k_text(dim)
     if dim - k_v - k_t < max(k_v, k_t):
@@ -214,22 +224,24 @@ def _partition(batch: ActivationBatch, cfg: MocdConfig, rank) -> ChannelPartitio
                          "leaves the main set smaller than an outlier set")
     all_channels = np.arange(dim)
     if k_v > 0:
-        if batch.vision_rows.size == 0:
+        if any(b.vision_rows.size == 0 for b in batches):
             raise ValueError("nonzero vision ratio but no vision tokens")
-        c_vision = select_topk(vision_score(batch), k_v)
+        c_vision = [select_topk(vision_score(b), k_v) for b in batches]
     else:
-        c_vision = np.empty(0, dtype=np.int64)
-    remaining = np.setdiff1d(all_channels, c_vision)
+        c_vision = [np.empty(0, dtype=np.int64)] * len(batches)
+    remaining = [np.setdiff1d(all_channels, c) for c in c_vision]
     if k_t > 0:
-        if batch.text_rows.size == 0:
+        if any(b.text_rows.size == 0 for b in batches):
             raise ValueError("nonzero text ratio but no text tokens")
-        ranks = rank(batch, remaining)
-        scores = text_score(ranks, min(cfg.clusters, ranks.shape[0]))
-        c_text = remaining[select_topk(scores, k_t)]
+        ranks = [rank(j, cand) for j, cand in enumerate(remaining)]
+        scores = text_score(ranks[0] if len(ranks) == 1 else np.hstack(ranks),
+                            min(cfg.clusters, ranks[0].shape[0]), remaining[0].size)
+        c_text = [cand[select_topk(s, k_t)]
+                  for cand, s in zip(remaining, np.split(scores, len(batches)))]
     else:
-        c_text = np.empty(0, dtype=np.int64)
-    c_main = np.setdiff1d(all_channels, np.concatenate([c_vision, c_text]))
-    return ChannelPartition(c_main, c_text, c_vision, dim)
+        c_text = [np.empty(0, dtype=np.int64)] * len(batches)
+    return [ChannelPartition(np.setdiff1d(all_channels, np.concatenate([v, t])), t, v, dim)
+            for v, t in zip(c_vision, c_text)]
 
 
 def jaccard(a, b) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
 _MAX = np.finfo(np.float64).max
+_HALF_DOWN = 0.5 - 2.0**-54
 
 
 def check_bits(bits: int | None) -> int | None:
@@ -37,19 +38,18 @@ def check_bits(bits: int | None) -> int | None:
 
 
 def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
-    """m / s rounded to the nearest integer, halves away from zero, exactly
-    for every finite quotient: x - rint(x) is exact, so every half is found,
-    and x + 0.5 away from zero is exact there too.  m / s is written into
-    ``out`` and overwritten; it is redone only at the rare exact halves."""
-    x = np.divide(m, s, out=out)
-    r = np.rint(x)
-    x -= r
-    np.abs(x, out=x)
-    half = x == 0.5
-    if np.count_nonzero(half):
-        xh = m[half] / np.broadcast_to(s, m.shape)[half]
-        r[half] = xh + np.copysign(0.5, xh)
-    return r
+    """m / s rounded to the nearest integer, halves away from zero:
+    trunc(x + copysign(h, x)) for h = 1/2 - 2^-54, the largest double below
+    1/2, exact for every finite quotient x.  Below 2^52, 1/2 is a multiple of
+    x's spacing u, so a fraction under 1/2 is at most 1/2 - u and |x| + h
+    rounds to below the next integer; a fraction of 1/2 or more puts |x| + h
+    within 2^-54 of the next integer or above it, and it rounds up to it
+    (1 - 2^-54 ties to 1, the even neighbour).  From 2^52 on x is an integer,
+    and h is under half its spacing.  The copysign goes into ``out``, which
+    is overwritten; the result is a new array."""
+    x = np.divide(m, s)
+    x += np.copysign(_HALF_DOWN, x, out=out)
+    return np.trunc(x, out=x)
 
 
 def _act_params(m: np.ndarray, bits: int):

@@ -6,7 +6,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from modquant import mocd
 from modquant.calibrate import (
+    SCORE_CELLS,
     CalibConfig,
     _loss,
     _params,
@@ -18,6 +20,7 @@ from modquant.calibrate import (
     outlier_set,
     stability_report,
 )
+from modquant.cli import RunConfig
 from modquant.layer import build_layer, forward_reference, forward_with_cache, prepare
 from modquant.mocd import MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition
 from modquant.synth import SynthConfig, generate, generate_weight
@@ -334,6 +337,21 @@ class TestStability:
         assert (union_text.size < batch.text_rows.size) == (tokens == 512)
         if tokens:
             assert max(ranked) <= 80 and (len(ranked) > 1) == (tokens == 512)
+
+    def test_same_size_subsets_share_text_score_calls(self):
+        # At the CLI defaults C = 63 text candidates, so 7 subsets of a size
+        # share a call: 20 trials take 3 calls per size, and the reference 1.
+        d, batch, cfg = RunConfig(), generate(SynthConfig()), MocdConfig()
+        dim = batch.data.shape[1]
+        c = dim - cfg.k_vision(dim)
+        chunk = SCORE_CELLS // (c * (c + 1))
+        assert chunk > 1
+        with mock.patch.object(mocd, "text_score", wraps=mocd.text_score) as score:
+            stability_report(batch, cfg, d.subset_sizes, min(d.reference_size, len(batch.data)),
+                             d.trials, d.seed)
+        assert score.call_count == len(d.subset_sizes) * -(-d.trials // chunk) + 1
+        assert {call.args[0].shape[1] for call in score.call_args_list} == {
+            c, c * chunk, c * (d.trials % chunk)}
 
     def test_outlier_set_merges_and_sorts(self):
         batch = generate(SynthConfig(seed=0))

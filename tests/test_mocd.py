@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from modquant import mocd
 from modquant.mocd import (
@@ -303,8 +304,35 @@ class TestTextScore:
                 exact = _exact_text_score(col, ranks.shape[1], k)
                 assert abs(Fraction(score) - exact) <= Fraction(1, 10**15) * exact
 
+    @given(
+        st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(1, 16)).flatmap(
+            lambda c_n_tokens: st.tuples(st.just(c_n_tokens[0]), arrays(
+                np.int64, (c_n_tokens[2], c_n_tokens[1] * c_n_tokens[0]),
+                elements=st.integers(1, c_n_tokens[0])))),
+        st.integers(1, 5),
+    )
+    # Columns of 1, 2 and 3 distinct counts, all fewer than k.
+    @example(blocks=(3, np.array([[2, 1, 1, 3, 1, 2], [2, 3, 2, 3, 1, 2], [2, 1, 3, 3, 2, 2],
+                                  [2, 3, 1, 3, 2, 2], [2, 1, 2, 3, 3, 2], [2, 3, 3, 1, 3, 2]])),
+             k=5)
+    @settings(max_examples=200, deadline=None)
+    def test_side_by_side_blocks_score_as_separate_calls(self, blocks, k):
+        levels, ranks = blocks
+        k = min(k, len(ranks))  # text_score takes at most one cluster per token
+        together = text_score(ranks, k, levels)
+        apart = [text_score(ranks[:, j:j + levels], k) for j in range(0, ranks.shape[1], levels)]
+        assert together.view(np.uint64).tolist() == np.concatenate(apart).view(np.uint64).tolist()
+
 
 class TestBuildPartition:
+    def test_one_batch_scores_its_rank_matrix_uncopied(self):
+        batch, ranked = generate(SynthConfig(seed=0)), []
+        with mock.patch.object(mocd, "percentile_rank",
+                               side_effect=lambda *a: ranked.append(percentile_rank(*a)) or ranked[-1]), \
+             mock.patch.object(mocd, "text_score", wraps=text_score) as score:
+            build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
+        assert len(ranked) == 1 and score.call_args.args[0] is ranked[0]
+
     def test_zero_ratios_give_trivial_partition(self):
         b = _batch(np.ones((2, 4)), np.ones((2, 4)))
         p = build_partition(b, MocdConfig(ratio_vision=0.0, ratio_text=0.0))

@@ -86,6 +86,16 @@ class TestRounding:
             _round_div(x, 1.0), [1.0, -1.0, 2.0, -2.0, 3.0, 0.0, -0.0]
         )
 
+    def test_pinned_quotients_keep_their_bits(self):
+        # Just below a half, halves, a half at spacing 1/2, the integers at
+        # and around 2^52 (spacing 1), and the sign of a rounded zero, which
+        # is the quotient's sign, as rint gives it.
+        h, top = 0.49999999999999994, 2.0**51 + 0.5
+        x = np.array([h, -h, 0.5, -0.5, top, -top, 2.0**52 - 1, 2.0**52 + 1, 2.0**53, -0.0, -0.3])
+        expect = np.array([0.0, -0.0, 1.0, -1.0, top + 0.5, -top - 0.5,
+                           2.0**52 - 1, 2.0**52 + 1, 2.0**53, -0.0, -0.0])
+        assert _round_div(x, 1.0).view(np.uint64).tolist() == expect.view(np.uint64).tolist()
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     # Just below a half: adding 0.5 in floating point rounds up to 1.
     @example(0.49999999999999994)

@@ -1,6 +1,7 @@
 """The repo's tools against the package they drive."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -108,3 +109,17 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path):
     rows, total, outside = _code_lines(tmp_path)
     assert rows == [("__init__.py", 2, 1), ("m.py", 11, 5)]
     assert (total, outside) == ((13, 6), 5)
+
+
+def test_output_digest_runs_only_the_selected_pairs(tmp_path):
+    tool, src = str(ROOT / "tools" / "output_digest.py"), str(ROOT / "src")
+    out = tmp_path / "digest.json"
+    bad = subprocess.run([sys.executable, tool, src, str(out), "loop-small/seed1"],
+                         capture_output=True, text=True, timeout=60)
+    assert bad.returncode == 1 and "unknown selector loop-small/seed1" in bad.stderr
+    assert not out.exists()
+    subprocess.run([sys.executable, tool, src, str(out), "loop-small/seed0"],
+                   capture_output=True, timeout=120, check=True)
+    entries = json.loads(out.read_text())
+    assert len(entries) == 68 and all(k.startswith("loop-small/seed0/") for k in entries)
+    assert entries["loop-small/seed0/stability.exit"] == EXIT_OK

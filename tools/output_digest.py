@@ -1,6 +1,6 @@
 """Digest every CLI output of the benchmark workloads, for byte-identity checks.
 
-Usage: python3 tools/output_digest.py SRC_DIR OUT.json
+Usage: python3 tools/output_digest.py SRC_DIR OUT.json [WORKLOAD/seedN ...]
 
 SRC_DIR is a source tree that holds the ``modquant`` package (``src`` of a
 checkout). For each workload in ``perfbench/workloads.py``, and once with no
@@ -16,12 +16,19 @@ It writes one JSON object, one entry per line (816 entries), that maps
 ``<workload>/seed<N>/<command>/<file>`` to the sha256 of each output file,
 ``<workload>/seed<N>/<command>.exit`` to each exit code and
 ``<workload>/seed<N>/<command>.stderr`` to the sha256 of each command's
-standard error, so a new warning or traceback shows too. Two source trees
-write the same bytes exactly when ``diff`` finds their files equal:
+standard error, so a new warning or traceback shows too. Each optional
+``WORKLOAD/seedN`` selector (``loop-small/seed0``, ``defaults/seed3``) limits
+the run to that (workload, seed) pair, 68 entries each; with none, every pair
+runs. Two source trees write the same bytes exactly when ``diff`` finds their
+files equal:
 
     python3 tools/output_digest.py OLD/src old.json
     python3 tools/output_digest.py src new.json
     diff old.json new.json
+
+A hot-path edit can be byte-checked in seconds on a few pairs first:
+
+    python3 tools/output_digest.py src new.json loop-small/seed0 defaults/seed3
 
 Outputs are byte-identical for the same inputs, the same numpy/BLAS build and
 the same BLAS thread count, so every command runs with OpenBLAS, OpenMP and
@@ -86,46 +93,57 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def digest(src_dir: str) -> dict:
+def pairs() -> list[str]:
+    """Every ``WORKLOAD/seedN`` selector, in the order the digest runs them."""
+    names = sorted(["defaults", *_workloads()])  # defaults: the CLI's own
+    return [f"{name}/seed{seed}" for name in names for seed in GEN_SEEDS]
+
+
+def digest(src_dir: str, keys: list[str]) -> dict:
+    """The digest entries of the ``WORKLOAD/seedN`` pairs ``keys``, in order."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src_dir),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     result = {}
     with tempfile.TemporaryDirectory() as work:
-        configs = {"defaults": []}  # the CLI's own defaults
+        configs = {"defaults": []}
         for name, workload in _workloads().items():
             configs[name] = ["--config", os.path.join(work, f"{name}.json")]
             with open(configs[name][1], "w") as fh:
                 json.dump(workload.cli_config(), fh)
-        for name, config in sorted(configs.items()):
-            for seed in GEN_SEEDS:
-                key = f"{name}/seed{seed}"
-                run = os.path.join(work, key)
-                for out_name, args in _commands(run):
-                    argv = [sys.executable, "-m", "modquant.cli", *args, *config,
-                            "--seed", str(seed)]
-                    proc = subprocess.run(argv, env=env, capture_output=True)
-                    result[f"{key}/{out_name}.exit"] = proc.returncode
-                    result[f"{key}/{out_name}.stderr"] = hashlib.sha256(proc.stderr).hexdigest()
-                    out_dir = os.path.join(run, out_name)
-                    for root, _, files in os.walk(out_dir):
-                        for f in files:
-                            path = os.path.join(root, f)
-                            rel = os.path.relpath(path, run).replace(os.sep, "/")
-                            result[f"{key}/{rel}"] = _sha256(path)
-                print(f"{key}: {sum(k.startswith(key + '/') for k in result)} entries",
-                      file=sys.stderr)
+        for key in keys:
+            name, seed = key.split("/seed")
+            run = os.path.join(work, key)
+            for out_name, args in _commands(run):
+                argv = [sys.executable, "-m", "modquant.cli", *args, *configs[name],
+                        "--seed", seed]
+                proc = subprocess.run(argv, env=env, capture_output=True)
+                result[f"{key}/{out_name}.exit"] = proc.returncode
+                result[f"{key}/{out_name}.stderr"] = hashlib.sha256(proc.stderr).hexdigest()
+                out_dir = os.path.join(run, out_name)
+                for root, _, files in os.walk(out_dir):
+                    for f in files:
+                        path = os.path.join(root, f)
+                        rel = os.path.relpath(path, run).replace(os.sep, "/")
+                        result[f"{key}/{rel}"] = _sha256(path)
+            print(f"{key}: {sum(k.startswith(key + '/') for k in result)} entries",
+                  file=sys.stderr)
     return result
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
-    src_dir, out_path = argv
+    src_dir, out_path, *selected = argv
     if not os.path.isdir(os.path.join(src_dir, "modquant")):
         print(f"no modquant package under {src_dir}", file=sys.stderr)
         return 1
-    result = digest(src_dir)
+    known = pairs()
+    unknown = sorted(set(selected) - set(known))
+    if unknown:
+        print(f"unknown selector {unknown[0]}; known: {' '.join(known)}", file=sys.stderr)
+        return 1
+    result = digest(src_dir, [k for k in known if k in selected] if selected else known)
     with open(out_path, "w") as fh:
         json.dump(result, fh, indent=0, sort_keys=True)
         fh.write("\n")
