@@ -25,7 +25,7 @@ print("planted text channels:  ", cfg.text_outliers)
 # Vision score: per-channel max |activation| over vision tokens.  The
 # planted channels are scaled 100x and dominate.
 # ---------------------------------------------------------------------------
-s_v = vision_score(batch)
+s_v = vision_score(batch.data, batch.vision_rows)
 top5 = np.argsort(-s_v)[:5]
 print("\ntop-5 vision scores:")
 for c in top5:
@@ -39,7 +39,7 @@ for c in top5:
 # their ranks scatter.
 # ---------------------------------------------------------------------------
 candidates = np.setdiff1d(np.arange(64), [3, 9])
-ranks = percentile_rank(batch, candidates)
+ranks = percentile_rank(batch.data, batch.text_rows, candidates)
 s_t = text_score(ranks, k=3)
 top5 = np.argsort(-s_t)[:5]
 print("\ntop-5 text instability scores (channel -> score):")

@@ -38,8 +38,8 @@ import numpy as np
 from . import transform as tr
 from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
 from .lowrank import LowRankBranch
-from .mocd import MocdConfig, _partition, jaccard, percentile_rank
-from .tensor import ActivationBatch, ModalityTag
+from .mocd import MocdConfig, _select, jaccard, percentile_rank
+from .tensor import ActivationBatch
 
 _LOG_LO = np.log(tr.DIAG_EPS)
 _LOG_HI = np.log(tr.DIAG_MAX)
@@ -220,14 +220,6 @@ def _stratified_subset(rng, batch: ActivationBatch, size: int) -> np.ndarray:
     return np.sort(chosen.astype(np.int64))
 
 
-def _subset_batch(batch: ActivationBatch, rows: np.ndarray) -> ActivationBatch:
-    return ActivationBatch(batch.data[rows], batch.tags[rows])
-
-
-def outlier_set(partition) -> np.ndarray:
-    return np.sort(np.concatenate([partition.c_text, partition.c_vision]))
-
-
 # Cell budget n C (C + 1) of one text_score call over n subsets of C text
 # candidates: the stacked histogram and prefix sums.  Sharing a call saves
 # numpy's per-call overhead, but the stacked arrays are fresh heap, so peak RSS
@@ -246,41 +238,34 @@ def stability_report(
     seed: int = 0,
 ) -> list[dict]:
     """Mean/std Jaccard similarity of outlier selections from random token
-    subsets against the reference-size selection.  Ranks are row-local, so
-    the text rows of all subsets are ranked once over the reference's
-    candidates, and a subset with those candidates reads its rows of them.
-    Subsets of one size share their text-token count, so their text
-    candidates are scored together, ``SCORE_CELLS // (C (C + 1))`` subsets
-    (at least one) per ``text_score`` call; the budget bounds the stacked
-    arrays, which are fresh heap."""
+    subsets against the reference-size selection.  Each selection reads its
+    subset's rows of the one batch (``mocd._select`` checks that each holds a
+    token of each modality with a pick), and its outlier set is the union of
+    its picks.  Ranks are row-local, so the text rows of all subsets are
+    ranked once over the reference's candidates, and a subset with those
+    candidates reads its rows of them.  Subsets of one size share their
+    text-token count, so their text candidates are scored together,
+    ``SCORE_CELLS // (C (C + 1))`` subsets (at least one) per ``text_score``
+    call; the budget bounds the stacked arrays, which are fresh heap."""
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
     row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
                  for t in range(1, trials + 1)] for size in subset_sizes]
-    dim = batch.data.shape[1]
-    for size, rows in [(reference_size, ref_rows),
-                       *((size, r) for size, rs in zip(subset_sizes, row_sets) for r in rs)]:
-        for name, k, tag in (("vision", cfg.k_vision(dim), ModalityTag.VISION),
-                             ("text", cfg.k_text(dim), ModalityTag.TEXT)):
-            if k and not np.any(batch.tags[rows] == tag):
-                raise ValueError(f"a subset of size {size} has no {name} token, "
-                                 f"but the {name} ratio is nonzero")
     all_rows = np.concatenate([ref_rows, *(r for rs in row_sets for r in rs)])
     union_text = np.intersect1d(all_rows, batch.text_rows)  # ascending, each row once
     ranked = []  # the reference's candidates, then union_text's counts over them
 
+    def rank(data, rows, cand):
+        if not ranked:  # in blocks no larger than the reference's own sort
+            blocks = np.array_split(union_text, -(-union_text.size // reference_size))
+            ranked.extend([cand, np.concatenate([percentile_rank(data, b, cand) for b in blocks])])
+        if not np.array_equal(cand, ranked[0]):
+            return percentile_rank(data, rows, cand)
+        return ranked[1][np.searchsorted(union_text, rows)]
+
     def selections(group):  # row arrays of one size
-        subs = [_subset_batch(batch, rows) for rows in group]
+        return [np.union1d(v, t) for v, t in _select(batch, group, cfg, rank)]
 
-        def rank(j, cand):
-            if not ranked:  # in blocks no larger than the reference's own sort
-                blocks = np.array_split(union_text, -(-union_text.size // reference_size))
-                ranked.extend([cand, np.concatenate(
-                    [percentile_rank(_subset_batch(batch, b), cand) for b in blocks])])
-            if not np.array_equal(cand, ranked[0]):
-                return percentile_rank(subs[j], cand)
-            return ranked[1][np.searchsorted(union_text, group[j][subs[j].text_rows])]
-        return [outlier_set(p) for p in _partition(subs, cfg, rank)]
-
+    dim = batch.data.shape[1]
     c = dim - cfg.k_vision(dim)  # text candidates; 0 only for picks that cannot fit
     chunk = max(1, SCORE_CELLS // max(1, c * (c + 1)))
     ref_sel = selections([ref_rows])[0]

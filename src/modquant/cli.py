@@ -45,7 +45,7 @@ from .layer import (
     load_layer,
     save_layer,
 )
-from .mocd import DEFAULT_RATIO, MocdConfig, build_partition, trivial_partition
+from .mocd import MocdConfig, build_partition, trivial_partition
 from .quantizer import check_bits, quantize_weight
 from .tensor import (
     ActivationBatch, TensorFormatError, load_matrix, load_tensor, save_tensor,
@@ -72,8 +72,8 @@ class RunConfig:
     seed: int = 0
     wbits: int = 4
     abits: int = 4
-    ratio_vision: float = DEFAULT_RATIO
-    ratio_text: float = DEFAULT_RATIO
+    ratio_vision: float = MocdConfig.ratio_vision
+    ratio_text: float = MocdConfig.ratio_text
     clusters: int = MocdConfig.clusters
     rank_cws: float = 0.02
     rank_mac: float = 0.03
@@ -200,19 +200,14 @@ def _load_weight(path: str | None) -> np.ndarray:
 
 
 def _write_csv(cfg: RunConfig, name: str, header: list[str], rows) -> None:
-    """Write ``name`` under ``cfg.out``, creating it, after a ``# seed=`` line."""
+    """Write ``name`` under ``cfg.out``, creating it, after a ``# seed=`` line.
+    Values are Python ints, floats and strs: ``str`` of a float is its repr."""
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, name), "w", newline="\n") as fh:
         fh.write(f"# seed={cfg.seed}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def cmd_gen(cfg: RunConfig) -> int:

@@ -6,13 +6,15 @@ instability: each channel's within-token rank counts are clustered by exact
 1-D k-means on integers, all channels at once, and scored by within-cluster
 variance; in 1-D each cluster is an interval of levels (Ckmeans.1d.dp), so a
 Lloyd step costs O(k^2) per channel, whatever the number of levels.  The
-leftover channels form the modality-compatible main set.  ``_partition``
-selects for several batches of one width and text-token count, with one
+leftover channels form the modality-compatible main set.  A selection reads
+a set of tokens of one batch, an ascending row-index array: ``_select``
+picks for several such sets of one text-token count, with one
 ``text_score`` call over their rank matrices side by side and the rank
-counts from a callable: ranks are row-local, so the stability report ranks
-its subsets' rows once and scores its same-size subsets together.
-``build_partition`` is its one-batch case and the entry point, and checks
-what its steps need; the steps (``vision_score``, ``select_topk``,
+counts from a callable, so the stability report ranks its sets' rows once
+and scores its same-size sets together.  ``_select`` is the one place that
+checks that the picks fit and that each set holds a token of each modality
+with a pick.  ``build_partition`` is its one-set case, over every row, and
+the entry point; the steps (``vision_score``, ``select_topk``,
 ``percentile_rank``, ``text_score``, ``jaccard``) state their preconditions
 and check nothing.
 """
@@ -23,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ActivationBatch
+from .tensor import ActivationBatch, ModalityTag
 
 KMEANS_MAX_ITER = 50
-DEFAULT_RATIO = 0.02  # selection ratio per modality, shared by MocdConfig and the CLI
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ def trivial_partition(dim: int) -> ChannelPartition:
 
 @dataclass(frozen=True)
 class MocdConfig:
-    ratio_vision: float = DEFAULT_RATIO
-    ratio_text: float = DEFAULT_RATIO
+    ratio_vision: float = 0.02
+    ratio_text: float = 0.02
     clusters: int = 3
 
     def __post_init__(self):
@@ -80,10 +81,10 @@ class MocdConfig:
         return int(np.floor(self.ratio_text * dim + 0.5))
 
 
-def vision_score(batch: ActivationBatch) -> np.ndarray:
-    """Per-channel maximum absolute activation over vision tokens; the batch
-    holds at least one."""
-    return np.max(np.abs(batch.data[batch.vision_rows]), axis=0)
+def vision_score(data: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per-channel maximum absolute activation of ``data`` over the rows
+    ``rows``, a nonempty int64 index array (the vision tokens)."""
+    return np.max(np.abs(data[rows]), axis=0)
 
 
 def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -94,19 +95,19 @@ def select_topk(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:k]).astype(np.int64)
 
 
-def percentile_rank(batch: ActivationBatch, cand: np.ndarray) -> np.ndarray:
-    """Within-token rank counts of |activation| over the candidate channels
-    ``cand``, a nonempty int64 index array, on a batch with a text token.
+def percentile_rank(data: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Within-token rank counts of |activation| in the rows ``rows`` of
+    ``data`` (the text tokens) over the candidate channels ``cand``, both
+    nonempty int64 index arrays.
 
-    Returns a (num text tokens) x (num candidates) int64 matrix: each entry
+    Returns a (num rows) x (num candidates) int64 matrix: each entry
     counts the candidates in its token whose |activation| is <= its own, so
     it lies in 1..C for C candidates (C throughout a constant row), and the
     percentile rank is count / C.
     """
-    rows = batch.text_rows
     # Each float array is released before the int64 stages, so at most three
     # arrays of the result's size are alive at once.
-    a = batch.data[np.ix_(rows, cand)]
+    a = data[np.ix_(rows, cand)]
     np.abs(a, out=a)
     order = np.argsort(a, axis=1)
     srt = np.take_along_axis(a, order, axis=1)
@@ -203,45 +204,50 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
     """Compose scoring and selection into a full channel partition.
 
     Vision channels come first (top-K over all channels), text channels are
-    drawn from the remainder, and everything else is the main set.
+    drawn from the remainder, and everything else is the main set.  The
+    picks are ``_select``'s over every row of the batch, checked there.
     """
-    return _partition([batch], cfg, lambda _, cand: percentile_rank(batch, cand))[0]
+    dim = batch.data.shape[1]
+    ((c_vision, c_text),) = _select(batch, [np.arange(batch.tags.size)], cfg, percentile_rank)
+    return ChannelPartition(np.setdiff1d(np.arange(dim), np.concatenate([c_vision, c_text])),
+                            c_text, c_vision, dim)
 
 
-def _partition(batches: list[ActivationBatch], cfg: MocdConfig, rank) -> list[ChannelPartition]:
-    """``build_partition`` of each of ``batches``, which share their width and
-    text-token count, with batch j's text rank counts from ``rank(j, remaining)``.
-    Every batch has as many text candidates, C, so one ``text_score`` call
-    scores them all, over their rank matrices side by side; one matrix is
-    passed as it is.  It checks what its steps take on trust: the picks leave
-    the main set at least as large as each outlier set, and each modality
-    with a pick has a token."""
-    dim = batches[0].data.shape[1]
+def _select(batch: ActivationBatch, row_sets: list[np.ndarray], cfg: MocdConfig, rank):
+    """The ``(c_vision, c_text)`` picks of each row set of ``batch``, ascending
+    row-index arrays with as many text rows each, with a set's text rank
+    counts from ``rank(data, text_rows, remaining)``.  Every set has as many
+    text candidates, C, so one ``text_score`` call scores them all, over
+    their rank matrices side by side; one matrix is passed as it is.  It
+    checks what its steps take on trust, before it scores anything: the
+    picks leave the main set at least as large as each outlier set, and each
+    set holds a token of each modality with a pick."""
+    dim = batch.data.shape[1]
     k_v = cfg.k_vision(dim)
     k_t = cfg.k_text(dim)
     if dim - k_v - k_t < max(k_v, k_t):
         raise ValueError(f"picking {k_v} vision and {k_t} text of {dim} channels "
                          "leaves the main set smaller than an outlier set")
-    all_channels = np.arange(dim)
-    if k_v > 0:
-        if any(b.vision_rows.size == 0 for b in batches):
-            raise ValueError("nonzero vision ratio but no vision tokens")
-        c_vision = [select_topk(vision_score(b), k_v) for b in batches]
-    else:
-        c_vision = [np.empty(0, dtype=np.int64)] * len(batches)
-    remaining = [np.setdiff1d(all_channels, c) for c in c_vision]
-    if k_t > 0:
-        if any(b.text_rows.size == 0 for b in batches):
-            raise ValueError("nonzero text ratio but no text tokens")
-        ranks = [rank(j, cand) for j, cand in enumerate(remaining)]
+    split = []  # each set's (text rows, vision rows)
+    for rows in row_sets:
+        is_text = batch.tags[rows] == ModalityTag.TEXT
+        t_rows, v_rows = rows[is_text], rows[~is_text]
+        for name, k, have in (("vision", k_v, v_rows), ("text", k_t, t_rows)):
+            if k and not have.size:
+                raise ValueError(f"a token set of size {rows.size} has no {name} token, "
+                                 f"but the {name} ratio is nonzero")
+        split.append((t_rows, v_rows))
+    empty = [np.empty(0, dtype=np.int64)] * len(row_sets)
+    c_vision = [select_topk(vision_score(batch.data, v), k_v) for _, v in split] if k_v else empty
+    c_text = empty
+    if k_t:
+        remaining = [np.setdiff1d(np.arange(dim), c) for c in c_vision]
+        ranks = [rank(batch.data, t, cand) for (t, _), cand in zip(split, remaining)]
         scores = text_score(ranks[0] if len(ranks) == 1 else np.hstack(ranks),
                             min(cfg.clusters, ranks[0].shape[0]), remaining[0].size)
         c_text = [cand[select_topk(s, k_t)]
-                  for cand, s in zip(remaining, np.split(scores, len(batches)))]
-    else:
-        c_text = [np.empty(0, dtype=np.int64)] * len(batches)
-    return [ChannelPartition(np.setdiff1d(all_channels, np.concatenate([v, t])), t, v, dim)
-            for v, t in zip(c_vision, c_text)]
+                  for cand, s in zip(remaining, np.split(scores, len(row_sets)))]
+    return list(zip(c_vision, c_text))
 
 
 def jaccard(a, b) -> float:

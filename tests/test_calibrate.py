@@ -13,16 +13,16 @@ from modquant.calibrate import (
     _loss,
     _params,
     _stratified_subset,
-    _subset_batch,
     _with_params,
     analytic_gradient,
     calibrate,
-    outlier_set,
     stability_report,
 )
 from modquant.cli import RunConfig
 from modquant.layer import build_layer, forward_reference, forward_with_cache, prepare
-from modquant.mocd import MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition
+from modquant.mocd import (
+    ChannelPartition, MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition,
+)
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
 from surrogate import gradient_and_oracle, patch_quantizers
@@ -286,13 +286,16 @@ class TestStability:
 
     @staticmethod
     def _plain_report(batch, cfg, sizes, reference_size, trials, seed):
-        """stability_report from one build_partition per subset; returns the
-        report, every selection (the reference's first) and every row set."""
+        """stability_report from one build_partition per subset, each on its
+        own sub-batch; returns the report, every selection (the reference's
+        first) and every row set."""
         row_sets = []
 
         def selection(rng, size):
-            row_sets.append(_stratified_subset(rng, batch, size))
-            return outlier_set(build_partition(_subset_batch(batch, row_sets[-1]), cfg))
+            rows = _stratified_subset(rng, batch, size)
+            row_sets.append(rows)
+            p = build_partition(ActivationBatch(batch.data[rows], batch.tags[rows]), cfg)
+            return np.sort(np.concatenate([p.c_text, p.c_vision]))
 
         picks = [selection(np.random.default_rng(seed), reference_size)]
         report = []
@@ -332,7 +335,7 @@ class TestStability:
         assert report == expect
         assert [p.tolist() for p in picks] == [p.tolist() for p in expect_picks[1:]]
         union_text = np.intersect1d(np.concatenate(row_sets), batch.text_rows)
-        ranked = [call.args[0].text_rows.size for call in rank.call_args_list]
+        ranked = [call.args[1].size for call in rank.call_args_list]
         assert (sum(ranked) == union_text.size) == (tokens > 0)
         assert (union_text.size < batch.text_rows.size) == (tokens == 512)
         if tokens:
@@ -353,7 +356,23 @@ class TestStability:
         assert {call.args[0].shape[1] for call in score.call_args_list} == {
             c, c * chunk, c * (d.trials % chunk)}
 
-    def test_outlier_set_merges_and_sorts(self):
-        batch = generate(SynthConfig(seed=0))
-        p = build_partition(batch, MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64))
-        assert outlier_set(p).tolist() == sorted([3, 9, 17, 42])
+    def test_selections_read_row_sets_of_the_one_batch(self):
+        # At the CLI defaults every selection reads its rows of the batch it
+        # was given: no sub-batch and no partition is built, and a subset
+        # without a vision token is rejected where every selection checks it.
+        d, batch = RunConfig(), generate(SynthConfig())
+        args = (MocdConfig(), d.subset_sizes, min(d.reference_size, len(batch.data)),
+                d.trials, d.seed)
+        built = []
+
+        def counted(cls):
+            init = cls.__post_init__
+            return mock.patch.object(cls, "__post_init__",
+                                     lambda self: built.append(cls.__name__) or init(self))
+
+        with counted(ActivationBatch), counted(ChannelPartition):
+            stability_report(batch, *args)
+        assert built == []
+        with pytest.raises(ValueError, match="size 1 has no vision token") as err:
+            stability_report(batch, args[0], [1], *args[2:])
+        assert err.traceback[-1].name == "_select"

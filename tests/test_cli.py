@@ -390,9 +390,9 @@ class TestErrorExits:
         ("gen", b"\xff\xfe{}", None, EXIT_USAGE, "config error:"),
         # A one-token subset holds a text token whenever the batch has one.
         ("stability", {"subset_sizes": [1]}, None, EXIT_DATA,
-         "data error: a subset of size 1 has no vision token, but the vision ratio is nonzero"),
+         "data error: a token set of size 1 has no vision token, but the vision ratio is nonzero"),
         ("select", {}, {"tokens_text": 0}, EXIT_DATA,
-         "data error: nonzero text ratio but no text tokens"),
+         "data error: a token set of size 64 has no text token, but the text ratio is nonzero"),
         # One channel cannot hold a vision pick, a text pick and a main set.
         *((command, {"ratio_vision": 0.5, "ratio_text": 0.5},
            {"dim": 1, "vision_outliers": [], "text_outliers": []}, EXIT_DATA,

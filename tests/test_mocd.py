@@ -108,18 +108,18 @@ class TestMocdConfig:
 class TestVisionScore:
     def test_hand_value(self):
         b = _batch([[0.0, 0.0]], [[1.0, -5.0], [2.0, 3.0]])
-        np.testing.assert_array_equal(vision_score(b), [2.0, 5.0])
+        np.testing.assert_array_equal(vision_score(b.data, b.vision_rows), [2.0, 5.0])
 
     def test_single_token(self):
         b = _batch([[0.0, 0.0]], [[-3.0, 0.5]])
-        np.testing.assert_array_equal(vision_score(b), [3.0, 0.5])
+        np.testing.assert_array_equal(vision_score(b.data, b.vision_rows), [3.0, 0.5])
 
     def test_all_zero(self):
         b = _batch([[1.0, 1.0]], [[0.0, 0.0]])
-        assert not vision_score(b).any()
+        assert not vision_score(b.data, b.vision_rows).any()
 
     def test_no_vision_tokens(self):
-        # vision_score trusts that the batch has a vision row: build_partition
+        # vision_score trusts that it reads a vision row: build_partition
         # rejects a vision pick on a batch without one before it scores.
         b = ActivationBatch(np.ones((2, 2)), [0, 0])
         with mock.patch.object(mocd, "vision_score", side_effect=AssertionError("scored")):
@@ -154,14 +154,14 @@ class TestTopK:
 class TestPercentileRank:
     def test_hand_values(self):
         b = _batch([[0.1, 0.3, 0.2]], [[0.0, 0.0, 0.0]])
-        ranks = percentile_rank(b, np.array([0, 1, 2]))
+        ranks = percentile_rank(b.data, b.text_rows, np.array([0, 1, 2]))
         assert ranks.dtype == np.int64
         np.testing.assert_array_equal(ranks, [[1, 3, 2]])
 
     def test_constant_row_ranks_one(self):
         # Rank one is a count of C: every candidate is <= every other.
         b = _batch([[0.5, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
-        ranks = percentile_rank(b, np.array([0, 1, 2]))
+        ranks = percentile_rank(b.data, b.text_rows, np.array([0, 1, 2]))
         np.testing.assert_array_equal(ranks, np.full((1, 3), 3))
 
     def test_strict_max_has_rank_one(self):
@@ -169,7 +169,7 @@ class TestPercentileRank:
         data = rng.standard_normal((5, 6))
         data[:, 2] = 100.0
         b = ActivationBatch(np.concatenate([data, data]), [0] * 5 + [1] * 5)
-        ranks = percentile_rank(b, np.arange(6))
+        ranks = percentile_rank(b.data, b.text_rows, np.arange(6))
         np.testing.assert_array_equal(ranks[:, 2], np.full(5, 6))
 
     @given(_picks)
@@ -178,7 +178,7 @@ class TestPercentileRank:
     def test_empty_candidates(self, picks):
         # percentile_rank trusts that its candidate set is nonempty:
         # build_partition rejects picks that would leave none before it ranks.
-        _partition_checking("percentile_rank", lambda batch, cand: cand.size > 0,
+        _partition_checking("percentile_rank", lambda data, rows, cand: cand.size > 0,
                             *_picks_case(*picks))
 
     def test_peak_memory_is_a_few_results(self):
@@ -188,7 +188,7 @@ class TestPercentileRank:
         b = ActivationBatch(rng.standard_normal((320, 256)), [0] * 256 + [1] * 64)
         tracemalloc.start()
         try:
-            ranks = percentile_rank(b, np.arange(8, 248))
+            ranks = percentile_rank(b.data, b.text_rows, np.arange(8, 248))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,7 +209,7 @@ class TestPercentileRank:
         cand = np.array(sorted(cand))
         expect = [np.searchsorted(np.sort(r), r, side="right")
                   for r in np.abs(np.array(rows)[:, cand])]
-        np.testing.assert_array_equal(percentile_rank(b, cand), expect)
+        np.testing.assert_array_equal(percentile_rank(b.data, b.text_rows, cand), expect)
 
 
 def _exact_text_score(col, cols, k):
@@ -431,9 +431,9 @@ class TestMetamorphic:
         # Rank-count scores take few values, so keep the draws whose text cut
         # does not fall inside a tie (about 1 in 100).
         remaining = np.setdiff1d(np.arange(batch.data.shape[1]), p.c_vision)
-        scores = text_score(percentile_rank(batch, remaining),
+        scores = text_score(percentile_rank(batch.data, batch.text_rows, remaining),
                             min(cfg.clusters, batch.text_rows.size))
-        assume(_cut_is_tie_free(vision_score(batch), p.c_vision.size))
+        assume(_cut_is_tie_free(vision_score(batch.data, batch.vision_rows), p.c_vision.size))
         assume(_cut_is_tie_free(scores, p.c_text.size))
         perm = rng.permutation(batch.data.shape[1])
         q = build_partition(ActivationBatch(batch.data[:, perm], batch.tags), cfg)
@@ -452,8 +452,8 @@ class TestMetamorphic:
         data[rows] *= 2.0 ** rng.integers(-20, 21, size=(rows.size, 1))
         scaled = ActivationBatch(data, batch.tags)
         channels = np.arange(data.shape[1])
-        np.testing.assert_array_equal(percentile_rank(scaled, channels),
-                                      percentile_rank(batch, channels))
+        np.testing.assert_array_equal(percentile_rank(data, rows, channels),
+                                      percentile_rank(batch.data, rows, channels))
         np.testing.assert_array_equal(build_partition(scaled, cfg).c_text,
                                       build_partition(batch, cfg).c_text)
 

@@ -43,7 +43,7 @@ class TestGenerate:
         hits = 0
         for seed in range(100):
             b = generate(SynthConfig(seed=seed))
-            top = select_topk(vision_score(b), 2)
+            top = select_topk(vision_score(b.data, b.vision_rows), 2)
             hits += top.tolist() == [3, 9]
         assert hits >= 99
 
@@ -63,7 +63,7 @@ class TestGenerate:
         b = generate(cfg)
         # No huge vision channels: max score within an order of magnitude of
         # the median instead of the 100x planted spike.
-        s = vision_score(b)
+        s = vision_score(b.data, b.vision_rows)
         assert np.max(s) < 10 * np.median(s)
 
 

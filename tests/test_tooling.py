@@ -7,6 +7,9 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import modquant  # noqa: F401  (loads every submodule the tracer looks up)
 from modquant.cli import EXIT_OK, main
 
@@ -19,6 +22,15 @@ DEAD_TARGETS = {
     "quantizer.clamp_mask", "transform.apply_right", "transform.apply_inv_left",
     "transform.diagonal_transform", "layer.with_updated_params",
 }
+
+
+# The digest entries of two (workload, seed) pairs, pinned with the build of
+# numpy and BLAS that wrote them; tools/output_digest.py runs every command on
+# one BLAS thread.  A change that moves outputs on purpose rewrites the file with
+#     PYTHONPATH=src python3 tests/test_tooling.py
+# so that git's diff of it lists exactly the entries that moved.
+PINNED_DIGEST = ROOT / "tests" / "output_digest.json"
+PINNED_PAIRS = ["defaults/seed3", "loop-small/seed0"]
 
 
 def _perfbench(monkeypatch, name):
@@ -123,3 +135,39 @@ def test_output_digest_runs_only_the_selected_pairs(tmp_path):
     entries = json.loads(out.read_text())
     assert len(entries) == 68 and all(k.startswith("loop-small/seed0/") for k in entries)
     assert entries["loop-small/seed0/stability.exit"] == EXIT_OK
+
+
+def _digest_tool():
+    spec = importlib.util.spec_from_file_location("_output_digest",
+                                                  ROOT / "tools" / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _build() -> dict:
+    """The numpy version and the BLAS that numpy was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 prints its build and names no BLAS here
+        blas = {"name": "unknown"}
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version')}"}
+
+
+def test_outputs_match_the_pinned_digest():
+    # Byte identity of the CLI outputs, checked on every run and not only by
+    # hand against a parent tree: any moved bit of a pinned output fails here.
+    pinned = json.loads(PINNED_DIGEST.read_text())
+    if pinned["build"] != _build():
+        pytest.skip(f"digest pinned on {pinned['build']}, this build is {_build()}")
+    entries = _digest_tool().digest(str(ROOT / "src"), PINNED_PAIRS)
+    moved = sorted(k for k in pinned["entries"].keys() | entries.keys()
+                   if pinned["entries"].get(k) != entries.get(k))
+    assert moved == []
+
+
+if __name__ == "__main__":
+    PINNED_DIGEST.write_text(json.dumps(
+        {"build": _build(), "blas_threads": 1,
+         "entries": _digest_tool().digest(str(ROOT / "src"), PINNED_PAIRS)},
+        indent=0, sort_keys=True) + "\n")
