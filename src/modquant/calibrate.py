@@ -27,6 +27,10 @@ step's layer is a ``dataclasses.replace`` copy, which checks nothing.  The
 last step only evaluates the loss: the update it would make is
 never evaluated, so it takes no gradient.  A non-finite loss or gradient
 raises ``NonFiniteLossError``.
+
+``stability_report`` only draws token subsets and compares their picks: it
+hands the reference's and every trial's rows to one ``mocd._select`` call,
+which shares the rank counts and batches the scoring.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from . import transform as tr
 from .layer import Prepared, SplitLayer, forward_reference, forward_with_cache, prepare
 from .lowrank import LowRankBranch
-from .mocd import MocdConfig, _select, jaccard, percentile_rank
+from .mocd import MocdConfig, _select, jaccard
 from .tensor import ActivationBatch
 
 _LOG_LO = np.log(tr.DIAG_EPS)
@@ -220,15 +224,6 @@ def _stratified_subset(rng, batch: ActivationBatch, size: int) -> np.ndarray:
     return np.sort(chosen.astype(np.int64))
 
 
-# Cell budget n C (C + 1) of one text_score call over n subsets of C text
-# candidates: the stacked histogram and prefix sums.  Sharing a call saves
-# numpy's per-call overhead, but the stacked arrays are fresh heap, so peak RSS
-# grows and, for wide batches, first-touch faults cost more than the call
-# saves.  At 30 000 cells the CLI defaults score 7 subsets per call, and from
-# C = 122 on each subset has its own call.
-SCORE_CELLS = 30_000
-
-
 def stability_report(
     batch: ActivationBatch,
     cfg: MocdConfig,
@@ -239,37 +234,15 @@ def stability_report(
 ) -> list[dict]:
     """Mean/std Jaccard similarity of outlier selections from random token
     subsets against the reference-size selection.  Each selection reads its
-    subset's rows of the one batch (``mocd._select`` checks that each holds a
-    token of each modality with a pick), and its outlier set is the union of
-    its picks.  Ranks are row-local, so the text rows of all subsets are
-    ranked once over the reference's candidates, and a subset with those
-    candidates reads its rows of them.  Subsets of one size share their
-    text-token count, so their text candidates are scored together,
-    ``SCORE_CELLS // (C (C + 1))`` subsets (at least one) per ``text_score``
-    call; the budget bounds the stacked arrays, which are fresh heap."""
+    subset's rows of the one batch, and its outlier set is the union of its
+    picks.  The reference's and every trial's rows go to one ``mocd._select``
+    call, which checks that each holds a token of each modality with a pick,
+    ranks the rows of each distinct vision pick once and scores same-size
+    subsets together."""
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
-    row_sets = [[_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
-                 for t in range(1, trials + 1)] for size in subset_sizes]
-    all_rows = np.concatenate([ref_rows, *(r for rs in row_sets for r in rs)])
-    union_text = np.intersect1d(all_rows, batch.text_rows)  # ascending, each row once
-    ranked = []  # the reference's candidates, then union_text's counts over them
-
-    def rank(data, rows, cand):
-        if not ranked:  # in blocks no larger than the reference's own sort
-            blocks = np.array_split(union_text, -(-union_text.size // reference_size))
-            ranked.extend([cand, np.concatenate([percentile_rank(data, b, cand) for b in blocks])])
-        if not np.array_equal(cand, ranked[0]):
-            return percentile_rank(data, rows, cand)
-        return ranked[1][np.searchsorted(union_text, rows)]
-
-    def selections(group):  # row arrays of one size
-        return [np.union1d(v, t) for v, t in _select(batch, group, cfg, rank)]
-
-    dim = batch.data.shape[1]
-    c = dim - cfg.k_vision(dim)  # text candidates; 0 only for picks that cannot fit
-    chunk = max(1, SCORE_CELLS // max(1, c * (c + 1)))
-    ref_sel = selections([ref_rows])[0]
-    sims = [np.asarray([jaccard(sel, ref_sel) for i in range(0, trials, chunk)
-                        for sel in selections(rs[i:i + chunk])]) for rs in row_sets]
+    row_sets = [_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
+                for size in subset_sizes for t in range(1, trials + 1)]
+    ref_sel, *sels = (np.union1d(v, t) for v, t in _select(batch, [ref_rows, *row_sets], cfg))
+    sims = np.asarray([jaccard(sel, ref_sel) for sel in sels]).reshape(len(subset_sizes), trials)
     return [{"subset_size": size, "mean_jaccard": float(s.mean()),
              "std_jaccard": float(s.std())} for size, s in zip(subset_sizes, sims)]

@@ -331,8 +331,8 @@ def load_layer(manifest_path: str) -> SplitLayer:
     other keys are ignored, and only its fixed file names are read.  Each
     path's scales must be in range, one per channel, and its weight block its
     width x ``d_out``, before the full weight is allocated; a present
-    branch's rank and factor shapes must fit the main path.  A manifest that
-    fails a check raises ``ValueError``.
+    branch's rank, at least 1, and its factor shapes must fit the main path.
+    A manifest that fails a check raises ``ValueError``.
     """
     with open(manifest_path) as fh:
         try:
@@ -382,8 +382,8 @@ def load_layer(manifest_path: str) -> SplitLayer:
     def branch(name: str) -> lowrank.LowRankBranch:
         u, v, gate = (tensor(fixed[name][part]) for part in _BRANCH_FILES)
         br = lowrank.LowRankBranch(u, v, gate.reshape(-1))
-        if br.rank > min(partition.c_main.size, d_out):
-            raise ValueError("branch rank exceeds min(path width, d_out)")
+        if not 1 <= br.rank <= min(partition.c_main.size, d_out):
+            raise ValueError("branch rank must be in 1..min(path width, d_out)")
         # A wrong shape could broadcast in the forward pass, not fail.
         if (u.shape[0] != partition.c_main.size or br.gate.shape != (br.rank,)
                 or v.shape != (br.rank, d_out)):

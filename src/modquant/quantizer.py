@@ -10,8 +10,8 @@ A bit width is the whole setting, as in SmoothQuant's convention:
 ``bits=None`` is the identity sentinel used by exact-cancellation tests: the
 quantizer then returns a copy of its input (and the act mask all True).
 
-Each quantizer takes a matrix the caller already holds as finite 2-D float64
-(it checks nothing), derives fresh parameters and rounds once.
+Each quantizer takes a matrix the caller already holds as nonempty, finite
+2-D float64 (it checks nothing), derives fresh parameters and rounds once.
 ``quantize_act`` returns the value with its boolean straight-through mask
 (multiplying by it casts True/False to 1.0/0.0, the same bits as a float
 mask); ``quantize_weight`` returns the value alone, since no weight code
@@ -124,17 +124,17 @@ def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max:
 
 
 def quantize_act(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Asymmetric fake quantization, one group per row; (value, STE mask),
-    the mask False where round(x/S)+z is clamped."""
-    if bits is None or m.size == 0:
+    """Asymmetric fake quantization, one group per row of a nonempty ``m``;
+    (value, STE mask), the mask False where round(x/S)+z is clamped."""
+    if bits is None:
         return m.copy(), np.ones(m.shape, dtype=bool)
     return _round_clamp(m, *_act_params(m, bits))
 
 
 def quantize_weight(m: np.ndarray, bits: int | None) -> np.ndarray:
-    """Symmetric fake quantization, one group per column: round(m/S) * S,
-    with no clamp (see ``_weight_params``)."""
-    if bits is None or m.size == 0:
+    """Symmetric fake quantization, one group per column of a nonempty
+    ``m``: round(m/S) * S, with no clamp (see ``_weight_params``)."""
+    if bits is None:
         return m.copy()
     s = _weight_params(m, bits)
     q = _round_div(m, s)

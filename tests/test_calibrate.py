@@ -8,7 +8,6 @@ import pytest
 
 from modquant import mocd
 from modquant.calibrate import (
-    SCORE_CELLS,
     CalibConfig,
     _loss,
     _params,
@@ -21,7 +20,8 @@ from modquant.calibrate import (
 from modquant.cli import RunConfig
 from modquant.layer import build_layer, forward_reference, forward_with_cache, prepare
 from modquant.mocd import (
-    ChannelPartition, MocdConfig, build_partition, jaccard, percentile_rank, trivial_partition,
+    SCORE_CELLS, ChannelPartition, MocdConfig, build_partition, jaccard, percentile_rank,
+    trivial_partition,
 )
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
@@ -315,7 +315,7 @@ class TestStability:
         # subsets is ranked once, in blocks of at most reference_size rows, and
         # every subset reads its rows; at 512 tokens per modality they are a
         # strict part of the batch.  On plain noise small subsets pick other
-        # vision channels and rank their own rows as well.
+        # vision channels, and each other pick ranks its subsets' rows once.
         if tokens:
             batch = generate(SynthConfig(tokens_text=tokens, tokens_vision=tokens, seed=2))
             ratio = 2 / 64
@@ -328,8 +328,7 @@ class TestStability:
         picks = []
         with mock.patch.object(calibrate_module, "jaccard",
                                side_effect=lambda a, b: picks.append(a) or jaccard(a, b)), \
-             mock.patch.object(calibrate_module, "percentile_rank",
-                               wraps=percentile_rank) as rank:
+             mock.patch.object(mocd, "percentile_rank", wraps=percentile_rank) as rank:
             report = stability_report(*args)
         expect, expect_picks, row_sets = self._plain_report(*args)
         assert report == expect
@@ -340,6 +339,14 @@ class TestStability:
         assert (union_text.size < batch.text_rows.size) == (tokens == 512)
         if tokens:
             assert max(ranked) <= 80 and (len(ranked) > 1) == (tokens == 512)
+        # Each distinct vision pick ranks the union of its subsets' text rows once.
+        unions = {}
+        for rows in row_sets:
+            sub = ActivationBatch(batch.data[rows], batch.tags[rows])
+            pick = build_partition(sub, args[1]).c_vision.tobytes()
+            unions.setdefault(pick, set()).update(rows[sub.text_rows].tolist())
+        assert sum(ranked) == sum(len(u) for u in unions.values())
+        assert (len(unions) > 1) == (tokens == 0)
 
     def test_same_size_subsets_share_text_score_calls(self):
         # At the CLI defaults C = 63 text candidates, so 7 subsets of a size
@@ -355,6 +362,15 @@ class TestStability:
         assert score.call_count == len(d.subset_sizes) * -(-d.trials // chunk) + 1
         assert {call.args[0].shape[1] for call in score.call_args_list} == {
             c, c * chunk, c * (d.trials % chunk)}
+
+    def test_report_makes_one_selection_call(self):
+        # The reference's and every trial's rows go to one _select call.
+        d, batch = RunConfig(), generate(SynthConfig())
+        with mock.patch.object(calibrate_module, "_select", wraps=mocd._select) as select:
+            stability_report(batch, MocdConfig(), d.subset_sizes,
+                             min(d.reference_size, len(batch.data)), d.trials, d.seed)
+        assert select.call_count == 1
+        assert len(select.call_args.args[1]) == 1 + len(d.subset_sizes) * d.trials
 
     def test_selections_read_row_sets_of_the_one_batch(self):
         # At the CLI defaults every selection reads its rows of the batch it

@@ -170,7 +170,8 @@ class TestPermutation:
         # Channel j of the permuted layer is channel perm[j]: X's columns,
         # W's rows, the scales and the partition move together, and each
         # branch's rows follow its main channels' new order.  Every group
-        # the quantizers see keeps its values, so only the sums' order moves.
+        # the quantizers see keeps its values, so only the sums' order moves,
+        # within each product too: 1e-12 of its factors' product |a| @ |b|.
         layer, batch = case
         p = layer.partition
         perm = np.array(random.sample(range(p.dim), p.dim))
@@ -184,8 +185,8 @@ class TestPermutation:
         permuted = dataclasses.replace(layer, partition=moved, w=layer.w[perm],
                                        scale=layer.scale[perm], **branches)
         y = forward(permuted, ActivationBatch(batch.data[:, perm], batch.tags))
-        terms = reference_terms(layer, batch)
-        assert np.all(np.abs(y - forward(layer, batch)) <= 1e-12 * sum(np.abs(t) for t in terms))
+        terms = reference_terms(layer, batch, lambda a, b: np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(y - forward(layer, batch)) <= 1e-12 * sum(terms))
 
 
 def _column_blocks(x, part):
@@ -432,6 +433,17 @@ class TestSerialization:
         factor = str(tmp_path / "layer" / fname)
         save_tensor(factor, load_tensor(factor)[:, :1])
         with pytest.raises(ValueError, match="branch factor shapes"):
+            load_layer(path)
+
+    def test_branch_of_rank_zero_is_value_error(self, tmp_path):
+        # build_layer never builds a rank-0 branch, so a file must not load one.
+        batch, w, part = _instance(4)
+        layer = build_layer(w, batch, part, act_bits=4, weight_bits=4, rank_mac=0.5)
+        path = save_layer(layer, str(tmp_path / "layer"))
+        for name, shape in (("u_star", (part.c_main.size, 0)), ("v_base", (0, w.shape[1])),
+                            ("gate", (1, 0))):
+            save_tensor(str(tmp_path / "layer" / f"branch_comp_{name}.spqt"), np.empty(shape))
+        with pytest.raises(ValueError, match="branch rank must be in 1"):
             load_layer(path)
 
     def test_gate_of_wrong_length_or_nan_is_rejected(self, tmp_path):
