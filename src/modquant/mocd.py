@@ -271,6 +271,8 @@ def _select(batch: ActivationBatch, row_sets: list[np.ndarray], cfg: MocdConfig)
         reads.update({i: (cand, ranking, np.searchsorted(union, split[i][0])) for i in sets})
     c = dim - k_v
     per_call = max(1, SCORE_CELLS // (c * (c + 1)))
+    # Calls mix picks: at the CLI defaults 4 of 41 sets pick another vision
+    # channel, and scoring each pick's sets apart takes 9 calls, not 7.
     for tokens, sets in by_tokens.items():
         for j in range(0, len(sets), per_call):
             call = sets[j:j + per_call]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+from random import Random
 
 import numpy as np
 import pytest
@@ -165,6 +166,11 @@ class TestReferenceForward:
 
 class TestPermutation:
     @given(_forward_cases(), st.randoms(use_true_random=False))
+    # A vision path and a 4-channel main path, at 2 bits.  Output [1, 0] is a
+    # sum that cancels to 6.9e-17, and the permutation moves it by 3.5e-17:
+    # over 1e-12 of |a @ b|, within 1e-12 of |a| @ |b|.
+    @example(_forward_case(ChannelPartition([2, 3, 4, 5], [], [0, 1, 6], 7),
+                           [0] * 6, [2, 2], [0.0, 0.0], 2, 372), Random(0))
     @settings(max_examples=100, deadline=None)
     def test_permuting_channels_and_weight_rows_keeps_the_output(self, case, random):
         # Channel j of the permuted layer is channel perm[j]: X's columns,
