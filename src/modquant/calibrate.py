@@ -16,14 +16,16 @@ so each step clips the gates to [0, 2]; unbounded, a gate can overshoot
 through zero and the loss diverge.  The returned layer holds exactly the
 scales that the best step multiplied by, so a saved and reloaded layer
 reproduces its loss.
-The gradient reads the layer's ``ForwardPass`` records, and every path's
-log-scale gradient is the one ``_log_scale_grad``, written into the entries
-of its channels; a gate's gradient reads its branch's product from the
-forward record.  The gradient buffers are scaled in place, and
-``_log_scale_grad`` overwrites its two gradient arguments.  A step changes
-only scales and gates, so ``calibrate`` builds one ``layer.prepare`` record
-per call (the batch's and the weight's blocks), every step reads it, and a
-step's layer is a ``dataclasses.replace`` copy, which checks nothing.  The
+The gradient reads the layer's one ``ForwardPass`` record, whose columns
+and rows are in path order: it takes one product per path block into the
+gradients at the two quantizer inputs, multiplies by the activation mask
+only when there is one, and takes the log-scale gradient once over the whole
+width, scattered back to channel order; a gate's gradient reads its branch's
+product from the record.  The gradient buffers are scaled in place.  A step
+changes only scales and gates, so ``calibrate`` builds one ``layer.prepare``
+record per call (the batch's columns and the weight's rows in path order),
+every step reads it, and a step's layer is a ``dataclasses.replace`` copy,
+which checks nothing.  The
 last step only evaluates the loss: the update it would make is
 never evaluated, so it takes no gradient.  A non-finite loss or gradient
 raises ``NonFiniteLossError``.
@@ -112,15 +114,6 @@ def _loss(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     return float(np.add.reduce(r ** 2, axis=None) / r.size), r, fp
 
 
-def _log_scale_grad(path, scale, dl_dz, dl_db):
-    """Gradient w.r.t. a path's log-scales, from the gradients at its two
-    quantizer inputs: z = x d moves with d, w_s = W / d against it.
-    Overwrites both."""
-    dl_dz *= path.x
-    dl_db *= path.w_s
-    return np.add.reduce(dl_dz, axis=0) * scale - np.add.reduce(dl_db, axis=1)
-
-
 def _gate_grad(bp, br, g):
     """Gradient w.r.t. a branch gate through its quantized factor
     v_q = Q(gate * v_base), for a branch output h @ v_q."""
@@ -131,40 +124,47 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     """Loss and straight-through gradient with respect to ``_params(layer)``."""
     loss, g, fp = _loss(layer, prep, y_ref)
     g *= 2.0 / g.size
-    t_rows = prep.text_rows
-    p, s = layer.partition, layer.scale
-    main, cws, mac = fp.main, fp.cws, fp.mac
+    t_rows, blocks = prep.text_rows, prep.blocks
+    a, b, cws, mac = fp.a, fp.b, fp.cws, fp.mac
+    main = blocks[0]
 
-    dl_dz = g @ main.b.T
+    # The gradients at the quantizer inputs z = x d and w_s, one product per
+    # path block into its columns and rows.
+    dl_dz, dl_db = np.empty_like(a), np.empty_like(fp.w_s)
+    for block in blocks:
+        np.matmul(g, b[block].T, out=dl_dz[:, block])
+        np.matmul(a[:, block].T, g, out=dl_db[block])
     if cws is not None:
-        dl_dz += (g @ cws.v_q.T) @ cws.u_q.T
+        dl_dz[:, main] += (g @ cws.v_q.T) @ cws.u_q.T
     if mac is not None:
         # The MAC input is (z - a) on text rows: its gradient reaches z
-        # unmasked and leaves a.
-        dl_de = mac.mask_e * ((g[t_rows] @ mac.v_q.T) @ mac.u_q.T)
-        dl_dz[t_rows] -= dl_de
-    dl_dz *= main.mask_a
+        # unmasked and leaves a.  It is taken out and put back even with no
+        # mask, which keeps the rounding of the sum.
+        dl_de = (g[t_rows] @ mac.v_q.T) @ mac.u_q.T
+        if mac.mask_e is not None:
+            dl_de *= mac.mask_e
+        dl_dz[t_rows, main] -= dl_de
+    if fp.mask_a is not None:
+        dl_dz *= fp.mask_a
     if mac is not None:
-        dl_dz[t_rows] += dl_de
-    dl_db = main.a.T @ g
+        dl_dz[t_rows, main] += dl_de
     grads = []
     br = layer.branch_smooth
     if br is not None:
-        # The branch product is also subtracted inside the main weight; read
-        # dl_db before _log_scale_grad overwrites it.
+        # The branch product is also subtracted inside the main weight.
         grads.append(_gate_grad(cws, br, g)
-                     - np.einsum("jk,jo,ko->k", br.u_star, dl_db, br.v_base))
+                     - np.einsum("jk,jo,ko->k", br.u_star, dl_db[main], br.v_base))
     br = layer.branch_comp
     if br is not None:
         grads.append(np.zeros(br.rank) if mac is None
                      else _gate_grad(mac, br, g[t_rows]))
-    d_grad = np.zeros(p.dim)
-    d_grad[p.c_main] = _log_scale_grad(main, s[p.c_main], dl_dz, dl_db)
-    for path, cols in ((fp.text, p.c_text), (fp.vision, p.c_vision)):
-        if path is not None:
-            dl_dz, dl_db = g @ path.b.T, path.a.T @ g
-            dl_dz *= path.mask_a
-            d_grad[cols] = _log_scale_grad(path, s[cols], dl_dz, dl_db)
+    # z = x d moves with the log-scales, w_s = W / d against them; the
+    # gradient is taken in path order and scattered back to channel order.
+    dl_dz *= prep.x
+    dl_db *= fp.w_s
+    d_grad = np.empty(layer.partition.dim)
+    d_grad[prep.cols] = (np.add.reduce(dl_dz, axis=0) * layer.scale[prep.cols]
+                         - np.add.reduce(dl_db, axis=1))
     return loss, np.concatenate([d_grad, *grads])
 
 

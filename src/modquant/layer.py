@@ -2,22 +2,25 @@
 
 The layer holds one unsplit weight, and its channel partition gives each
 input channel to the main, text-outlier or vision-outlier path: ``prepare``
-gathers each path's columns of the activations and rows of the weight once.
-The forward pass runs each path through one path function: multiply the
-activation's columns by the per-channel smoothing scale s and quantize,
-divide the weight's rows by s and quantize (one call per tensor:
-``quantize_act`` yields the value and its straight-through mask, and
-``quantize_weight``, which never clamps, the value alone).  It applies the
-gated low-rank corrections that are present (weight smoothing on the main
-weight, activation compensation on text-token rows) and sums the paths.  It
-records each path and branch in a frozen ``ForwardPass`` for the calibration
-gradient; an outlier path with no channels and an absent branch are ``None``
-and cost nothing.  With identity quantizers everything cancels and the
-output equals X @ W, the load-bearing correctness oracle.  Shapes and
-rank ratios are checked only where a layer enters, by ``build_layer`` and
-``load_layer``, so the ``lowrank`` steps check nothing.  A
-layer directory's format has one definition, ``_manifest``: ``save_layer``
-writes it, ``load_layer`` checks the manifest it reads against it.
+gathers the activations' columns and the weight's rows once, in path order
+(main | text | vision), so each path is a block of one matrix.  The forward
+pass multiplies all columns by the per-channel smoothing scale s and divides
+all rows by it in one pass each, and quantizes with one call per role: the
+paths are the quantizer's blocks, each at its own bits (``quantize_act``
+yields the value and its straight-through mask, None where nothing clamps,
+and ``quantize_weight``, which never clamps, the value alone; the weight
+call also takes each branch's gated factor).  It applies the gated low-rank
+corrections that are present (weight smoothing on the main weight,
+activation compensation on text-token rows) and sums one product per block.
+It records the blocks and branches in one frozen ``ForwardPass`` for the
+calibration gradient; an outlier path with no channels is an empty block
+and an absent branch is ``None``, and neither costs a product.  With
+identity quantizers everything cancels and the output equals X @ W, the
+load-bearing correctness oracle.  Shapes and rank ratios are checked only
+where a layer enters, by ``build_layer`` and ``load_layer``, so the
+``lowrank`` steps check nothing.  A layer directory's format has one
+definition, ``_manifest``: ``save_layer`` writes it, ``load_layer`` checks
+the manifest it reads against it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,24 +67,11 @@ class SplitLayer:
 
 
 @dataclass(frozen=True)
-class PathPass:
-    """One path's intermediates: x, z = x * d, a = Q(z) and its mask, w_s =
-    W / d[:, None] and b = Q(w_s), less the CWS product on the main path."""
-
-    x: np.ndarray
-    z: np.ndarray
-    a: np.ndarray
-    mask_a: np.ndarray
-    w_s: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class BranchPass:
     """A low-rank branch's quantized factors and its product h = x_in @ u_q,
     which the output and the gate gradient share; x_in is the main path's a
     for CWS and, for MAC, the quantized text-row activation error, whose mask
-    MAC also keeps."""
+    MAC also keeps (None where nothing clamps)."""
 
     u_q: np.ndarray
     v_q: np.ndarray
@@ -90,35 +81,34 @@ class BranchPass:
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """The records the gradient reads; an empty path or absent branch is None."""
+    """The records the gradient reads, columns and rows in path order (main |
+    text | vision): a = Q(x * d) and its mask (None where nothing clamps),
+    w_s = W / d[:, None], and b, the quantized weight rows: w_s less the CWS
+    product on the main rows, then each present branch's v_q.  An absent
+    branch is None."""
 
-    main: PathPass
-    text: PathPass | None
-    vision: PathPass | None
+    a: np.ndarray
+    mask_a: np.ndarray | None
+    w_s: np.ndarray
+    b: np.ndarray
     cws: BranchPass | None
     mac: BranchPass | None
 
 
-def _path(x, w, d, act_bits, weight_bits, shift=None) -> PathPass:
-    z = x * d
-    a, mask_a = quantize_act(z, act_bits)
-    w_s = w / d[:, None]
-    b = quantize_weight(w_s if shift is None else w_s - shift, weight_bits)
-    return PathPass(x, z, a, mask_a, w_s, b)
-
-
 @dataclass(frozen=True)
 class Prepared:
-    """What no scale or gate changes: each path's block of the batch's
-    columns (C-contiguous) and of the weight's rows, the batch's text rows,
-    and each branch's u_q = Q(u_star) (None when absent)."""
+    """What no scale or gate changes: ``cols``, the channels in path order
+    (main | text | vision), ``widths``, the three paths' widths, and
+    ``blocks``, each nonempty path's slice of that order, main first (the
+    main path is never empty, see ``ChannelPartition``); the batch's columns
+    and the weight's rows in path order (C-contiguous); the batch's text
+    rows; and each branch's u_q = Q(u_star) (None when absent)."""
 
-    x_main: np.ndarray
-    x_text: np.ndarray
-    x_vision: np.ndarray
-    w_main: np.ndarray
-    w_text: np.ndarray
-    w_vision: np.ndarray
+    cols: np.ndarray
+    widths: tuple[int, int, int]
+    blocks: list[slice]
+    x: np.ndarray
+    w: np.ndarray
     text_rows: np.ndarray
     u_cws: np.ndarray | None
     u_mac: np.ndarray | None
@@ -130,59 +120,71 @@ def prepare(layer: SplitLayer, batch: ActivationBatch) -> Prepared:
     if p.dim != batch.data.shape[1]:
         raise ValueError(f"partition covers {p.dim} channels, matrix has {batch.data.shape[1]}")
     paths = (p.c_main, p.c_text, p.c_vision)
+    widths = tuple(c.size for c in paths)
+    blocks = [slice(stop - width, stop) for width, stop in zip(widths, accumulate(widths))
+              if width]
     w_aux = _aux_bits(layer.weight_bits)
     u_q = (None if br is None else quantize_weight(br.u_star, w_aux)
            for br in (layer.branch_smooth, layer.branch_comp))
     # Downstream products expect C order (BLAS picks another kernel, and
     # rounding, for the other); ``take`` gathers the columns straight into it,
     # where a fancy-indexed gather comes back Fortran-ordered and needs a copy.
-    return Prepared(*(batch.data.take(cols, axis=1) for cols in paths),
-                    *(layer.w[cols] for cols in paths), batch.text_rows, *u_q)
+    cols = np.concatenate(paths)
+    return Prepared(cols, widths, blocks, batch.data.take(cols, axis=1), layer.w[cols],
+                    batch.text_rows, *u_q)
 
 
 def forward_with_cache(layer: SplitLayer, prep: Prepared):
     """Forward pass returning the output and its ``ForwardPass`` record.
 
     ``prep`` is ``prepare`` of this layer or of one with other scales and
-    gates.  Each path scales and quantizes its activation and weight through
-    ``_path``; the main path's weight is quantized less the CWS product, and
-    a branch quantizes only gate * v_base, computed once for both.  Each
-    branch records its product h = x_in @ u_q for the gate gradient.  Empty
-    paths do no work.
+    gates.  All paths are scaled in one pass, and each role's quantizer runs
+    once over all of them: the paths are its blocks, each at its own bits,
+    and the weight's blocks go on with each branch's gate * v_base.  The main
+    weight is quantized less the CWS product, computed from the same v.
+    Each block's product is its own BLAS call on a view (one merged product
+    rounds differently), and each branch records its product h = x_in @ u_q
+    for the gate gradient.  Empty paths and absent branches do no work.
     """
-    p, s = layer.partition, layer.scale
-    t_rows = prep.text_rows
+    t_rows, widths, width = prep.text_rows, prep.widths, prep.x.shape[1]
+    main, *outliers = prep.blocks
     act_aux, w_aux = _aux_bits(layer.act_bits), _aux_bits(layer.weight_bits)
+    cws_br, mac_br = layer.branch_smooth, layer.branch_comp
+    ranks = [0 if br is None else br.rank for br in (cws_br, mac_br)]
+    # MAC corrects text rows only: with none, it does no work.
+    mac_on = mac_br is not None and t_rows.size > 0
 
-    br = layer.branch_smooth
-    cws = shift = None
-    if br is not None:
-        v = br.effective_v()  # feeds both Q and the shift
-        v_q = quantize_weight(v, w_aux)
-        shift = br.u_star @ v
-    main = _path(prep.x_main, prep.w_main, s[p.c_main], layer.act_bits,
-                 layer.weight_bits, shift)
-    y = main.a @ main.b
-    if br is not None:
-        cws = BranchPass(prep.u_cws, v_q, main.a @ prep.u_cws)
+    d = layer.scale[prep.cols]
+    z = prep.x * d
+    a, mask_a = quantize_act(z, (layer.act_bits, act_aux, act_aux), widths)
+    if mac_on:
+        e_q, mask_e = quantize_act(z[t_rows, main] - a[t_rows, main], act_aux)
+    del z  # freed before the weight pass: it lowers the step's peak heap
+    # The weight quantizer's rows: W / d, then each present branch's v.
+    rows = np.empty((width + sum(ranks), layer.d_out),
+                    np.result_type(d, *(br.gate for br in (cws_br, mac_br) if br is not None)))
+    w_s = np.divide(prep.w, d[:, None], out=rows[:width])
+    if cws_br is not None:
+        rows[width : width + ranks[0]] = cws_br.effective_v()
+        w_s = w_s.copy()  # the gradient reads W / d, not the shifted rows
+        rows[main] -= cws_br.u_star @ rows[width : width + ranks[0]]
+    if mac_br is not None:
+        rows[width + ranks[0] :] = mac_br.effective_v()
+    b = quantize_weight(rows, (layer.weight_bits, *[w_aux] * 4), (*widths, *ranks))
+    del rows  # freed here when w_s is a copy
+    v_q = b[width:]
+
+    y = a[:, main] @ b[main]
+    cws = mac = None
+    if cws_br is not None:
+        cws = BranchPass(prep.u_cws, v_q[: ranks[0]], a[:, main] @ prep.u_cws)
         y += cws.h @ cws.v_q
-
-    mac = None
-    if layer.branch_comp is not None and t_rows.size:
-        e_q, mask_e = quantize_act((main.z - main.a)[t_rows], act_aux)
-        v_q = quantize_weight(layer.branch_comp.effective_v(), w_aux)
-        mac = BranchPass(prep.u_mac, v_q, e_q @ prep.u_mac, mask_e)
+    if mac_on:
+        mac = BranchPass(prep.u_mac, v_q[ranks[0] :], e_q @ prep.u_mac, mask_e)
         y[t_rows] += mac.h @ mac.v_q
-
-    text = vision = None
-    if p.c_text.size:
-        text = _path(prep.x_text, prep.w_text, s[p.c_text], act_aux, w_aux)
-    if p.c_vision.size:
-        vision = _path(prep.x_vision, prep.w_vision, s[p.c_vision], act_aux, w_aux)
-    for path in (text, vision):
-        if path is not None:
-            y += path.a @ path.b
-    return y, ForwardPass(main, text, vision, cws, mac)
+    for block in outliers:
+        y += a[:, block] @ b[block]
+    return y, ForwardPass(a, mask_a, w_s, b, cws, mac)
 
 
 def forward(layer: SplitLayer, batch: ActivationBatch) -> np.ndarray:

@@ -8,20 +8,32 @@ A bit width is the whole setting, as in SmoothQuant's convention:
 ``quantize_act`` is asymmetric with one scale and zero-point per row (token),
 ``quantize_weight`` symmetric with one scale per column (output channel).
 ``bits=None`` is the identity sentinel used by exact-cancellation tests: the
-quantizer then returns a copy of its input (and the act mask all True).
+quantizer then returns a copy of its input (and no act mask).
+
+Both quantizers also take a matrix in consecutive blocks, ``widths`` of
+them, each with its own bit width from the sequence ``bits``: column blocks
+for ``quantize_act``, whose groups are then (row, block), and row blocks for
+``quantize_weight``, whose groups are (column, block).  So one call
+quantizes every path of the split layer, and ``quantize_*(m, bits)`` is its
+one-block case.  Empty blocks are skipped; the blocks' bits are all None or
+none is.
 
 Each quantizer takes a matrix the caller already holds as nonempty, finite
 2-D float64 (it checks nothing), derives fresh parameters and rounds once.
-``quantize_act`` returns the value with its boolean straight-through mask
-(multiplying by it casts True/False to 1.0/0.0, the same bits as a float
-mask); ``quantize_weight`` returns the value alone, since no weight code
-leaves [-q_max, q_max] (see ``_weight_params``) and its mask is all True.
-Both are total over finite input: in the rare group whose scale times its
-largest code could pass the largest float, the value is clamped to +-max
-float (``_times_scale``), never inf.
+``quantize_act`` returns the value with its boolean straight-through mask,
+or with None where no code leaves the grid (multiplying by a mask casts
+True/False to 1.0/0.0, the same bits as a float mask); rounding is monotone,
+so that is read from each group's maximum alone, and the clamp runs only
+where some group needs it.  ``quantize_weight`` returns the value alone,
+since no weight code leaves [-q_max, q_max] (see ``_weight_params``).  Both
+are total over finite input: in the rare group whose scale times its largest
+code could pass the largest float, the value is clamped to +-max float
+(``_times_scale``), never inf.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,18 +64,30 @@ def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
     return np.trunc(x, out=x)
 
 
-def _act_params(m: np.ndarray, bits: int):
-    """(S, z, q_min, q_max) of ``quantize_act``: one scale and integer-valued
-    float zero-point per row of a nonempty ``m``, kept 2-D (rows x 1).
+def _blocks(size: int, bits, widths) -> list[tuple[int, int | None]]:
+    """The (width, bits) of each nonempty block of ``size`` rows or columns:
+    one block of all of them when ``widths`` is None, else consecutive
+    blocks of ``widths`` at the bit widths in ``bits``."""
+    if widths is None:
+        return [(size, bits)]
+    return [(width, b) for width, b in zip(widths, bits) if width]
 
-    Each row's range is widened to include zero, so zero and constants map
-    onto grid points and one-signed rows never saturate; all-zero rows get
-    S = 1, z = 0.  Scales are floored at the smallest positive normal, so
-    subnormal rows never underflow to a zero scale.
+
+def _act_fit(m: np.ndarray, blocks):
+    """(S, z, levels, hi) of ``quantize_act``: one scale and integer-valued
+    float zero-point per group of a nonempty ``m``, kept 2-D (rows x
+    blocks), each block's levels = q_max = 2^b - 1 (q_min is 0), and each
+    group's maximum widened to zero.
+
+    Each group's range is widened to include zero, so zero and constants map
+    onto grid points and one-signed groups never saturate; all-zero groups
+    get S = 1, z = 0.  Scales are floored at the smallest positive normal,
+    so subnormal groups never underflow to a zero scale.
     """
-    levels = 2**bits - 1
-    hi = np.maximum.reduce(m, axis=1, keepdims=True)
-    lo = np.minimum.reduce(m, axis=1, keepdims=True)
+    levels = np.array([2.0**b - 1 for _, b in blocks])
+    starts = list(accumulate((width for width, _ in blocks[:-1]), initial=0))
+    hi = np.maximum.reduceat(m, starts, axis=1)
+    lo = np.minimum.reduceat(m, starts, axis=1)
     np.minimum(lo, 0.0, out=lo)
     np.maximum(hi, 0.0, out=hi)
     with np.errstate(over="ignore"):
@@ -73,45 +97,63 @@ def _act_params(m: np.ndarray, bits: int):
     # only there is the step computed as hi/levels - lo/levels.
     inf = np.isinf(span)
     if np.count_nonzero(inf):
-        step[inf] = hi[inf] / levels - lo[inf] / levels
+        level = np.broadcast_to(levels, span.shape)[inf]
+        step[inf] = hi[inf] / level - lo[inf] / level
     scales = np.where(span > 0, np.maximum(step, _TINY), 1.0)
     # S >= (hi - lo) / levels >= -lo / levels up to one rounding, so the
     # zero-point round(-lo / S) already lies in [0, levels] = [q_min, q_max].
     np.negative(lo, out=lo)
-    return scales, _round_div(lo, scales), 0, levels
+    return scales, _round_div(lo, scales), levels, hi
 
 
-def _weight_params(m: np.ndarray, bits: int) -> np.ndarray:
-    """The scales of ``quantize_weight``: one per column of a nonempty ``m``,
-    kept 2-D (1 x cols), S = max|m| / q_max floored at the smallest positive
-    normal (1 for an all-zero column).  So |m| / S <= q_max (1 + 2^-52),
-    which rounds to at most q_max: no code round(m/S) needs a clamp."""
-    q_max = 2 ** (bits - 1) - 1
-    hi = np.maximum.reduce(m, axis=0, keepdims=True)
-    lo = np.minimum.reduce(m, axis=0, keepdims=True)
+def _act_params(m: np.ndarray, bits, widths=None):
+    """(S, z, q_min, q_max) of ``quantize_act(m, bits, widths)``: S and z
+    rows x blocks, and q_max one per nonempty block."""
+    scales, zero_points, levels, _ = _act_fit(m, _blocks(m.shape[1], bits, widths))
+    return scales, zero_points, 0, levels
+
+
+def _weight_params(m: np.ndarray, bits, widths=None) -> np.ndarray:
+    """The scales of ``quantize_weight(m, bits, widths)``: one per column of
+    each nonempty row block of ``m``, kept 2-D (blocks x cols), S = max|m| /
+    q_max floored at the smallest positive normal (1 for an all-zero group).
+    So |m| / S <= q_max (1 + 2^-52), which rounds to at most q_max: no code
+    round(m/S) needs a clamp."""
+    blocks = _blocks(m.shape[0], bits, widths)
+    hi = np.empty((len(blocks), m.shape[1]))
+    lo = np.empty_like(hi)
+    # One reduction per row block: reduceat along axis 0 is several times
+    # slower than a plain reduce.
+    start = 0
+    for k, (width, _) in enumerate(blocks):
+        np.maximum.reduce(m[start : start + width], axis=0, out=hi[k])
+        np.minimum.reduce(m[start : start + width], axis=0, out=lo[k])
+        start += width
+    q_max = np.array([[2.0 ** (b - 1) - 1] for _, b in blocks])
     # max |m| = max(max m, -min m), with no |m| copy of the matrix.
     np.negative(lo, out=lo)
     np.maximum(hi, lo, out=hi)
     return np.where(hi > 0, np.maximum(hi / q_max, _TINY), 1.0)
 
 
-def _times_scale(q: np.ndarray, s: np.ndarray, top: int) -> np.ndarray:
-    """q *= s in place, for integer codes |q| < ``top``.  Where S <= max
-    float / top, |q| S stays below the largest float, rounding included;
-    the other groups, found from the scales alone, are clamped to +-max
-    float, so a finite input never quantizes to inf."""
-    big = s > _MAX / top
-    if not np.count_nonzero(big):
+def _times_scale(q: np.ndarray, s: np.ndarray, groups: np.ndarray, top) -> np.ndarray:
+    """q *= s in place, for integer codes |q| < ``top``; ``groups`` holds
+    each group's scale once, and ``s`` spreads them over ``q``.  Where
+    S <= max float / top, |q| S stays below the largest float, rounding
+    included; if some group's scale is larger, found from ``groups`` alone,
+    the products are clamped to +-max float (a no-op on the others), so a
+    finite input never quantizes to inf."""
+    if not np.count_nonzero(groups > _MAX / top):
         q *= s
         return q
     with np.errstate(over="ignore"):
         q *= s
-    return np.clip(q, -_MAX, _MAX, out=q, where=big)
+    return np.clip(q, -_MAX, _MAX, out=q)
 
 
-def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max: int):
+def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max):
     """Q(m) and the straight-through mask from one rounding of m/S, in two
-    buffers; ``s`` and ``z`` broadcast over ``m``."""
+    buffers; ``s``, ``z`` and ``q_max`` broadcast over ``m``."""
     buf = np.empty(m.shape)
     q = _round_div(m, s, out=buf)
     q += z
@@ -120,23 +162,45 @@ def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max:
     mask = buf == q
     buf -= z
     # z lies in [q_min, q_max], so every code q - z within q_max - q_min of 0.
-    return _times_scale(buf, s, q_max - q_min + 1), mask
+    return _times_scale(buf, s, s, q_max - q_min + 1), mask
 
 
-def quantize_act(m: np.ndarray, bits: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Asymmetric fake quantization, one group per row of a nonempty ``m``;
-    (value, STE mask), the mask False where round(x/S)+z is clamped."""
-    if bits is None:
-        return m.copy(), np.ones(m.shape, dtype=bool)
-    return _round_clamp(m, *_act_params(m, bits))
-
-
-def quantize_weight(m: np.ndarray, bits: int | None) -> np.ndarray:
-    """Symmetric fake quantization, one group per column of a nonempty
-    ``m``: round(m/S) * S, with no clamp (see ``_weight_params``)."""
-    if bits is None:
-        return m.copy()
-    s = _weight_params(m, bits)
-    q = _round_div(m, s)
+def _unclamped(m: np.ndarray, s: np.ndarray, blocks, axis: int, top) -> np.ndarray:
+    """round(m/S) * S with no clamp, for codes below ``top``: each group's
+    scale is spread over its block along ``axis``, so the divide and the
+    multiply each run once, on whole contiguous matrices."""
+    spread = s.repeat([width for width, _ in blocks], axis=axis)
+    q = _round_div(m, spread)
     q += 0.0  # turns -0.0 into +0.0
-    return _times_scale(q, s, 2 ** (bits - 1))
+    return _times_scale(q, spread, s, top)
+
+
+def quantize_act(m: np.ndarray, bits, widths=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Asymmetric fake quantization, one group per row of each column block
+    of a nonempty ``m``; (value, STE mask), the mask False where
+    round(x/S)+z is clamped, and None where no code is."""
+    blocks = _blocks(m.shape[1], bits, widths)
+    if blocks[0][1] is None:
+        return m.copy(), None
+    s, z, levels, hi = _act_fit(m, blocks)
+    # Rounding is monotone and odd, so a group's lowest code is
+    # round(lo/S) + z = 0, and its codes leave [0, levels] exactly when its
+    # maximum's code round(hi/S) + z does: for hi >= 0, exactly when
+    # hi/S >= levels - z + 1/2 (both sides exact, halves away from zero).
+    if not np.count_nonzero(hi / s >= levels - z + 0.5):
+        # Below 2^53, (r + z) - z = r + 0.0 for integer-valued r and z.
+        return _unclamped(m, s, blocks, 1, levels.max() + 1), None
+    cols = [width for width, _ in blocks]
+    return _round_clamp(m, s.repeat(cols, axis=1), z.repeat(cols, axis=1), 0,
+                        levels.repeat(cols))
+
+
+def quantize_weight(m: np.ndarray, bits, widths=None) -> np.ndarray:
+    """Symmetric fake quantization, one group per column of each row block
+    of a nonempty ``m``: round(m/S) * S, with no clamp (see
+    ``_weight_params``)."""
+    blocks = _blocks(m.shape[0], bits, widths)
+    if blocks[0][1] is None:
+        return m.copy()
+    top = 2.0 ** (max(b for _, b in blocks) - 1)
+    return _unclamped(m, _weight_params(m, bits, widths), blocks, 0, top)

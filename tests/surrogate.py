@@ -2,8 +2,10 @@
 
 With scales and zero-points held at their base-pass values, the
 straight-through estimator is the exact derivative of the surrogate
-m -> Q(m0) + mask0 * (m - m0) at every activation quantizer call and of
-m -> Q(m0) + (m - m0) at every weight quantizer call, which never clamps.
+m -> Q(m0) + mask0 * (m - m0) at every activation quantizer call (a None
+mask, where nothing clamps, freezes as all ones) and of m -> Q(m0) +
+(m - m0) at every weight quantizer call, which never clamps.  A call over
+blocks is frozen as one call: its parameters are per group already.
 The surrogate loss is analytic in the learned parameters, so its
 complex-step derivative Im f(theta + i h e_k) / h is exact to rounding
 error, with no difference taken (Squire & Trapp, SIAM Review 1998): that is
@@ -21,7 +23,8 @@ from modquant.layer import forward_with_cache
 
 def patch_quantizers(monkeypatch, wrap):
     """Replace each of the layer's two quantizers with ``wrap(name, q)``,
-    where q is the quantizer that ``name`` binds now."""
+    where q is the quantizer that ``name`` binds now; the wrapper takes and
+    passes on the ``(m, bits, widths=None)`` of a block call."""
     for name in ("quantize_act", "quantize_weight"):
         monkeypatch.setattr(layer_module, name, wrap(name, getattr(layer_module, name)))
 
@@ -48,8 +51,8 @@ def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-30):
     records = []
 
     def recording(name, real):
-        def quantize(m, bits):
-            out = real(m, bits)
+        def quantize(m, bits, widths=None):
+            out = real(m, bits, widths)
             records.append((name, m.copy(), out))
             return out
         return quantize
@@ -59,13 +62,15 @@ def gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0, h=1e-30):
     replay = []
 
     def frozen(name, real):
-        def quantize(m, bits):
+        def quantize(m, bits, widths=None):
             recorded, m0, out = records[len(replay)]
             assert recorded == name, "the quantizers were called in another order"
             replay.append(None)
             if name == "quantize_weight":
                 return out + (m - m0)
             q0, mask0 = out
+            if mask0 is None:
+                mask0 = np.ones(q0.shape, dtype=bool)
             return q0 + mask0 * (m - m0), mask0
         return quantize
 

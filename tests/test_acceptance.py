@@ -11,13 +11,14 @@ import numpy as np
 import modquant as mq
 from modquant.calibrate import CalibConfig, _params, calibrate, stability_report
 from modquant.cli import EXIT_OK, main
-from modquant.layer import _path, build_layer, forward, forward_reference, prepare
+from modquant.layer import SplitLayer, build_layer, forward, forward_reference, prepare
 from modquant.lowrank import truncated_svd
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
 from modquant.quantizer import (
     _act_params, _round_clamp, _round_div, _weight_params, quantize_act, quantize_weight,
 )
 from modquant.synth import SynthConfig, generate, generate_weight
+from modquant.tensor import ActivationBatch
 from surrogate import gradient_and_oracle
 
 DEFAULT_MOCD = MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64)
@@ -104,19 +105,18 @@ def test_criterion_2_quantizer_contracts(capsys):
 
 
 def test_criterion_3_computational_invariance(capsys):
-    # The layer's own path function with identity quantizers: (x s)(W / s).
+    # The layer's own forward pass on one path with identity quantizers:
+    # (x s)(W / s).
     rng = np.random.default_rng(2)
     worst = 0.0
     for trial in range(30):
         dim = int(rng.integers(2, 65))
         x = rng.standard_normal((8, dim))
         w = rng.standard_normal((dim, 6))
-        path = _path(x, w, rng.uniform(0.1, 10.0, dim), None, None)
+        layer = SplitLayer(trivial_partition(dim), w, rng.uniform(0.1, 10.0, dim), None, None)
+        y = forward(layer, ActivationBatch(x, np.zeros(8)))
         ref = x @ w
-        worst = max(
-            worst,
-            np.linalg.norm(path.a @ path.b - ref) / max(np.linalg.norm(ref), 1e-300),
-        )
+        worst = max(worst, np.linalg.norm(y - ref) / max(np.linalg.norm(ref), 1e-300))
     _report(capsys, 3, "computational invariance", worst <= 1e-8,
             f"worst rel err {worst:.2e}")
 

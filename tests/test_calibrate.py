@@ -191,7 +191,7 @@ class TestGradients:
         if lattice:
             theta0[:part.dim] = 0.0
             fp = forward_with_cache(_with_params(layer, theta0), prep)[1]
-            assert not fp.main.mask_a.all()
+            assert fp.mask_a is not None and not fp.mask_a[:, :part.c_main.size].all()
         y_ref = forward_reference(layer.w, batch)
         grad, oracle = gradient_and_oracle(monkeypatch, layer, prep, y_ref, theta0)
         for name, index in segments:
@@ -201,24 +201,25 @@ class TestGradients:
             assert np.max(np.abs(f - a)) <= 1e-12 * np.max(np.abs(a)), name
 
     def test_steps_do_not_quantize_the_fixed_factors(self, monkeypatch):
-        # With CWS and MAC on a split partition a step quantizes 9 tensors:
-        # two per path, each branch's gated factor and the MAC input.  Each
-        # branch's u_star is quantized once per calibrate call, before step 0.
+        # With CWS and MAC on a split partition a step makes 3 quantizer
+        # calls: the paths' activations, the paths' weights with each
+        # branch's gated factor, and the MAC input.  Each branch's u_star is
+        # quantized once per calibrate call, before step 0.
         batch, layer = _setup(0)
         assert layer.partition.c_text.size and layer.partition.c_vision.size
         inputs = []
 
         def recording(name, real):
-            def quantize(m, bits):
+            def quantize(m, bits, widths=None):
                 inputs.append(m)
-                return real(m, bits)
+                return real(m, bits, widths)
             return quantize
 
         patch_quantizers(monkeypatch, recording)
         calibrate(layer, batch, CalibConfig(steps=3))
         fixed = (layer.branch_smooth.u_star, layer.branch_comp.u_star)
         assert [i for i, m in enumerate(inputs) if any(m is u for u in fixed)] == [0, 1]
-        assert len(inputs) == 2 + 3 * 9
+        assert len(inputs) == 2 + 3 * 3
 
     def test_analytic_descent_direction(self):
         # A small step along the negative gradient should not increase the

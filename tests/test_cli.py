@@ -54,6 +54,17 @@ class TestGen:
         for name in ("activations.spqt", "weights.spqt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_runs_as_python_module(self, tmp_path):
+        # ``python3 -m modquant`` runs the CLI from a checkout, uninstalled.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(modquant.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "modquant", "gen", "--seed", "3",
+                               "--out", "run"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("activations.spqt", "weights.spqt"):
+            assert (tmp_path / "run" / name).is_file()
+
     def test_invalid_planted_index_fails(self, tmp_path):
         # A planted channel outside dim is a config value out of range.
         cfg = tmp_path / "cfg.json"

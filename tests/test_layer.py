@@ -195,12 +195,16 @@ class TestPermutation:
         assert np.all(np.abs(y - forward(layer, batch)) <= 1e-12 * sum(terms))
 
 
-def _column_blocks(x, part):
-    """``prepare``'s (x_main, x_text, x_vision) of the batch ``x`` for a
-    branchless layer on ``part``."""
+def _prepared(x, part):
+    """``prepare`` of the batch ``x`` for a branchless layer on ``part``."""
     layer = SplitLayer(part, np.zeros((part.dim, 1)), np.ones(part.dim), None, None)
-    prep = prepare(layer, ActivationBatch(x, np.zeros(x.shape[0])))
-    return prep.x_main, prep.x_text, prep.x_vision
+    return prepare(layer, ActivationBatch(x, np.zeros(x.shape[0])))
+
+
+def _column_blocks(x, part):
+    """The main, text and vision blocks of ``prepare``'s gathered columns."""
+    prep = _prepared(x, part)
+    return np.split(prep.x, np.cumsum(prep.widths)[:-1], axis=1)
 
 
 class TestPrepare:
@@ -222,10 +226,12 @@ class TestPrepare:
 
     def test_blocks_are_c_contiguous(self):
         # A column gather is Fortran-ordered; products of the blocks must see
-        # the same memory order whatever the partition.
+        # the same memory order whatever the partition, so the gathered
+        # columns and rows are C-ordered and each block is a row-major view.
         part = ChannelPartition([0, 2, 3], [1], [4], 5)
-        for block in _column_blocks(np.arange(20.0).reshape(4, 5), part):
-            assert block.flags.c_contiguous
+        prep = _prepared(np.arange(20.0).reshape(4, 5), part)
+        assert prep.x.flags.c_contiguous and prep.w.flags.c_contiguous
+        assert prep.cols.tolist() == [0, 2, 3, 1, 4] and prep.widths == (3, 1, 1)
 
     def test_dim_mismatch(self):
         part = ChannelPartition([0, 1], [], [], 2)
@@ -255,17 +261,43 @@ class TestForwardPass:
         calls = []
 
         def counting(name, real):
-            def quantize(m, bits):
+            def quantize(m, bits, widths=None):
                 calls.append((name, m.shape))
-                return real(m, bits)
+                return real(m, bits, widths)
             return quantize
 
         patch_quantizers(monkeypatch, counting)
         y, fp = forward_with_cache(layer, prepare(layer, batch))
         assert calls == [("quantize_act", (24, 16)), ("quantize_weight", (16, 12))]
-        assert fp.text is None and fp.vision is None
         assert fp.cws is None and fp.mac is None
-        np.testing.assert_array_equal(y, fp.main.a @ fp.main.b)
+        np.testing.assert_array_equal(y, fp.a @ fp.b)
+
+    def test_one_quantizer_call_per_role(self, monkeypatch):
+        # A split layer with CWS and MAC quantizes its three paths' activations
+        # in one call and their weights with both branches' factors in
+        # another; MAC's input is the one other call.  An unsplit layer
+        # without branches makes one call per role.
+        batch, w, part = _instance(0)
+        assert part.c_text.size and part.c_vision.size
+        split = build_layer(w, batch, part, 4, 4, rank_cws=0.2, rank_mac=0.2)
+        plain = build_layer(w, batch, trivial_partition(part.dim), 4, 4)
+        calls = []
+
+        def counting(name, real):
+            def quantize(m, bits, widths=None):
+                calls.append(name)
+                return real(m, bits, widths)
+            return quantize
+
+        patch_quantizers(monkeypatch, counting)
+        for layer, acts in ((split, 2), (plain, 1)):
+            prep = prepare(layer, batch)
+            calls.clear()
+            forward_with_cache(layer, prep)
+            assert sorted(calls) == ["quantize_act"] * acts + ["quantize_weight"]
+        ranks = split.branch_smooth.rank + split.branch_comp.rank
+        assert forward_with_cache(split, prepare(split, batch))[1].b.shape == (
+            part.dim + ranks, w.shape[1])
 
     def test_aux_bits_floor(self):
         # The outlier paths and branch factors take at least the floor.

@@ -205,7 +205,7 @@ class TestClampMask:
         # share one sign keeps z inside [q_min, q_max] and never saturates.
         for m in (np.array([[-120.0, -80.0]]), np.array([[80.0, 120.0]])):
             value, mask = quantize_act(m, 4)
-            assert mask.tolist() == [[1.0, 1.0]]
+            assert mask is None
             assert np.all(np.abs(value - m) <= _act_params(m, 4)[0] / 2)
         # Only parameters that do not fit the data round below q_min = 0.
         value, mask = _round_clamp(np.array([[-3.0, 2.0]]), np.ones(1),
@@ -214,8 +214,9 @@ class TestClampMask:
         assert value.tolist() == [[0.0, 2.0]]
 
     def test_identity_spec_all_ones(self):
+        # No mask stands for a mask of all ones: nothing is clamped.
         value, mask = quantize_act(np.ones((2, 3)), None)
-        assert mask.dtype == bool and mask.tolist() == [[True] * 3] * 2
+        assert mask is None
         assert value.tolist() == [[1.0] * 3] * 2
 
     @pytest.mark.parametrize("spec", [("weight", 8), ("act", 2), ("act", 4), ("weight", 3)])
@@ -223,11 +224,19 @@ class TestClampMask:
         # The value is Q(m) of the textbook formulas, on columns of mixed range.
         role, bits = spec
         m = np.random.default_rng(8).standard_normal((6, 5)) * [1, 10, 0.1, 100, 1]
-        want_value, _ = _textbook(m, *_textbook_params(m, role, bits), role, bits)
+        want_value, want_mask = _textbook(m, *_textbook_params(m, role, bits), role, bits)
         np.testing.assert_array_equal(_value(m, role, bits), want_value)
         if role == "act":
-            mask = quantize_act(m, bits)[1]
-            assert mask.dtype == bool and mask.shape == m.shape
+            _check_mask(quantize_act(m, bits)[1], want_mask)
+
+
+def _check_mask(mask, want):
+    """The act mask is None exactly when the textbook mask is all True, and
+    otherwise equals it."""
+    assert (mask is None) == want.all()
+    if mask is not None:
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, want)
 
 
 def _textbook_round(x: np.ndarray) -> np.ndarray:
@@ -358,7 +367,7 @@ class TestTextbookOracle:
         np.testing.assert_array_equal(_value(m, role, bits).view(np.uint64),
                                       want_value.view(np.uint64))
         if role == "act":
-            np.testing.assert_array_equal(quantize_act(m, bits)[1], want_mask)
+            _check_mask(quantize_act(m, bits)[1], want_mask)
         else:
             assert want_mask.all()
 
@@ -416,6 +425,80 @@ def _weight_cases(draw):
     bits, size = draw(st.integers(2, 16)), draw(st.integers(1, 6))
     columns = [draw(_weight_column(bits, size)) for _ in range(draw(st.integers(1, 4)))]
     return bits, np.ascontiguousarray(np.array(columns).T)
+
+
+@st.composite
+def _act_row(draw, bits, size):
+    """One group of ``size`` values: random floats, or, for two or more, a
+    half-integer lattice of a power-of-two scale S with ends -(a + 1/2) S
+    and (levels - a - 1/2) S.  There the fitted scale is S and z = a + 1,
+    so the maximum's code is levels + 1 and the group clamps."""
+    if size < 2 or draw(st.booleans()):
+        return draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size))
+    levels = 2**bits - 1
+    a = draw(st.integers(0, levels - 1))
+    s = 2.0 ** draw(st.integers(-20, 20))
+    inner = st.integers(-2 * a - 1, 2 * (levels - a) - 1).map(lambda h: h / 2)
+    rest = draw(st.lists(inner, min_size=size - 2, max_size=size - 2))
+    return [v * s for v in draw(st.permutations([-a - 0.5, levels - a - 0.5, *rest]))]
+
+
+def _block_case(role, bits, blocks):
+    """(role, bits, widths, blocks, m): ``m`` the blocks side by side (act)
+    or stacked (weight), C-contiguous."""
+    axis = 1 if role == "act" else 0
+    widths = [block.shape[axis] for block in blocks]
+    return role, bits, widths, blocks, np.ascontiguousarray(np.concatenate(blocks, axis=axis))
+
+
+@st.composite
+def _block_cases(draw):
+    """A role, 1-4 blocks of 0-4 columns (act) or rows (weight), at least
+    one nonempty, each at 2-16 bits, and 1-3 groups: act rows from
+    ``_act_row``, weight columns from ``_weight_column``."""
+    role = draw(st.sampled_from(ROLES))
+    widths = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
+    bits = draw(st.lists(st.integers(2, 16), min_size=len(widths), max_size=len(widths)))
+    groups = draw(st.integers(1, 3))
+    blocks = []
+    for width, b in zip(widths, bits):
+        if role == "act":
+            rows = [draw(_act_row(b, width)) for _ in range(groups)]
+            blocks.append(np.array(rows, dtype=float).reshape(groups, width))
+        else:
+            cols = [draw(_weight_column(b, width)) for _ in range(groups)] if width else []
+            blocks.append(np.array(cols, dtype=float).reshape(groups, width).T)
+    return _block_case(role, bits, blocks)
+
+
+class TestBlocks:
+    """A call over blocks is the one-block calls side by side, bit for bit."""
+
+    @given(_block_cases())
+    # A 2-bit act row that clamps (2.5 codes to 4 > 3), an empty block, and
+    # a 16-bit block that does not.
+    @example(_block_case("act", [2, 8, 16], [np.array([[-0.5, 0.0, 1.0, 2.5]]),
+                                             np.empty((1, 0)), np.array([[0.3, -0.7]])]))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_equal_one_block_calls(self, case):
+        role, bits, widths, blocks, m = case
+        nonempty = [(block, b) for block, b in zip(blocks, bits) if block.size]
+        if role == "weight":
+            want = np.concatenate([quantize_weight(block, b) for block, b in nonempty])
+            got = quantize_weight(m, bits, widths)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            return
+        got, mask = quantize_act(m, bits, widths)
+        ones = [quantize_act(block, b) for block, b in nonempty]
+        want = np.concatenate([value for value, _ in ones], axis=1)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        textbook = np.concatenate(
+            [_textbook(block, *_textbook_params(block, "act", b), "act", b)[1]
+             for block, b in nonempty], axis=1)
+        _check_mask(mask, textbook)
+        for (block, b), (_, block_mask) in zip(nonempty, ones):
+            _check_mask(block_mask, _textbook(block, *_textbook_params(block, "act", b),
+                                              "act", b)[1])
 
 
 class TestWeightCodes:

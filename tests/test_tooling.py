@@ -137,6 +137,23 @@ def test_output_digest_runs_only_the_selected_pairs(tmp_path):
     assert entries["loop-small/seed0/stability.exit"] == EXIT_OK
 
 
+def test_stagebench_writes_its_file(tmp_path):
+    # The smallest size at one repeat: every stage timed, the build recorded.
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "stagebench.py"), "smoke",
+                           "--sizes", "128x64", "--repeats", "1", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "BENCH_stages-smoke.json").read_text())
+    assert result["environment"].keys() == {"python", "numpy", "blas", "blas_threads", "nproc"}
+    assert result["environment"]["blas_threads"] == 1
+    (size,) = result["sizes"]
+    assert (size["tokens"], size["dim"], size["d_out"]) == (128, 64, 64)
+    stages = ["forward_with_cache_s", "analytic_gradient_s", "calibrate_step_s"]
+    assert list(size["stages"]) == stages and list(size["samples"]) == stages
+    assert all(value > 0 and len(size["samples"][name]) == 1
+               for name, value in size["stages"].items())
+
+
 def _digest_tool():
     spec = importlib.util.spec_from_file_location("_output_digest",
                                                   ROOT / "tools" / "output_digest.py")

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modquant.layer import _path
+from modquant.layer import SplitLayer, forward_with_cache, prepare
+from modquant.mocd import trivial_partition
+from modquant.tensor import ActivationBatch
 from modquant.transform import DIAG_EPS, checked_scale, smoothing_scale
+
+
+def _path(x, w, scale):
+    """The forward record of the one-path layer (x, w, scale) with identity
+    quantizers: a = x * scale exactly, w_s = w / scale and b = w_s."""
+    layer = SplitLayer(trivial_partition(x.shape[1]), w, scale, None, None)
+    return forward_with_cache(layer, prepare(layer, ActivationBatch(x, np.zeros(x.shape[0]))))[1]
 
 
 class TestConstruction:
@@ -22,21 +31,19 @@ class TestConstruction:
 
     def test_identity(self):
         x = np.arange(6.0).reshape(2, 3)
-        path = _path(x, x.T, np.ones(3), None, None)
-        np.testing.assert_array_equal(path.z, x)
+        path = _path(x, x.T, np.ones(3))
+        np.testing.assert_array_equal(path.a, x)
         np.testing.assert_array_equal(path.w_s, x.T)
 
 
 class TestApply:
-    # The layer applies s through its path function: z = x s, w_s = W / s.
+    # The layer applies s in its forward pass: z = x s, w_s = W / s.
     def test_diagonal_right_hand_value(self):
-        path = _path(np.array([[1.0, 1.0]]), np.ones((2, 1)), np.array([2.0, 3.0]),
-                     None, None)
-        np.testing.assert_allclose(path.z, [[2.0, 3.0]], rtol=1e-14)
+        path = _path(np.array([[1.0, 1.0]]), np.ones((2, 1)), np.array([2.0, 3.0]))
+        np.testing.assert_allclose(path.a, [[2.0, 3.0]], rtol=1e-14)
 
     def test_diagonal_inv_left_hand_value(self):
-        path = _path(np.ones((1, 2)), np.array([[2.0], [4.0]]), np.array([2.0, 4.0]),
-                     None, None)
+        path = _path(np.ones((1, 2)), np.array([[2.0], [4.0]]), np.array([2.0, 4.0]))
         np.testing.assert_allclose(path.w_s, [[1.0], [1.0]], rtol=1e-14)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
@@ -45,7 +52,7 @@ class TestApply:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((5, dim))
         w = rng.standard_normal((dim, 3))
-        path = _path(x, w, rng.uniform(0.1, 10.0, dim), None, None)
+        path = _path(x, w, rng.uniform(0.1, 10.0, dim))
         ref = x @ w
         assert np.linalg.norm(path.a @ path.b - ref) <= 1e-9 * max(np.linalg.norm(ref), 1.0)
 
