@@ -19,16 +19,18 @@ one-block case.  Empty blocks are skipped; the blocks' bits are all None or
 none is.
 
 Each quantizer takes a matrix the caller already holds as nonempty, finite
-2-D float64 (it checks nothing), derives fresh parameters and rounds once.
-``quantize_act`` returns the value with its boolean straight-through mask,
-or with None where no code leaves the grid (multiplying by a mask casts
-True/False to 1.0/0.0, the same bits as a float mask); rounding is monotone,
-so that is read from each group's maximum alone, and the clamp runs only
-where some group needs it.  ``quantize_weight`` returns the value alone,
-since no weight code leaves [-q_max, q_max] (see ``_weight_params``).  Both
-are total over finite input: in the rare group whose scale times its largest
-code could pass the largest float, the value is clamped to +-max float
-(``_times_scale``), never inf.
+2-D float64 (it checks nothing), derives fresh parameters and rounds once,
+in the one routine ``_round`` that both roles share.  ``quantize_act``
+returns the value with its boolean straight-through mask, or with None
+where no code leaves the grid (multiplying by a mask casts True/False to
+1.0/0.0, the same bits as a float mask).  Its range includes zero, so no
+code round(x/S) + z falls below 0; rounding is monotone, so whether one
+rises above q_max is read from each group's maximum alone, and only then
+are the codes round(x/S) capped at q_max - z.  ``quantize_weight`` returns
+the value alone, since no weight code leaves [-q_max, q_max] (see
+``_weight_params``).  Both are total over finite input: in the rare group
+whose scale times its largest code could pass the largest float, the value
+is clamped to +-max float, never inf.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def check_bits(bits: int | None) -> int | None:
     return bits
 
 
-def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
+def _round_div(m: np.ndarray, s) -> np.ndarray:
     """m / s rounded to the nearest integer, halves away from zero:
     trunc(x + copysign(h, x)) for h = 1/2 - 2^-54, the largest double below
     1/2, exact for every finite quotient x.  Below 2^52, 1/2 is a multiple of
@@ -57,10 +59,9 @@ def _round_div(m: np.ndarray, s, out=None) -> np.ndarray:
     rounds to below the next integer; a fraction of 1/2 or more puts |x| + h
     within 2^-54 of the next integer or above it, and it rounds up to it
     (1 - 2^-54 ties to 1, the even neighbour).  From 2^52 on x is an integer,
-    and h is under half its spacing.  The copysign goes into ``out``, which
-    is overwritten; the result is a new array."""
+    and h is under half its spacing."""
     x = np.divide(m, s)
-    x += np.copysign(_HALF_DOWN, x, out=out)
+    x += np.copysign(_HALF_DOWN, x)
     return np.trunc(x, out=x)
 
 
@@ -106,13 +107,6 @@ def _act_fit(m: np.ndarray, blocks):
     return scales, _round_div(lo, scales), levels, hi
 
 
-def _act_params(m: np.ndarray, bits, widths=None):
-    """(S, z, q_min, q_max) of ``quantize_act(m, bits, widths)``: S and z
-    rows x blocks, and q_max one per nonempty block."""
-    scales, zero_points, levels, _ = _act_fit(m, _blocks(m.shape[1], bits, widths))
-    return scales, zero_points, 0, levels
-
-
 def _weight_params(m: np.ndarray, bits, widths=None) -> np.ndarray:
     """The scales of ``quantize_weight(m, bits, widths)``: one per column of
     each nonempty row block of ``m``, kept 2-D (blocks x cols), S = max|m| /
@@ -136,43 +130,30 @@ def _weight_params(m: np.ndarray, bits, widths=None) -> np.ndarray:
     return np.where(hi > 0, np.maximum(hi / q_max, _TINY), 1.0)
 
 
-def _times_scale(q: np.ndarray, s: np.ndarray, groups: np.ndarray, top) -> np.ndarray:
-    """q *= s in place, for integer codes |q| < ``top``; ``groups`` holds
-    each group's scale once, and ``s`` spreads them over ``q``.  Where
-    S <= max float / top, |q| S stays below the largest float, rounding
-    included; if some group's scale is larger, found from ``groups`` alone,
-    the products are clamped to +-max float (a no-op on the others), so a
-    finite input never quantizes to inf."""
-    if not np.count_nonzero(groups > _MAX / top):
-        q *= s
-        return q
-    with np.errstate(over="ignore"):
-        q *= s
-    return np.clip(q, -_MAX, _MAX, out=q)
-
-
-def _round_clamp(m: np.ndarray, s: np.ndarray, z: np.ndarray, q_min: int, q_max):
-    """Q(m) and the straight-through mask from one rounding of m/S, in two
-    buffers; ``s``, ``z`` and ``q_max`` broadcast over ``m``."""
-    buf = np.empty(m.shape)
-    q = _round_div(m, s, out=buf)
-    q += z
-    np.maximum(q, q_min, out=buf)
-    np.minimum(buf, q_max, out=buf)
-    mask = buf == q
-    buf -= z
-    # z lies in [q_min, q_max], so every code q - z within q_max - q_min of 0.
-    return _times_scale(buf, s, s, q_max - q_min + 1), mask
-
-
-def _unclamped(m: np.ndarray, s: np.ndarray, blocks, axis: int, top) -> np.ndarray:
-    """round(m/S) * S with no clamp, for codes below ``top``: each group's
-    scale is spread over its block along ``axis``, so the divide and the
-    multiply each run once, on whole contiguous matrices."""
-    spread = s.repeat([width for width, _ in blocks], axis=axis)
+def _round(m: np.ndarray, s: np.ndarray, blocks, axis: int, top, ceiling=None):
+    """round(m/S) * S and the straight-through mask, for codes below ``top``
+    in magnitude: each group's scale (and ceiling) is spread over its block
+    along ``axis``, so the divide and the multiply each run once, on whole
+    contiguous matrices.  With a ``ceiling``, codes above it are clamped to
+    it and the mask is False there; without one the mask is None."""
+    widths = [width for width, _ in blocks]
+    spread = s.repeat(widths, axis=axis)
     q = _round_div(m, spread)
+    mask = None
+    if ceiling is not None:
+        ceiling = ceiling.repeat(widths, axis=axis)
+        mask = q <= ceiling
+        np.minimum(q, ceiling, out=q)
     q += 0.0  # turns -0.0 into +0.0
-    return _times_scale(q, spread, s, top)
+    # Where S <= max float / top, |q| S stays below the largest float,
+    # rounding included; if some group's scale is larger, the products are
+    # clamped to +-max float (a no-op on the others), never inf.
+    if not np.count_nonzero(s > _MAX / top):
+        q *= spread
+        return q, mask
+    with np.errstate(over="ignore"):
+        q *= spread
+    return np.clip(q, -_MAX, _MAX, out=q), mask
 
 
 def quantize_act(m: np.ndarray, bits, widths=None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -187,12 +168,11 @@ def quantize_act(m: np.ndarray, bits, widths=None) -> tuple[np.ndarray, np.ndarr
     # round(lo/S) + z = 0, and its codes leave [0, levels] exactly when its
     # maximum's code round(hi/S) + z does: for hi >= 0, exactly when
     # hi/S >= levels - z + 1/2 (both sides exact, halves away from zero).
-    if not np.count_nonzero(hi / s >= levels - z + 0.5):
-        # Below 2^53, (r + z) - z = r + 0.0 for integer-valued r and z.
-        return _unclamped(m, s, blocks, 1, levels.max() + 1), None
-    cols = [width for width, _ in blocks]
-    return _round_clamp(m, s.repeat(cols, axis=1), z.repeat(cols, axis=1), 0,
-                        levels.repeat(cols))
+    # Then round(m/S) is clamped at levels - z, which below 2^53 equals
+    # min(round(m/S) + z, levels) - z for integer-valued floats.
+    ceiling = levels - z
+    clamps = np.count_nonzero(hi / s >= ceiling + 0.5)
+    return _round(m, s, blocks, 1, levels.max() + 1, ceiling if clamps else None)
 
 
 def quantize_weight(m: np.ndarray, bits, widths=None) -> np.ndarray:
@@ -203,4 +183,4 @@ def quantize_weight(m: np.ndarray, bits, widths=None) -> np.ndarray:
     if blocks[0][1] is None:
         return m.copy()
     top = 2.0 ** (max(b for _, b in blocks) - 1)
-    return _unclamped(m, _weight_params(m, bits, widths), blocks, 0, top)
+    return _round(m, _weight_params(m, bits, widths), blocks, 0, top)[0]

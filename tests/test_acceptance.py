@@ -14,9 +14,7 @@ from modquant.cli import EXIT_OK, main
 from modquant.layer import SplitLayer, build_layer, forward, forward_reference, prepare
 from modquant.lowrank import truncated_svd
 from modquant.mocd import MocdConfig, build_partition, trivial_partition
-from modquant.quantizer import (
-    _act_params, _round_clamp, _round_div, _weight_params, quantize_act, quantize_weight,
-)
+from modquant.quantizer import _act_fit, _round_div, _weight_params, quantize_act, quantize_weight
 from modquant.synth import SynthConfig, generate, generate_weight
 from modquant.tensor import ActivationBatch
 from surrogate import gradient_and_oracle
@@ -78,7 +76,8 @@ def test_criterion_1_partition_correctness(capsys):
 
 
 def test_criterion_2_quantizer_contracts(capsys):
-    # Idempotence and the S/2 error bound at the parameters fitted to m.
+    # Idempotence and the S/2 error bound at the parameters fitted to m; the
+    # act codes round(x/S) + z of Q(m) lie in [0, levels], so none clamps.
     rng = np.random.default_rng(1)
     ok = True
     for role, bits in (("weight", 4), ("act", 4), ("weight", 16)):
@@ -86,12 +85,12 @@ def test_criterion_2_quantizer_contracts(capsys):
         if role == "weight":
             scales = _weight_params(m, bits)
             once = quantize_weight(m, bits)
-            again = _round_div(once, scales) * scales
         else:
-            params = _act_params(m, bits)
-            scales = params[0]
+            scales, zero_points, levels, _ = _act_fit(m, [(m.shape[1], bits)])
             once = quantize_act(m, bits)[0]
-            again = _round_clamp(once, *params)[0]
+            codes = _round_div(once, scales) + zero_points
+            ok &= bool(codes.min() >= 0 and codes.max() <= levels[0])
+        again = _round_div(once, scales) * scales
         ok &= np.array_equal(once, again)
         err = np.abs(m - once)
         ok &= bool(np.all(err <= np.max(scales) / 2 + 1e-12))

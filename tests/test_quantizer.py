@@ -1,11 +1,12 @@
 """Uniform affine fake quantization: parameter derivation and round trips of
 the two fixed quantizers, ``quantize_act`` (asymmetric, one group per row)
 and ``quantize_weight`` (symmetric, one group per column), and of their
-halves: ``_act_params`` (per-row scales, zero-points and the clamp range),
-``_weight_params`` (per-column scales) and ``_round_clamp`` (the activation
-quantizer's round and clamp at given parameters).  The weight quantizer has
-no clamp; its invariant, that every code lies in [-q_max, q_max], is tested
-in its place."""
+parameter halves: ``_act_fit`` (per-row scales, zero-points and the clamp
+range) and ``_weight_params`` (per-column scales).  The weight quantizer has
+no clamp, and the activation quantizer clamps only its top codes; their
+invariants, that every weight code lies in [-q_max, q_max] and that no act
+code falls below 0, are tested in place of the clamps that are not
+there."""
 
 import math
 import sys
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modquant.quantizer import (
-    _act_params,
-    _round_clamp,
+    _act_fit,
     _round_div,
     _weight_params,
     check_bits,
@@ -36,9 +36,15 @@ def _value(m, role, bits):
     return quantize_act(m, bits)[0] if role == "act" else quantize_weight(m, bits)
 
 
-def _weight_at(m, scales):
-    """The weight quantizer at given scales: round(m/S) * S."""
+def _at(m, scales):
+    """round(m/S) * S: the weight quantizer at given scales, and the act
+    quantizer's value at them where no code clamps."""
     return _round_div(m, scales) * scales
+
+
+def _fit_act(m, bits):
+    """(S, z, levels, hi) of ``quantize_act(m, bits)``, one block."""
+    return _act_fit(m, [(m.shape[1], bits)])
 
 
 def _grid(role, bits):
@@ -62,8 +68,8 @@ class TestSpec:
 
     def test_asymmetric_range(self):
         m = np.ones((2, 2))
-        assert _act_params(m, 2)[2:] == (0, 3)
-        assert _act_params(m, 8)[2:] == (0, 255)
+        assert _fit_act(m, 2)[2].tolist() == [3.0]
+        assert _fit_act(m, 8)[2].tolist() == [255.0]
 
     def test_bits_bounds(self):
         for bits in (1, 17, -1):
@@ -122,7 +128,7 @@ class TestComputeParams:
         assert not _value(np.zeros((2, 2)), "weight", 8).any()
 
     def test_asymmetric_2bit_hand_value(self):
-        scales, zero_points, _, _ = _act_params(np.array([[-1.0, 1.0]]), 2)
+        scales, zero_points, _, _ = _fit_act(np.array([[-1.0, 1.0]]), 2)
         np.testing.assert_allclose(scales, [[2.0 / 3.0]])
         assert zero_points.tolist() == [[2.0]]
 
@@ -145,15 +151,18 @@ class TestFakeQuantize:
         np.testing.assert_array_equal(quantize_weight(x, 4), x)
 
     def test_idempotent(self):
-        # At fixed parameters a value on the grid stays where it is.
+        # At m's fitted parameters a value on the grid stays where it is,
+        # and its act codes round(x/S) + z lie in [0, levels], so none clamps.
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8))
-        params = _act_params(m, 8)
-        once = _round_clamp(m, *params)[0]
-        np.testing.assert_array_equal(once, _round_clamp(once, *params)[0])
+        scales, zero_points, levels, _ = _fit_act(m, 8)
+        once = quantize_act(m, 8)[0]
+        np.testing.assert_array_equal(once, _at(once, scales))
+        codes = _round_div(once, scales) + zero_points
+        assert codes.min() >= 0 and codes.max() <= levels[0]
         scales = _weight_params(m, 8)
-        once = _weight_at(m, scales)
-        np.testing.assert_array_equal(once, _weight_at(once, scales))
+        once = _at(m, scales)
+        np.testing.assert_array_equal(once, _at(once, scales))
 
     def test_identity_spec_returns_input(self):
         m = np.random.default_rng(4).standard_normal((3, 3))
@@ -177,7 +186,7 @@ class TestFakeQuantize:
     def test_in_range_error_bound(self, m, quantizer):
         # Every value lies in its group's widened range, so none is clamped.
         role, bits = quantizer
-        scales = _act_params(m, bits)[0] if role == "act" else _weight_params(m, bits)
+        scales = _fit_act(m, bits)[0] if role == "act" else _weight_params(m, bits)
         err = np.abs(m - _value(m, role, bits))
         assert np.all(err <= scales / 2 + 1e-12)
 
@@ -206,12 +215,7 @@ class TestClampMask:
         for m in (np.array([[-120.0, -80.0]]), np.array([[80.0, 120.0]])):
             value, mask = quantize_act(m, 4)
             assert mask is None
-            assert np.all(np.abs(value - m) <= _act_params(m, 4)[0] / 2)
-        # Only parameters that do not fit the data round below q_min = 0.
-        value, mask = _round_clamp(np.array([[-3.0, 2.0]]), np.ones(1),
-                                   np.zeros(1, dtype=np.int64), *_grid("act", 4))
-        assert mask.tolist() == [[False, True]]
-        assert value.tolist() == [[0.0, 2.0]]
+            assert np.all(np.abs(value - m) <= _fit_act(m, 4)[0] / 2)
 
     def test_identity_spec_all_ones(self):
         # No mask stands for a mask of all ones: nothing is clamped.
@@ -338,9 +342,9 @@ def _group_params(m, role, bits):
         scales = _weight_params(m, bits)
         assert scales.shape == (1, cols)
         return scales.reshape(-1), np.zeros(cols)
-    scales, zero_points, q_min, q_max = _act_params(m, bits)
+    scales, zero_points, levels, _ = _fit_act(m, bits)
     assert scales.shape == zero_points.shape == (rows, 1)
-    assert (q_min, q_max) == _grid(role, bits)
+    assert levels.tolist() == [_grid(role, bits)[1]]
     return scales.reshape(-1), zero_points.reshape(-1)
 
 
@@ -371,28 +375,17 @@ class TestTextbookOracle:
         else:
             assert want_mask.all()
 
-    @given(_oracle_cases(roles=("act",)))
-    @settings(max_examples=100, deadline=None)
-    def test_clamped_values_are_bit_exact(self, case):
-        # Half the fitted scale pushes the group's ends past the clamp edges.
-        role, bits, m = case
-        scales, zero_points, q_min, q_max = _act_params(m, bits)
-        value, mask = _round_clamp(m, scales / 2, zero_points, q_min, q_max)
-        flat_scales, flat_zero_points = _group_params(m, role, bits)
-        want_value, want_mask = _textbook(m, flat_scales / 2, flat_zero_points, role, bits)
-        np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
-        np.testing.assert_array_equal(mask, want_mask)
-
 
 @st.composite
 def _weight_column(draw, bits, size):
-    """One column of ``size`` values, of one of seven kinds: any finite
+    """One column of ``size`` values, of one of eight kinds: any finite
     floats; uniform in [-1, 1] times 10^e, e in [-300, 300]; subnormal
     entries; magnitudes 1e300 and 1e-300 mixed; one sign only; all zeros of
-    either sign; or on a lattice, each value k or k + 0.5 times a scale
-    (a power of two, or any), with one end at q_max times it."""
-    kind = draw(st.sampled_from(
-        ["any", "magnitude", "subnormal", "mixed", "one-signed", "zeros", "lattice"]))
+    either sign; ends at -1e308 and 1e308, whose hi - lo overflows; or on a
+    lattice, each value k or k + 0.5 times a scale (a power of two, or any),
+    with one end at q_max times it."""
+    kind = draw(st.sampled_from(["any", "magnitude", "subnormal", "mixed", "one-signed",
+                                 "zeros", "overflow", "lattice"]))
 
     def values(elements):
         return draw(st.lists(elements, min_size=size, max_size=size))
@@ -411,6 +404,11 @@ def _weight_column(draw, bits, size):
         return [sign * abs(v) for v in values(st.floats(allow_nan=False, allow_infinity=False))]
     if kind == "zeros":
         return values(st.sampled_from([0.0, -0.0]))
+    if kind == "overflow":
+        ends = [-1e308, 1e308][:size]
+        rest = draw(st.lists(st.floats(-1e308, 1e308), min_size=size - len(ends),
+                             max_size=size - len(ends)))
+        return draw(st.permutations(ends + rest))
     q_max = _grid("weight", bits)[1]
     s = draw(st.one_of(st.integers(-1000, 1000).map(lambda j: 2.0**j), st.floats(1e-300, 1e300)))
     codes = values(st.integers(-2 * q_max, 2 * q_max).map(lambda h: h / 2))
@@ -520,6 +518,51 @@ class TestWeightCodes:
         with np.errstate(over="ignore"):
             product = codes * scales
         assert np.array_equal(quantize_weight(m, bits), np.clip(product, -_MAX, _MAX))
+
+
+@st.composite
+def _act_cases(draw):
+    """A one-block ``quantize_act`` case (bits, widths, m): a bit width in
+    [2, 16] and 1-4 rows of 1-6 values, each row from ``_weight_column``."""
+    bits, size = draw(st.integers(2, 16)), draw(st.integers(1, 6))
+    rows = [draw(_weight_column(bits, size)) for _ in range(draw(st.integers(1, 4)))]
+    return [bits], [size], np.array(rows)
+
+
+class TestActCodes:
+    """The invariant that stands in for the activation quantizer's lower
+    clamp: at the fitted parameters every code round(m/S) + z is at least
+    q_min = 0, and a group's minimum codes to 0 when it is at most 0."""
+
+    @given(_act_cases())
+    # z = round(100.5) rounds up from an exact half to 101, so the top code
+    # round(65434.5) + 101 = 65536 passes q_max = 65535 and clamps.
+    @example(([16], [2], np.array([[-100.5, 65434.5]])))
+    # The same in the middle block of three: z = round(0.5) = 1 and the top
+    # code round(2.5) + 1 = 4 passes q_max = 3; the first block's top code
+    # 3 + 12 is its q_max = 15, and neither outer block clamps.
+    @example(([4, 2, 8], [2, 2, 2], np.array([[3.0, -12.0, -0.5, 2.5, 1.0, -2.0]])))
+    @settings(max_examples=500, deadline=None)
+    def test_codes_are_never_below_zero(self, case):
+        bits, widths, m = case
+        scales, zero_points, _, _ = _act_fit(m, list(zip(widths, bits)))
+        codes = _round_div(m, scales.repeat(widths, axis=1)) + zero_points.repeat(widths, axis=1)
+        assert codes.min() >= 0
+        rows, starts = np.arange(len(m)), np.cumsum([0, *widths[:-1]])
+        for start, width in zip(starts, widths):
+            block, block_codes = m[:, start:start + width], codes[:, start:start + width]
+            at_min = block_codes[rows, block.argmin(axis=1)]
+            assert np.all(at_min[block.min(axis=1) <= 0] == 0)
+        # Value and mask are the textbook ones, bit for bit, clamped to the
+        # largest float where (q - z) S rounds past it.
+        with np.errstate(over="ignore"):
+            want = [_textbook(m[:, start:start + width], *_textbook_params(
+                        m[:, start:start + width], "act", b), "act", b)
+                    for start, width, b in zip(starts, widths, bits)]
+        value, mask = quantize_act(m, bits, widths)
+        want_value = np.clip(np.hstack([v for v, _ in want]), -_MAX, _MAX)
+        np.testing.assert_array_equal(value.view(np.uint64), want_value.view(np.uint64))
+        _check_mask(mask, np.hstack([k for _, k in want]))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """The repo's tools against the package they drive."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -24,13 +25,14 @@ DEAD_TARGETS = {
 }
 
 
-# The digest entries of three (workload, seed) pairs, pinned with the build of
+# The digest entries of four (workload, seed) pairs, pinned with the build of
 # numpy and BLAS that wrote them; tools/output_digest.py runs every command on
 # one BLAS thread.  A change that moves outputs on purpose rewrites the file with
 #     PYTHONPATH=src python3 tests/test_tooling.py
 # so that git's diff of it lists exactly the entries that moved.
 PINNED_DIGEST = ROOT / "tests" / "output_digest.json"
-PINNED_PAIRS = ["defaults/seed3", "loop-small/seed0", "select-text-heavy/seed0"]
+PINNED_PAIRS = ["calib-wide/seed0", "defaults/seed3", "loop-small/seed0",
+                "select-text-heavy/seed0"]
 
 
 def _perfbench(monkeypatch, name):
@@ -81,6 +83,35 @@ def test_benchmark_checks_pass_on_the_cli_outputs(monkeypatch, tmp_path):
     assert main(["eval", "--activations", acts, "--out", out]) == EXIT_OK
     checks.check_calibrate(out, weights, 20, 0)
     checks.check_eval(out, acts, 0)
+
+
+def test_every_unexported_name_is_read_in_the_package():
+    # No library code whose only user is a test: each module-level function,
+    # class and constant that __init__.py does not export is read (a Load
+    # name or an attribute) somewhere in the package outside its definition.
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "modquant").glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    reads = [(n.id if isinstance(n, ast.Name) else n.attr, id(n))
+             for tree in trees.values() for n in ast.walk(tree)
+             if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+             or isinstance(n, ast.Attribute)]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            unread += [f"{module.removesuffix('.py')}.{name}" for name in names
+                       if name not in exported
+                       and not any(r == name and at not in inside for r, at in reads)]
+    assert unread == []
 
 
 def _code_lines(package):
