@@ -135,12 +135,12 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
         np.matmul(g, b[block].T, out=dl_dz[:, block])
         np.matmul(a[:, block].T, g, out=dl_db[block])
     if cws is not None:
-        dl_dz[:, main] += (g @ cws.v_q.T) @ cws.u_q.T
+        dl_dz[:, main] += (g @ cws.v_q.T) @ prep.u_cws.T
     if mac is not None:
         # The MAC input is (z - a) on text rows: its gradient reaches z
         # unmasked and leaves a.  It is taken out and put back even with no
         # mask, which keeps the rounding of the sum.
-        dl_de = (g[t_rows] @ mac.v_q.T) @ mac.u_q.T
+        dl_de = (g[t_rows] @ mac.v_q.T) @ prep.u_mac.T
         if mac.mask_e is not None:
             dl_de *= mac.mask_e
         dl_dz[t_rows, main] -= dl_de

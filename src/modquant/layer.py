@@ -18,7 +18,9 @@ and an absent branch is ``None``, and neither costs a product.  With
 identity quantizers everything cancels and the output equals X @ W, the
 load-bearing correctness oracle.  Shapes and rank ratios are checked only
 where a layer enters, by ``build_layer`` and ``load_layer``, so the
-``lowrank`` steps check nothing.  A layer directory's format has one
+``lowrank`` steps check nothing; ``build_layer`` passes the main path's
+weight rows, scales and ratios to ``lowrank.branches``, which turns them
+into ranks and branches.  A layer directory's format has one
 definition, ``_manifest``: ``save_layer`` writes it, ``load_layer`` checks
 the manifest it reads against it.
 """
@@ -68,12 +70,12 @@ class SplitLayer:
 
 @dataclass(frozen=True)
 class BranchPass:
-    """A low-rank branch's quantized factors and its product h = x_in @ u_q,
-    which the output and the gate gradient share; x_in is the main path's a
-    for CWS and, for MAC, the quantized text-row activation error, whose mask
-    MAC also keeps (None where nothing clamps)."""
+    """A low-rank branch's quantized factor v_q and its product h = x_in @ u_q,
+    which the output and the gate gradient share (u_q is ``Prepared``'s, since
+    no gate changes it); x_in is the main path's a for CWS and, for MAC, the
+    quantized text-row activation error, whose mask MAC also keeps (None
+    where nothing clamps)."""
 
-    u_q: np.ndarray
     v_q: np.ndarray
     h: np.ndarray
     mask_e: np.ndarray | None = None
@@ -177,10 +179,10 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
     y = a[:, main] @ b[main]
     cws = mac = None
     if cws_br is not None:
-        cws = BranchPass(prep.u_cws, v_q[: ranks[0]], a[:, main] @ prep.u_cws)
+        cws = BranchPass(v_q[: ranks[0]], a[:, main] @ prep.u_cws)
         y += cws.h @ cws.v_q
     if mac_on:
-        mac = BranchPass(prep.u_mac, v_q[ranks[0] :], e_q @ prep.u_mac, mask_e)
+        mac = BranchPass(v_q[ranks[0] :], e_q @ prep.u_mac, mask_e)
         y[t_rows] += mac.h @ mac.v_q
     for block in outliers:
         y += a[:, block] @ b[block]
@@ -228,14 +230,7 @@ def build_layer(
                                               ("branch_comp", rank_mac)) if ratio > 0}
     if max(ratios.values(), default=0) > 1:
         raise ValueError(f"rank ratios must be at most 1, got {ratios}")
-    ranks = {name: lowrank.default_rank(ratio, c_main.size, w.shape[1])
-             for name, ratio in ratios.items()}
-    branches = {}
-    if ranks:
-        # One SVD serves both branches: each takes its leading r triplets.
-        factors = lowrank.truncated_svd(w[c_main], max(ranks.values()))
-        branches = {name: lowrank.build_branch(factors, scale[c_main], r)
-                    for name, r in ranks.items()}
+    branches = lowrank.branches(w[c_main], scale[c_main], ratios) if ratios else {}
     return SplitLayer(partition, w, scale, act_bits, weight_bits, **branches)
 
 

@@ -160,6 +160,7 @@ def _lloyd_sse(hist: np.ndarray, tokens: int, k: int) -> np.ndarray:
                          np.concatenate([i, i + 1]) + rows * (tokens + 1), side="right")
     v_lo, v_hi = np.split(at - rows * (levels + 1), 2, axis=1)  # r = 0 where i + 1 = tokens
     num, den = 2 * k * v_lo + r * (v_hi - v_lo), np.full((n, k), 2 * k)
+    # Only moved rows iterate again: loop-small stability_report 18.5-20 ms, all rows 24-26 ms.
     (lo, hi), active = _intervals(num, den, levels), np.arange(n)
     for _ in range(KMEANS_MAX_ITER):
         w, s = pre[:2, active[:, None], hi[active]] - pre[:2, active[:, None], lo[active] - 1]
@@ -219,7 +220,8 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
 # grows and, for wide batches, first-touch faults cost more than the call
 # saves.  At 30 000 cells the CLI defaults score 7 subsets per call, and from
 # C = 122 on each subset has its own call.
-# Measured: loop-small stability_s 0.270 -> 0.244 s against one call per subset.
+# Measured: loop-small stability_s 0.270 -> 0.244 s against one call per subset;
+# with the block quantizer, in-process stability_report 19-20 ms against 34 ms.
 SCORE_CELLS = 30_000
 
 

@@ -168,8 +168,8 @@ def test_criterion_6_svd_and_branch(capsys, monkeypatch):
     w = rng.standard_normal((12, 9))
     errs = []
     for r in range(1, 10):
-        f = truncated_svd(w, r)
-        errs.append(np.linalg.norm(w - f.u @ np.diag(f.sigma) @ f.vt))
+        u, sigma, vt = truncated_svd(w, r)
+        errs.append(np.linalg.norm(w - u @ np.diag(sigma) @ vt))
     ok &= all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     ok &= errs[-1] <= 1e-8 * np.linalg.norm(w)
     # The gate segments of the calibration gradient vs central differences

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import modquant  # noqa: F401  (loads every submodule the tracer looks up)
-from modquant.cli import EXIT_OK, main
+from modquant.cli import EXIT_OK, RunConfig, main
+from modquant.lowrank import default_rank
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -183,6 +184,10 @@ def test_stagebench_writes_its_file(tmp_path):
     assert list(size["stages"]) == stages and list(size["samples"]) == stages
     assert all(value > 0 and len(size["samples"][name]) == 1
                for name, value in size["stages"].items())
+    # The CLI's default layer: its rank ratios at the recorded main width.
+    run = RunConfig()
+    assert size["ranks"] == [default_rank(ratio, size["widths"][0], size["d_out"])
+                             for ratio in (run.rank_cws, run.rank_mac)] == [1, 2]
 
 
 def _digest_tool():

@@ -14,8 +14,10 @@ two source trees:
 At each size (T tokens, half text and half vision, D = d_out channels;
 default 128x64, 512x256 and 2048x1024) it generates one batch and weight at
 fixed seeds, plants k = max(2, 5D/128) outlier channels per modality (40 at
-D = 1024), selects with ratio k/D, and builds the CLI's default layer: W4A4
-with CWS and MAC at rank ratios 0.02 and 0.03. It then times three stages:
+D = 1024), selects with ratio k/D, and builds the CLI's default layer from
+``cli.RunConfig``'s bits and rank ratios (W4A4 with CWS and MAC at 0.02 and
+0.03 today), so a moved default moves the timed layer too. It then times
+three stages:
 
 - ``forward_with_cache_s``: one ``layer.forward_with_cache`` on a prepared
   batch;
@@ -91,7 +93,9 @@ def _stages(mq, tokens: int, dim: int, repeats: int) -> dict:
     w = mq.synth.generate_weight(dim, dim, seed=1)
     part = mq.mocd.build_partition(batch, mq.mocd.MocdConfig(ratio_vision=k / dim,
                                                              ratio_text=k / dim))
-    layer = mq.layer.build_layer(w, batch, part, 4, 4, rank_cws=0.02, rank_mac=0.03)
+    run = mq.cli.RunConfig()
+    layer = mq.layer.build_layer(w, batch, part, *mq.cli._quant_bits(run), run.rank_cws,
+                                 run.rank_mac)
     prep = mq.layer.prepare(layer, batch)
     y_ref = mq.layer.forward_reference(w, batch)
     cfg = mq.calibrate.CalibConfig(steps=CALIBRATE_STEPS)
@@ -126,8 +130,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     # By module: the package attribute ``modquant.calibrate`` is the function.
     mq = types.SimpleNamespace(**{name: importlib.import_module(f"modquant.{name}")
-                                  for name in ("synth", "mocd", "layer", "calibrate")})
-    importlib.import_module("modquant.cli")._keep_heap()
+                                  for name in ("synth", "mocd", "layer", "calibrate", "cli")})
+    mq.cli._keep_heap()
 
     sizes = [tuple(int(v) for v in size.split("x")) for size in args.sizes]
     result = {"label": args.label, "environment": _environment(), "repeats": args.repeats,
