@@ -31,7 +31,8 @@ never evaluated, so it takes no gradient.  A non-finite loss or gradient
 raises ``NonFiniteLossError``.
 
 ``stability_report`` only draws token subsets and compares their picks: it
-hands the reference's and every trial's rows to one ``mocd._select`` call,
+hands the reference's and every trial's rows, each a (text rows, vision
+rows) pair as ``_stratified_subset`` draws it, to one ``mocd._select`` call,
 which shares the rank counts and batches the scoring.
 """
 
@@ -61,8 +62,8 @@ class CalibConfig:
     learning_rate: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
         if self.steps < 1:
             raise ValueError("steps must be positive")
 
@@ -176,6 +177,9 @@ def calibrate(
     ``y_ref``, when given, is the reference output X @ W of the batch."""
     if y_ref is None:
         y_ref = forward_reference(layer.w, batch)
+    elif y_ref.shape != (batch.data.shape[0], layer.w.shape[1]):
+        raise ValueError(f"y_ref has shape {y_ref.shape}, but the layer's output on the "
+                         f"batch has shape {(batch.data.shape[0], layer.w.shape[1])}")
     prep = prepare(layer, batch)
     theta = _params(layer)
     # Everything after the per-channel log-scales is a branch gate.
@@ -205,8 +209,9 @@ def calibrate(
     return _with_params(layer, best_theta), trace
 
 
-def _stratified_subset(rng, batch: ActivationBatch, size: int) -> np.ndarray:
-    """Token subset keeping roughly the batch's text/vision proportions."""
+def _stratified_subset(rng, batch: ActivationBatch, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Token subset keeping roughly the batch's text/vision proportions, as
+    its ascending (text rows, vision rows) pair."""
     t_rows, v_rows = batch.text_rows, batch.vision_rows
     total = batch.data.shape[0]
     if size > total:
@@ -217,11 +222,8 @@ def _stratified_subset(rng, batch: ActivationBatch, size: int) -> np.ndarray:
     n_v = size - n_t
     if v_rows.size and n_v == 0 and size > 1:
         n_v, n_t = 1, size - 1
-    chosen = np.concatenate([
-        rng.choice(t_rows, size=n_t, replace=False) if n_t else np.empty(0, np.int64),
-        rng.choice(v_rows, size=n_v, replace=False) if n_v else np.empty(0, np.int64),
-    ])
-    return np.sort(chosen.astype(np.int64))
+    return tuple(np.sort(rng.choice(rows, size=n, replace=False)) if n else np.empty(0, np.int64)
+                 for rows, n in ((t_rows, n_t), (v_rows, n_v)))
 
 
 def stability_report(
@@ -239,6 +241,8 @@ def stability_report(
     call, which checks that each holds a token of each modality with a pick,
     ranks the rows of each distinct vision pick once and scores same-size
     subsets together."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     ref_rows = _stratified_subset(np.random.default_rng(seed), batch, reference_size)
     row_sets = [_stratified_subset(np.random.default_rng(seed * 1_000_003 + t), batch, size)
                 for size in subset_sizes for t in range(1, trials + 1)]

@@ -1,7 +1,8 @@
 """Command-line surface: gen, select, calibrate, eval, stability.
 
 Every command is a deterministic function of its input files, flags, and
-seed; re-running with identical inputs produces byte-identical outputs.
+seed; re-running with identical inputs, on the same numpy/BLAS build and
+BLAS thread count, produces byte-identical outputs.
 Each ``RunConfig`` field can come from a JSON file (--config, unknown keys
 rejected) or from its flag, which wins: ``--field-with-dashes``; a list flag
 takes space-separated ints.  A field that feeds a library config
@@ -371,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Measured: select-text-heavy ablation_s 0.639 -> 0.553 s with the thresholds pinned.
+# Measured, unpinned -> pinned (40-s perfbench): select-text-heavy ablation_s 0.624 -> 0.553 s.
 def _keep_heap() -> None:
     """Stop glibc from handing freed heap memory back to the kernel.
 

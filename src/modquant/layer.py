@@ -163,6 +163,7 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
         e_q, mask_e = quantize_act(z[t_rows, main] - a[t_rows, main], act_aux)
     del z  # freed before the weight pass: it lowers the step's peak heap
     # The weight quantizer's rows: W / d, then each present branch's v.
+    # One buffer: calib-wide calibrate ru_maxrss 79.8-80.0 MiB, 81.5-81.8 concatenated.
     rows = np.empty((width + sum(ranks), layer.d_out),
                     np.result_type(d, *(br.gate for br in (cws_br, mac_br) if br is not None)))
     w_s = np.divide(prep.w, d[:, None], out=rows[:width])
@@ -214,7 +215,7 @@ def build_layer(
     """Assemble a layer: check the bits, widths and rank ratios, init the
     scales from the calibration activations, and anchor the low-rank
     branches; every other shape follows.  A branch is built exactly when its
-    rank ratio is positive, and that ratio must be at most 1."""
+    rank ratio is positive, and each ratio must lie in [0, 1]."""
     check_bits(act_bits)
     check_bits(weight_bits)
     w = as_matrix(w)
@@ -226,10 +227,10 @@ def build_layer(
     scale = tr.smoothing_scale(batch.data)
 
     c_main = partition.c_main
+    if not (0 <= rank_cws <= 1 and 0 <= rank_mac <= 1):
+        raise ValueError(f"rank ratios must be at most 1 and non-negative: {rank_cws}, {rank_mac}")
     ratios = {name: ratio for name, ratio in (("branch_smooth", rank_cws),
                                               ("branch_comp", rank_mac)) if ratio > 0}
-    if max(ratios.values(), default=0) > 1:
-        raise ValueError(f"rank ratios must be at most 1, got {ratios}")
     branches = lowrank.branches(w[c_main], scale[c_main], ratios) if ratios else {}
     return SplitLayer(partition, w, scale, act_bits, weight_bits, **branches)
 

@@ -27,14 +27,10 @@ def truncated_svd(w: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     made positive, so results are deterministic across runs.
     """
     u, s, vt = np.linalg.svd(w, full_matrices=False)
-    u, s, vt = u[:, :r].copy(), s[:r].copy(), vt[:r].copy()
-    for j in range(r):
-        col = u[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            vt[j] = -vt[j]
-    return u, s, vt
+    # A unit column always has an entry above 1e-12; a sign of +-1.0 is exact.
+    first = np.argmax(np.abs(u[:, :r]) > 1e-12, axis=0)
+    sign = np.where(u[first, np.arange(r)] < 0, -1.0, 1.0)
+    return u[:, :r] * sign, s[:r].copy(), vt[:r] * sign[:, None]
 
 
 @dataclass(frozen=True)

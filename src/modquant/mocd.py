@@ -7,16 +7,18 @@ instability: each channel's within-token rank counts are clustered by exact
 variance; in 1-D each cluster is an interval of levels (Ckmeans.1d.dp), so a
 Lloyd step costs O(k^2) per channel, whatever the number of levels.  The
 leftover channels form the modality-compatible main set.  A selection reads
-a set of tokens of one batch, an ascending row-index array, and ``_select``
-picks for all of a caller's sets in one call: ranks are row-local, so each
-distinct vision pick ranks the union of its sets' text rows once, and sets
-with as many text rows share ``text_score`` calls over their rank matrices
-side by side.  ``_select`` is the one place that checks that the picks fit
-and that each set holds a token of each modality with a pick.
-``build_partition`` is its one-set case, over every row, and the entry
-point; the stability report passes it every subset at once.  The steps
-(``vision_score``, ``select_topk``, ``percentile_rank``, ``text_score``,
-``jaccard``) state their preconditions and check nothing.
+a set of tokens of one batch, a (text rows, vision rows) pair of ascending
+row-index arrays, so the modality split is made where the rows are drawn,
+and ``_select`` picks for all of a caller's sets in one call: ranks are
+row-local, so each distinct vision pick ranks the union of its sets' text
+rows once, and sets with as many text rows share ``text_score`` calls over
+their rank matrices side by side.  ``_select`` is the one place that checks
+that the picks fit and that each set holds a token of each modality with a
+pick.  ``build_partition`` is its one-set case, over the batch's text and
+vision rows, and the entry point; the stability report passes it every
+subset at once.  The steps (``vision_score``, ``select_topk``,
+``percentile_rank``, ``text_score``, ``jaccard``) state their preconditions
+and check nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ActivationBatch, ModalityTag
+from .tensor import ActivationBatch
 
 KMEANS_MAX_ITER = 50
 
@@ -206,10 +208,11 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
 
     Vision channels come first (top-K over all channels), text channels are
     drawn from the remainder, and everything else is the main set.  The
-    picks are ``_select``'s over every row of the batch, checked there.
+    picks are ``_select``'s over the batch's text and vision rows, checked
+    there.
     """
     dim = batch.data.shape[1]
-    ((c_vision, c_text),) = _select(batch, [np.arange(batch.tags.size)], cfg)
+    ((c_vision, c_text),) = _select(batch, [(batch.text_rows, batch.vision_rows)], cfg)
     return ChannelPartition(np.setdiff1d(np.arange(dim), np.concatenate([c_vision, c_text])),
                             c_text, c_vision, dim)
 
@@ -225,9 +228,10 @@ def build_partition(batch: ActivationBatch, cfg: MocdConfig) -> ChannelPartition
 SCORE_CELLS = 30_000
 
 
-def _select(batch: ActivationBatch, row_sets: list[np.ndarray], cfg: MocdConfig):
-    """The ``(c_vision, c_text)`` picks of each row set of ``batch``, an
-    ascending row-index array.  It checks what its steps take on trust,
+def _select(batch: ActivationBatch, row_sets: list[tuple], cfg: MocdConfig):
+    """The ``(c_vision, c_text)`` picks of each row set of ``batch``, a
+    ``(t_rows, v_rows)`` pair of ascending row-index arrays of its text and
+    vision tokens, read as given.  It checks what its steps take on trust,
     before it scores anything: the picks leave the main set at least as large
     as each outlier set, and each set holds a token of each modality with a
     pick.  Ranks are row-local, so for each distinct vision pick, in order of
@@ -238,40 +242,36 @@ def _select(batch: ActivationBatch, row_sets: list[np.ndarray], cfg: MocdConfig)
     calls, over their rank matrices side by side, ``SCORE_CELLS // (C (C + 1))``
     sets (at least one) per call.  A single block, a set that is the whole
     union and a call of one set pass their matrix uncopied."""
-    dim = batch.data.shape[1]
+    data, dim = batch.data, batch.data.shape[1]
     k_v, k_t = cfg.k_vision(dim), cfg.k_text(dim)
     if dim - k_v - k_t < max(k_v, k_t):
         raise ValueError(f"picking {k_v} vision and {k_t} text of {dim} channels "
                          "leaves the main set smaller than an outlier set")
-    split = []  # each set's (text rows, vision rows)
-    for rows in row_sets:
-        is_text = batch.tags[rows] == ModalityTag.TEXT
-        t_rows, v_rows = rows[is_text], rows[~is_text]
+    for t_rows, v_rows in row_sets:
         for name, k, have in (("vision", k_v, v_rows), ("text", k_t, t_rows)):
             if k and not have.size:
-                raise ValueError(f"a token set of size {rows.size} has no {name} token, "
-                                 f"but the {name} ratio is nonzero")
-        split.append((t_rows, v_rows))
+                raise ValueError(f"a token set of size {t_rows.size + v_rows.size} has no "
+                                 f"{name} token, but the {name} ratio is nonzero")
     empty = np.empty(0, dtype=np.int64)
-    c_vision = [select_topk(vision_score(batch.data, v), k_v) if k_v else empty for _, v in split]
+    c_vision = [select_topk(vision_score(data, v), k_v) if k_v else empty for _, v in row_sets]
     c_text = [empty] * len(row_sets)
     if not k_t:
         return list(zip(c_vision, c_text))
     by_pick, by_tokens, reads = {}, {}, {}  # set indices by vision pick, by text-row count
-    for i, (c, (t_rows, _)) in enumerate(zip(c_vision, split)):
+    for i, (c, (t_rows, _)) in enumerate(zip(c_vision, row_sets)):
         by_pick.setdefault(c.tobytes(), []).append(i)
         by_tokens.setdefault(t_rows.size, []).append(i)
-    largest = max(rows.size for rows in row_sets)
+    largest = max(t.size + v.size for t, v in row_sets)
     # Measured: select-text-heavy stability_report 0.089 s, 0.117-0.137 s ranked per subset.
     for sets in by_pick.values():
         cand = np.setdiff1d(np.arange(dim), c_vision[sets[0]])
-        union = np.unique(np.concatenate([split[i][0] for i in sets]))
-        blocks = [percentile_rank(batch.data, b, cand)
+        union = np.unique(np.concatenate([row_sets[i][0] for i in sets]))
+        blocks = [percentile_rank(data, b, cand)
                   for b in np.array_split(union, -(-union.size // largest))]
         # Uncopied passes: select-text-heavy build_partition heap peak 10.9 MiB, 20.9 copied.
         ranking = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         # A set reads (its candidates, its pick's ranking, its rows of that ranking).
-        reads.update({i: (cand, ranking, np.searchsorted(union, split[i][0])) for i in sets})
+        reads.update({i: (cand, ranking, np.searchsorted(union, row_sets[i][0])) for i in sets})
     c = dim - k_v
     per_call = max(1, SCORE_CELLS // (c * (c + 1)))
     # Calls mix picks: at the CLI defaults 4 of 41 sets pick another vision
@@ -288,11 +288,7 @@ def _select(batch: ActivationBatch, row_sets: list[np.ndarray], cfg: MocdConfig)
 
 
 def jaccard(a, b) -> float:
-    """|A n B| / |A u B|; two empty sets count as identical (1.0)."""
-    sa, sb = set(np.asarray(a, dtype=np.int64).tolist()), set(
-        np.asarray(b, dtype=np.int64).tolist()
-    )
-    union = sa | sb
-    if not union:
-        return 1.0
-    return len(sa & sb) / len(union)
+    """|A n B| / |A u B| of two integer index arrays; two empty sets count as
+    identical (1.0)."""
+    union = np.union1d(a, b).size
+    return np.intersect1d(a, b).size / union if union else 1.0

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             CalibConfig(steps=0)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_rejects_a_learning_rate_that_is_not_finite(self, lr):
+        # Accepted, it would surface as a NonFiniteLossError at step 1.
+        with pytest.raises(ValueError, match="learning_rate"):
+            CalibConfig(learning_rate=lr)
+
 
 class TestCalibrate:
     def test_best_never_worse_than_initial(self):
@@ -60,6 +66,14 @@ class TestCalibrate:
         _, trace = calibrate(layer, batch, CalibConfig(steps=50))
         assert trace.best_loss <= trace.losses[0]
         assert len(trace.losses) == 50
+
+    def test_rejects_a_reference_of_another_shape(self):
+        # A (1, d_out) target would broadcast over every token.
+        batch, layer = _setup(0)
+        y_ref = forward_reference(layer.w, batch)
+        for bad in (y_ref[:1], y_ref.T, y_ref[:, :-1]):
+            with pytest.raises(ValueError, match="y_ref has shape"):
+                calibrate(layer, batch, CalibConfig(steps=3), y_ref=bad)
 
     def test_identity_mode_loss_is_zero(self):
         batch, layer = _setup(1, act_bits=None, weight_bits=None)
@@ -241,18 +255,20 @@ class TestStratifiedSubset:
     def test_preserves_proportions(self):
         batch = generate(SynthConfig(tokens_text=60, tokens_vision=20, seed=0))
         rng = np.random.default_rng(0)
-        rows = _stratified_subset(rng, batch, 40)
-        tags = batch.tags[rows]
-        assert rows.size == 40
-        assert np.sum(tags == 0) == 30
-        assert np.sum(tags == 1) == 10
+        t_rows, v_rows = _stratified_subset(rng, batch, 40)
+        for rows, tag, size in ((t_rows, 0, 30), (v_rows, 1, 10)):
+            assert rows.size == size
+            assert np.all(batch.tags[rows] == tag)
+            assert np.all(np.diff(rows) > 0)
 
     def test_forces_one_vision_token(self):
         # 4 * 15/16 rounds to 4 text tokens, so the subset trades one of them
         # for the batch's one vision token.
         batch = ActivationBatch(np.zeros((16, 2)), [0] * 15 + [1])
-        rows = _stratified_subset(np.random.default_rng(0), batch, 4)
-        assert batch.tags[rows].tolist() == [0, 0, 0, 1]
+        t_rows, v_rows = _stratified_subset(np.random.default_rng(0), batch, 4)
+        assert batch.tags[t_rows].tolist() == [0, 0, 0]
+        assert np.all(np.diff(t_rows) > 0)
+        assert v_rows.tolist() == [15]
 
     def test_rejects_oversized_subset(self):
         batch = generate(
@@ -279,6 +295,12 @@ class TestStability:
         for row in rep:
             assert 0.0 <= row["mean_jaccard"] <= 1.0
 
+    def test_rejects_zero_trials(self):
+        # No trial would leave every mean and std a NaN of an empty slice.
+        batch = generate(SynthConfig(seed=3))
+        with pytest.raises(ValueError, match="trials must be positive"):
+            stability_report(batch, MocdConfig(), [16], 32, trials=0)
+
     def test_planted_data_is_stable(self):
         batch = generate(SynthConfig(seed=5))
         cfg = MocdConfig(ratio_vision=2 / 64, ratio_text=2 / 64)
@@ -293,7 +315,7 @@ class TestStability:
         row_sets = []
 
         def selection(rng, size):
-            rows = _stratified_subset(rng, batch, size)
+            rows = np.sort(np.concatenate(_stratified_subset(rng, batch, size)))
             row_sets.append(rows)
             p = build_partition(ActivationBatch(batch.data[rows], batch.tags[rows]), cfg)
             return np.sort(np.concatenate([p.c_text, p.c_vision]))

@@ -359,6 +359,14 @@ class TestValidation:
             with pytest.raises(ValueError, match="rank ratios must be at most 1"):
                 build_layer(w, batch, part, 4, 4, *ratios)
 
+    @pytest.mark.parametrize("ratio", [np.nan, -0.5])
+    def test_rank_ratio_outside_the_unit_interval(self, ratio):
+        # Such a ratio is not positive, so it would build no branch silently.
+        batch, w, part = _instance(0)
+        for ratios in ((ratio, 0.0), (0.0, ratio)):
+            with pytest.raises(ValueError, match="rank ratios must be at most 1"):
+                build_layer(w, batch, part, 4, 4, *ratios)
+
     def test_weight_rows_must_match_partition(self):
         batch, w, part = _instance(0)
         with pytest.raises(ValueError):

@@ -53,6 +53,24 @@ class TestTruncatedSvd:
             nz = np.flatnonzero(np.abs(col) > 1e-12)
             assert col[nz[0]] > 0
 
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sign_rule_matches_the_per_column_loop(self, rows, cols, zero_rows, seed):
+        # The sign rule as a loop over columns; leading zero rows put each
+        # column's first entry above 1e-12 below its top.
+        w = np.random.default_rng(seed).standard_normal((rows + zero_rows, cols))
+        w[:zero_rows] = 0.0
+        r = min(rows, cols)
+        u, s, vt = np.linalg.svd(w, full_matrices=False)
+        u, s, vt = u[:, :r].copy(), s[:r].copy(), vt[:r].copy()
+        for j in range(r):
+            nz = np.flatnonzero(np.abs(u[:, j]) > 1e-12)
+            if nz.size and u[nz[0], j] < 0:
+                u[:, j], vt[j] = -u[:, j], -vt[j]
+        for got, want in zip(truncated_svd(w, r), (u, s, vt)):
+            np.testing.assert_array_equal(got, want)
+            assert got.flags.c_contiguous
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_eckart_young_monotone(self, seed):
