@@ -21,13 +21,14 @@ and rows are in path order: it takes one product per path block into the
 gradients at the two quantizer inputs, multiplies by the activation mask
 only when there is one, and takes the log-scale gradient once over the whole
 width, scattered back to channel order; a gate's gradient reads its branch's
-product from the record.  The gradient buffers are scaled in place.  A step
-changes only scales and gates, so ``calibrate`` builds one ``layer.prepare``
-record per call (the batch's columns and the weight's rows in path order),
-every step reads it, and a step's layer is a ``dataclasses.replace`` copy,
-which checks nothing.  The
-last step only evaluates the loss: the update it would make is
-never evaluated, so it takes no gradient.  A non-finite loss or gradient
+product from the record.  The record keeps no W / d: the gradient divides the
+prepared weight rows by the gathered scales itself, as the forward does.  The
+gradient buffers are scaled in place.  A step changes only scales and gates,
+so ``calibrate`` builds one ``layer.prepare`` record per call (the batch's
+columns and the weight's rows in path order), every step reads it, and a
+step's layer is a ``dataclasses.replace`` copy, which checks nothing.  The
+last step only evaluates the loss: the update it would make is never
+evaluated, so it takes no gradient.  A non-finite loss or gradient
 raises ``NonFiniteLossError``.
 
 ``stability_report`` only draws token subsets and compares their picks: it
@@ -128,10 +129,11 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     t_rows, blocks = prep.text_rows, prep.blocks
     a, b, cws, mac = fp.a, fp.b, fp.cws, fp.mac
     main = blocks[0]
+    d = layer.scale[prep.cols]
 
-    # The gradients at the quantizer inputs z = x d and w_s, one product per
+    # The gradients at the quantizer inputs z = x d and W / d, one product per
     # path block into its columns and rows.
-    dl_dz, dl_db = np.empty_like(a), np.empty_like(fp.w_s)
+    dl_dz, dl_db = np.empty_like(a), np.empty_like(prep.w)
     for block in blocks:
         np.matmul(g, b[block].T, out=dl_dz[:, block])
         np.matmul(a[:, block].T, g, out=dl_db[block])
@@ -159,13 +161,13 @@ def analytic_gradient(layer: SplitLayer, prep: Prepared, y_ref: np.ndarray):
     if br is not None:
         grads.append(np.zeros(br.rank) if mac is None
                      else _gate_grad(mac, br, g[t_rows]))
-    # z = x d moves with the log-scales, w_s = W / d against them; the
-    # gradient is taken in path order and scattered back to channel order.
+    # z = x d moves with the log-scales, W / d (the forward's division, so the
+    # same bits) against them; the gradient is taken in path order and
+    # scattered back to channel order.
     dl_dz *= prep.x
-    dl_db *= fp.w_s
+    dl_db *= prep.w / d[:, None]
     d_grad = np.empty(layer.partition.dim)
-    d_grad[prep.cols] = (np.add.reduce(dl_dz, axis=0) * layer.scale[prep.cols]
-                         - np.add.reduce(dl_db, axis=1))
+    d_grad[prep.cols] = np.add.reduce(dl_dz, axis=0) * d - np.add.reduce(dl_db, axis=1)
     return loss, np.concatenate([d_grad, *grads])
 
 

@@ -10,11 +10,12 @@ paths are the quantizer's blocks, each at its own bits (``quantize_act``
 yields the value and its straight-through mask, None where nothing clamps,
 and ``quantize_weight``, which never clamps, the value alone; the weight
 call also takes each branch's gated factor).  It applies the gated low-rank
-corrections that are present (weight smoothing on the main weight,
-activation compensation on text-token rows) and sums one product per block.
-It records the blocks and branches in one frozen ``ForwardPass`` for the
-calibration gradient; an outlier path with no channels is an empty block
-and an absent branch is ``None``, and neither costs a product.  With
+corrections that are present (weight smoothing on the main weight, whose
+product comes off the rows of W / d in place, and activation compensation
+on text-token rows) and sums one product per block.  It records the blocks
+and branches in one frozen ``ForwardPass`` for the calibration gradient,
+which keeps no copy of W / d; an outlier path with no channels is an empty
+block and an absent branch is ``None``, and neither costs a product.  With
 identity quantizers everything cancels and the output equals X @ W, the
 load-bearing correctness oracle.  Shapes and rank ratios are checked only
 where a layer enters, by ``build_layer`` and ``load_layer``, so the
@@ -63,10 +64,6 @@ class SplitLayer:
     branch_smooth: lowrank.LowRankBranch | None = None
     branch_comp: lowrank.LowRankBranch | None = None
 
-    @property
-    def d_out(self) -> int:
-        return self.w.shape[1]
-
 
 @dataclass(frozen=True)
 class BranchPass:
@@ -85,13 +82,13 @@ class BranchPass:
 class ForwardPass:
     """The records the gradient reads, columns and rows in path order (main |
     text | vision): a = Q(x * d) and its mask (None where nothing clamps),
-    w_s = W / d[:, None], and b, the quantized weight rows: w_s less the CWS
-    product on the main rows, then each present branch's v_q.  An absent
-    branch is None."""
+    and b, the quantized weight rows: W / d[:, None] less the CWS product on
+    the main rows, then each present branch's v_q.  An absent branch is
+    None.  W / d itself is not kept: the gradient divides ``Prepared.w`` by
+    the same gathered scales."""
 
     a: np.ndarray
     mask_a: np.ndarray | None
-    w_s: np.ndarray
     b: np.ndarray
     cws: BranchPass | None
     mac: BranchPass | None
@@ -163,18 +160,13 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
         e_q, mask_e = quantize_act(z[t_rows, main] - a[t_rows, main], act_aux)
     del z  # freed before the weight pass: it lowers the step's peak heap
     # The weight quantizer's rows: W / d, then each present branch's v.
-    # One buffer: calib-wide calibrate ru_maxrss 79.8-80.0 MiB, 81.5-81.8 concatenated.
-    rows = np.empty((width + sum(ranks), layer.d_out),
-                    np.result_type(d, *(br.gate for br in (cws_br, mac_br) if br is not None)))
-    w_s = np.divide(prep.w, d[:, None], out=rows[:width])
+    # Only the quantizer reads them, so the CWS product comes off in place.
+    vs = [br.effective_v() for br in (cws_br, mac_br) if br is not None]
+    rows = np.concatenate([prep.w / d[:, None], *vs])
     if cws_br is not None:
-        rows[width : width + ranks[0]] = cws_br.effective_v()
-        w_s = w_s.copy()  # the gradient reads W / d, not the shifted rows
-        rows[main] -= cws_br.u_star @ rows[width : width + ranks[0]]
-    if mac_br is not None:
-        rows[width + ranks[0] :] = mac_br.effective_v()
+        rows[main] -= cws_br.u_star @ vs[0]
     b = quantize_weight(rows, (layer.weight_bits, *[w_aux] * 4), (*widths, *ranks))
-    del rows  # freed here when w_s is a copy
+    del rows  # freed before the products
     v_q = b[width:]
 
     y = a[:, main] @ b[main]
@@ -187,7 +179,7 @@ def forward_with_cache(layer: SplitLayer, prep: Prepared):
         y[t_rows] += mac.h @ mac.v_q
     for block in outliers:
         y += a[:, block] @ b[block]
-    return y, ForwardPass(a, mask_a, w_s, b, cws, mac)
+    return y, ForwardPass(a, mask_a, b, cws, mac)
 
 
 def forward(layer: SplitLayer, batch: ActivationBatch) -> np.ndarray:
@@ -272,7 +264,7 @@ def save_layer(layer: SplitLayer, out_dir: str) -> str:
     returns the manifest path."""
     p = layer.partition
     branches = {name: br for name in _BRANCHES if (br := getattr(layer, name)) is not None}
-    manifest = _manifest(p.dim, layer.d_out,
+    manifest = _manifest(p.dim, layer.w.shape[1],
                          {f"c_{path}": getattr(p, f"c_{path}").tolist() for path in _PATHS},
                          layer.act_bits, layer.weight_bits, branches)
     os.makedirs(out_dir, exist_ok=True)

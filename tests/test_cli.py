@@ -540,6 +540,36 @@ class TestNumericalFailureMessage:
         assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
 
 
+class TestEntryChecks:
+    """Checks where a file enters a command, each with its exit code and message."""
+
+    def test_config_that_is_not_an_object_is_config_error(self, small, tmp_path):
+        config = tmp_path / "list.json"
+        config.write_text("[1]")
+        rc, err = run_captured(["select", "--config", str(config), "--activations",
+                                small["activations"], "--out", str(tmp_path / "o")])
+        assert rc == EXIT_USAGE
+        assert err == f"config error: config {config} is not a JSON object\n"
+
+    def test_matrix_as_activations_is_data_error(self, small, tmp_path):
+        rc, err = run_captured(["select", "--activations", small["weights"],
+                                "--out", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert err == f"data error: {small['weights']} does not contain an activation batch\n"
+
+    def test_overflowing_loss_is_a_numerical_failure(self, small, tmp_path):
+        # Finite weights whose reference output squares past the float range.
+        weights = tmp_path / "big.spqt"
+        save_tensor(weights, load_tensor(small["weights"]) * 1e200)
+        out = tmp_path / "o"
+        rc, err = run_captured(["calibrate", "--config", small["config"], "--activations",
+                                small["activations"], "--weights", str(weights),
+                                "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert err == "numerical failure: non-finite loss at step 0\n"
+        assert not out.exists()
+
+
 class TestNonFiniteGradient:
     """A non-finite gradient entry is a numerical failure, whether it hits a
     log-scale or a gate; the clips would turn an infinite one into a bound."""

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -298,6 +299,27 @@ class TestForwardPass:
         ranks = split.branch_smooth.rank + split.branch_comp.rank
         assert forward_with_cache(split, prepare(split, batch))[1].b.shape == (
             part.dim + ranks, w.shape[1])
+
+    def test_the_cws_branch_keeps_no_copy_of_the_weight(self):
+        # Few tokens and a wide output: the weight outweighs the activations,
+        # so a copy of W / d kept for the gradient would add a whole weight
+        # to the peak of a warm forward pass.
+        rng = np.random.default_rng(0)
+        dim, d_out = 256, 512
+        batch = ActivationBatch(rng.standard_normal((32, dim)), np.arange(32) % 2)
+        w = rng.standard_normal((dim, d_out))
+        cws = build_layer(w, batch, trivial_partition(dim), 4, 4, rank_cws=0.02)
+        peaks = []
+        for layer in (cws, dataclasses.replace(cws, branch_smooth=None)):
+            prep = prepare(layer, batch)
+            forward_with_cache(layer, prep)
+            tracemalloc.start()
+            try:
+                forward_with_cache(layer, prep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < w.nbytes / 2
 
     def test_aux_bits_floor(self):
         # The outlier paths and branch factors take at least the floor.

@@ -20,6 +20,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="instability"):
             SynthConfig(text_instability=1.5)
 
+    @pytest.mark.parametrize("value", [1.5, -0.5])
+    def test_instability_outside_the_unit_interval(self, value):
+        with pytest.raises(ValueError, match=r"^text_instability must be in \[0, 1\]$"):
+            SynthConfig(text_instability=value)
+        for bound in (0.0, 1.0):
+            assert SynthConfig(text_instability=bound).text_instability == bound
+
+    def test_rejects_a_batch_without_tokens(self):
+        with pytest.raises(ValueError, match="^batch must contain at least one token$"):
+            SynthConfig(tokens_text=0, tokens_vision=0)
+
 
 class TestGenerate:
     def test_shape_and_tags(self):

@@ -49,6 +49,10 @@ class TestActivationBatch:
         with pytest.raises(ValueError, match="tags"):
             ActivationBatch(np.zeros((2, 2)), [0, 7])
 
+    def test_rejects_two_dimensional_tags(self):
+        with pytest.raises(ValueError, match="^tags must be a 1-D sequence$"):
+            ActivationBatch(np.zeros((2, 2)), [[0], [1]])
+
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
             ActivationBatch(np.zeros((0, 2)), [])
@@ -100,6 +104,20 @@ class TestDumpFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])  # drop one tag byte
         with pytest.raises(TensorFormatError, match="tag-length mismatch"):
+            load_tensor(path)
+
+    def test_trailing_byte_after_matrix(self, tmp_path):
+        path = tmp_path / "x.spqt"
+        save_tensor(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(TensorFormatError, match="^trailing bytes after matrix payload$"):
+            load_tensor(path)
+
+    def test_tag_byte_outside_the_modalities(self, tmp_path):
+        path = tmp_path / "x.spqt"
+        save_tensor(path, ActivationBatch(np.ones((2, 2)), [0, 1]))
+        path.write_bytes(path.read_bytes()[:-1] + bytes([2]))
+        with pytest.raises(TensorFormatError, match="^invalid modality tag$"):
             load_tensor(path)
 
     def test_non_finite_payload(self, tmp_path):

@@ -13,7 +13,7 @@ from modquant.transform import DIAG_EPS, checked_scale, smoothing_scale
 
 def _path(x, w, scale):
     """The forward record of the one-path layer (x, w, scale) with identity
-    quantizers: a = x * scale exactly, w_s = w / scale and b = w_s."""
+    quantizers: a = x * scale exactly and b = w / scale."""
     layer = SplitLayer(trivial_partition(x.shape[1]), w, scale, None, None)
     return forward_with_cache(layer, prepare(layer, ActivationBatch(x, np.zeros(x.shape[0]))))[1]
 
@@ -33,18 +33,18 @@ class TestConstruction:
         x = np.arange(6.0).reshape(2, 3)
         path = _path(x, x.T, np.ones(3))
         np.testing.assert_array_equal(path.a, x)
-        np.testing.assert_array_equal(path.w_s, x.T)
+        np.testing.assert_array_equal(path.b, x.T)
 
 
 class TestApply:
-    # The layer applies s in its forward pass: z = x s, w_s = W / s.
+    # The layer applies s in its forward pass: z = x s, b = W / s.
     def test_diagonal_right_hand_value(self):
         path = _path(np.array([[1.0, 1.0]]), np.ones((2, 1)), np.array([2.0, 3.0]))
         np.testing.assert_allclose(path.a, [[2.0, 3.0]], rtol=1e-14)
 
     def test_diagonal_inv_left_hand_value(self):
         path = _path(np.ones((1, 2)), np.array([[2.0], [4.0]]), np.array([2.0, 4.0]))
-        np.testing.assert_allclose(path.w_s, [[1.0], [1.0]], rtol=1e-14)
+        np.testing.assert_allclose(path.b, [[1.0], [1.0]], rtol=1e-14)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
